@@ -191,16 +191,3 @@ def abelian_from_chois(chois, weights, dim_x: int, dim_a: int) -> AlgStochasticM
     blocks = tuple(StochasticOperatorMatrix(dim_x, dim_a, 1, np.asarray(c, dtype=complex))
                    for c in chois)
     return AlgStochasticMatrix(alg, blocks)
-
-
-def direct_sum(e1: AlgStochasticMatrix, e2: AlgStochasticMatrix,
-               weight: float) -> AlgStochasticMatrix:
-    """Convex combination witness over the direct-sum algebra."""
-    if (e1.dim_x, e1.dim_a) != (e2.dim_x, e2.dim_a):
-        raise ValueError("dimension mismatch")
-    if not 0.0 < weight < 1.0:
-        raise ValueError("weight must lie in (0, 1)")
-    dims = e1.alg.block_dims + e2.alg.block_dims
-    weights = tuple(weight * w for w in e1.alg.weights) + \
-        tuple((1.0 - weight) * w for w in e2.alg.weights)
-    return AlgStochasticMatrix(TracialAlgebra(dims, weights), e1.blocks + e2.blocks)

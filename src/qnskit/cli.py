@@ -11,13 +11,16 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import io
 from .algebra import AlgStochasticMatrix
 from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                            QnsCorrelation, build_commuting, build_local,
                            build_quantum, build_tracial, compose_correlations,
                            compose_tables, cqns_report, lift_cqns, ns_report,
-                           qns_report, reduce_cqns, reduce_ns)
+                           qns_report, reduce_cqns, reduce_ns,
+                           witness_residual_or_inf)
 from .games import ConstraintGame, compose_games, perfect_strategy_check
 from .graphs import (Graph, kd2_colouring, orth_rep_to_colouring,
                      proper_residuals, xi_qc_lower_bound)
@@ -88,28 +91,22 @@ def _load_payload(path: str):
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _correlation_report(corr, tol: float | None) -> dict:
+def _correlation_report(corr, tol: float) -> dict:
     if isinstance(corr, QnsCorrelation):
-        report = qns_report(corr, tol=tol or 1e-9).as_dict()
+        report = qns_report(corr, tol=tol).as_dict()
         report["kind"] = "qns"
-    elif isinstance(corr, CqnsCorrelation):
-        report = cqns_report(corr, tol or 1e-9).as_dict()
+        return report
+    if isinstance(corr, CqnsCorrelation):
+        report = cqns_report(corr, tol).as_dict()
         report["kind"] = "cqns"
-        if corr.witness is not None:
-            from .correlations import witness_residual_or_inf
-            report["witness_residual"] = witness_residual_or_inf(corr)
-            report["pass"] = bool(report["pass"] and
-                                  report["witness_residual"] <= (tol or 1e-9))
     elif isinstance(corr, NsCorrelation):
-        report = ns_report(corr, tol or 1e-9).as_dict()
+        report = ns_report(corr, tol).as_dict()
         report["kind"] = "ns"
-        if corr.witness is not None:
-            from .correlations import witness_residual_or_inf
-            report["witness_residual"] = witness_residual_or_inf(corr)
-            report["pass"] = bool(report["pass"] and
-                                  report["witness_residual"] <= (tol or 1e-9))
     else:
         raise CliError("file does not contain a correlation")
+    if corr.witness is not None:
+        report["witness_residual"] = witness_residual_or_inf(corr)
+        report["pass"] = bool(report["pass"] and report["witness_residual"] <= tol)
     return report
 
 
@@ -118,12 +115,12 @@ def _cmd_verify(args) -> int:
     if isinstance(payload, (QnsCorrelation, CqnsCorrelation, NsCorrelation)):
         report = _correlation_report(payload, args.tol)
     elif isinstance(payload, StochasticOperatorMatrix):
-        report = verify_stochastic(payload, args.tol or 1e-9).as_dict()
+        report = verify_stochastic(payload, args.tol).as_dict()
         report["kind"] = "stochastic"
     elif isinstance(payload, AlgStochasticMatrix):
-        defect = payload.verification_defect(args.tol or 1e-9)
+        defect = payload.verification_defect(args.tol)
         report = {"kind": "alg-stochastic", "defect": defect,
-                  "pass": defect <= (args.tol or 1e-9)}
+                  "pass": defect <= args.tol}
     else:
         raise CliError("verify expects a correlation or stochastic matrix file")
     _emit_report(report, args.format, sys.stdout)
@@ -221,7 +218,7 @@ def _cmd_check_game(args) -> int:
     strategy = _load_payload(args.strategy)
     if not isinstance(strategy, (QnsCorrelation, CqnsCorrelation, NsCorrelation)):
         raise CliError("second argument must be a correlation file")
-    report = perfect_strategy_check(game, strategy, args.tol or 1e-9).as_dict()
+    report = perfect_strategy_check(game, strategy, args.tol).as_dict()
     _emit_report(report, args.format, sys.stdout)
     return 0 if report["pass"] else 1
 
@@ -230,7 +227,7 @@ def _cmd_theta(args) -> int:
     graph = _load_payload(args.graph)
     if not isinstance(graph, Graph):
         raise CliError("theta expects a graph file")
-    result = solve_theta(graph.n, sorted(graph.edges), tol=args.tol or 1e-7)
+    result = solve_theta(graph.n, sorted(graph.edges), tol=args.tol)
     report = {"theta": result.value, "iterations": result.iterations,
               "gap": result.gap, "certificate_norm": result.certificate_norm,
               "dual_bound": result.dual_bound,
@@ -251,9 +248,9 @@ def _cmd_kd2(args) -> int:
     graph = Graph.complete(args.d * args.d)
     residuals = proper_residuals(corr, graph)
     report = _correlation_report(corr, args.tol)
-    report["properness_residual"] = max(residuals.values())
+    report["properness_residual"] = float(np.max(list(residuals.values())))
     report["pass"] = bool(report["pass"] and
-                          report["properness_residual"] <= (args.tol or 1e-9))
+                          report["properness_residual"] <= args.tol)
     to_stderr = _emit_payload(io.correlation_to_json(corr), args.out)
     _emit_report(report, args.format, sys.stderr if to_stderr else sys.stdout)
     return 0 if report["pass"] else 1
@@ -271,9 +268,9 @@ def _cmd_orthrep(args) -> int:
     corr = orth_rep_to_colouring(vectors, graph)
     residuals = proper_residuals(corr, graph)
     report = _correlation_report(corr, args.tol)
-    report["properness_residual"] = max(residuals.values(), default=0.0)
+    report["properness_residual"] = float(np.max(list(residuals.values()), initial=0.0))
     report["pass"] = bool(report["pass"] and
-                          report["properness_residual"] <= (args.tol or 1e-9))
+                          report["properness_residual"] <= args.tol)
     to_stderr = _emit_payload(io.correlation_to_json(corr), args.out)
     _emit_report(report, args.format, sys.stderr if to_stderr else sys.stdout)
     return 0 if report["pass"] else 1
@@ -284,8 +281,7 @@ def _cmd_fair(args) -> int:
     if not isinstance(corr, (QnsCorrelation, CqnsCorrelation, NsCorrelation)):
         raise CliError("fair expects a correlation file")
     residual = fair_residual(corr)
-    tol = args.tol or 1e-9
-    report = {"fair_residual": residual, "pass": residual <= tol, "tol": tol}
+    report = {"fair_residual": residual, "pass": residual <= args.tol, "tol": args.tol}
     _emit_report(report, args.format, sys.stdout)
     return 0 if report["pass"] else 1
 
@@ -304,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "quantum non-local games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=_positive_float, default=None,
+    def common(p, tol=1e-9):
+        p.add_argument("--tol", type=_positive_float, default=tol,
                        help="override the check tolerance")
         p.add_argument("--out", default=None, help="write the produced payload here")
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -346,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="Lovasz theta of a graph")
     p.add_argument("graph")
-    common(p)
+    common(p, tol=1e-7)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("kd2", help="explicit colouring of the complete graph on d^2 vertices")

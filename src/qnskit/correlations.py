@@ -15,9 +15,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import stochastic
-from .algebra import AlgStochasticMatrix, compose_alg, tracial_choi
+from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
+                      tracial_states, tracial_table)
 from .linalg import (TOL_ALG, asmatrix, channel_defects, choi_compose,
-                     hermiticity_defect, kron, permute_systems, psd_defect)
+                     hermiticity_defect, kron, pinch, psd_defect)
 from .stochastic import StochasticOperatorMatrix
 
 #: Probability tables are validated to this tolerance.
@@ -163,9 +164,11 @@ class QnsReport:
 
     @property
     def ok(self) -> bool:
-        extra = self.witness_residual or 0.0
-        return max(self.hermiticity, self.psd_defect, self.tp_residual,
-                   self.b_residual, self.c_residual, extra) <= self.tol
+        residuals = [self.hermiticity, self.psd_defect, self.tp_residual,
+                     self.b_residual, self.c_residual]
+        if self.witness_residual is not None:
+            residuals.append(self.witness_residual)
+        return all(r <= self.tol for r in residuals)
 
     def as_dict(self) -> dict:
         out = {
@@ -225,7 +228,7 @@ def _marginal_residual(t: np.ndarray, n: int) -> float:
     off[idx, idx] = 0.0
     off_res = float(np.max(np.abs(off))) if off.size else 0.0
     diag_res = float(np.max(np.abs(diag - diag.mean(axis=0, keepdims=True)))) if n > 1 else 0.0
-    return max(off_res, diag_res)
+    return float(np.max([off_res, diag_res]))
 
 
 def is_qns(corr, dims=None, tol: float = TOL_ALG) -> bool:
@@ -240,7 +243,7 @@ class CqnsReport:
 
     @property
     def ok(self) -> bool:
-        return max(self.state_defect, self.marginal_residual) <= self.tol
+        return self.state_defect <= self.tol and self.marginal_residual <= self.tol
 
     def as_dict(self) -> dict:
         return {"state_defect": self.state_defect,
@@ -250,18 +253,16 @@ class CqnsReport:
 
 def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG) -> CqnsReport:
     d = corr.dims
-    sdef = 0.0
-    for x in range(d.x):
-        for y in range(d.y):
-            rho = corr.states[x, y]
-            sdef = max(sdef, psd_defect(rho, tol=max(tol, 1e-7)),
-                       abs(complex(np.trace(rho)) - 1.0))
+    rhos = corr.states.reshape(-1, d.out_size, d.out_size)
+    psd = np.max([psd_defect(rho, tol=max(tol, 1e-7)) for rho in rhos])
+    trace = np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0))
+    sdef = float(np.max([psd, trace]))
     s4 = corr.states.reshape(d.x, d.y, d.a, d.b, d.a, d.b)
     tr_a = s4.trace(axis1=2, axis2=4)  # -> [x, y, b, b']
     tr_b = s4.trace(axis1=3, axis2=5)  # -> [x, y, a, a']
     res_a = float(np.max(np.abs(tr_a - tr_a.mean(axis=0, keepdims=True)))) if d.x > 1 else 0.0
     res_b = float(np.max(np.abs(tr_b - tr_b.mean(axis=1, keepdims=True)))) if d.y > 1 else 0.0
-    return CqnsReport(sdef, max(res_a, res_b), tol)
+    return CqnsReport(sdef, float(np.max([res_a, res_b])), tol)
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,8 @@ class NsReport:
 
     @property
     def ok(self) -> bool:
-        return max(self.negativity, self.normalisation, self.ns_residual) <= self.tol
+        return all(r <= self.tol for r in (self.negativity, self.normalisation,
+                                           self.ns_residual))
 
     def as_dict(self) -> dict:
         return {"negativity": self.negativity, "normalisation": self.normalisation,
@@ -281,17 +283,14 @@ class NsReport:
 
 
 def ns_report(corr: NsCorrelation, tol: float = TOL_PROB) -> NsReport:
-    t = corr.table
-    neg = float(max(0.0, -t.min())) if t.size else 0.0
+    t, d = corr.table, corr.dims
+    neg = float(np.clip(-t.min(), 0.0, None))
     norm = float(np.max(np.abs(t.sum(axis=(2, 3)) - 1.0)))
     marg_b = t.sum(axis=2)  # sum over a -> [x, y, b]; must not depend on x
     marg_a = t.sum(axis=3)  # sum over b -> [x, y, a]; must not depend on y
-    res = 0.0
-    if corr.dims.x > 1:
-        res = max(res, float(np.max(np.abs(marg_b - marg_b.mean(axis=0, keepdims=True)))))
-    if corr.dims.y > 1:
-        res = max(res, float(np.max(np.abs(marg_a - marg_a.mean(axis=1, keepdims=True)))))
-    return NsReport(neg, norm, res, tol)
+    res_b = np.max(np.abs(marg_b - marg_b.mean(axis=0, keepdims=True))) if d.x > 1 else 0.0
+    res_a = np.max(np.abs(marg_a - marg_a.mean(axis=1, keepdims=True))) if d.y > 1 else 0.0
+    return NsReport(neg, norm, float(np.max([res_b, res_a])), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +302,8 @@ def from_classical(p: NsCorrelation, tol: float = TOL_PROB) -> QnsCorrelation:
     report = ns_report(p, tol)
     if not report.ok:
         raise ValueError(f"invalid no-signalling table: {report.as_dict()}")
-    d = p.dims
-    c8 = np.zeros((d.x, d.y, d.a, d.b, d.x, d.y, d.a, d.b), dtype=complex)
-    for x in range(d.x):
-        for y in range(d.y):
-            for a in range(d.a):
-                for b in range(d.b):
-                    c8[x, y, a, b, x, y, a, b] = p.table[x, y, a, b]
-    n = d.choi_size
-    return QnsCorrelation(d, c8.reshape(n, n), witness=_pinch_witness(p.witness, d, True))
-
-
-def _pinch_choi(choi: np.ndarray, dims: tuple[int, int], classical: bool) -> np.ndarray:
-    """Zero the off-diagonal input blocks (and output blocks when classical)."""
-    din, dout = dims
-    c4 = choi.reshape(din, dout, din, dout)
-    out = np.zeros_like(c4)
-    idx = np.arange(din)
-    out[idx, :, idx, :] = c4[idx, :, idx, :]
-    if classical:
-        only = np.zeros_like(out)
-        jdx = np.arange(dout)
-        for i in idx:
-            only[i, jdx, i, jdx] = out[i, jdx, i, jdx]
-        out = only
-    return out.reshape(choi.shape)
+    choi = np.diag(p.table.reshape(-1).astype(complex))
+    return QnsCorrelation(p.dims, choi, witness=_pinch_witness(p.witness, p.dims, True))
 
 
 def _pinch_witness(w: Witness | None, d: CorrelationDims, classical: bool) -> Witness | None:
@@ -339,16 +315,16 @@ def _pinch_witness(w: Witness | None, d: CorrelationDims, classical: bool) -> Wi
     if w is None:
         return None
     if isinstance(w, LocalWitness):
-        alice = tuple(_pinch_choi(c, (d.x, d.a), classical) for c in w.alice)
-        bob = tuple(_pinch_choi(c, (d.y, d.b), classical) for c in w.bob)
+        which = (0, 1) if classical else 0
+        alice = tuple(pinch(c, (d.x, d.a), which) for c in w.alice)
+        bob = tuple(pinch(c, (d.y, d.b), which) for c in w.bob)
         return LocalWitness(w.weights, alice, bob)
+    pinch_som = stochastic.to_classical if classical else stochastic.to_semiclassical
     if isinstance(w, QuantumWitness):
-        pinch = stochastic.to_classical if classical else stochastic.to_semiclassical
-        return QuantumWitness(w.kind, pinch(w.e), pinch(w.f), w.sigma)
+        return QuantumWitness(w.kind, pinch_som(w.e), pinch_som(w.f), w.sigma)
     if isinstance(w, TracialWitness):
-        pinch = stochastic.to_classical if classical else stochastic.to_semiclassical
         m = w.matrix
-        blocks = tuple(pinch(b) for b in m.blocks)
+        blocks = tuple(pinch_som(b) for b in m.blocks)
         return TracialWitness(AlgStochasticMatrix(m.alg, blocks))
     return None
 
@@ -374,20 +350,11 @@ def reduce_ns(corr: QnsCorrelation | CqnsCorrelation) -> NsCorrelation:
 def lift_cqns(e: CqnsCorrelation) -> QnsCorrelation:
     """Precompose with the input pinching; the Choi becomes block diagonal."""
     d = e.dims
-    c8 = np.zeros((d.x, d.y, d.a, d.b, d.x, d.y, d.a, d.b), dtype=complex)
-    s6 = e.states.reshape(d.x, d.y, d.a, d.b, d.a, d.b)
-    for x in range(d.x):
-        for y in range(d.y):
-            c8[x, y, :, :, x, y, :, :] = s6[x, y]
+    c4 = np.zeros((d.in_size, d.out_size, d.in_size, d.out_size), dtype=complex)
+    i = np.arange(d.in_size)
+    c4[i, :, i, :] = e.states.reshape(d.in_size, d.out_size, d.out_size)
     n = d.choi_size
-    return QnsCorrelation(d, c8.reshape(n, n), witness=_pinch_witness(e.witness, d, False))
-
-
-def _product_choi(choi_a: np.ndarray, choi_b: np.ndarray,
-                  d: CorrelationDims) -> np.ndarray:
-    big = kron(choi_a, choi_b)
-    big = permute_systems(big, (d.x, d.a, d.y, d.b), [0, 2, 1, 3])
-    return big
+    return QnsCorrelation(d, c4.reshape(n, n), witness=_pinch_witness(e.witness, d, False))
 
 
 def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
@@ -400,14 +367,16 @@ def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
     if any(w < -tol for w in weights) or abs(sum(weights) - 1.0) > tol:
         raise ValueError("weights must be non-negative and sum to one")
     d = dims
-    choi = np.zeros((d.choi_size, d.choi_size), dtype=complex)
-    for w, ca, cb in zip(weights, alice, bob):
-        ca, cb = asmatrix(ca), asmatrix(cb)
+    for ca, cb in zip(alice, bob):
         for c, io in ((ca, (d.x, d.a)), (cb, (d.y, d.b))):
             cp, tp = channel_defects(c, io, tol)
             if max(cp, tp) > tol:
                 raise ValueError(f"term is not a channel (cp {cp:.2e}, tp {tp:.2e})")
-        choi += w * _product_choi(ca, cb, d)
+    # sum_t w_t Phi_t (x) Psi_t in one contraction, rows (x, y, a, b)
+    a5 = np.asarray(alice, dtype=complex).reshape(-1, d.x, d.a, d.x, d.a)
+    b5 = np.asarray(bob, dtype=complex).reshape(-1, d.y, d.b, d.y, d.b)
+    choi = np.einsum("t,txaXA,tybYB->xyabXYAB", weights, a5, b5, optimize=True)
+    choi = choi.reshape(d.choi_size, d.choi_size)
     witness = LocalWitness(tuple(weights), tuple(map(np.array, alice)),
                            tuple(map(np.array, bob)))
     return QnsCorrelation(d, choi, witness)
@@ -416,8 +385,7 @@ def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
 def build_quantum(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
                   sigma: np.ndarray, tol: float = TOL_ALG) -> QnsCorrelation:
     """Correlation generated by a tensor pair and a state on H_A (x) H_B."""
-    prod = stochastic.tensor(e, f, tol)
-    choi = stochastic.channel_choi(prod, sigma, tol)
+    choi = stochastic.tensor_choi(e, f, sigma, tol)
     dims = CorrelationDims(e.dim_x, f.dim_x, e.dim_a, f.dim_a)
     witness = QuantumWitness("quantum", e, f, np.array(sigma))
     return QnsCorrelation(dims, choi, witness)
@@ -427,8 +395,7 @@ def build_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
                     sigma: np.ndarray, tol_comm: float = stochastic.TOL_COMM,
                     tol: float = TOL_ALG) -> QnsCorrelation:
     """Correlation generated by a commuting pair on a common H."""
-    prod = stochastic.commuting_product(e, f, tol_comm, tol)
-    choi = stochastic.channel_choi(prod, sigma, tol)
+    choi = stochastic.commuting_choi(e, f, sigma, tol_comm, tol)
     dims = CorrelationDims(e.dim_x, f.dim_x, e.dim_a, f.dim_a)
     witness = QuantumWitness("commuting", e, f, np.array(sigma))
     return QnsCorrelation(dims, choi, witness)
@@ -446,23 +413,27 @@ def build_tracial(e: AlgStochasticMatrix) -> QnsCorrelation:
 
 
 def rebuild_from_witness(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> np.ndarray:
-    """Recompute the correlation data from its attached witness."""
+    """Recompute the correlation data from its attached witness.
+
+    The witness goes back through its builder, so every check the builder
+    makes applies again.  A tracial witness of classical-input data yields
+    only the input-diagonal blocks of its Choi matrix.
+    """
     w = corr.witness
+    d = corr.dims
     if w is None:
         raise ValueError("correlation carries no witness")
-    d = corr.dims
+    if isinstance(w, TracialWitness) and not isinstance(corr, QnsCorrelation):
+        if isinstance(corr, CqnsCorrelation):
+            return tracial_states(w.matrix)
+        return tracial_table(w.matrix)
     if isinstance(w, LocalWitness):
-        choi = np.zeros((d.choi_size, d.choi_size), dtype=complex)
-        for wt, ca, cb in zip(w.weights, w.alice, w.bob):
-            choi += wt * _product_choi(ca, cb, d)
+        choi = build_local(w.weights, w.alice, w.bob, d).choi
     elif isinstance(w, QuantumWitness):
-        if w.kind == "quantum":
-            prod = stochastic.tensor(w.e, w.f)
-        else:
-            prod = stochastic.commuting_product(w.e, w.f)
-        choi = stochastic.channel_choi(prod, w.sigma)
+        build = build_quantum if w.kind == "quantum" else build_commuting
+        choi = build(w.e, w.f, w.sigma).choi
     elif isinstance(w, TracialWitness):
-        choi = tracial_choi(w.matrix)
+        choi = build_tracial(w.matrix).choi
     else:
         raise TypeError(f"unknown witness type {type(w)!r}")
     if isinstance(corr, QnsCorrelation):
@@ -509,10 +480,14 @@ def _compose_witness(w2: Witness | None, w1: Witness | None,
             and w1.kind == w2.kind:
         e = stochastic.compose(w2.e, w1.e)
         f = stochastic.compose(w2.f, w1.f)
-        sigma = kron(w2.sigma, w1.sigma)
         if w1.kind == "quantum":
-            h = (w2.e.dim_h, w2.f.dim_h, w1.e.dim_h, w1.f.dim_h)
-            sigma = permute_systems(sigma, h, [0, 2, 1, 3])
+            # sigma2 (x) sigma1 reordered to (H2_A, H1_A, H2_B, H1_B)
+            s2 = w2.sigma.reshape(w2.e.dim_h, w2.f.dim_h, w2.e.dim_h, w2.f.dim_h)
+            s1 = w1.sigma.reshape(w1.e.dim_h, w1.f.dim_h, w1.e.dim_h, w1.f.dim_h)
+            sigma = np.einsum("pqPQ,rsRS->prqsPRQS", s2, s1).reshape(
+                e.dim_h * f.dim_h, e.dim_h * f.dim_h)
+        else:
+            sigma = kron(w2.sigma, w1.sigma)
         return QuantumWitness(w1.kind, e, f, sigma)
     if isinstance(w1, TracialWitness) and isinstance(w2, TracialWitness):
         return TracialWitness(compose_alg(w2.matrix, w1.matrix))

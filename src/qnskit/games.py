@@ -15,12 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import CqnsCorrelation, NsCorrelation, QnsCorrelation
-from .graphs import Graph, SkewSymmetricSubspace
+from .graphs import TOL_GAME, Graph, SkewSymmetricSubspace
 from .linalg import (dagger, max_entangled_vector, nullspace,
                      orthonormal_columns)
-
-#: Residual tolerance for perfect-strategy checks.
-TOL_GAME = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ class GameReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals, default=0.0)
+        return float(np.max(self.residuals, initial=0.0))
 
     @property
     def ok(self) -> bool:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgStochasticMatrix, matrix_algebra, scalar_algebra
-from .correlations import CorrelationDims, CqnsCorrelation, QnsCorrelation
-from .linalg import (TOL_ALG, asmatrix, channel_defects, dagger, kron,
-                     max_entangled, max_entangled_vector, orthonormal_columns,
-                     permute_systems)
+from .correlations import CqnsCorrelation
+from .linalg import (TOL_ALG, asmatrix, channel_defects, dagger, max_entangled,
+                     max_entangled_vector, orthonormal_columns)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
 from .theta import solve_theta
@@ -226,7 +225,7 @@ def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
     """Containment defect of conj(M_j) S M_i^T inside span(T)."""
     kraus = [asmatrix(m) for m in kraus]
     proj = _span_projector([asmatrix(t) for t in t_basis]) if t_basis else None
-    out = 0.0
+    out = []
     for mi in kraus:
         for mj in kraus:
             for s in s_basis:
@@ -237,15 +236,15 @@ def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
                     resid = float(np.linalg.norm(v))
                 else:
                     resid = float(np.linalg.norm(v - proj @ v))
-                out = max(out, resid / scale)
-    return out
+                out.append(resid / scale)
+    return float(np.max(out, initial=0.0))
 
 
 def stahlke_check(kraus: list[np.ndarray], s_basis: list[np.ndarray],
                   t_basis: list[np.ndarray], tol: float = TOL_GAME) -> bool:
     """Kraus-level homomorphism check between twisted operator anti-systems."""
     defect = kraus_channel_defect(kraus)
-    if defect > TOL_ALG:
+    if not defect <= TOL_ALG:
         raise ValueError(f"Kraus family is not trace preserving (defect {defect:.3e})")
     return stahlke_residual(kraus, s_basis, t_basis) <= tol
 
@@ -258,10 +257,12 @@ def hom_residual(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
     cp, tp = channel_defects(choi, (dim_x, dim_a))
     if max(cp, tp) > 1e-7:
         raise ValueError("first argument must be the Choi matrix of a channel")
-    pair = kron(choi, channel_sharp(choi))
-    pair = permute_systems(pair, (dim_x, dim_a, dim_x, dim_a), [0, 2, 1, 3])
-    gamma = QnsCorrelation(CorrelationDims(dim_x, dim_x, dim_a, dim_a), pair)
-    image = gamma.apply(u.projector())
+    phi = choi.reshape(dim_x, dim_a, dim_x, dim_a)
+    sharp = channel_sharp(choi).reshape(dim_x, dim_a, dim_x, dim_a)
+    p_u = u.projector().reshape(dim_x, dim_x, dim_x, dim_x)
+    # (Phi (x) Phi^sharp)(P_U), its Choi matrix never formed
+    image = np.einsum("xyXY,xaXA,ybYB->abAB", p_u, phi, sharp,
+                      optimize=True).reshape(dim_a * dim_a, dim_a * dim_a)
     comp = np.eye(dim_a * dim_a) - v.projector()
     return abs(float(np.real(np.trace(image @ comp))))
 
@@ -311,7 +312,7 @@ def proper_residuals(e: CqnsCorrelation, graph: Graph) -> dict[tuple[int, int], 
 
 def proper_check(e: CqnsCorrelation, graph: Graph, tol: float = TOL_GAME) -> bool:
     residuals = proper_residuals(e, graph)
-    return max(residuals.values(), default=0.0) <= tol
+    return float(np.max(list(residuals.values()), initial=0.0)) <= tol
 
 
 def orth_rep_to_colouring(vectors, graph: Graph | None = None,

@@ -220,10 +220,6 @@ def game_from_json(obj: Any) -> ConstraintGame:
         raise FormatError(f"not a game object: {exc}") from exc
 
 
-def rule_from_json(obj: Any) -> RuleFunction:
-    return RuleFunction(np.asarray(obj["rule"] if isinstance(obj, dict) else obj))
-
-
 def load(path_or_obj) -> Any:
     """Parse a JSON file (path, '-' for stdin) into its payload object."""
     import sys

@@ -67,13 +67,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(asmatrix(a), asmatrix(b))
 
 
-def kron_all(*factors: np.ndarray) -> np.ndarray:
-    out = asmatrix(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, asmatrix(f))
-    return out
-
-
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     size = math.prod(dims)
@@ -82,14 +75,19 @@ def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
+def _factors(which, n: int) -> set[int]:
+    out = {int(which)} if np.isscalar(which) else {int(w) for w in which}
+    if not out <= set(range(n)):
+        raise ValueError(f"factor indices {out} out of range for {n} factors")
+    return out
+
+
 def partial_trace(m: np.ndarray, dims: Sequence[int], which) -> np.ndarray:
     """Trace out the factor(s) ``which``; remaining factor order is preserved."""
     m = asmatrix(m)
     dims = _check_dims(m, dims)
-    traced = {int(which)} if np.isscalar(which) else {int(w) for w in which}
     n = len(dims)
-    if not traced <= set(range(n)):
-        raise ValueError(f"factor indices {traced} out of range for {n} factors")
+    traced = _factors(which, n)
     t = m.reshape(*dims, *dims)
     keep = [i for i in range(n) if i not in traced]
     for i in sorted(traced, reverse=True):
@@ -111,6 +109,19 @@ def permute_systems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
     return t.reshape(m.shape)
 
 
+def pinch(m: np.ndarray, dims: Sequence[int], which) -> np.ndarray:
+    """Zero the entries whose row and column indices differ on a factor in ``which``."""
+    m = asmatrix(m)
+    dims = _check_dims(m, dims)
+    n = len(dims)
+    keep = np.ones((1,) * (2 * n), dtype=bool)
+    for i in _factors(which, n):
+        shape = [1] * (2 * n)
+        shape[i] = shape[n + i] = dims[i]
+        keep = keep & np.eye(dims[i], dtype=bool).reshape(shape)
+    return np.where(keep, m.reshape(*dims, *dims), 0).reshape(m.shape)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     m = asmatrix(m)
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
@@ -126,7 +137,14 @@ def hermitize(m: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
 
 
 def psd_defect(m: np.ndarray, tol: float = TOL_ALG) -> float:
-    """How far below zero the spectrum of a Hermitian matrix reaches."""
+    """How far below zero the spectrum of a Hermitian matrix reaches.
+
+    Non-finite input reads as infinitely far, so every check built on this
+    fails closed.
+    """
+    m = asmatrix(m)
+    if not np.isfinite(m).all():
+        return float("inf")
     h = hermitize(m, tol)
     if h.size == 0:
         return 0.0

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (TOL_ALG, EIG_CLAMP, asmatrix, check_state, dagger,
-                     hermiticity_defect, max_entangled, partial_trace,
-                     permute_systems, psd_defect)
+                     hermiticity_defect, max_entangled, partial_trace, pinch,
+                     psd_defect)
 
 #: Operator pairs constructed numerically never commute exactly.
 TOL_COMM = 1e-8
@@ -87,8 +87,8 @@ class StochasticReport:
 
     @property
     def ok(self) -> bool:
-        return max(self.hermiticity, self.psd_defect,
-                   self.marginal_residual, self.povm_defect) <= self.tol
+        return all(r <= self.tol for r in (self.hermiticity, self.psd_defect,
+                                           self.marginal_residual, self.povm_defect))
 
     def as_dict(self) -> dict:
         return {
@@ -103,19 +103,16 @@ class StochasticReport:
 
 def verify(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> StochasticReport:
     """Check positivity, the Tr_A marginal, and the per-x diagonal POVMs."""
-    dx, da, dh = e.dims
+    dx, dh = e.dim_x, e.dim_h
     herm = hermiticity_defect(e.mat)
-    psd = psd_defect(e.mat, tol=max(tol, herm * 4)) if herm <= tol else np.inf
     marg = partial_trace(e.mat, e.dims, 1)
     marg_res = float(np.max(np.abs(marg - np.eye(dx * dh))))
-    # Derived consequence: (E[x, x, a, a])_a is a POVM for every x.
-    povm = 0.0
+    psd = povm = np.inf
     if herm <= tol:
-        for x in range(dx):
-            for a in range(da):
-                povm = max(povm, psd_defect(e.block(x, x, a, a), tol=max(tol, herm * 4)))
-    else:
-        povm = np.inf
+        psd = psd_defect(e.mat, tol=max(tol, herm * 4))
+        # Derived consequence: (E[x, x, a, a])_a is a POVM for every x.
+        diag = np.einsum("xahxak->xahk", e.tensor6()).reshape(-1, dh, dh)
+        povm = np.max([psd_defect(b, tol=max(tol, herm * 4)) for b in diag], initial=0.0)
     return StochasticReport(herm, float(psd), marg_res, float(povm), tol)
 
 
@@ -175,12 +172,41 @@ def channel_choi(e: StochasticOperatorMatrix, sigma: np.ndarray,
 
     With H trivial and sigma = 1 this returns E itself.
     """
-    sigma = check_state(sigma, tol)
-    if sigma.shape != (e.dim_h, e.dim_h):
-        raise ValueError(f"state shape {sigma.shape} does not match dim_h {e.dim_h}")
-    t = e.tensor6()
-    choi = np.einsum("xahybk,kh->xayb", t, sigma, optimize=True)
+    sigma = _check_sigma(sigma, e.dim_h, tol)
+    choi = np.einsum("xahybk,kh->xayb", e.tensor6(), sigma, optimize=True)
     n = e.dim_x * e.dim_a
+    return choi.reshape(n, n)
+
+
+def _check_sigma(sigma: np.ndarray, dim_h: int, tol: float) -> np.ndarray:
+    sigma = check_state(sigma, tol)
+    if sigma.shape != (dim_h, dim_h):
+        raise ValueError(f"state shape {sigma.shape} does not match dim_h {dim_h}")
+    return sigma
+
+
+def tensor_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
+                sigma: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
+    """``channel_choi(tensor(e, f), sigma)`` without forming E (x) F; rows (x, y, a, b)."""
+    _require_verified(e, tol)
+    _require_verified(f, tol)
+    he, hf = e.dim_h, f.dim_h
+    s4 = _check_sigma(sigma, he * hf, tol).reshape(he, hf, he, hf)
+    choi = np.einsum("xahXAH,ybkYBK,HKhk->xyabXYAB", e.tensor6(), f.tensor6(), s4,
+                     optimize=True)
+    n = e.dim_x * f.dim_x * e.dim_a * f.dim_a
+    return choi.reshape(n, n)
+
+
+def commuting_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
+                   sigma: np.ndarray, tol_comm: float = TOL_COMM,
+                   tol: float = TOL_ALG) -> np.ndarray:
+    """``channel_choi(commuting_product(e, f), sigma)`` without forming the product."""
+    _require_commuting(e, f, tol_comm, tol)
+    sigma = _check_sigma(sigma, e.dim_h, tol)
+    choi = np.einsum("xahXAm,ybmYBk,kh->xyabXYAB", e.tensor6(), f.tensor6(), sigma,
+                     optimize=True)
+    n = e.dim_x * f.dim_x * e.dim_a * f.dim_a
     return choi.reshape(n, n)
 
 
@@ -189,11 +215,9 @@ def tensor(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
     """Tensor product with factors reshuffled to X, Y, A, B, H1, H2 order."""
     _require_verified(e, tol)
     _require_verified(f, tol)
-    big = np.kron(e.mat, f.mat)
-    dims = (e.dim_x, e.dim_a, e.dim_h, f.dim_x, f.dim_a, f.dim_h)
-    big = permute_systems(big, dims, [0, 3, 1, 4, 2, 5])
-    return StochasticOperatorMatrix(e.dim_x * f.dim_x, e.dim_a * f.dim_a,
-                                    e.dim_h * f.dim_h, big)
+    g = np.einsum("xahXAH,ybkYBK->xyabhkXYABHK", e.tensor6(), f.tensor6())
+    dx, da, dh = e.dim_x * f.dim_x, e.dim_a * f.dim_a, e.dim_h * f.dim_h
+    return StochasticOperatorMatrix(dx, da, dh, g.reshape((dx * da * dh,) * 2))
 
 
 def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> float:
@@ -207,15 +231,20 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
     return float(np.max(np.linalg.norm(comm, ord=2, axis=(2, 3)))) if comm.size else 0.0
 
 
-def commuting_product(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                      tol_comm: float = TOL_COMM,
-                      tol: float = TOL_ALG) -> StochasticOperatorMatrix:
-    """Blockwise product of a commuting pair on a common H."""
+def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
+                       tol_comm: float, tol: float):
     _require_verified(e, tol)
     _require_verified(f, tol)
     comm = max_commutator(e, f)
     if comm > tol_comm:
         raise CommutationError(comm, tol_comm)
+
+
+def commuting_product(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
+                      tol_comm: float = TOL_COMM,
+                      tol: float = TOL_ALG) -> StochasticOperatorMatrix:
+    """Blockwise product of a commuting pair on a common H."""
+    _require_commuting(e, f, tol_comm, tol)
     te, tf = e.tensor6(), f.tensor6()
     g = np.einsum("xahXAm,ybmYBk->xyabhXYABk", te, tf, optimize=True)
     size = e.dim_x * f.dim_x * e.dim_a * f.dim_a * e.dim_h
@@ -245,28 +274,20 @@ def with_ancilla_right(e: StochasticOperatorMatrix, dim: int) -> StochasticOpera
 
 def with_ancilla_left(e: StochasticOperatorMatrix, dim: int) -> StochasticOperatorMatrix:
     """Extend the workspace on the left: blocks become I (x) E[x,x',a,a']."""
-    big = np.kron(e.mat, np.eye(dim))
-    big = permute_systems(big, (e.dim_x, e.dim_a, e.dim_h, dim), [0, 1, 3, 2])
-    return StochasticOperatorMatrix(e.dim_x, e.dim_a, dim * e.dim_h, big)
+    g = np.einsum("xahXAH,kK->xakhXAKH", e.tensor6(), np.eye(dim))
+    dh = dim * e.dim_h
+    return StochasticOperatorMatrix(e.dim_x, e.dim_a, dh,
+                                    g.reshape((e.dim_x * e.dim_a * dh,) * 2))
 
 
 def semiclassical_defect(e: StochasticOperatorMatrix) -> float:
     """Largest entry of an off-diagonal input block."""
-    t = e.tensor6()
-    diag = np.zeros_like(t)
-    for x in range(e.dim_x):
-        diag[x, :, :, x, :, :] = t[x, :, :, x, :, :]
-    return float(np.max(np.abs(t - diag))) if t.size else 0.0
+    return float(np.max(np.abs(e.mat - to_semiclassical(e).mat), initial=0.0))
 
 
 def classical_defect(e: StochasticOperatorMatrix) -> float:
     """Largest entry outside the (x, x, a, a) diagonal blocks."""
-    t = e.tensor6()
-    diag = np.zeros_like(t)
-    for x in range(e.dim_x):
-        for a in range(e.dim_a):
-            diag[x, a, :, x, a, :] = t[x, a, :, x, a, :]
-    return float(np.max(np.abs(t - diag))) if t.size else 0.0
+    return float(np.max(np.abs(e.mat - to_classical(e).mat), initial=0.0))
 
 
 def is_semiclassical(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> bool:
@@ -279,23 +300,12 @@ def is_classical(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> bool:
 
 def to_semiclassical(e: StochasticOperatorMatrix) -> StochasticOperatorMatrix:
     """Pinch away the off-diagonal input blocks (idempotent)."""
-    t = e.tensor6()
-    out = np.zeros_like(t)
-    for x in range(e.dim_x):
-        out[x, :, :, x, :, :] = t[x, :, :, x, :, :]
-    return StochasticOperatorMatrix(e.dim_x, e.dim_a, e.dim_h,
-                                    out.reshape(e.mat.shape))
+    return StochasticOperatorMatrix(*e.dims, pinch(e.mat, e.dims, 0))
 
 
 def to_classical(e: StochasticOperatorMatrix) -> StochasticOperatorMatrix:
     """Pinch inputs and outputs; the result is a classical stochastic matrix."""
-    t = e.tensor6()
-    out = np.zeros_like(t)
-    for x in range(e.dim_x):
-        for a in range(e.dim_a):
-            out[x, a, :, x, a, :] = t[x, a, :, x, a, :]
-    return StochasticOperatorMatrix(e.dim_x, e.dim_a, e.dim_h,
-                                    out.reshape(e.mat.shape))
+    return StochasticOperatorMatrix(*e.dims, pinch(e.mat, e.dims, (0, 1)))
 
 
 def from_povms(povms: Sequence[Sequence[np.ndarray]],

@@ -96,22 +96,18 @@ def fair_residual(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> flo
         raise ValueError("fairness requires X = Y and A = B")
     if isinstance(corr, QnsCorrelation):
         basis = fair_subspace(d.x)
-        out = 0.0
-        for k in range(basis.shape[1]):
-            rho = basis[:, k].reshape(d.in_size, d.in_size)
-            out = max(out, fair_state_residual(corr.apply(rho), d.a))
-        return out
-    basis = classical_fair_subspace(d.x)
-    out = 0.0
-    for k in range(basis.shape[1]):
-        q = basis[:, k].reshape(d.x, d.x)
+        out = [fair_state_residual(corr.apply(rho), d.a)
+               for rho in basis.T.reshape(-1, d.in_size, d.in_size)]
+        return float(np.max(out, initial=0.0))
+    out = []
+    for q in classical_fair_subspace(d.x).T.reshape(-1, d.x, d.x):
         if isinstance(corr, CqnsCorrelation):
             image = np.einsum("xy,xyij->ij", q, corr.states)
-            out = max(out, fair_state_residual(image, d.a))
+            out.append(fair_state_residual(image, d.a))
         else:
             image = np.einsum("xy,xyab->ab", q, corr.table.astype(complex))
-            out = max(out, classical_fair_residual(np.real(image)))
-    return out
+            out.append(classical_fair_residual(np.real(image)))
+    return float(np.max(out, initial=0.0))
 
 
 def is_fair(corr, tol: float = TOL_ALG) -> bool:

@@ -1,0 +1,95 @@
+"""Non-finite data fails every check, wherever it sits."""
+
+import json
+
+import numpy as np
+import pytest
+
+from qnskit import io
+from qnskit.cli import run
+from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
+                                 NsCorrelation, QnsCorrelation, cqns_report,
+                                 ns_report, qns_report)
+from qnskit.games import GameReport, colouring_game, perfect_strategy_check
+from qnskit.graphs import (Graph, graph_subspace, kd2_colouring,
+                           realization_basis, stahlke_check, stahlke_residual,
+                           vertex_map_kraus)
+from qnskit.linalg import psd_defect
+from qnskit.stochastic import StochasticOperatorMatrix, verify
+from qnskit.symmetry import fair_residual
+
+D2 = CorrelationDims(2, 2, 2, 2)
+
+
+def _nan_table():
+    table = np.full((2, 2, 2, 2), 0.25)
+    table[0, 0, 0, 0] = np.nan
+    return NsCorrelation(D2, table)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_psd_defect_is_infinite_on_non_finite_input(bad):
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = bad
+    assert psd_defect(m) == np.inf
+    assert not verify(StochasticOperatorMatrix(1, 3, 1, m)).ok
+
+
+def test_ns_report_fails_on_nan():
+    report = ns_report(_nan_table())
+    assert not report.ok and report.as_dict()["pass"] is False
+
+
+@pytest.mark.parametrize("xy", [(3, 2), (0, 1)])
+def test_game_report_fails_on_nan_state_anywhere(xy):
+    corr = kd2_colouring(2)
+    states = corr.states.copy()
+    states[xy][0, 0] = np.nan
+    report = perfect_strategy_check(colouring_game(Graph.complete(4), 2),
+                                    CqnsCorrelation(corr.dims, states))
+    assert np.isnan(report.max_residual)
+    assert not report.ok
+
+
+@pytest.mark.parametrize("residuals", [(np.nan, 0.0), (0.0, np.nan)])
+def test_game_report_max_residual_keeps_nan(residuals):
+    assert not GameReport(residuals).ok
+
+
+def test_cqns_report_fails_on_off_diagonal_nan():
+    states = np.broadcast_to(np.eye(4) / 4, (2, 2, 4, 4)).astype(complex)
+    states[1, 0, 0, 1] = np.nan
+    report = cqns_report(CqnsCorrelation(D2, states))
+    assert report.state_defect == np.inf
+    assert not report.ok
+
+
+def test_qns_report_fails_on_nan():
+    choi = np.diag(np.full(16, 0.25)).astype(complex)
+    choi[3, 5] = np.nan
+    assert not qns_report(QnsCorrelation(D2, choi), D2).ok
+
+
+def test_cli_verify_nan_table_exits_nonzero(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(io.correlation_to_json(_nan_table()), allow_nan=True))
+    assert run(["verify", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+
+
+def test_fair_residual_keeps_nan():
+    table = np.full((2, 2, 2, 2), 0.25)
+    table[0, 1, 1, 0] = np.nan
+    assert np.isnan(fair_residual(NsCorrelation(D2, table)))
+    states = np.broadcast_to(np.eye(4) / 4, (2, 2, 4, 4)).astype(complex)
+    states[1, 1, 2, 3] = np.nan
+    assert np.isnan(fair_residual(CqnsCorrelation(D2, states)))
+
+
+def test_stahlke_rejects_nan_kraus():
+    kraus = vertex_map_kraus([1, 2, 0], 3, 3)
+    basis = realization_basis(graph_subspace(Graph.cycle(3)))
+    kraus[2][0, 2] = np.nan
+    assert np.isnan(stahlke_residual(kraus, basis, basis))
+    with pytest.raises(ValueError, match="not trace preserving"):
+        stahlke_check(kraus, basis, basis)

@@ -275,3 +275,42 @@ def test_cli_reports_byte_stable(tmp_path, capsys):
     assert run(["theta", path]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cli_kd2_d5_within_3gb_address_space():
+    # the witness re-check reads only the input-diagonal blocks; the full
+    # Choi matrix at d = 5 alone would take 3.64 GiB
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import qnskit
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qnskit.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qnskit", "kd2", "--d", "5", "--out", os.devnull],
+                          capture_output=True, text=True, env=env, preexec_fn=limit,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["pass"] is True
+    assert report["witness_residual"] <= 1e-9
+
+
+def test_default_tolerances_pinned():
+    from qnskit import correlations, games, graphs, linalg, stochastic, theta
+    from qnskit.cli import build_parser
+    assert (linalg.TOL_ALG, linalg.EIG_CLAMP) == (1e-9, 1e-10)
+    assert (stochastic.TOL_COMM, stochastic.TOL_POVM) == (1e-8, 1e-9)
+    assert (correlations.TOL_PROB, correlations.NEG_CLAMP) == (1e-9, -1e-12)
+    assert games.TOL_GAME is graphs.TOL_GAME and graphs.TOL_GAME == 1e-9
+    assert (theta.GAP_TOL, theta.FEAS_TOL) == (1e-7, 1e-8)
+    parser = build_parser()
+    for argv in (["verify", "f"], ["build", "local", "w"], ["reduce", "E", "f"],
+                 ["lift", "f"], ["compose", "a", "b"], ["check-game", "g", "s"],
+                 ["kd2", "--d", "2"], ["orthrep", "g", "v"], ["fair", "f"]):
+        assert parser.parse_args(argv).tol == 1e-9
+    assert parser.parse_args(["theta", "g"]).tol == 1e-7
