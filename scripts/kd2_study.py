@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from qnskit.correlations import cqns_report, witness_residual
+from qnskit.correlations import cqns_report
 from qnskit.graphs import (Graph, kd2_colouring, kd2_explicit_states,
                            proper_residuals, xi_qc_lower_bound)
 from qnskit.symmetry import fair_residual
@@ -29,7 +29,7 @@ def study(d: int) -> dict:
         "cqns_ok": report.ok,
         "properness": max(proper_residuals(corr, graph).values()),
         "two_path": two_path,
-        "witness": witness_residual(corr),
+        "witness": report.witness_residual,
         "fair": fair_residual(corr),
         "xi_qc_bound": xi_qc_lower_bound(graph),
         "seconds": time.time() - start,

@@ -17,7 +17,7 @@ from .correlations import (CorrelationDims, CqnsCorrelation, LocalWitness,
                            is_qns, lift_cqns, mix_local, ns_report,
                            qns_report, reduce_cqns, reduce_ns,
                            witness_residual)
-from .games import (ConstraintGame, GameReport, RuleFunction, colouring_game,
+from .games import (ConstraintGame, RuleFunction, colouring_game,
                     compose_games, compose_rules, from_rule,
                     homomorphism_game, perfect_strategy_check)
 from .graphs import (Graph, SkewSymmetricSubspace, cycle5_umbrella,
@@ -27,8 +27,8 @@ from .graphs import (Graph, SkewSymmetricSubspace, cycle5_umbrella,
                      proper_check, proper_residuals, realization_basis,
                      realize_vector, stahlke_check, stahlke_residual,
                      vertex_map_kraus, xi_qc_lower_bound)
-from .linalg import (SystemDims, apply_choi, herm_sqrt, is_channel, is_psd,
-                     kron, max_entangled, max_entangled_vector, partial_trace,
+from .linalg import (Report, apply_choi, herm_sqrt, is_channel, is_psd, kron,
+                     max_entangled, max_entangled_vector, partial_trace,
                      permute_systems)
 from .stochastic import (IsometryDilation, StochasticOperatorMatrix,
                          channel_choi, commuting_product, compose, dilate,

@@ -19,14 +19,14 @@ from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                            QnsCorrelation, build_commuting, build_local,
                            build_quantum, build_tracial, compose_correlations,
                            compose_tables, cqns_report, lift_cqns, ns_report,
-                           qns_report, reduce_cqns, reduce_ns,
-                           witness_residual_or_inf)
+                           qns_report, reduce_cqns, reduce_ns)
 from .games import ConstraintGame, compose_games, perfect_strategy_check
 from .graphs import (Graph, kd2_colouring, orth_rep_to_colouring,
                      proper_residuals, xi_qc_lower_bound)
+from .linalg import Report
 from .stochastic import StochasticOperatorMatrix, verify as verify_stochastic
 from .symmetry import build_tracial_cqns, build_tracial_ns, fair_residual
-from .theta import solve_theta
+from .theta import GAP_TOL, solve_theta
 
 
 class CliError(Exception):
@@ -91,32 +91,25 @@ def _load_payload(path: str):
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _correlation_report(corr, tol: float) -> dict:
-    if isinstance(corr, QnsCorrelation):
-        report = qns_report(corr, tol=tol).as_dict()
-        report["kind"] = "qns"
-        return report
-    if isinstance(corr, CqnsCorrelation):
-        report = cqns_report(corr, tol).as_dict()
-        report["kind"] = "cqns"
-    elif isinstance(corr, NsCorrelation):
-        report = ns_report(corr, tol).as_dict()
-        report["kind"] = "ns"
-    else:
+#: Correlation type -> (report kind, report function).
+_CORRELATIONS = {QnsCorrelation: ("qns", qns_report), CqnsCorrelation: ("cqns", cqns_report),
+                 NsCorrelation: ("ns", ns_report)}
+
+
+def _correlation_report(corr, tol: float, **checks) -> dict:
+    """The correlation's report, tagged with its kind; ``checks`` are added to it."""
+    if type(corr) not in _CORRELATIONS:
         raise CliError("file does not contain a correlation")
-    if corr.witness is not None:
-        report["witness_residual"] = witness_residual_or_inf(corr)
-        report["pass"] = bool(report["pass"] and report["witness_residual"] <= tol)
-    return report
+    kind, check = _CORRELATIONS[type(corr)]
+    return Report({**check(corr, tol=tol).checks, **checks}, tol, {"kind": kind}).as_dict()
 
 
 def _cmd_verify(args) -> int:
     payload = _load_payload(args.file)
-    if isinstance(payload, (QnsCorrelation, CqnsCorrelation, NsCorrelation)):
+    if isinstance(payload, tuple(_CORRELATIONS)):
         report = _correlation_report(payload, args.tol)
     elif isinstance(payload, StochasticOperatorMatrix):
-        report = verify_stochastic(payload, args.tol).as_dict()
-        report["kind"] = "stochastic"
+        report = {**verify_stochastic(payload, args.tol).as_dict(), "kind": "stochastic"}
     elif isinstance(payload, AlgStochasticMatrix):
         defect = payload.verification_defect(args.tol)
         report = {"kind": "alg-stochastic", "defect": defect,
@@ -216,7 +209,7 @@ def _cmd_check_game(args) -> int:
     if not isinstance(game, ConstraintGame):
         raise CliError("first argument must be a game file")
     strategy = _load_payload(args.strategy)
-    if not isinstance(strategy, (QnsCorrelation, CqnsCorrelation, NsCorrelation)):
+    if not isinstance(strategy, tuple(_CORRELATIONS)):
         raise CliError("second argument must be a correlation file")
     report = perfect_strategy_check(game, strategy, args.tol).as_dict()
     _emit_report(report, args.format, sys.stdout)
@@ -241,19 +234,20 @@ def _cmd_theta(args) -> int:
     return 0
 
 
-def _cmd_kd2(args) -> int:
-    if args.d is None or args.d < 2:
-        raise CliError("--d must be an integer >= 2")
-    corr = kd2_colouring(args.d)
-    graph = Graph.complete(args.d * args.d)
+def _colouring_report(corr, graph: Graph, args) -> int:
+    """Emit a colouring with its report, properness against ``graph`` included."""
     residuals = proper_residuals(corr, graph)
-    report = _correlation_report(corr, args.tol)
-    report["properness_residual"] = float(np.max(list(residuals.values())))
-    report["pass"] = bool(report["pass"] and
-                          report["properness_residual"] <= args.tol)
+    report = _correlation_report(corr, args.tol, properness_residual=float(
+        np.max(list(residuals.values()), initial=0.0)))
     to_stderr = _emit_payload(io.correlation_to_json(corr), args.out)
     _emit_report(report, args.format, sys.stderr if to_stderr else sys.stdout)
     return 0 if report["pass"] else 1
+
+
+def _cmd_kd2(args) -> int:
+    if args.d is None or args.d < 2:
+        raise CliError("--d must be an integer >= 2")
+    return _colouring_report(kd2_colouring(args.d), Graph.complete(args.d * args.d), args)
 
 
 def _cmd_orthrep(args) -> int:
@@ -265,23 +259,14 @@ def _cmd_orthrep(args) -> int:
         vectors = [io.vector_from_json(v) for v in obj["vectors"]]
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed vectors file: {exc}") from exc
-    corr = orth_rep_to_colouring(vectors, graph)
-    residuals = proper_residuals(corr, graph)
-    report = _correlation_report(corr, args.tol)
-    report["properness_residual"] = float(np.max(list(residuals.values()), initial=0.0))
-    report["pass"] = bool(report["pass"] and
-                          report["properness_residual"] <= args.tol)
-    to_stderr = _emit_payload(io.correlation_to_json(corr), args.out)
-    _emit_report(report, args.format, sys.stderr if to_stderr else sys.stdout)
-    return 0 if report["pass"] else 1
+    return _colouring_report(orth_rep_to_colouring(vectors, graph), graph, args)
 
 
 def _cmd_fair(args) -> int:
     corr = _load_payload(args.file)
-    if not isinstance(corr, (QnsCorrelation, CqnsCorrelation, NsCorrelation)):
+    if not isinstance(corr, tuple(_CORRELATIONS)):
         raise CliError("fair expects a correlation file")
-    residual = fair_residual(corr)
-    report = {"fair_residual": residual, "pass": residual <= args.tol, "tol": args.tol}
+    report = Report({"fair_residual": fair_residual(corr)}, args.tol).as_dict()
     _emit_report(report, args.format, sys.stdout)
     return 0 if report["pass"] else 1
 
@@ -342,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="Lovasz theta of a graph")
     p.add_argument("graph")
-    common(p, tol=1e-7)
+    common(p, tol=GAP_TOL)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("kd2", help="explicit colouring of the complete graph on d^2 vertices")

@@ -17,7 +17,7 @@ import numpy as np
 from . import stochastic
 from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
                       tracial_states, tracial_table)
-from .linalg import (TOL_ALG, asmatrix, channel_defects, choi_compose,
+from .linalg import (TOL_ALG, Report, asmatrix, channel_defects, choi_compose,
                      hermiticity_defect, kron, pinch, psd_defect)
 from .stochastic import StochasticOperatorMatrix
 
@@ -150,43 +150,8 @@ class NsCorrelation:
         return float(self.table[x, y, a, b])
 
 
-@dataclass(frozen=True)
-class QnsReport:
-    """Residuals of the Choi-matrix no-signalling conditions."""
-
-    hermiticity: float
-    psd_defect: float
-    tp_residual: float
-    b_residual: float
-    c_residual: float
-    witness_residual: float | None = None
-    tol: float = TOL_ALG
-
-    @property
-    def ok(self) -> bool:
-        residuals = [self.hermiticity, self.psd_defect, self.tp_residual,
-                     self.b_residual, self.c_residual]
-        if self.witness_residual is not None:
-            residuals.append(self.witness_residual)
-        return all(r <= self.tol for r in residuals)
-
-    def as_dict(self) -> dict:
-        out = {
-            "hermiticity": self.hermiticity,
-            "psd_defect": self.psd_defect,
-            "tp_residual": self.tp_residual,
-            "b_residual": self.b_residual,
-            "c_residual": self.c_residual,
-            "pass": self.ok,
-            "tol": self.tol,
-        }
-        if self.witness_residual is not None:
-            out["witness_residual"] = self.witness_residual
-        return out
-
-
 def qns_report(corr: QnsCorrelation | np.ndarray, dims: CorrelationDims | None = None,
-               tol: float = TOL_ALG, check_witness: bool = True) -> QnsReport:
+               tol: float = TOL_ALG, check_witness: bool = True) -> Report:
     """Check PSD, trace preservation and both marginal conditions.
 
     Condition (b): summing the Choi over the A-diagonal must vanish on
@@ -195,12 +160,10 @@ def qns_report(corr: QnsCorrelation | np.ndarray, dims: CorrelationDims | None =
     """
     if isinstance(corr, QnsCorrelation):
         choi, dims = corr.choi, corr.dims
-        witness = corr.witness if check_witness else None
     else:
         choi = asmatrix(corr)
         if dims is None:
             raise ValueError("dims required when verifying a bare Choi matrix")
-        witness = None
     d = dims
     herm = hermiticity_defect(choi)
     psd = psd_defect(choi, tol=max(tol, 4 * herm)) if herm < 1e-6 else np.inf
@@ -215,8 +178,16 @@ def qns_report(corr: QnsCorrelation | np.ndarray, dims: CorrelationDims | None =
     tc = c8.trace(axis1=3, axis2=7)  # sum_b -> [x,y,a,x',y',a']
     c_res = _marginal_residual(np.transpose(tc, (1, 4, 0, 3, 2, 5)), d.y)
 
-    wres = witness_residual_or_inf(corr) if witness is not None else None
-    return QnsReport(herm, float(psd), tp_res, b_res, c_res, wres, tol)
+    checks = {"hermiticity": herm, "psd_defect": float(psd), "tp_residual": tp_res,
+              "b_residual": b_res, "c_residual": c_res}
+    return _report(checks, tol, corr, check_witness)
+
+
+def _report(checks: dict, tol: float, corr, check_witness: bool) -> Report:
+    """The report of ``checks``, plus the witness re-check when asked and attached."""
+    if check_witness and getattr(corr, "witness", None) is not None:
+        checks["witness_residual"] = witness_residual_or_inf(corr)
+    return Report(checks, tol)
 
 
 def _marginal_residual(t: np.ndarray, n: int) -> float:
@@ -235,23 +206,9 @@ def is_qns(corr, dims=None, tol: float = TOL_ALG) -> bool:
     return qns_report(corr, dims, tol).ok
 
 
-@dataclass(frozen=True)
-class CqnsReport:
-    state_defect: float
-    marginal_residual: float
-    tol: float = TOL_ALG
-
-    @property
-    def ok(self) -> bool:
-        return self.state_defect <= self.tol and self.marginal_residual <= self.tol
-
-    def as_dict(self) -> dict:
-        return {"state_defect": self.state_defect,
-                "marginal_residual": self.marginal_residual,
-                "pass": self.ok, "tol": self.tol}
-
-
-def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG) -> CqnsReport:
+def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG,
+                check_witness: bool = True) -> Report:
+    """Check that every state is a state and that both marginals are no-signalling."""
     d = corr.dims
     rhos = corr.states.reshape(-1, d.out_size, d.out_size)
     psd = np.max([psd_defect(rho, tol=max(tol, 1e-7)) for rho in rhos])
@@ -262,27 +219,13 @@ def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG) -> CqnsReport:
     tr_b = s4.trace(axis1=3, axis2=5)  # -> [x, y, a, a']
     res_a = float(np.max(np.abs(tr_a - tr_a.mean(axis=0, keepdims=True)))) if d.x > 1 else 0.0
     res_b = float(np.max(np.abs(tr_b - tr_b.mean(axis=1, keepdims=True)))) if d.y > 1 else 0.0
-    return CqnsReport(sdef, float(np.max([res_a, res_b])), tol)
+    return _report({"state_defect": sdef, "marginal_residual": float(np.max([res_a, res_b]))},
+                   tol, corr, check_witness)
 
 
-@dataclass(frozen=True)
-class NsReport:
-    negativity: float
-    normalisation: float
-    ns_residual: float
-    tol: float = TOL_PROB
-
-    @property
-    def ok(self) -> bool:
-        return all(r <= self.tol for r in (self.negativity, self.normalisation,
-                                           self.ns_residual))
-
-    def as_dict(self) -> dict:
-        return {"negativity": self.negativity, "normalisation": self.normalisation,
-                "ns_residual": self.ns_residual, "pass": self.ok, "tol": self.tol}
-
-
-def ns_report(corr: NsCorrelation, tol: float = TOL_PROB) -> NsReport:
+def ns_report(corr: NsCorrelation, tol: float = TOL_PROB,
+              check_witness: bool = True) -> Report:
+    """Check positivity, normalisation and the no-signalling marginals of a table."""
     t, d = corr.table, corr.dims
     neg = float(np.clip(-t.min(), 0.0, None))
     norm = float(np.max(np.abs(t.sum(axis=(2, 3)) - 1.0)))
@@ -290,7 +233,8 @@ def ns_report(corr: NsCorrelation, tol: float = TOL_PROB) -> NsReport:
     marg_a = t.sum(axis=3)  # sum over b -> [x, y, a]; must not depend on y
     res_b = np.max(np.abs(marg_b - marg_b.mean(axis=0, keepdims=True))) if d.x > 1 else 0.0
     res_a = np.max(np.abs(marg_a - marg_a.mean(axis=1, keepdims=True))) if d.y > 1 else 0.0
-    return NsReport(neg, norm, float(np.max([res_b, res_a])), tol)
+    return _report({"negativity": neg, "normalisation": norm,
+                    "ns_residual": float(np.max([res_b, res_a]))}, tol, corr, check_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +243,7 @@ def ns_report(corr: NsCorrelation, tol: float = TOL_PROB) -> NsReport:
 
 def from_classical(p: NsCorrelation, tol: float = TOL_PROB) -> QnsCorrelation:
     """Lift a classical no-signalling table to a diagonal-Choi correlation."""
-    report = ns_report(p, tol)
+    report = ns_report(p, tol, check_witness=False)
     if not report.ok:
         raise ValueError(f"invalid no-signalling table: {report.as_dict()}")
     choi = np.diag(p.table.reshape(-1).astype(complex))

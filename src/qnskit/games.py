@@ -16,7 +16,7 @@ import numpy as np
 
 from .correlations import CqnsCorrelation, NsCorrelation, QnsCorrelation
 from .graphs import TOL_GAME, Graph, SkewSymmetricSubspace
-from .linalg import (dagger, max_entangled_vector, nullspace,
+from .linalg import (Report, dagger, max_entangled_vector, nullspace,
                      orthonormal_columns)
 
 
@@ -146,25 +146,6 @@ def homomorphism_game(u: SkewSymmetricSubspace, v: SkewSymmetricSubspace) -> Con
                           ((u.basis, v.basis),))
 
 
-@dataclass(frozen=True)
-class GameReport:
-    residuals: tuple[float, ...]
-    tol: float = TOL_GAME
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self.residuals, initial=0.0))
-
-    @property
-    def ok(self) -> bool:
-        return self.max_residual <= self.tol
-
-    def as_dict(self) -> dict:
-        return {"residuals": list(self.residuals),
-                "max_residual": self.max_residual,
-                "pass": self.ok, "tol": self.tol}
-
-
 def _apply_strategy(strategy, game: ConstraintGame, u: np.ndarray) -> np.ndarray:
     da, db = game.out_dims
     if isinstance(strategy, QnsCorrelation):
@@ -186,7 +167,7 @@ def _apply_strategy(strategy, game: ConstraintGame, u: np.ndarray) -> np.ndarray
 
 
 def perfect_strategy_check(game: ConstraintGame, strategy,
-                           tol: float = TOL_GAME) -> GameReport:
+                           tol: float = TOL_GAME) -> Report:
     """Per-constraint residuals Tr(Lambda(P_U) (I - P_V))."""
     d = strategy.dims
     if (d.x, d.y) != game.in_dims or (d.a, d.b) != game.out_dims:
@@ -198,7 +179,8 @@ def perfect_strategy_check(game: ConstraintGame, strategy,
         image = _apply_strategy(strategy, game, u)
         comp = np.eye(dout) - v @ dagger(v)
         residuals.append(abs(float(np.real(np.trace(image @ comp)))))
-    return GameReport(tuple(residuals), tol)
+    return Report({"max_residual": float(np.max(residuals, initial=0.0))}, tol,
+                  {"residuals": residuals})
 
 
 def _subspace_leq(v: np.ndarray, u: np.ndarray, tol: float = 1e-9) -> bool:

@@ -19,7 +19,7 @@ from .linalg import (TOL_ALG, asmatrix, channel_defects, dagger, max_entangled,
                      max_entangled_vector, orthonormal_columns)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
-from .theta import solve_theta
+from .theta import GAP_TOL, solve_theta
 
 #: Perfect-strategy and homomorphism residual tolerance.
 TOL_GAME = 1e-9
@@ -326,14 +326,14 @@ def orth_rep_to_colouring(vectors, graph: Graph | None = None,
     for i, v in enumerate(vecs):
         if v.shape[0] != k:
             raise ValueError("all vectors must live in the same space")
-        if abs(np.linalg.norm(v) - 1.0) > max(tol, 1e-7):
+        if not abs(np.linalg.norm(v) - 1.0) <= max(tol, 1e-7):  # NaN fails
             raise ValueError(f"vector {i} is not unit norm")
     if graph is not None:
         if graph.n != len(vecs):
             raise ValueError("need one vector per vertex")
         for x, y in graph.edges:
             ip = abs(np.vdot(vecs[x], vecs[y]))
-            if ip > max(tol, 1e-7):
+            if not ip <= max(tol, 1e-7):
                 raise ValueError(f"vectors on edge ({x},{y}) are not orthogonal "
                                  f"(|<.,.>| = {ip:.3e})")
     n = len(vecs)
@@ -408,13 +408,13 @@ def cycle5_umbrella() -> list[np.ndarray]:
 # Lovasz theta and the chromatic lower bound
 
 
-def lovasz_theta(graph: Graph, tol: float = 1e-7) -> float:
+def lovasz_theta(graph: Graph, tol: float = GAP_TOL) -> float:
     """Lovasz number through the dense interior-point solver."""
     return solve_theta(graph.n, sorted(graph.edges), tol=tol).value
 
 
 def xi_qc_lower_bound(graph: Graph, theta: float | None = None,
-                      tol: float = 1e-7) -> float:
+                      tol: float = GAP_TOL) -> float:
     """Lower bound sqrt(n / theta(G)) on the commuting quantum chromatic number."""
     if theta is None:
         theta = lovasz_theta(graph, tol)

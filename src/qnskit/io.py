@@ -18,7 +18,7 @@ from .correlations import (CorrelationDims, CqnsCorrelation, LocalWitness,
                            TracialWitness)
 from .games import ConstraintGame, RuleFunction
 from .graphs import Graph
-from .linalg import SystemDims, asmatrix
+from .linalg import asmatrix
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -51,14 +51,6 @@ def vector_to_json(v: np.ndarray) -> list:
 
 def vector_from_json(obj: Any) -> np.ndarray:
     return np.array([complex(re, im) for re, im in obj])
-
-
-def dims_to_json(d: SystemDims) -> dict:
-    return {"dims": list(d.dims), "labels": list(d.labels)}
-
-
-def dims_from_json(obj: Any) -> SystemDims:
-    return SystemDims(tuple(obj["dims"]), tuple(obj.get("labels", ())))
 
 
 def stochastic_to_json(e: StochasticOperatorMatrix) -> dict:

@@ -27,28 +27,31 @@ class NonHermitianError(ValueError):
 
 
 @dataclass(frozen=True)
-class SystemDims:
-    """Ordered tensor-factor dimensions with optional labels."""
+class Report:
+    """Named residuals of a certificate's defining conditions.
 
-    dims: tuple[int, ...]
-    labels: tuple[str, ...] = field(default=())
+    A check passes when its residual is at most ``tol``; ``ok`` asks this of
+    every check, so a NaN or infinite residual fails.  Check names read as
+    attributes (``report.b_residual``); ``info`` carries data that is shown
+    but not checked.
+    """
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"factor dimensions must be >= 1, got {dims}")
-        labels = tuple(self.labels) or tuple(f"s{i}" for i in range(len(dims)))
-        if len(labels) != len(dims):
-            raise ValueError("labels and dims must have equal length")
-        object.__setattr__(self, "labels", labels)
+    checks: dict[str, float]
+    tol: float = TOL_ALG
+    info: dict = field(default_factory=dict)
+
+    def __getattr__(self, name: str):
+        checks = self.__dict__.get("checks", {})
+        if name in checks:
+            return checks[name]
+        raise AttributeError(f"{type(self).__name__} has no check {name!r}")
 
     @property
-    def size(self) -> int:
-        return math.prod(self.dims)
+    def ok(self) -> bool:
+        return all(r <= self.tol for r in self.checks.values())
 
-    def __len__(self) -> int:
-        return len(self.dims)
+    def as_dict(self) -> dict:
+        return {**self.info, **self.checks, "pass": self.ok, "tol": self.tol}
 
 
 def asmatrix(m) -> np.ndarray:

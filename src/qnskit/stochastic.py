@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (TOL_ALG, EIG_CLAMP, asmatrix, check_state, dagger,
+from .linalg import (TOL_ALG, EIG_CLAMP, Report, asmatrix, check_state, dagger,
                      hermiticity_defect, max_entangled, partial_trace, pinch,
                      psd_defect)
 
@@ -75,33 +75,7 @@ class StochasticOperatorMatrix:
         return np.transpose(self.tensor6(), (0, 3, 1, 4, 2, 5))
 
 
-@dataclass(frozen=True)
-class StochasticReport:
-    """Residuals of the defining conditions of a stochastic operator matrix."""
-
-    hermiticity: float
-    psd_defect: float
-    marginal_residual: float
-    povm_defect: float
-    tol: float = TOL_ALG
-
-    @property
-    def ok(self) -> bool:
-        return all(r <= self.tol for r in (self.hermiticity, self.psd_defect,
-                                           self.marginal_residual, self.povm_defect))
-
-    def as_dict(self) -> dict:
-        return {
-            "hermiticity": self.hermiticity,
-            "psd_defect": self.psd_defect,
-            "marginal_residual": self.marginal_residual,
-            "povm_defect": self.povm_defect,
-            "pass": self.ok,
-            "tol": self.tol,
-        }
-
-
-def verify(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> StochasticReport:
+def verify(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> Report:
     """Check positivity, the Tr_A marginal, and the per-x diagonal POVMs."""
     dx, dh = e.dim_x, e.dim_h
     herm = hermiticity_defect(e.mat)
@@ -113,7 +87,8 @@ def verify(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> StochasticRepor
         # Derived consequence: (E[x, x, a, a])_a is a POVM for every x.
         diag = np.einsum("xahxak->xahk", e.tensor6()).reshape(-1, dh, dh)
         povm = np.max([psd_defect(b, tol=max(tol, herm * 4)) for b in diag], initial=0.0)
-    return StochasticReport(herm, float(psd), marg_res, float(povm), tol)
+    return Report({"hermiticity": herm, "psd_defect": float(psd),
+                   "marginal_residual": marg_res, "povm_defect": float(povm)}, tol)
 
 
 def _require_verified(e: StochasticOperatorMatrix, tol: float = TOL_ALG):

@@ -84,7 +84,11 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL, feas_tol: float = FEAS_TOL,
         raise ValueError("graph must have at least one vertex")
     if tol <= 0 or feas_tol <= 0:
         raise ValueError("tolerances must be positive")
-    edges = sorted({tuple(sorted((int(i), int(j)))) for i, j in edges})
+    edges = [(int(i), int(j)) for i, j in edges]
+    for i, j in edges:
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge {(i, j)} is a loop or leaves the vertices 0..{n - 1}")
+    edges = sorted({(min(e), max(e)) for e in edges})
 
     mats = _constraint_matrices(n, edges)
     m = len(mats)

@@ -10,6 +10,7 @@ from qnskit.correlations import (CorrelationDims, NsCorrelation,
                                  compose_tables, cqns_report, from_classical,
                                  lift_cqns, mix_local, ns_report, qns_report,
                                  reduce_cqns, reduce_ns, witness_residual)
+from qnskit.graphs import kd2_colouring
 from qnskit.linalg import kron, max_entangled, permute_systems
 from qnskit.stochastic import from_choi
 
@@ -365,3 +366,17 @@ def test_rank_one_bump_violates_condition_b(rng):
     report = qns_report(bumped)
     assert not report.ok
     assert report.b_residual >= 5e-4
+
+
+@pytest.mark.parametrize("report", [cqns_report, ns_report])
+def test_classical_reports_recheck_the_witness(report):
+    corr = kd2_colouring(2)
+    if report is ns_report:
+        corr = reduce_ns(corr)
+    data = corr.states if report is cqns_report else corr.table
+    assert report(corr).witness_residual <= 1e-12
+    assert "witness_residual" not in report(corr, check_witness=False).as_dict()
+    moved = np.roll(data, 1, axis=0)  # still a correlation, no longer the witness's
+    wrong = type(corr)(corr.dims, moved, corr.witness)
+    assert report(type(corr)(corr.dims, moved)).ok
+    assert not report(wrong).ok and report(wrong).witness_residual > 1e-3

@@ -10,11 +10,12 @@ from qnskit.cli import run
 from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
                                  NsCorrelation, QnsCorrelation, cqns_report,
                                  ns_report, qns_report)
-from qnskit.games import GameReport, colouring_game, perfect_strategy_check
-from qnskit.graphs import (Graph, graph_subspace, kd2_colouring,
+from qnskit.games import colouring_game, perfect_strategy_check
+from qnskit.graphs import (Graph, cycle5_umbrella, graph_subspace,
+                           kd2_colouring, orth_rep_to_colouring,
                            realization_basis, stahlke_check, stahlke_residual,
                            vertex_map_kraus)
-from qnskit.linalg import psd_defect
+from qnskit.linalg import Report, psd_defect
 from qnskit.stochastic import StochasticOperatorMatrix, verify
 from qnskit.symmetry import fair_residual
 
@@ -53,7 +54,8 @@ def test_game_report_fails_on_nan_state_anywhere(xy):
 
 @pytest.mark.parametrize("residuals", [(np.nan, 0.0), (0.0, np.nan)])
 def test_game_report_max_residual_keeps_nan(residuals):
-    assert not GameReport(residuals).ok
+    max_residual = float(np.max(residuals, initial=0.0))
+    assert not Report({"max_residual": max_residual}, info={"residuals": residuals}).ok
 
 
 def test_cqns_report_fails_on_off_diagonal_nan():
@@ -93,3 +95,17 @@ def test_stahlke_rejects_nan_kraus():
     assert np.isnan(stahlke_residual(kraus, basis, basis))
     with pytest.raises(ValueError, match="not trace preserving"):
         stahlke_check(kraus, basis, basis)
+
+
+def test_orth_rep_rejects_nan_vector(tmp_path, capsys):
+    vectors = cycle5_umbrella()
+    vectors[2] = np.full(3, np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="vector 2 "):
+        orth_rep_to_colouring(vectors, Graph.cycle(5))
+    graph_path = tmp_path / "c5.json"
+    graph_path.write_text(json.dumps(io.graph_to_json(Graph.cycle(5))))
+    vectors_path = tmp_path / "vectors.json"
+    vectors_path.write_text(json.dumps(
+        {"vectors": [io.vector_to_json(v) for v in vectors]}, allow_nan=True))
+    assert run(["orthrep", str(graph_path), str(vectors_path)]) == 2
+    assert "vector 2 " in capsys.readouterr().err

@@ -90,15 +90,6 @@ def test_report_rendering_is_deterministic():
     assert text == io.dump_json({"a": [1, 2], "b": 1.5})
 
 
-def test_system_dims_roundtrip():
-    from qnskit.linalg import SystemDims
-    d = SystemDims((2, 3, 2), ("X", "A", "H"))
-    back = io.dims_from_json(io.dims_to_json(d))
-    assert back == d
-    bare = io.dims_from_json({"dims": [2, 2]})
-    assert bare.labels == ("s0", "s1")
-
-
 # ---------------------------------------------------------------------------
 # CLI
 

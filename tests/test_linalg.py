@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnskit.linalg import (NonHermitianError, apply_choi, herm_sqrt,
+from qnskit.linalg import (NonHermitianError, Report, apply_choi, herm_sqrt,
                            hermitize, is_psd, kron, max_entangled,
                            max_entangled_vector, nullspace, partial_trace,
-                           permute_systems, psd_defect, SystemDims)
+                           permute_systems, psd_defect)
 
 
 def _cg(rng, *shape):
@@ -161,9 +161,12 @@ def test_nullspace():
     assert np.allclose(mat @ ns, 0.0, atol=1e-12)
 
 
-def test_system_dims():
-    d = SystemDims((2, 3), ("X", "A"))
-    assert d.size == 6
-    assert len(d) == 2
-    with pytest.raises(ValueError):
-        SystemDims((0, 2))
+def test_report_reads_checks_and_fails_closed():
+    report = Report({"b_residual": 1e-12, "c_residual": 0.0}, 1e-9, {"kind": "qns"})
+    assert report.ok and report.b_residual == 1e-12
+    assert report.as_dict() == {"kind": "qns", "b_residual": 1e-12, "c_residual": 0.0,
+                                "pass": True, "tol": 1e-9}
+    with pytest.raises(AttributeError):
+        report.witness_residual
+    for bad in (np.nan, np.inf, 1e-8):
+        assert not Report({"b_residual": 0.0, "c_residual": bad}, 1e-9).ok

@@ -123,3 +123,9 @@ def test_runtime_midsize():
     start = time.time()
     solve_theta(n, edges)
     assert time.time() - start < 10.0
+
+
+@pytest.mark.parametrize("edge", [(-1, 2), (0, 0), (0, 5)])
+def test_solve_theta_rejects_edges_outside_the_graph(edge):
+    with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+        solve_theta(5, [edge])
