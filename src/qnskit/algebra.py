@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_ALG
+from .linalg import TOL_ALG, Report
 from .stochastic import (StochasticOperatorMatrix, classical_defect,
                          compose as compose_som, semiclassical_defect, verify)
 
@@ -104,12 +104,11 @@ class AlgStochasticMatrix:
         """The algebra element g[x, x', a, a'] as a block tuple."""
         return tuple(b.block(x, xp, a, ap) for b in self.blocks)
 
-    def verification_defect(self, tol: float = TOL_ALG) -> float:
-        out = 0.0
-        for b in self.blocks:
-            r = verify(b, tol)
-            out = max(out, r.hermiticity, r.psd_defect, r.marginal_residual)
-        return out
+    def verification_report(self, tol: float = TOL_ALG) -> Report:
+        """The checks of :func:`stochastic.verify`, each maximised over the blocks."""
+        reports = [verify(b, tol) for b in self.blocks]
+        return Report({name: float(np.max([r.checks[name] for r in reports]))
+                       for name in reports[0].checks}, tol)
 
     def semiclassical_defect(self) -> float:
         return max(semiclassical_defect(b) for b in self.blocks)
@@ -125,9 +124,9 @@ class AlgStochasticMatrix:
 
 
 def check_alg_stochastic(e: AlgStochasticMatrix, tol: float = TOL_ALG):
-    defect = e.verification_defect(tol)
-    if defect > tol:
-        raise ValueError(f"stochastic algebra matrix fails verification (defect {defect:.3e})")
+    report = e.verification_report(tol)
+    if not report.ok:
+        raise ValueError(f"stochastic algebra matrix fails verification: {report.as_dict()}")
 
 
 def tracial_choi(e: AlgStochasticMatrix) -> np.ndarray:

@@ -23,7 +23,7 @@ from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
 from .games import ConstraintGame, compose_games, perfect_strategy_check
 from .graphs import (Graph, kd2_colouring, orth_rep_to_colouring,
                      proper_residuals, xi_qc_lower_bound)
-from .linalg import Report
+from .linalg import TOL_ALG, Report
 from .stochastic import StochasticOperatorMatrix, verify as verify_stochastic
 from .symmetry import build_tracial_cqns, build_tracial_ns, fair_residual
 from .theta import GAP_TOL, solve_theta
@@ -73,15 +73,18 @@ def _emit_report(report: dict, fmt: str, stream) -> None:
         print("\n".join(_render_text(report)), file=stream)
 
 
-def _emit_payload(payload: dict, out_path: str | None) -> bool:
-    """Write payload; returns True when the report should go to stderr."""
+def _emit_payload(payload: dict, report: dict, args) -> int:
+    """Write ``payload`` to --out, or to stdout with the report on stderr; the exit code."""
     text = io.dump_json(payload)
-    if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as fh:
+    stream = sys.stdout
+    if args.out and args.out != "-":
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        return False
-    print(text)
-    return True
+    else:
+        print(text)
+        stream = sys.stderr
+    _emit_report(report, args.format, stream)
+    return 0 if report["pass"] else 1
 
 
 def _load_payload(path: str):
@@ -104,6 +107,12 @@ def _correlation_report(corr, tol: float, **checks) -> dict:
     return Report({**check(corr, tol=tol).checks, **checks}, tol, {"kind": kind}).as_dict()
 
 
+def _emit_correlation(corr, args, **checks) -> int:
+    """Emit a produced correlation with its report; ``checks`` are added to the report."""
+    report = _correlation_report(corr, args.tol, **checks)
+    return _emit_payload(io.correlation_to_json(corr), report, args)
+
+
 def _cmd_verify(args) -> int:
     payload = _load_payload(args.file)
     if isinstance(payload, tuple(_CORRELATIONS)):
@@ -111,9 +120,7 @@ def _cmd_verify(args) -> int:
     elif isinstance(payload, StochasticOperatorMatrix):
         report = {**verify_stochastic(payload, args.tol).as_dict(), "kind": "stochastic"}
     elif isinstance(payload, AlgStochasticMatrix):
-        defect = payload.verification_defect(args.tol)
-        report = {"kind": "alg-stochastic", "defect": defect,
-                  "pass": defect <= args.tol}
+        report = {**payload.verification_report(args.tol).as_dict(), "kind": "alg-stochastic"}
     else:
         raise CliError("verify expects a correlation or stochastic matrix file")
     _emit_report(report, args.format, sys.stdout)
@@ -149,10 +156,7 @@ def _cmd_build(args) -> int:
                 corr = build_tracial_ns(matrix)
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed witness file: {exc}") from exc
-    report = _correlation_report(corr, args.tol)
-    to_stderr = _emit_payload(io.correlation_to_json(corr), args.out)
-    _emit_report(report, args.format, sys.stderr if to_stderr else sys.stdout)
-    return 0 if report["pass"] else 1
+    return _emit_correlation(corr, args)
 
 
 def _cmd_reduce(args) -> int:
@@ -165,21 +169,14 @@ def _cmd_reduce(args) -> int:
         if not isinstance(corr, (QnsCorrelation, CqnsCorrelation)):
             raise CliError("reduce N expects a qns or cqns correlation")
         out = reduce_ns(corr)
-    report = _correlation_report(out, args.tol)
-    to_stderr = _emit_payload(io.correlation_to_json(out), args.out)
-    _emit_report(report, args.format, sys.stderr if to_stderr else sys.stdout)
-    return 0 if report["pass"] else 1
+    return _emit_correlation(out, args)
 
 
 def _cmd_lift(args) -> int:
     corr = _load_payload(args.file)
     if not isinstance(corr, CqnsCorrelation):
         raise CliError("lift expects a cqns correlation")
-    out = lift_cqns(corr)
-    report = _correlation_report(out, args.tol)
-    to_stderr = _emit_payload(io.correlation_to_json(out), args.out)
-    _emit_report(report, args.format, sys.stderr if to_stderr else sys.stdout)
-    return 0 if report["pass"] else 1
+    return _emit_correlation(lift_cqns(corr), args)
 
 
 def _cmd_compose(args) -> int:
@@ -187,21 +184,14 @@ def _cmd_compose(args) -> int:
     first = _load_payload(args.first)
     if isinstance(second, ConstraintGame) and isinstance(first, ConstraintGame):
         out = compose_games(second, first)
-        payload = io.game_to_json(out)
+        # no condition certifies a composed game, so its report only describes it
         report = {"kind": "game", "n_constraints": out.n_constraints, "pass": True}
-    elif isinstance(second, QnsCorrelation) and isinstance(first, QnsCorrelation):
-        out = compose_correlations(second, first)
-        payload = io.correlation_to_json(out)
-        report = _correlation_report(out, args.tol)
-    elif isinstance(second, NsCorrelation) and isinstance(first, NsCorrelation):
-        out = compose_tables(second, first)
-        payload = io.correlation_to_json(out)
-        report = _correlation_report(out, args.tol)
-    else:
-        raise CliError("compose expects two games, two qns or two ns correlations")
-    to_stderr = _emit_payload(payload, args.out)
-    _emit_report(report, args.format, sys.stderr if to_stderr else sys.stdout)
-    return 0 if report["pass"] else 1
+        return _emit_payload(io.game_to_json(out), report, args)
+    if isinstance(second, QnsCorrelation) and isinstance(first, QnsCorrelation):
+        return _emit_correlation(compose_correlations(second, first), args)
+    if isinstance(second, NsCorrelation) and isinstance(first, NsCorrelation):
+        return _emit_correlation(compose_tables(second, first), args)
+    raise CliError("compose expects two games, two qns or two ns correlations")
 
 
 def _cmd_check_game(args) -> int:
@@ -221,33 +211,29 @@ def _cmd_theta(args) -> int:
     if not isinstance(graph, Graph):
         raise CliError("theta expects a graph file")
     result = solve_theta(graph.n, sorted(graph.edges), tol=args.tol)
-    report = {"theta": result.value, "iterations": result.iterations,
-              "gap": result.gap, "certificate_norm": result.certificate_norm,
-              "dual_bound": result.dual_bound,
-              "xi_qc_lower_bound": xi_qc_lower_bound(graph, result.value),
-              "pass": True}
+    report = Report({"gap": result.gap}, args.tol, {
+        "theta": result.value, "iterations": result.iterations,
+        "certificate_norm": result.certificate_norm, "dual_bound": result.dual_bound,
+        "xi_qc_lower_bound": xi_qc_lower_bound(graph, result.value)}).as_dict()
     if args.format == "text":
         print(f"{result.value:.6f}")
         _emit_report(report, "text", sys.stderr)
     else:
         _emit_report(report, "json", sys.stdout)
-    return 0
-
-
-def _colouring_report(corr, graph: Graph, args) -> int:
-    """Emit a colouring with its report, properness against ``graph`` included."""
-    residuals = proper_residuals(corr, graph)
-    report = _correlation_report(corr, args.tol, properness_residual=float(
-        np.max(list(residuals.values()), initial=0.0)))
-    to_stderr = _emit_payload(io.correlation_to_json(corr), args.out)
-    _emit_report(report, args.format, sys.stderr if to_stderr else sys.stdout)
     return 0 if report["pass"] else 1
+
+
+def _properness(corr, graph: Graph) -> float:
+    """Largest pairing of an edge state with the maximally entangled matrix."""
+    return float(np.max(list(proper_residuals(corr, graph).values()), initial=0.0))
 
 
 def _cmd_kd2(args) -> int:
     if args.d is None or args.d < 2:
         raise CliError("--d must be an integer >= 2")
-    return _colouring_report(kd2_colouring(args.d), Graph.complete(args.d * args.d), args)
+    corr = kd2_colouring(args.d)
+    return _emit_correlation(corr, args, properness_residual=_properness(
+        corr, Graph.complete(args.d * args.d)))
 
 
 def _cmd_orthrep(args) -> int:
@@ -259,7 +245,8 @@ def _cmd_orthrep(args) -> int:
         vectors = [io.vector_from_json(v) for v in obj["vectors"]]
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed vectors file: {exc}") from exc
-    return _colouring_report(orth_rep_to_colouring(vectors, graph), graph, args)
+    corr = orth_rep_to_colouring(vectors, graph)
+    return _emit_correlation(corr, args, properness_residual=_properness(corr, graph))
 
 
 def _cmd_fair(args) -> int:
@@ -285,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "quantum non-local games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=1e-9):
+    def common(p, tol=TOL_ALG):
         p.add_argument("--tol", type=_positive_float, default=tol,
                        help="override the check tolerance")
         p.add_argument("--out", default=None, help="write the produced payload here")

@@ -17,15 +17,9 @@ import numpy as np
 from . import stochastic
 from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
                       tracial_states, tracial_table)
-from .linalg import (TOL_ALG, Report, asmatrix, channel_defects, choi_compose,
-                     hermiticity_defect, kron, pinch, psd_defect)
+from .linalg import (TOL_ALG, NEG_CLAMP, Report, asmatrix, channel_defects,
+                     choi_compose, hermiticity_defect, kron, pinch, psd_defect)
 from .stochastic import StochasticOperatorMatrix
-
-#: Probability tables are validated to this tolerance.
-TOL_PROB = 1e-9
-
-#: Negative table entries above this threshold are clamped to zero.
-NEG_CLAMP = -1e-12
 
 
 @dataclass(frozen=True)
@@ -165,8 +159,6 @@ def qns_report(corr: QnsCorrelation | np.ndarray, dims: CorrelationDims | None =
         if dims is None:
             raise ValueError("dims required when verifying a bare Choi matrix")
     d = dims
-    herm = hermiticity_defect(choi)
-    psd = psd_defect(choi, tol=max(tol, 4 * herm)) if herm < 1e-6 else np.inf
     c8 = choi.reshape(d.x, d.y, d.a, d.b, d.x, d.y, d.a, d.b)
 
     tp = c8.trace(axis1=2, axis2=6).trace(axis1=2, axis2=5)  # sum over a=a', b=b'
@@ -178,8 +170,8 @@ def qns_report(corr: QnsCorrelation | np.ndarray, dims: CorrelationDims | None =
     tc = c8.trace(axis1=3, axis2=7)  # sum_b -> [x,y,a,x',y',a']
     c_res = _marginal_residual(np.transpose(tc, (1, 4, 0, 3, 2, 5)), d.y)
 
-    checks = {"hermiticity": herm, "psd_defect": float(psd), "tp_residual": tp_res,
-              "b_residual": b_res, "c_residual": c_res}
+    checks = {"hermiticity": hermiticity_defect(choi), "psd_defect": psd_defect(choi),
+              "tp_residual": tp_res, "b_residual": b_res, "c_residual": c_res}
     return _report(checks, tol, corr, check_witness)
 
 
@@ -211,7 +203,7 @@ def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG,
     """Check that every state is a state and that both marginals are no-signalling."""
     d = corr.dims
     rhos = corr.states.reshape(-1, d.out_size, d.out_size)
-    psd = np.max([psd_defect(rho, tol=max(tol, 1e-7)) for rho in rhos])
+    psd = np.max([psd_defect(rho) for rho in rhos])
     trace = np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0))
     sdef = float(np.max([psd, trace]))
     s4 = corr.states.reshape(d.x, d.y, d.a, d.b, d.a, d.b)
@@ -223,7 +215,7 @@ def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG,
                    tol, corr, check_witness)
 
 
-def ns_report(corr: NsCorrelation, tol: float = TOL_PROB,
+def ns_report(corr: NsCorrelation, tol: float = TOL_ALG,
               check_witness: bool = True) -> Report:
     """Check positivity, normalisation and the no-signalling marginals of a table."""
     t, d = corr.table, corr.dims
@@ -241,7 +233,7 @@ def ns_report(corr: NsCorrelation, tol: float = TOL_PROB,
 # Constructors
 
 
-def from_classical(p: NsCorrelation, tol: float = TOL_PROB) -> QnsCorrelation:
+def from_classical(p: NsCorrelation, tol: float = TOL_ALG) -> QnsCorrelation:
     """Lift a classical no-signalling table to a diagonal-Choi correlation."""
     report = ns_report(p, tol, check_witness=False)
     if not report.ok:
@@ -313,7 +305,7 @@ def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
     d = dims
     for ca, cb in zip(alice, bob):
         for c, io in ((ca, (d.x, d.a)), (cb, (d.y, d.b))):
-            cp, tp = channel_defects(c, io, tol)
+            cp, tp = channel_defects(c, io)
             if max(cp, tp) > tol:
                 raise ValueError(f"term is not a channel (cp {cp:.2e}, tp {tp:.2e})")
     # sum_t w_t Phi_t (x) Psi_t in one contraction, rows (x, y, a, b)
@@ -336,10 +328,9 @@ def build_quantum(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
 
 
 def build_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                    sigma: np.ndarray, tol_comm: float = stochastic.TOL_COMM,
-                    tol: float = TOL_ALG) -> QnsCorrelation:
+                    sigma: np.ndarray, tol: float = TOL_ALG) -> QnsCorrelation:
     """Correlation generated by a commuting pair on a common H."""
-    choi = stochastic.commuting_choi(e, f, sigma, tol_comm, tol)
+    choi = stochastic.commuting_choi(e, f, sigma, tol)
     dims = CorrelationDims(e.dim_x, f.dim_x, e.dim_a, f.dim_a)
     witness = QuantumWitness("commuting", e, f, np.array(sigma))
     return QnsCorrelation(dims, choi, witness)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import CqnsCorrelation, NsCorrelation, QnsCorrelation
-from .graphs import TOL_GAME, Graph, SkewSymmetricSubspace
-from .linalg import (Report, dagger, max_entangled_vector, nullspace,
+from .graphs import Graph, SkewSymmetricSubspace
+from .linalg import (TOL_ALG, Report, dagger, max_entangled_vector, nullspace,
                      orthonormal_columns)
 
 
@@ -167,7 +167,7 @@ def _apply_strategy(strategy, game: ConstraintGame, u: np.ndarray) -> np.ndarray
 
 
 def perfect_strategy_check(game: ConstraintGame, strategy,
-                           tol: float = TOL_GAME) -> Report:
+                           tol: float = TOL_ALG) -> Report:
     """Per-constraint residuals Tr(Lambda(P_U) (I - P_V))."""
     d = strategy.dims
     if (d.x, d.y) != game.in_dims or (d.a, d.b) != game.out_dims:
@@ -183,12 +183,12 @@ def perfect_strategy_check(game: ConstraintGame, strategy,
                   {"residuals": residuals})
 
 
-def _subspace_leq(v: np.ndarray, u: np.ndarray, tol: float = 1e-9) -> bool:
+def _subspace_leq(v: np.ndarray, u: np.ndarray) -> bool:
     """Is span(v) contained in span(u)?"""
     if v.shape[1] == 0:
         return True
     resid = v - u @ (dagger(u) @ v)
-    return float(np.max(np.abs(resid))) <= tol
+    return float(np.max(np.abs(resid))) <= TOL_ALG
 
 
 def _intersect(subspaces: list[np.ndarray], dim: int) -> np.ndarray:
@@ -199,7 +199,7 @@ def _intersect(subspaces: list[np.ndarray], dim: int) -> np.ndarray:
     for s in subspaces:
         total += np.eye(dim) - s @ dagger(s)
     w, vecs = np.linalg.eigh((total + dagger(total)) / 2)
-    keep = w < 1e-9
+    keep = w < TOL_ALG
     return vecs[:, keep]
 
 

@@ -15,14 +15,11 @@ import numpy as np
 
 from .algebra import AlgStochasticMatrix, matrix_algebra, scalar_algebra
 from .correlations import CqnsCorrelation
-from .linalg import (TOL_ALG, asmatrix, channel_defects, dagger, max_entangled,
-                     max_entangled_vector, orthonormal_columns)
+from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, dagger, is_channel,
+                     max_entangled, max_entangled_vector, orthonormal_columns)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
 from .theta import GAP_TOL, solve_theta
-
-#: Perfect-strategy and homomorphism residual tolerance.
-TOL_GAME = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ class SkewSymmetricSubspace:
         if basis.ndim != 2 or basis.shape[0] != self.n * self.n:
             raise ValueError(f"basis shape {basis.shape} does not match n={self.n}")
         gram = dagger(basis) @ basis
-        if basis.shape[1] and float(np.max(np.abs(gram - np.eye(basis.shape[1])))) > 1e-8:
+        if basis.shape[1] and float(np.max(np.abs(gram - np.eye(basis.shape[1])))) > TOL_ALG:
             raise ValueError("basis columns must be orthonormal")
         object.__setattr__(self, "basis", basis)
         skew = self.skew_defect()
@@ -241,7 +238,7 @@ def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
 
 
 def stahlke_check(kraus: list[np.ndarray], s_basis: list[np.ndarray],
-                  t_basis: list[np.ndarray], tol: float = TOL_GAME) -> bool:
+                  t_basis: list[np.ndarray], tol: float = TOL_ALG) -> bool:
     """Kraus-level homomorphism check between twisted operator anti-systems."""
     defect = kraus_channel_defect(kraus)
     if not defect <= TOL_ALG:
@@ -254,8 +251,7 @@ def hom_residual(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
     """Residual of <(Phi (x) Phi^sharp)(P_U), I - P_V>."""
     dim_x, dim_a = u.n, v.n
     choi = asmatrix(phi_choi)
-    cp, tp = channel_defects(choi, (dim_x, dim_a))
-    if max(cp, tp) > 1e-7:
+    if not is_channel(choi, (dim_x, dim_a)):
         raise ValueError("first argument must be the Choi matrix of a channel")
     phi = choi.reshape(dim_x, dim_a, dim_x, dim_a)
     sharp = channel_sharp(choi).reshape(dim_x, dim_a, dim_x, dim_a)
@@ -268,7 +264,7 @@ def hom_residual(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
 
 
 def hom_check(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
-              v: SkewSymmetricSubspace, tol: float = TOL_GAME) -> bool:
+              v: SkewSymmetricSubspace, tol: float = TOL_ALG) -> bool:
     return hom_residual(phi_choi, u, v) <= tol
 
 
@@ -310,13 +306,12 @@ def proper_residuals(e: CqnsCorrelation, graph: Graph) -> dict[tuple[int, int], 
     return out
 
 
-def proper_check(e: CqnsCorrelation, graph: Graph, tol: float = TOL_GAME) -> bool:
+def proper_check(e: CqnsCorrelation, graph: Graph, tol: float = TOL_ALG) -> bool:
     residuals = proper_residuals(e, graph)
     return float(np.max(list(residuals.values()), initial=0.0)) <= tol
 
 
-def orth_rep_to_colouring(vectors, graph: Graph | None = None,
-                          tol: float = TOL_ALG) -> CqnsCorrelation:
+def orth_rep_to_colouring(vectors, graph: Graph | None = None) -> CqnsCorrelation:
     """Locally tracial colouring from unit vectors, one per vertex.
 
     When a graph is passed, vectors on an edge must be orthogonal.
@@ -326,14 +321,14 @@ def orth_rep_to_colouring(vectors, graph: Graph | None = None,
     for i, v in enumerate(vecs):
         if v.shape[0] != k:
             raise ValueError("all vectors must live in the same space")
-        if not abs(np.linalg.norm(v) - 1.0) <= max(tol, 1e-7):  # NaN fails
+        if not abs(np.linalg.norm(v) - 1.0) <= TOL_INPUT:  # NaN fails
             raise ValueError(f"vector {i} is not unit norm")
     if graph is not None:
         if graph.n != len(vecs):
             raise ValueError("need one vector per vertex")
         for x, y in graph.edges:
             ip = abs(np.vdot(vecs[x], vecs[y]))
-            if not ip <= max(tol, 1e-7):
+            if not ip <= TOL_INPUT:
                 raise ValueError(f"vectors on edge ({x},{y}) are not orthogonal "
                                  f"(|<.,.>| = {ip:.3e})")
     n = len(vecs)
@@ -372,7 +367,7 @@ def kd2_colouring(d: int) -> CqnsCorrelation:
     # the normalised-trace pairing of the witness must reproduce the explicit
     # rank-one states entrywise
     two_path = float(np.max(np.abs(corr.states - kd2_explicit_states(d))))
-    if two_path > 1e-9:
+    if not two_path <= TOL_ALG:
         raise AssertionError(f"colouring self-check failed (residual {two_path:.3e})")
     return corr
 

@@ -14,12 +14,26 @@ from typing import Sequence
 
 import numpy as np
 
+# Every tolerance of the package outside the theta solver lives here.  Residual
+# functions only measure; a ``Report`` or a raising ``check_*`` / ``_require_*``
+# compares a residual with one of these.
+
 #: Tolerance for algebraic identities on constructed data (double precision,
-#: dimensions up to a few hundred).
+#: dimensions up to a few hundred); the default of every check and of the CLI
+#: ``--tol`` outside ``theta``.
 TOL_ALG = 1e-9
 
 #: Eigenvalues with modulus below this are treated as zero.
 EIG_CLAMP = 1e-10
+
+#: Operator pairs constructed numerically never commute exactly.
+TOL_COMM = 1e-8
+
+#: Negative probability table entries above this threshold are clamped to zero.
+NEG_CLAMP = -1e-12
+
+#: Floor for vectors and states that come from outside the program.
+TOL_INPUT = 1e-7
 
 
 class NonHermitianError(ValueError):
@@ -139,23 +153,24 @@ def hermitize(m: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
     return (m + dagger(m)) / 2
 
 
-def psd_defect(m: np.ndarray, tol: float = TOL_ALG) -> float:
-    """How far below zero the spectrum of a Hermitian matrix reaches.
+def psd_defect(m: np.ndarray) -> float:
+    """How far ``m`` is from a positive semidefinite matrix.
 
-    Non-finite input reads as infinitely far, so every check built on this
-    fails closed.
+    The larger of the Hermiticity defect and the depth below zero of the
+    spectrum of the Hermitian part; non-finite input reads as infinitely far.
+    Never raises, so every check built on it fails closed.
     """
     m = asmatrix(m)
     if not np.isfinite(m).all():
         return float("inf")
-    h = hermitize(m, tol)
-    if h.size == 0:
+    if m.size == 0:
         return 0.0
-    return float(max(0.0, -np.linalg.eigvalsh(h)[0]))
+    lam = float(np.linalg.eigvalsh((m + dagger(m)) / 2)[0])
+    return max(hermiticity_defect(m), -lam, 0.0)
 
 
 def is_psd(m: np.ndarray, tol: float = TOL_ALG) -> bool:
-    return psd_defect(m, tol) <= tol
+    return psd_defect(m) <= tol
 
 
 def herm_sqrt(m: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
@@ -209,33 +224,30 @@ def choi_compose(choi2: np.ndarray, dims2: tuple[int, int],
     return out.reshape(d_in * d_out, d_in * d_out)
 
 
-def channel_defects(choi: np.ndarray, dims: tuple[int, int],
-                    tol: float = TOL_ALG) -> tuple[float, float]:
+def channel_defects(choi: np.ndarray, dims: tuple[int, int]) -> tuple[float, float]:
     """(CP defect, trace-preservation residual) of a Choi matrix."""
     choi = asmatrix(choi)
     din, dout = int(dims[0]), int(dims[1])
-    cp = psd_defect(choi, tol)
     marg = partial_trace(choi, (din, dout), 1)
-    tp = float(np.max(np.abs(marg - np.eye(din))))
-    return cp, tp
+    return psd_defect(choi), float(np.max(np.abs(marg - np.eye(din))))
 
 
 def is_channel(choi: np.ndarray, dims: tuple[int, int], tol: float = TOL_ALG) -> bool:
-    cp, tp = channel_defects(choi, dims, tol)
+    cp, tp = channel_defects(choi, dims)
     return cp <= tol and tp <= tol
 
 
-def state_defect(rho: np.ndarray, tol: float = TOL_ALG) -> float:
+def state_defect(rho: np.ndarray) -> float:
     """Max of PSD defect and trace deviation from one."""
     rho = asmatrix(rho)
-    return max(psd_defect(rho, tol), abs(float(np.trace(rho).real) - 1.0),
-               abs(float(np.trace(rho).imag)))
+    trace = complex(np.trace(rho))
+    return max(psd_defect(rho), abs(trace.real - 1.0), abs(trace.imag))
 
 
 def check_state(rho: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
     rho = asmatrix(rho)
-    defect = state_defect(rho, tol)
-    if defect > tol:
+    defect = state_defect(rho)
+    if not defect <= tol:
         raise ValueError(f"not a state (defect {defect:.3e})")
     return rho
 

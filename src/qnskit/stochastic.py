@@ -12,15 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (TOL_ALG, EIG_CLAMP, Report, asmatrix, check_state, dagger,
-                     hermiticity_defect, max_entangled, partial_trace, pinch,
-                     psd_defect)
-
-#: Operator pairs constructed numerically never commute exactly.
-TOL_COMM = 1e-8
-
-#: POVM families must resum to the identity within this tolerance.
-TOL_POVM = 1e-9
+from .linalg import (TOL_ALG, TOL_COMM, EIG_CLAMP, Report, asmatrix, check_state,
+                     dagger, hermiticity_defect, max_entangled, partial_trace,
+                     pinch, psd_defect)
 
 
 class VerificationError(ValueError):
@@ -78,16 +72,12 @@ class StochasticOperatorMatrix:
 def verify(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> Report:
     """Check positivity, the Tr_A marginal, and the per-x diagonal POVMs."""
     dx, dh = e.dim_x, e.dim_h
-    herm = hermiticity_defect(e.mat)
     marg = partial_trace(e.mat, e.dims, 1)
     marg_res = float(np.max(np.abs(marg - np.eye(dx * dh))))
-    psd = povm = np.inf
-    if herm <= tol:
-        psd = psd_defect(e.mat, tol=max(tol, herm * 4))
-        # Derived consequence: (E[x, x, a, a])_a is a POVM for every x.
-        diag = np.einsum("xahxak->xahk", e.tensor6()).reshape(-1, dh, dh)
-        povm = np.max([psd_defect(b, tol=max(tol, herm * 4)) for b in diag], initial=0.0)
-    return Report({"hermiticity": herm, "psd_defect": float(psd),
+    # Derived consequence: (E[x, x, a, a])_a is a POVM for every x.
+    diag = np.einsum("xahxak->xahk", e.tensor6()).reshape(-1, dh, dh)
+    povm = np.max([psd_defect(b) for b in diag], initial=0.0)
+    return Report({"hermiticity": hermiticity_defect(e.mat), "psd_defect": psd_defect(e.mat),
                    "marginal_residual": marg_res, "povm_defect": float(povm)}, tol)
 
 
@@ -123,8 +113,7 @@ class IsometryDilation:
                                         t.reshape(size, size))
 
 
-def dilate(e: StochasticOperatorMatrix, rank_tol: float = EIG_CLAMP,
-           tol: float = TOL_ALG) -> IsometryDilation:
+def dilate(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> IsometryDilation:
     """Read an isometry dilation off the Hermitian square root of E.
 
     K = X (x) A (x) H truncated to the numerical rank of E; the block
@@ -133,7 +122,7 @@ def dilate(e: StochasticOperatorMatrix, rank_tol: float = EIG_CLAMP,
     _require_verified(e, tol)
     dx, da, dh = e.dims
     w, v = np.linalg.eigh((e.mat + dagger(e.mat)) / 2)
-    keep = w > rank_tol
+    keep = w > EIG_CLAMP
     root = (np.sqrt(np.maximum(w[keep], 0.0))[:, None]
             * dagger(v)[keep, :])  # shape (dk, dx*da*dh)
     dk = root.shape[0]
@@ -174,10 +163,9 @@ def tensor_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
 
 
 def commuting_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                   sigma: np.ndarray, tol_comm: float = TOL_COMM,
-                   tol: float = TOL_ALG) -> np.ndarray:
+                   sigma: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
     """``channel_choi(commuting_product(e, f), sigma)`` without forming the product."""
-    _require_commuting(e, f, tol_comm, tol)
+    _require_commuting(e, f, tol)
     sigma = _check_sigma(sigma, e.dim_h, tol)
     choi = np.einsum("xahXAm,ybmYBk,kh->xyabXYAB", e.tensor6(), f.tensor6(), sigma,
                      optimize=True)
@@ -207,19 +195,18 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
 
 
 def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                       tol_comm: float, tol: float):
+                       tol: float):
     _require_verified(e, tol)
     _require_verified(f, tol)
     comm = max_commutator(e, f)
-    if comm > tol_comm:
-        raise CommutationError(comm, tol_comm)
+    if not comm <= TOL_COMM:
+        raise CommutationError(comm, TOL_COMM)
 
 
 def commuting_product(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                      tol_comm: float = TOL_COMM,
                       tol: float = TOL_ALG) -> StochasticOperatorMatrix:
     """Blockwise product of a commuting pair on a common H."""
-    _require_commuting(e, f, tol_comm, tol)
+    _require_commuting(e, f, tol)
     te, tf = e.tensor6(), f.tensor6()
     g = np.einsum("xahXAm,ybmYBk->xyabhXYABk", te, tf, optimize=True)
     size = e.dim_x * f.dim_x * e.dim_a * f.dim_a * e.dim_h
@@ -284,7 +271,7 @@ def to_classical(e: StochasticOperatorMatrix) -> StochasticOperatorMatrix:
 
 
 def from_povms(povms: Sequence[Sequence[np.ndarray]],
-               tol: float = TOL_POVM) -> StochasticOperatorMatrix:
+               tol: float = TOL_ALG) -> StochasticOperatorMatrix:
     """Classical stochastic operator matrix from one POVM per input symbol."""
     dx = len(povms)
     if dx == 0:

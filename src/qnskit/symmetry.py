@@ -18,8 +18,8 @@ from .algebra import (AlgStochasticMatrix, abelian_from_chois,
                       tracial_states, tracial_table)
 from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                            QnsCorrelation, TracialWitness, build_tracial)
-from .linalg import (TOL_ALG, asmatrix, channel_defects, check_state,
-                     nullspace, state_defect)
+from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, channel_defects,
+                     check_state, nullspace, state_defect)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def is_fair_state(rho: np.ndarray, dim_x: int | None = None,
     rho = asmatrix(rho)
     if dim_x is None:
         dim_x = int(round(rho.shape[0] ** 0.5))
-    if state_defect(rho, max(tol, 1e-7)) > tol:
+    if not state_defect(rho) <= tol:
         raise ValueError("input is not a state")
     return fair_state_residual(rho, dim_x) <= tol
 
@@ -127,15 +127,13 @@ def channel_sharp(choi: np.ndarray) -> np.ndarray:
 # Tracial constructors
 
 
-def build_locally_tracial(chois, weights, dims: tuple[int, int] | None = None,
+def build_locally_tracial(chois, weights, dims: tuple[int, int],
                           tol: float = TOL_ALG) -> QnsCorrelation:
     """Convex combination sum_j w_j Phi_j (x) Phi_j^sharp as a tracial witness."""
     chois = [asmatrix(c) for c in chois]
-    if dims is None:
-        raise ValueError("pass dims=(dim_x, dim_a)")
     dim_x, dim_a = dims
     for c in chois:
-        cp, tp = channel_defects(c, (dim_x, dim_a), tol)
+        cp, tp = channel_defects(c, (dim_x, dim_a))
         if max(cp, tp) > tol:
             raise ValueError(f"term is not a channel (cp {cp:.2e}, tp {tp:.2e})")
     e = abelian_from_chois(chois, weights, dim_x, dim_a)
@@ -195,7 +193,7 @@ def reciprocal_certificate(weights, states, target: np.ndarray,
     target = asmatrix(target)
     total = np.zeros_like(target)
     for w, omega in zip(weights, states):
-        omega = check_state(omega, max(tol, 1e-7))
+        omega = check_state(omega, TOL_INPUT)
         total += float(w) * np.kron(omega, omega.T)
     return float(np.max(np.abs(total - target))) <= tol
 

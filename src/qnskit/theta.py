@@ -77,13 +77,13 @@ def _max_step(psd: np.ndarray, step: np.ndarray) -> float:
     return min(1.0, -0.98 / lam)
 
 
-def solve_theta(n: int, edges, tol: float = GAP_TOL, feas_tol: float = FEAS_TOL,
+def solve_theta(n: int, edges, tol: float = GAP_TOL,
                 max_iter: int = MAX_ITER) -> ThetaResult:
     """Solve the theta SDP for a graph given by vertex count and edge list."""
     if n < 1:
         raise ValueError("graph must have at least one vertex")
-    if tol <= 0 or feas_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
     edges = [(int(i), int(j)) for i, j in edges]
     for i, j in edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
@@ -107,8 +107,8 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL, feas_tol: float = FEAS_TOL,
         rp = b - _apply(mats, x)
         rd = c - z - _adjoint(mats, y)
         gap = float(np.tensordot(x, z))
-        if gap <= tol and float(np.max(np.abs(rp))) <= feas_tol \
-                and float(np.max(np.abs(rd))) <= feas_tol:
+        if gap <= tol and float(np.max(np.abs(rp))) <= FEAS_TOL \
+                and float(np.max(np.abs(rd))) <= FEAS_TOL:
             break
 
         zinv = _sym(np.linalg.inv(z))

@@ -15,7 +15,8 @@ from qnskit.graphs import (Graph, cycle5_umbrella, graph_subspace,
                            kd2_colouring, orth_rep_to_colouring,
                            realization_basis, stahlke_check, stahlke_residual,
                            vertex_map_kraus)
-from qnskit.linalg import Report, psd_defect
+from qnskit.linalg import (Report, channel_defects, is_psd, psd_defect,
+                           state_defect)
 from qnskit.stochastic import StochasticOperatorMatrix, verify
 from qnskit.symmetry import fair_residual
 
@@ -109,3 +110,36 @@ def test_orth_rep_rejects_nan_vector(tmp_path, capsys):
         {"vectors": [io.vector_to_json(v) for v in vectors]}, allow_nan=True))
     assert run(["orthrep", str(graph_path), str(vectors_path)]) == 2
     assert "vector 2 " in capsys.readouterr().err
+
+
+def _non_hermitian_states(eps):
+    """Maximally mixed states with the same Hermiticity defect ``eps`` in every
+    state, so that the marginals stay no-signalling."""
+    states = np.broadcast_to(np.eye(4) / 4, (2, 2, 4, 4)).astype(complex)
+    states[:, :, 0, 1] += eps
+    return CqnsCorrelation(D2, states)
+
+
+def test_cqns_report_counts_non_hermiticity():
+    report = cqns_report(_non_hermitian_states(5e-8), tol=1e-12)
+    assert report.state_defect == pytest.approx(5e-8)
+    assert not report.ok
+
+
+@pytest.mark.parametrize("eps, tol", [(5e-8, "1e-12"), (0.3, "1e-9")])
+def test_cli_verify_non_hermitian_cqns_fails_with_report(tmp_path, capsys, eps, tol):
+    path = tmp_path / "cq.json"
+    path.write_text(json.dumps(io.correlation_to_json(_non_hermitian_states(eps))))
+    assert run(["verify", str(path), "--tol", tol]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False and report["state_defect"] >= eps
+
+
+def test_residuals_measure_non_hermitian_input_without_raising():
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1] = 0.3
+    assert psd_defect(m) == pytest.approx(0.3)
+    assert not is_psd(m)
+    assert state_defect(m) == pytest.approx(0.3)
+    cp, tp = channel_defects(m, (1, 2))
+    assert cp == pytest.approx(0.3) and tp == 0.0

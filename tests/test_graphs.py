@@ -128,6 +128,18 @@ def test_hom_check_k2_to_k3_and_k1():
     assert hom_residual(bad, u, v1) > 0.5
 
 
+def test_hom_residual_requires_channel_to_tol_alg():
+    u = graph_subspace(Graph.complete(2))
+    v = graph_subspace(Graph.complete(3))
+    choi = kraus_to_choi(vertex_map_kraus([0, 1], 2, 3))
+    not_tp, not_hermitian = choi.copy(), choi.copy()
+    not_tp[0, 0] += 5e-8
+    not_hermitian[0, 1] += 1e-8
+    for bad in (not_tp, not_hermitian):
+        with pytest.raises(ValueError, match="Choi matrix of a channel"):
+            hom_residual(bad, u, v)
+
+
 def test_stahlke_agrees_with_hom_check(rng):
     # the two homomorphism tests agree on random channels and subspaces
     u = graph_subspace(Graph.complete(2))

@@ -108,6 +108,19 @@ def test_cli_theta_json(tmp_path, capsys):
     assert report["theta"] == pytest.approx(np.sqrt(5), abs=1e-4)
 
 
+def test_cli_theta_and_alg_verify_report_tol_and_checks(tmp_path, capsys, rng):
+    path = _write(tmp_path, "c5.json", io.graph_to_json(Graph.cycle(5)))
+    assert run(["theta", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and report["gap"] <= report["tol"] == 1e-7
+    path = _write(tmp_path, "alg.json", io.alg_stochastic_to_json(
+        qr.random_tracial_witness(rng, 2, 2)))
+    assert run(["verify", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "alg-stochastic" and report["pass"] is True
+    assert {"hermiticity", "psd_defect", "marginal_residual", "povm_defect", "tol"} <= set(report)
+
+
 def test_cli_kd2_then_check_game(tmp_path, capsys):
     kd2_path = str(tmp_path / "kd2.json")
     assert run(["kd2", "--d", "2", "--out", kd2_path]) == 0
@@ -292,13 +305,30 @@ def test_cli_kd2_d5_within_3gb_address_space():
 
 
 def test_default_tolerances_pinned():
+    import ast
+    import inspect
+    import pathlib
+
     from qnskit import correlations, games, graphs, linalg, stochastic, theta
     from qnskit.cli import build_parser
-    assert (linalg.TOL_ALG, linalg.EIG_CLAMP) == (1e-9, 1e-10)
-    assert (stochastic.TOL_COMM, stochastic.TOL_POVM) == (1e-8, 1e-9)
-    assert (correlations.TOL_PROB, correlations.NEG_CLAMP) == (1e-9, -1e-12)
-    assert games.TOL_GAME is graphs.TOL_GAME and graphs.TOL_GAME == 1e-9
+    assert (linalg.TOL_ALG, linalg.EIG_CLAMP, linalg.TOL_COMM, linalg.NEG_CLAMP,
+            linalg.TOL_INPUT) == (1e-9, 1e-10, 1e-8, -1e-12, 1e-7)
     assert (theta.GAP_TOL, theta.FEAS_TOL) == (1e-7, 1e-8)
+    # the checks that had a probability, POVM or game tolerance of their own
+    for fn in (correlations.ns_report, correlations.from_classical, stochastic.from_povms,
+               graphs.stahlke_check, graphs.hom_check, graphs.proper_check,
+               games.perfect_strategy_check):
+        assert inspect.signature(fn).parameters["tol"].default == 1e-9, fn.__name__
+    for module in (correlations, games, graphs, stochastic):
+        for name in ("TOL_PROB", "TOL_POVM", "TOL_GAME"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # tolerances have one home: no other module writes a small float literal
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        if path.name in ("linalg.py", "theta.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                assert not 0 < abs(node.value) < 1e-5, f"{path.name}:{node.lineno}"
     parser = build_parser()
     for argv in (["verify", "f"], ["build", "local", "w"], ["reduce", "E", "f"],
                  ["lift", "f"], ["compose", "a", "b"], ["check-game", "g", "s"],
