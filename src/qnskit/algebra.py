@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_ALG, Report
+from .linalg import TOL_ALG, Report, require
 from .stochastic import (StochasticOperatorMatrix, classical_defect,
                          compose as compose_som, semiclassical_defect, verify)
 
@@ -30,10 +30,9 @@ class TracialAlgebra:
             raise ValueError("need matching, non-empty block dims and weights")
         if any(d < 1 for d in dims):
             raise ValueError("block dimensions must be >= 1")
-        if any(w <= 0 for w in weights):
+        if not all(w > 0 for w in weights):  # NaN fails
             raise ValueError("weights must be positive")
-        if abs(sum(weights) - 1.0) > TOL_ALG:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)}")
+        require(abs(sum(weights) - 1.0), TOL_ALG, f"weights must sum to 1, got {sum(weights)}")
         object.__setattr__(self, "block_dims", dims)
         object.__setattr__(self, "weights", weights)
 
@@ -111,10 +110,10 @@ class AlgStochasticMatrix:
                        for name in reports[0].checks}, tol)
 
     def semiclassical_defect(self) -> float:
-        return max(semiclassical_defect(b) for b in self.blocks)
+        return float(np.max([semiclassical_defect(b) for b in self.blocks]))
 
     def classical_defect(self) -> float:
-        return max(classical_defect(b) for b in self.blocks)
+        return float(np.max([classical_defect(b) for b in self.blocks]))
 
     def is_semiclassical(self, tol: float = TOL_ALG) -> bool:
         return self.semiclassical_defect() <= tol
@@ -124,9 +123,7 @@ class AlgStochasticMatrix:
 
 
 def check_alg_stochastic(e: AlgStochasticMatrix, tol: float = TOL_ALG):
-    report = e.verification_report(tol)
-    if not report.ok:
-        raise ValueError(f"stochastic algebra matrix fails verification: {report.as_dict()}")
+    e.verification_report(tol).require("stochastic algebra matrix fails verification")
 
 
 def tracial_choi(e: AlgStochasticMatrix) -> np.ndarray:

@@ -104,7 +104,8 @@ def _correlation_report(corr, tol: float, **checks) -> dict:
     if type(corr) not in _CORRELATIONS:
         raise CliError("file does not contain a correlation")
     kind, check = _CORRELATIONS[type(corr)]
-    return Report({**check(corr, tol=tol).checks, **checks}, tol, {"kind": kind}).as_dict()
+    report = check(corr, tol=tol)
+    return Report({**report.checks, **checks}, tol, {**report.info, "kind": kind}).as_dict()
 
 
 def _emit_correlation(corr, args, **checks) -> int:
@@ -260,8 +261,8 @@ def _cmd_fair(args) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
+    if not 0 < value < float("inf"):  # NaN fails
+        raise argparse.ArgumentTypeError("tolerance must be positive and finite")
     return value
 
 

@@ -17,8 +17,9 @@ import numpy as np
 from . import stochastic
 from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
                       tracial_states, tracial_table)
-from .linalg import (TOL_ALG, NEG_CLAMP, Report, asmatrix, channel_defects,
-                     choi_compose, hermiticity_defect, kron, pinch, psd_defect)
+from .linalg import (TOL_ALG, NEG_CLAMP, Report, asmatrix, check_channel,
+                     choi_compose, hermiticity_defect, kron, pinch, psd_defect,
+                     require)
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -176,10 +177,24 @@ def qns_report(corr: QnsCorrelation | np.ndarray, dims: CorrelationDims | None =
 
 
 def _report(checks: dict, tol: float, corr, check_witness: bool) -> Report:
-    """The report of ``checks``, plus the witness re-check when asked and attached."""
+    """The report of ``checks``, plus the witness re-check when asked and attached.
+
+    A witness whose rebuild raises reads as an infinite residual, and the
+    error text goes into ``info["witness_error"]``.
+    """
+    info = {}
     if check_witness and getattr(corr, "witness", None) is not None:
-        checks["witness_residual"] = witness_residual_or_inf(corr)
-    return Report(checks, tol)
+        try:
+            checks["witness_residual"] = witness_residual(corr)
+        except (ValueError, TypeError) as exc:
+            checks["witness_residual"] = float("inf")
+            info["witness_error"] = str(exc)
+    return Report(checks, tol, info)
+
+
+def _spread(t: np.ndarray, axis: int) -> float:
+    """Largest deviation of ``t`` from its mean along ``axis`` (0 for a single slice)."""
+    return float(np.max(np.abs(t - t.mean(axis=axis, keepdims=True))))
 
 
 def _marginal_residual(t: np.ndarray, n: int) -> float:
@@ -190,7 +205,7 @@ def _marginal_residual(t: np.ndarray, n: int) -> float:
     diag = t[idx, idx]
     off[idx, idx] = 0.0
     off_res = float(np.max(np.abs(off))) if off.size else 0.0
-    diag_res = float(np.max(np.abs(diag - diag.mean(axis=0, keepdims=True)))) if n > 1 else 0.0
+    diag_res = _spread(diag, 0)
     return float(np.max([off_res, diag_res]))
 
 
@@ -209,24 +224,21 @@ def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG,
     s4 = corr.states.reshape(d.x, d.y, d.a, d.b, d.a, d.b)
     tr_a = s4.trace(axis1=2, axis2=4)  # -> [x, y, b, b']
     tr_b = s4.trace(axis1=3, axis2=5)  # -> [x, y, a, a']
-    res_a = float(np.max(np.abs(tr_a - tr_a.mean(axis=0, keepdims=True)))) if d.x > 1 else 0.0
-    res_b = float(np.max(np.abs(tr_b - tr_b.mean(axis=1, keepdims=True)))) if d.y > 1 else 0.0
-    return _report({"state_defect": sdef, "marginal_residual": float(np.max([res_a, res_b]))},
-                   tol, corr, check_witness)
+    res = float(np.max([_spread(tr_a, 0), _spread(tr_b, 1)]))
+    return _report({"state_defect": sdef, "marginal_residual": res}, tol, corr, check_witness)
 
 
 def ns_report(corr: NsCorrelation, tol: float = TOL_ALG,
               check_witness: bool = True) -> Report:
     """Check positivity, normalisation and the no-signalling marginals of a table."""
-    t, d = corr.table, corr.dims
+    t = corr.table
     neg = float(np.clip(-t.min(), 0.0, None))
     norm = float(np.max(np.abs(t.sum(axis=(2, 3)) - 1.0)))
     marg_b = t.sum(axis=2)  # sum over a -> [x, y, b]; must not depend on x
     marg_a = t.sum(axis=3)  # sum over b -> [x, y, a]; must not depend on y
-    res_b = np.max(np.abs(marg_b - marg_b.mean(axis=0, keepdims=True))) if d.x > 1 else 0.0
-    res_a = np.max(np.abs(marg_a - marg_a.mean(axis=1, keepdims=True))) if d.y > 1 else 0.0
     return _report({"negativity": neg, "normalisation": norm,
-                    "ns_residual": float(np.max([res_b, res_a]))}, tol, corr, check_witness)
+                    "ns_residual": float(np.max([_spread(marg_b, 0), _spread(marg_a, 1)]))},
+                   tol, corr, check_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +247,7 @@ def ns_report(corr: NsCorrelation, tol: float = TOL_ALG,
 
 def from_classical(p: NsCorrelation, tol: float = TOL_ALG) -> QnsCorrelation:
     """Lift a classical no-signalling table to a diagonal-Choi correlation."""
-    report = ns_report(p, tol, check_witness=False)
-    if not report.ok:
-        raise ValueError(f"invalid no-signalling table: {report.as_dict()}")
+    ns_report(p, tol, check_witness=False).require("invalid no-signalling table")
     choi = np.diag(p.table.reshape(-1).astype(complex))
     return QnsCorrelation(p.dims, choi, witness=_pinch_witness(p.witness, p.dims, True))
 
@@ -300,14 +310,12 @@ def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
     weights = [float(w) for w in weights]
     if len(weights) != len(alice) or len(weights) != len(bob):
         raise ValueError("need one weight per channel pair")
-    if any(w < -tol for w in weights) or abs(sum(weights) - 1.0) > tol:
-        raise ValueError("weights must be non-negative and sum to one")
+    require(float(np.max([*np.negative(weights), abs(sum(weights) - 1.0)])), tol,
+            "weights must be non-negative and sum to one")
     d = dims
     for ca, cb in zip(alice, bob):
-        for c, io in ((ca, (d.x, d.a)), (cb, (d.y, d.b))):
-            cp, tp = channel_defects(c, io)
-            if max(cp, tp) > tol:
-                raise ValueError(f"term is not a channel (cp {cp:.2e}, tp {tp:.2e})")
+        check_channel(ca, (d.x, d.a), tol)
+        check_channel(cb, (d.y, d.b), tol)
     # sum_t w_t Phi_t (x) Psi_t in one contraction, rows (x, y, a, b)
     a5 = np.asarray(alice, dtype=complex).reshape(-1, d.x, d.a, d.x, d.a)
     b5 = np.asarray(bob, dtype=complex).reshape(-1, d.y, d.b, d.y, d.b)
@@ -385,14 +393,6 @@ def witness_residual(corr) -> float:
     stored = corr.choi if isinstance(corr, QnsCorrelation) else \
         corr.states if isinstance(corr, CqnsCorrelation) else corr.table
     return float(np.max(np.abs(data - stored)))
-
-
-def witness_residual_or_inf(corr) -> float:
-    """Like :func:`witness_residual`, but a broken witness reads as infinite."""
-    try:
-        return witness_residual(corr)
-    except (ValueError, TypeError):
-        return float("inf")
 
 
 # ---------------------------------------------------------------------------

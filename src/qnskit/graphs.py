@@ -15,8 +15,9 @@ import numpy as np
 
 from .algebra import AlgStochasticMatrix, matrix_algebra, scalar_algebra
 from .correlations import CqnsCorrelation
-from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, dagger, is_channel,
-                     max_entangled, max_entangled_vector, orthonormal_columns)
+from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, dagger,
+                     max_entangled, max_entangled_vector, orthonormal_columns,
+                     require)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
 from .theta import GAP_TOL, solve_theta
@@ -122,15 +123,11 @@ class SkewSymmetricSubspace:
         if basis.ndim != 2 or basis.shape[0] != self.n * self.n:
             raise ValueError(f"basis shape {basis.shape} does not match n={self.n}")
         gram = dagger(basis) @ basis
-        if basis.shape[1] and float(np.max(np.abs(gram - np.eye(basis.shape[1])))) > TOL_ALG:
-            raise ValueError("basis columns must be orthonormal")
+        require(float(np.max(np.abs(gram - np.eye(basis.shape[1])), initial=0.0)), TOL_ALG,
+                "basis columns must be orthonormal")
         object.__setattr__(self, "basis", basis)
-        skew = self.skew_defect()
-        symm = self.symmetry_defect()
-        if skew > TOL_ALG:
-            raise ValueError(f"subspace is not skew (defect {skew:.3e})")
-        if symm > TOL_ALG:
-            raise ValueError(f"subspace is not flip invariant (defect {symm:.3e})")
+        require(self.skew_defect(), TOL_ALG, "subspace is not skew")
+        require(self.symmetry_defect(), TOL_ALG, "subspace is not flip invariant")
 
     @classmethod
     def from_vectors(cls, n: int, vectors) -> "SkewSymmetricSubspace":
@@ -240,9 +237,7 @@ def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
 def stahlke_check(kraus: list[np.ndarray], s_basis: list[np.ndarray],
                   t_basis: list[np.ndarray], tol: float = TOL_ALG) -> bool:
     """Kraus-level homomorphism check between twisted operator anti-systems."""
-    defect = kraus_channel_defect(kraus)
-    if not defect <= TOL_ALG:
-        raise ValueError(f"Kraus family is not trace preserving (defect {defect:.3e})")
+    require(kraus_channel_defect(kraus), TOL_ALG, "Kraus family is not trace preserving")
     return stahlke_residual(kraus, s_basis, t_basis) <= tol
 
 
@@ -250,9 +245,7 @@ def hom_residual(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
                  v: SkewSymmetricSubspace) -> float:
     """Residual of <(Phi (x) Phi^sharp)(P_U), I - P_V>."""
     dim_x, dim_a = u.n, v.n
-    choi = asmatrix(phi_choi)
-    if not is_channel(choi, (dim_x, dim_a)):
-        raise ValueError("first argument must be the Choi matrix of a channel")
+    choi = check_channel(phi_choi, (dim_x, dim_a))
     phi = choi.reshape(dim_x, dim_a, dim_x, dim_a)
     sharp = channel_sharp(choi).reshape(dim_x, dim_a, dim_x, dim_a)
     p_u = u.projector().reshape(dim_x, dim_x, dim_x, dim_x)
@@ -321,16 +314,13 @@ def orth_rep_to_colouring(vectors, graph: Graph | None = None) -> CqnsCorrelatio
     for i, v in enumerate(vecs):
         if v.shape[0] != k:
             raise ValueError("all vectors must live in the same space")
-        if not abs(np.linalg.norm(v) - 1.0) <= TOL_INPUT:  # NaN fails
-            raise ValueError(f"vector {i} is not unit norm")
+        require(abs(np.linalg.norm(v) - 1.0), TOL_INPUT, f"vector {i} is not unit norm")
     if graph is not None:
         if graph.n != len(vecs):
             raise ValueError("need one vector per vertex")
         for x, y in graph.edges:
-            ip = abs(np.vdot(vecs[x], vecs[y]))
-            if not ip <= TOL_INPUT:
-                raise ValueError(f"vectors on edge ({x},{y}) are not orthogonal "
-                                 f"(|<.,.>| = {ip:.3e})")
+            require(abs(np.vdot(vecs[x], vecs[y])), TOL_INPUT,
+                    f"vectors on edge ({x},{y}) are not orthogonal")
     n = len(vecs)
     choi = np.zeros((n * k, n * k), dtype=complex)
     c4 = choi.reshape(n, k, n, k)
@@ -366,9 +356,8 @@ def kd2_colouring(d: int) -> CqnsCorrelation:
     corr = build_tracial_cqns(witness)
     # the normalised-trace pairing of the witness must reproduce the explicit
     # rank-one states entrywise
-    two_path = float(np.max(np.abs(corr.states - kd2_explicit_states(d))))
-    if not two_path <= TOL_ALG:
-        raise AssertionError(f"colouring self-check failed (residual {two_path:.3e})")
+    require(float(np.max(np.abs(corr.states - kd2_explicit_states(d)))), TOL_ALG,
+            "colouring self-check failed")
     return corr
 
 

@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 # Every tolerance of the package outside the theta solver lives here.  Residual
-# functions only measure; a ``Report`` or a raising ``check_*`` / ``_require_*``
-# compares a residual with one of these.
+# functions only measure; a ``Report`` decides whether a check passes, and every
+# input gate raises through ``require`` (or ``Report.require``), so the one
+# comparison ``residual <= tol`` fails closed on NaN and inf everywhere.
 
 #: Tolerance for algebraic identities on constructed data (double precision,
 #: dimensions up to a few hundred); the default of every check and of the CLI
@@ -36,8 +37,22 @@ NEG_CLAMP = -1e-12
 TOL_INPUT = 1e-7
 
 
-class NonHermitianError(ValueError):
-    """Raised when a spectral routine receives a non-Hermitian matrix."""
+class CheckError(ValueError):
+    """An input gate failed: its residual is above its tolerance, or not a number."""
+
+    def __init__(self, what: str, residual: float, tol: float):
+        super().__init__(f"{what} (residual {residual:.3e}, tol {tol:.3e})")
+        self.residual = residual
+        self.tol = tol
+
+
+def require(residual: float, tol: float, what: str) -> None:
+    """Raise :class:`CheckError` naming ``what`` unless ``residual <= tol``.
+
+    The comparison is written so that a NaN or infinite residual fails.
+    """
+    if not residual <= tol:
+        raise CheckError(what, float(residual), tol)
 
 
 @dataclass(frozen=True)
@@ -66,6 +81,11 @@ class Report:
 
     def as_dict(self) -> dict:
         return {**self.info, **self.checks, "pass": self.ok, "tol": self.tol}
+
+    def require(self, what: str) -> None:
+        """Raise :class:`CheckError` unless every check passes; the worst residual is shown."""
+        require(float(np.max(list(self.checks.values()), initial=0.0)), self.tol,
+                f"{what}: {self.checks}")
 
 
 def asmatrix(m) -> np.ndarray:
@@ -144,15 +164,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
-def hermitize(m: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
-    """Symmetrise an almost-Hermitian matrix; error out on real asymmetry."""
-    m = asmatrix(m)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NonHermitianError(f"matrix is not Hermitian (defect {defect:.3e} > tol {tol:.3e})")
-    return (m + dagger(m)) / 2
-
-
 def psd_defect(m: np.ndarray) -> float:
     """How far ``m`` is from a positive semidefinite matrix.
 
@@ -174,9 +185,10 @@ def is_psd(m: np.ndarray, tol: float = TOL_ALG) -> bool:
 
 
 def herm_sqrt(m: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
-    """PSD square root by spectral decomposition, negative eigenvalues clamped."""
-    h = hermitize(m, tol)
-    w, v = np.linalg.eigh(h)
+    """PSD square root of an almost-Hermitian matrix, negative eigenvalues clamped."""
+    m = asmatrix(m)
+    require(hermiticity_defect(m), tol, "matrix is not Hermitian")
+    w, v = np.linalg.eigh((m + dagger(m)) / 2)
     w = np.where(w > EIG_CLAMP, w, 0.0)
     return (v * np.sqrt(w)) @ dagger(v)
 
@@ -246,10 +258,16 @@ def state_defect(rho: np.ndarray) -> float:
 
 def check_state(rho: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
     rho = asmatrix(rho)
-    defect = state_defect(rho)
-    if not defect <= tol:
-        raise ValueError(f"not a state (defect {defect:.3e})")
+    require(state_defect(rho), tol, "not a state")
     return rho
+
+
+def check_channel(choi: np.ndarray, dims: tuple[int, int], tol: float = TOL_ALG) -> np.ndarray:
+    choi = asmatrix(choi)
+    cp, tp = channel_defects(choi, dims)
+    require(float(np.max((cp, tp))), tol,
+            f"not the Choi matrix of a channel (cp {cp:.2e}, tp {tp:.2e})")
+    return choi
 
 
 def nullspace(mat: np.ndarray, tol: float = EIG_CLAMP) -> np.ndarray:

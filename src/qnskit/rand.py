@@ -1,4 +1,4 @@
-"""Seeded random instances: states, channels, POVMs and witnesses."""
+"""Seeded random instances: states, channels, projective measurements and witnesses."""
 
 from __future__ import annotations
 
@@ -24,12 +24,6 @@ def random_state(rng, dim: int, rank: int | None = None) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def random_pure_state(rng, dim: int) -> np.ndarray:
-    v = complex_gaussian(rng, dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
 def random_unitary(rng, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(complex_gaussian(rng, dim, dim))
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -45,14 +39,6 @@ def random_channel_choi(rng, dim_in: int, dim_out: int, kraus: int = 0) -> np.nd
     fix = np.linalg.inv(herm_sqrt(marg))
     fix = np.kron(fix, np.eye(dim_out))
     return fix @ choi @ dagger(fix)
-
-
-def random_povm(rng, dim: int, outcomes: int) -> list[np.ndarray]:
-    parts = [complex_gaussian(rng, dim, dim) for _ in range(outcomes)]
-    ops = [p @ dagger(p) for p in parts]
-    total = sum(ops)
-    fix = np.linalg.inv(herm_sqrt(total))
-    return [fix @ op @ dagger(fix) for op in ops]
 
 
 def random_pvm(rng, dim: int, outcomes: int) -> list[np.ndarray]:

@@ -13,25 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (TOL_ALG, TOL_COMM, EIG_CLAMP, Report, asmatrix, check_state,
-                     dagger, hermiticity_defect, max_entangled, partial_trace,
-                     pinch, psd_defect)
-
-
-class VerificationError(ValueError):
-    """A stochastic operator matrix failed its defining conditions."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
-class CommutationError(ValueError):
-    """Blocks of a would-be commuting product do not commute."""
-
-    def __init__(self, max_commutator: float, tol: float):
-        super().__init__(
-            f"blocks do not commute: max commutator norm {max_commutator:.3e} > tol {tol:.3e}")
-        self.max_commutator = max_commutator
+                     dagger, hermiticity_defect, partial_trace, pinch, psd_defect,
+                     require)
 
 
 @dataclass(frozen=True)
@@ -82,10 +65,7 @@ def verify(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> Report:
 
 
 def _require_verified(e: StochasticOperatorMatrix, tol: float = TOL_ALG):
-    report = verify(e, tol)
-    if not report.ok:
-        raise VerificationError(
-            f"stochastic operator matrix fails verification: {report.as_dict()}", report)
+    verify(e, tol).require("stochastic operator matrix fails verification")
 
 
 @dataclass(frozen=True)
@@ -198,9 +178,7 @@ def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
                        tol: float):
     _require_verified(e, tol)
     _require_verified(f, tol)
-    comm = max_commutator(e, f)
-    if not comm <= TOL_COMM:
-        raise CommutationError(comm, TOL_COMM)
+    require(max_commutator(e, f), TOL_COMM, "blocks do not commute: max commutator norm")
 
 
 def commuting_product(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
@@ -282,16 +260,13 @@ def from_povms(povms: Sequence[Sequence[np.ndarray]],
     for family in ops:
         if len(family) != da:
             raise ValueError("all POVMs must have the same number of outcomes")
-        total = sum(family)
-        if float(np.max(np.abs(total - np.eye(dh)))) > tol:
-            raise ValueError("POVM does not sum to the identity within tolerance")
+        require(float(np.max(np.abs(sum(family) - np.eye(dh)))), tol,
+                "POVM does not sum to the identity within tolerance")
     mat = np.zeros((dx * da * dh,) * 2, dtype=complex)
     t = mat.reshape(dx, da, dh, dx, da, dh)
     for x, family in enumerate(ops):
         for a, op in enumerate(family):
-            herm = hermiticity_defect(op)
-            if herm > tol:
-                raise ValueError(f"POVM element ({x},{a}) is not Hermitian")
+            require(hermiticity_defect(op), tol, f"POVM element ({x},{a}) is not Hermitian")
             t[x, a, :, x, a, :] = (op + dagger(op)) / 2
     return StochasticOperatorMatrix(dx, da, dh, mat)
 
@@ -299,8 +274,3 @@ def from_povms(povms: Sequence[Sequence[np.ndarray]],
 def from_choi(choi: np.ndarray, dim_x: int, dim_a: int) -> StochasticOperatorMatrix:
     """Wrap a channel's Choi matrix as a stochastic operator matrix with trivial H."""
     return StochasticOperatorMatrix(dim_x, dim_a, 1, asmatrix(choi))
-
-
-def identity_witness(dim: int) -> StochasticOperatorMatrix:
-    """The maximally entangled matrix as the Choi of the identity channel."""
-    return from_choi(max_entangled(dim), dim, dim)

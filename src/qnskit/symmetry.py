@@ -18,8 +18,8 @@ from .algebra import (AlgStochasticMatrix, abelian_from_chois,
                       tracial_states, tracial_table)
 from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                            QnsCorrelation, TracialWitness, build_tracial)
-from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, channel_defects,
-                     check_state, nullspace, state_defect)
+from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, check_state,
+                     nullspace, require)
 
 
 # ---------------------------------------------------------------------------
@@ -40,11 +40,9 @@ def fair_state_residual(rho: np.ndarray, dim_x: int) -> float:
 
 def is_fair_state(rho: np.ndarray, dim_x: int | None = None,
                   tol: float = TOL_ALG) -> bool:
-    rho = asmatrix(rho)
+    rho = check_state(rho, tol)
     if dim_x is None:
         dim_x = int(round(rho.shape[0] ** 0.5))
-    if not state_defect(rho) <= tol:
-        raise ValueError("input is not a state")
     return fair_state_residual(rho, dim_x) <= tol
 
 
@@ -130,12 +128,8 @@ def channel_sharp(choi: np.ndarray) -> np.ndarray:
 def build_locally_tracial(chois, weights, dims: tuple[int, int],
                           tol: float = TOL_ALG) -> QnsCorrelation:
     """Convex combination sum_j w_j Phi_j (x) Phi_j^sharp as a tracial witness."""
-    chois = [asmatrix(c) for c in chois]
     dim_x, dim_a = dims
-    for c in chois:
-        cp, tp = channel_defects(c, (dim_x, dim_a))
-        if max(cp, tp) > tol:
-            raise ValueError(f"term is not a channel (cp {cp:.2e}, tp {tp:.2e})")
+    chois = [check_channel(c, (dim_x, dim_a), tol) for c in chois]
     e = abelian_from_chois(chois, weights, dim_x, dim_a)
     return build_tracial(e)
 
@@ -143,9 +137,7 @@ def build_locally_tracial(chois, weights, dims: tuple[int, int],
 def build_tracial_cqns(e: AlgStochasticMatrix, tol: float = TOL_ALG) -> CqnsCorrelation:
     """Classical-to-quantum tracial correlation from a semi-classical matrix."""
     check_alg_stochastic(e, tol)
-    if not e.is_semiclassical(tol):
-        raise ValueError("matrix must be semi-classical "
-                         f"(defect {e.semiclassical_defect():.3e})")
+    require(e.semiclassical_defect(), tol, "matrix must be semi-classical")
     states = tracial_states(e)
     dims = CorrelationDims(e.dim_x, e.dim_x, e.dim_a, e.dim_a)
     return CqnsCorrelation(dims, states, TracialWitness(e))
@@ -154,8 +146,7 @@ def build_tracial_cqns(e: AlgStochasticMatrix, tol: float = TOL_ALG) -> CqnsCorr
 def build_tracial_ns(e: AlgStochasticMatrix, tol: float = TOL_ALG) -> NsCorrelation:
     """Classical tracial correlation p(a, b | x, y) = tau(g[x, a] g[y, b])."""
     check_alg_stochastic(e, tol)
-    if not e.is_classical(tol):
-        raise ValueError(f"matrix must be classical (defect {e.classical_defect():.3e})")
+    require(e.classical_defect(), tol, "matrix must be classical")
     table = tracial_table(e)
     dims = CorrelationDims(e.dim_x, e.dim_x, e.dim_a, e.dim_a)
     return NsCorrelation(dims, table, TracialWitness(e))

@@ -82,8 +82,8 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL,
     """Solve the theta SDP for a graph given by vertex count and edge list."""
     if n < 1:
         raise ValueError("graph must have at least one vertex")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < float("inf"):  # NaN fails
+        raise ValueError("tolerance must be positive and finite")
     edges = [(int(i), int(j)) for i, j in edges]
     for i, j in edges:
         if i == j or not (0 <= i < n and 0 <= j < n):

@@ -1,24 +1,31 @@
 """Non-finite data fails every check, wherever it sits."""
 
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from qnskit import io
+from qnskit import graphs, io, linalg, stochastic
+from qnskit import rand as qr
+from qnskit.algebra import TracialAlgebra
 from qnskit.cli import run
 from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
-                                 NsCorrelation, QnsCorrelation, cqns_report,
+                                 NsCorrelation, QnsCorrelation, QuantumWitness,
+                                 build_local, build_quantum, cqns_report,
                                  ns_report, qns_report)
 from qnskit.games import colouring_game, perfect_strategy_check
-from qnskit.graphs import (Graph, cycle5_umbrella, graph_subspace,
-                           kd2_colouring, orth_rep_to_colouring,
-                           realization_basis, stahlke_check, stahlke_residual,
-                           vertex_map_kraus)
-from qnskit.linalg import (Report, channel_defects, is_psd, psd_defect,
+from qnskit.graphs import (Graph, SkewSymmetricSubspace, cycle5_umbrella,
+                           graph_subspace, kd2_colouring,
+                           orth_rep_to_colouring, realization_basis,
+                           stahlke_check, stahlke_residual, vertex_map_kraus)
+from qnskit.linalg import (CheckError, Report, channel_defects, check_state,
+                           herm_sqrt, is_psd, max_entangled, psd_defect,
                            state_defect)
-from qnskit.stochastic import StochasticOperatorMatrix, verify
+from qnskit.stochastic import StochasticOperatorMatrix, from_povms, verify
 from qnskit.symmetry import fair_residual
+from qnskit.theta import solve_theta
 
 D2 = CorrelationDims(2, 2, 2, 2)
 
@@ -143,3 +150,127 @@ def test_residuals_measure_non_hermitian_input_without_raising():
     assert state_defect(m) == pytest.approx(0.3)
     cp, tp = channel_defects(m, (1, 2))
     assert cp == pytest.approx(0.3) and tp == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Input gates: every one raises through ``linalg.require``, so NaN fails
+
+
+def test_from_povms_rejects_nan_sum():
+    with pytest.raises(CheckError, match="does not sum to the identity"):
+        from_povms([[np.array([[np.nan]]), np.array([[0.5]])]])
+
+
+def test_from_povms_hermiticity_gate_rejects_nan(monkeypatch):
+    # a NaN element trips the sum gate first, so the residual itself is made NaN
+    monkeypatch.setattr(stochastic, "hermiticity_defect", lambda m: np.nan)
+    with pytest.raises(CheckError, match=r"POVM element \(0,0\) is not Hermitian"):
+        from_povms([[np.array([[1.0]])]])
+
+
+def test_tracial_algebra_rejects_nan_weight():
+    with pytest.raises(ValueError, match="weights"):
+        TracialAlgebra((1,), (np.nan,))
+
+
+def test_build_local_rejects_nan_weight():
+    ident = max_entangled(2)
+    with pytest.raises(CheckError, match="weights"):
+        build_local([np.nan], [ident], [ident], D2)
+
+
+def test_skew_subspace_rejects_nan_basis():
+    basis = graph_subspace(Graph.cycle(3)).basis.copy()
+    basis[1, 0] = np.nan
+    with pytest.raises(CheckError, match="orthonormal"):
+        SkewSymmetricSubspace(3, basis)
+
+
+@pytest.mark.parametrize("method, message", [("skew_defect", "not skew"),
+                                             ("symmetry_defect", "not flip invariant")])
+def test_skew_subspace_gates_reject_nan_defect(monkeypatch, method, message):
+    # NaN basis data trips the orthonormality gate first, so the defect is made NaN
+    basis = graph_subspace(Graph.cycle(3)).basis
+    monkeypatch.setattr(SkewSymmetricSubspace, method, lambda self: np.nan)
+    with pytest.raises(CheckError, match=message):
+        SkewSymmetricSubspace(3, basis)
+
+
+def test_herm_sqrt_rejects_nan():
+    with pytest.raises(CheckError, match="not Hermitian"):
+        herm_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_check_error_names_residual_and_tol():
+    message = r"not a state \(residual 1\.000e\+00, tol 1\.000e-09\)"
+    with pytest.raises(CheckError, match=message) as err:
+        check_state(np.eye(2))
+    assert (err.value.residual, err.value.tol) == (1.0, 1e-9)
+    report = Report({"a": 0.0, "b": np.nan})
+    with pytest.raises(CheckError, match="residual nan"):
+        report.require("report fails")
+    Report({"a": 0.0}).require("never raised")
+
+
+def test_kd2_self_check_failure_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(graphs, "kd2_explicit_states", lambda d: np.zeros(1))
+    assert run(["kd2", "--d", "2"]) == 2
+    assert "colouring self-check failed" in capsys.readouterr().err
+
+
+def test_broken_witness_reports_its_error(rng, tmp_path, capsys):
+    e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
+    corr = build_quantum(e, f, qr.random_state(rng, 4))
+    broken = QnsCorrelation(corr.dims, corr.choi, QuantumWitness("quantum", e, f, 2 * np.eye(4)))
+    report = qns_report(broken)
+    assert report.witness_residual == np.inf and not report.ok
+    assert "not a state" in report.info["witness_error"]
+    assert "witness_error" not in qns_report(corr).info
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(io.correlation_to_json(broken)))
+    assert run(["verify", str(path)]) == 1
+    assert "not a state" in json.loads(capsys.readouterr().out)["witness_error"]
+
+
+# ---------------------------------------------------------------------------
+# Tolerances must be positive and finite
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+def test_solve_theta_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_theta(5, [(i, (i + 1) % 5) for i in range(5)], tol=tol)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0"])
+def test_cli_rejects_non_finite_tolerance(tmp_path, capsys, tol):
+    graph = tmp_path / "c5.json"
+    graph.write_text(json.dumps(io.graph_to_json(Graph.cycle(5))))
+    table = tmp_path / "ns.json"  # normalisation residual 4.0
+    table.write_text(json.dumps(io.correlation_to_json(
+        NsCorrelation(D2, np.full((2, 2, 2, 2), 1.25)))))
+    for argv in (["theta", str(graph)], ["verify", str(table)]):
+        with pytest.raises(SystemExit) as err:
+            run(argv + [f"--tol={tol}"])
+        assert err.value.code == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+
+def test_gates_raise_through_require():
+    """No hand-written ``if ... tol ...: raise`` outside linalg and theta, and the
+    retired exception classes stay gone."""
+    retired = ("hermitize", "NonHermitianError", "VerificationError", "CommutationError")
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in retired:
+            assert name not in text, f"{path.name} names {name}"
+        if path.name in ("linalg.py", "theta.py"):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.If):
+                continue
+            names = {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)} | \
+                {n.attr for n in ast.walk(node.test) if isinstance(n, ast.Attribute)}
+            if any(n == "tol" or n.startswith("TOL_") for n in names):
+                assert not any(isinstance(n, ast.Raise) for n in ast.walk(node)), \
+                    f"{path.name}:{node.lineno} compares a tolerance by hand"

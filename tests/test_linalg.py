@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnskit.linalg import (NonHermitianError, Report, apply_choi, herm_sqrt,
-                           hermitize, is_psd, kron, max_entangled,
-                           max_entangled_vector, nullspace, partial_trace,
-                           permute_systems, psd_defect)
+from qnskit.linalg import (CheckError, Report, apply_choi, herm_sqrt, is_psd,
+                           kron, max_entangled, max_entangled_vector, nullspace,
+                           partial_trace, permute_systems, psd_defect)
 
 
 def _cg(rng, *shape):
@@ -90,10 +89,10 @@ def test_herm_sqrt_reconstructs(rng):
     assert np.linalg.norm(s @ s - m, 2) <= 1e-9 * np.linalg.norm(m, 2)
 
 
-def test_hermitize_rejects_asymmetric(rng):
+def test_herm_sqrt_rejects_asymmetric(rng):
     m = _cg(rng, 3, 3)
-    with pytest.raises(NonHermitianError):
-        hermitize(m)
+    with pytest.raises(CheckError, match="not Hermitian"):
+        herm_sqrt(m)
 
 
 def test_is_psd(rng):
