@@ -14,7 +14,7 @@ from .correlations import (CorrelationDims, CqnsCorrelation, LocalWitness,
                            TracialWitness, build_commuting, build_local,
                            build_quantum, build_tracial, compose_correlations,
                            compose_tables, cqns_report, from_classical,
-                           is_qns, lift_cqns, mix_local, ns_report,
+                           lift_cqns, mix_local, ns_report,
                            qns_report, reduce_cqns, reduce_ns,
                            witness_residual)
 from .games import (ConstraintGame, RuleFunction, colouring_game,

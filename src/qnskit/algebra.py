@@ -40,10 +40,6 @@ class TracialAlgebra:
     def n_blocks(self) -> int:
         return len(self.block_dims)
 
-    @property
-    def is_abelian(self) -> bool:
-        return all(d == 1 for d in self.block_dims)
-
     def trace(self, element) -> complex:
         """Evaluate the tracial state on a block tuple."""
         if len(element) != self.n_blocks:
@@ -99,10 +95,6 @@ class AlgStochasticMatrix:
     def dim_a(self) -> int:
         return self.blocks[0].dim_a
 
-    def entry(self, x: int, xp: int, a: int, ap: int) -> tuple[np.ndarray, ...]:
-        """The algebra element g[x, x', a, a'] as a block tuple."""
-        return tuple(b.block(x, xp, a, ap) for b in self.blocks)
-
     def verification_report(self, tol: float = TOL_ALG) -> Report:
         """The checks of :func:`stochastic.verify`, each maximised over the blocks."""
         reports = [verify(b, tol) for b in self.blocks]
@@ -122,8 +114,8 @@ class AlgStochasticMatrix:
         return self.classical_defect() <= tol
 
 
-def check_alg_stochastic(e: AlgStochasticMatrix, tol: float = TOL_ALG):
-    e.verification_report(tol).require("stochastic algebra matrix fails verification")
+def check_alg_stochastic(e: AlgStochasticMatrix):
+    e.verification_report().require("stochastic algebra matrix fails verification")
 
 
 def tracial_choi(e: AlgStochasticMatrix) -> np.ndarray:

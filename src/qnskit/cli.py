@@ -65,12 +65,14 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_report(report: dict, fmt: str, stream) -> None:
+def _emit_report(report: dict, fmt: str, stream) -> int:
+    """Print ``report`` to ``stream``; the exit code, 0 if it passes and 1 if not."""
     report = _jsonable(report)
     if fmt == "json":
         print(io.dump_json(report), file=stream)
     else:
         print("\n".join(_render_text(report)), file=stream)
+    return 0 if report["pass"] else 1
 
 
 def _emit_payload(payload: dict, report: dict, args) -> int:
@@ -83,8 +85,7 @@ def _emit_payload(payload: dict, report: dict, args) -> int:
     else:
         print(text)
         stream = sys.stderr
-    _emit_report(report, args.format, stream)
-    return 0 if report["pass"] else 1
+    return _emit_report(report, args.format, stream)
 
 
 def _load_payload(path: str):
@@ -124,8 +125,7 @@ def _cmd_verify(args) -> int:
         report = {**payload.verification_report(args.tol).as_dict(), "kind": "alg-stochastic"}
     else:
         raise CliError("verify expects a correlation or stochastic matrix file")
-    _emit_report(report, args.format, sys.stdout)
-    return 0 if report["pass"] else 1
+    return _emit_report(report, args.format, sys.stdout)
 
 
 _BUILDERS = ("local", "quantum", "qc", "tracial", "cqns-tracial", "ns-tracial")
@@ -203,8 +203,7 @@ def _cmd_check_game(args) -> int:
     if not isinstance(strategy, tuple(_CORRELATIONS)):
         raise CliError("second argument must be a correlation file")
     report = perfect_strategy_check(game, strategy, args.tol).as_dict()
-    _emit_report(report, args.format, sys.stdout)
-    return 0 if report["pass"] else 1
+    return _emit_report(report, args.format, sys.stdout)
 
 
 def _cmd_theta(args) -> int:
@@ -218,10 +217,8 @@ def _cmd_theta(args) -> int:
         "xi_qc_lower_bound": xi_qc_lower_bound(graph, result.value)}).as_dict()
     if args.format == "text":
         print(f"{result.value:.6f}")
-        _emit_report(report, "text", sys.stderr)
-    else:
-        _emit_report(report, "json", sys.stdout)
-    return 0 if report["pass"] else 1
+        return _emit_report(report, "text", sys.stderr)
+    return _emit_report(report, "json", sys.stdout)
 
 
 def _properness(corr, graph: Graph) -> float:
@@ -255,8 +252,7 @@ def _cmd_fair(args) -> int:
     if not isinstance(corr, tuple(_CORRELATIONS)):
         raise CliError("fair expects a correlation file")
     report = Report({"fair_residual": fair_residual(corr)}, args.tol).as_dict()
-    _emit_report(report, args.format, sys.stdout)
-    return 0 if report["pass"] else 1
+    return _emit_report(report, args.format, sys.stdout)
 
 
 def _positive_float(text: str) -> float:

@@ -17,9 +17,9 @@ import numpy as np
 from . import stochastic
 from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
                       tracial_states, tracial_table)
-from .linalg import (TOL_ALG, NEG_CLAMP, Report, asmatrix, check_channel,
-                     choi_compose, hermiticity_defect, kron, pinch, psd_defect,
-                     require)
+from .linalg import (TOL_ALG, NEG_CLAMP, Report, asmatrix, channel_defects,
+                     check_channel, check_weights, choi_compose, hermiticity_defect,
+                     kron, pinch, state_defect)
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -145,33 +145,24 @@ class NsCorrelation:
         return float(self.table[x, y, a, b])
 
 
-def qns_report(corr: QnsCorrelation | np.ndarray, dims: CorrelationDims | None = None,
-               tol: float = TOL_ALG, check_witness: bool = True) -> Report:
+def qns_report(corr: QnsCorrelation, tol: float = TOL_ALG,
+               check_witness: bool = True) -> Report:
     """Check PSD, trace preservation and both marginal conditions.
 
     Condition (b): summing the Choi over the A-diagonal must vanish on
     off-diagonal X blocks and be X-independent on diagonal ones.  Condition
     (c) is the mirror statement for B and Y.
     """
-    if isinstance(corr, QnsCorrelation):
-        choi, dims = corr.choi, corr.dims
-    else:
-        choi = asmatrix(corr)
-        if dims is None:
-            raise ValueError("dims required when verifying a bare Choi matrix")
-    d = dims
-    c8 = choi.reshape(d.x, d.y, d.a, d.b, d.x, d.y, d.a, d.b)
-
-    tp = c8.trace(axis1=2, axis2=6).trace(axis1=2, axis2=5)  # sum over a=a', b=b'
-    eye_in = np.einsum("ij,kl->ikjl", np.eye(d.x), np.eye(d.y))
-    tp_res = float(np.max(np.abs(tp - eye_in.reshape(tp.shape))))
+    choi, d = corr.choi, corr.dims
+    c8 = corr.choi8()
+    psd, tp_res = channel_defects(choi, (d.in_size, d.out_size))
 
     tb = c8.trace(axis1=2, axis2=6)  # sum_a C[x,y,a,b,x',y',a,b'] -> [x,y,b,x',y',b']
     b_res = _marginal_residual(np.transpose(tb, (0, 3, 1, 4, 2, 5)), d.x)
     tc = c8.trace(axis1=3, axis2=7)  # sum_b -> [x,y,a,x',y',a']
     c_res = _marginal_residual(np.transpose(tc, (1, 4, 0, 3, 2, 5)), d.y)
 
-    checks = {"hermiticity": hermiticity_defect(choi), "psd_defect": psd_defect(choi),
+    checks = {"hermiticity": hermiticity_defect(choi), "psd_defect": psd,
               "tp_residual": tp_res, "b_residual": b_res, "c_residual": c_res}
     return _report(checks, tol, corr, check_witness)
 
@@ -209,23 +200,16 @@ def _marginal_residual(t: np.ndarray, n: int) -> float:
     return float(np.max([off_res, diag_res]))
 
 
-def is_qns(corr, dims=None, tol: float = TOL_ALG) -> bool:
-    return qns_report(corr, dims, tol).ok
-
-
 def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG,
                 check_witness: bool = True) -> Report:
     """Check that every state is a state and that both marginals are no-signalling."""
     d = corr.dims
-    rhos = corr.states.reshape(-1, d.out_size, d.out_size)
-    psd = np.max([psd_defect(rho) for rho in rhos])
-    trace = np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0))
-    sdef = float(np.max([psd, trace]))
     s4 = corr.states.reshape(d.x, d.y, d.a, d.b, d.a, d.b)
     tr_a = s4.trace(axis1=2, axis2=4)  # -> [x, y, b, b']
     tr_b = s4.trace(axis1=3, axis2=5)  # -> [x, y, a, a']
     res = float(np.max([_spread(tr_a, 0), _spread(tr_b, 1)]))
-    return _report({"state_defect": sdef, "marginal_residual": res}, tol, corr, check_witness)
+    return _report({"state_defect": state_defect(corr.states), "marginal_residual": res},
+                   tol, corr, check_witness)
 
 
 def ns_report(corr: NsCorrelation, tol: float = TOL_ALG,
@@ -245,9 +229,9 @@ def ns_report(corr: NsCorrelation, tol: float = TOL_ALG,
 # Constructors
 
 
-def from_classical(p: NsCorrelation, tol: float = TOL_ALG) -> QnsCorrelation:
+def from_classical(p: NsCorrelation) -> QnsCorrelation:
     """Lift a classical no-signalling table to a diagonal-Choi correlation."""
-    ns_report(p, tol, check_witness=False).require("invalid no-signalling table")
+    ns_report(p, check_witness=False).require("invalid no-signalling table")
     choi = np.diag(p.table.reshape(-1).astype(complex))
     return QnsCorrelation(p.dims, choi, witness=_pinch_witness(p.witness, p.dims, True))
 
@@ -304,41 +288,36 @@ def lift_cqns(e: CqnsCorrelation) -> QnsCorrelation:
 
 
 def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
-                bob: Sequence[np.ndarray], dims: CorrelationDims,
-                tol: float = TOL_ALG) -> QnsCorrelation:
+                bob: Sequence[np.ndarray], dims: CorrelationDims) -> QnsCorrelation:
     """Convex combination of product channels Phi_i (x) Psi_i."""
-    weights = [float(w) for w in weights]
-    if len(weights) != len(alice) or len(weights) != len(bob):
+    if not len(weights) == len(alice) == len(bob):
         raise ValueError("need one weight per channel pair")
-    require(float(np.max([*np.negative(weights), abs(sum(weights) - 1.0)])), tol,
-            "weights must be non-negative and sum to one")
+    weights = check_weights(weights)
     d = dims
-    for ca, cb in zip(alice, bob):
-        check_channel(ca, (d.x, d.a), tol)
-        check_channel(cb, (d.y, d.b), tol)
+    alice = check_channel(np.array(alice, dtype=complex), (d.x, d.a))
+    bob = check_channel(np.array(bob, dtype=complex), (d.y, d.b))
     # sum_t w_t Phi_t (x) Psi_t in one contraction, rows (x, y, a, b)
-    a5 = np.asarray(alice, dtype=complex).reshape(-1, d.x, d.a, d.x, d.a)
-    b5 = np.asarray(bob, dtype=complex).reshape(-1, d.y, d.b, d.y, d.b)
+    a5 = alice.reshape(-1, d.x, d.a, d.x, d.a)
+    b5 = bob.reshape(-1, d.y, d.b, d.y, d.b)
     choi = np.einsum("t,txaXA,tybYB->xyabXYAB", weights, a5, b5, optimize=True)
     choi = choi.reshape(d.choi_size, d.choi_size)
-    witness = LocalWitness(tuple(weights), tuple(map(np.array, alice)),
-                           tuple(map(np.array, bob)))
+    witness = LocalWitness(tuple(weights), tuple(alice), tuple(bob))
     return QnsCorrelation(d, choi, witness)
 
 
 def build_quantum(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                  sigma: np.ndarray, tol: float = TOL_ALG) -> QnsCorrelation:
+                  sigma: np.ndarray) -> QnsCorrelation:
     """Correlation generated by a tensor pair and a state on H_A (x) H_B."""
-    choi = stochastic.tensor_choi(e, f, sigma, tol)
+    choi = stochastic.tensor_choi(e, f, sigma)
     dims = CorrelationDims(e.dim_x, f.dim_x, e.dim_a, f.dim_a)
     witness = QuantumWitness("quantum", e, f, np.array(sigma))
     return QnsCorrelation(dims, choi, witness)
 
 
 def build_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                    sigma: np.ndarray, tol: float = TOL_ALG) -> QnsCorrelation:
+                    sigma: np.ndarray) -> QnsCorrelation:
     """Correlation generated by a commuting pair on a common H."""
-    choi = stochastic.commuting_choi(e, f, sigma, tol)
+    choi = stochastic.commuting_choi(e, f, sigma)
     dims = CorrelationDims(e.dim_x, f.dim_x, e.dim_a, f.dim_a)
     witness = QuantumWitness("commuting", e, f, np.array(sigma))
     return QnsCorrelation(dims, choi, witness)

@@ -161,11 +161,6 @@ class SkewSymmetricSubspace:
         p = self.projector()
         return float(np.max(np.abs(f @ p @ f - p)))
 
-    def contains(self, vec: np.ndarray, tol: float = TOL_ALG) -> bool:
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        resid = vec - self.projector() @ vec
-        return float(np.max(np.abs(resid))) <= tol
-
 
 def graph_subspace(graph: Graph) -> SkewSymmetricSubspace:
     """span{e_x (x) e_y : x ~ y}, the non-commutative copy of a graph."""

@@ -96,7 +96,8 @@ def asmatrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.transpose(m))
+    """Conjugate transpose of a matrix, or of every block of a stack ``(..., d, d)``."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,35 +160,45 @@ def pinch(m: np.ndarray, dims: Sequence[int], which) -> np.ndarray:
     return np.where(keep, m.reshape(*dims, *dims), 0).reshape(m.shape)
 
 
+def _stack(m) -> np.ndarray:
+    """``m`` as a stack ``(..., d, d)`` of square matrices; a plain matrix is a stack of one."""
+    out = np.asarray(m, dtype=complex)
+    if out.ndim < 2 or out.shape[-1] != out.shape[-2]:
+        raise ValueError(f"expected square matrices, got array of shape {out.shape}")
+    return out
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    m = asmatrix(m)
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    """Largest entry of m - m* over every block of a stack ``(..., d, d)``; NaN stays NaN."""
+    m = _stack(m)
+    return float(np.max(np.abs(m - dagger(m)), initial=0.0))
 
 
 def psd_defect(m: np.ndarray) -> float:
-    """How far ``m`` is from a positive semidefinite matrix.
+    """How far the worst block of a stack ``(..., d, d)`` is from positive semidefinite.
 
     The larger of the Hermiticity defect and the depth below zero of the
-    spectrum of the Hermitian part; non-finite input reads as infinitely far.
-    Never raises, so every check built on it fails closed.
+    spectra of the Hermitian parts, all from one batched ``eigvalsh``;
+    non-finite input anywhere reads as infinitely far.  Never raises, so
+    every check built on it fails closed.
     """
-    m = asmatrix(m)
+    m = _stack(m)
     if not np.isfinite(m).all():
         return float("inf")
     if m.size == 0:
         return 0.0
-    lam = float(np.linalg.eigvalsh((m + dagger(m)) / 2)[0])
-    return max(hermiticity_defect(m), -lam, 0.0)
+    lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
+    return max(hermiticity_defect(m), float(-np.min(lam)), 0.0)
 
 
 def is_psd(m: np.ndarray, tol: float = TOL_ALG) -> bool:
     return psd_defect(m) <= tol
 
 
-def herm_sqrt(m: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
+def herm_sqrt(m: np.ndarray) -> np.ndarray:
     """PSD square root of an almost-Hermitian matrix, negative eigenvalues clamped."""
     m = asmatrix(m)
-    require(hermiticity_defect(m), tol, "matrix is not Hermitian")
+    require(hermiticity_defect(m), TOL_ALG, "matrix is not Hermitian")
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
     w = np.where(w > EIG_CLAMP, w, 0.0)
     return (v * np.sqrt(w)) @ dagger(v)
@@ -237,11 +248,13 @@ def choi_compose(choi2: np.ndarray, dims2: tuple[int, int],
 
 
 def channel_defects(choi: np.ndarray, dims: tuple[int, int]) -> tuple[float, float]:
-    """(CP defect, trace-preservation residual) of a Choi matrix."""
-    choi = asmatrix(choi)
+    """(CP defect, trace-preservation residual) of the worst Choi matrix of a stack."""
+    choi = _stack(choi)
     din, dout = int(dims[0]), int(dims[1])
-    marg = partial_trace(choi, (din, dout), 1)
-    return psd_defect(choi), float(np.max(np.abs(marg - np.eye(din))))
+    if choi.shape[-2:] != (din * dout, din * dout):
+        raise ValueError(f"Choi shape {choi.shape[-2:]} does not match dims {(din, dout)}")
+    marg = np.einsum("...iaja->...ij", choi.reshape(*choi.shape[:-2], din, dout, din, dout))
+    return psd_defect(choi), float(np.max(np.abs(marg - np.eye(din)), initial=0.0))
 
 
 def is_channel(choi: np.ndarray, dims: tuple[int, int], tol: float = TOL_ALG) -> bool:
@@ -250,24 +263,35 @@ def is_channel(choi: np.ndarray, dims: tuple[int, int], tol: float = TOL_ALG) ->
 
 
 def state_defect(rho: np.ndarray) -> float:
-    """Max of PSD defect and trace deviation from one."""
-    rho = asmatrix(rho)
-    trace = complex(np.trace(rho))
-    return max(psd_defect(rho), abs(trace.real - 1.0), abs(trace.imag))
+    """Max of PSD defect and |tr - 1| over the blocks of a stack ``(..., d, d)``."""
+    rho = _stack(rho)
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    # a non-finite trace needs a non-finite entry, so the first term is then inf
+    return max(psd_defect(rho), float(np.max(np.abs(trace - 1.0), initial=0.0)))
 
 
 def check_state(rho: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
-    rho = asmatrix(rho)
+    """``rho`` (a state or a stack of states) unless its worst block is further than ``tol``."""
+    rho = _stack(rho)
     require(state_defect(rho), tol, "not a state")
     return rho
 
 
-def check_channel(choi: np.ndarray, dims: tuple[int, int], tol: float = TOL_ALG) -> np.ndarray:
-    choi = asmatrix(choi)
+def check_channel(choi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """``choi`` (a Choi matrix or a stack of them) unless one is not a channel."""
+    choi = _stack(choi)
     cp, tp = channel_defects(choi, dims)
-    require(float(np.max((cp, tp))), tol,
+    require(float(np.max((cp, tp))), TOL_ALG,
             f"not the Choi matrix of a channel (cp {cp:.2e}, tp {tp:.2e})")
     return choi
+
+
+def check_weights(weights) -> list[float]:
+    """``weights`` as floats unless they are not non-negative summing to one."""
+    weights = [float(w) for w in weights]
+    require(float(np.max([*np.negative(weights), abs(sum(weights) - 1.0)])), TOL_ALG,
+            "weights must be non-negative and sum to one")
+    return weights
 
 
 def nullspace(mat: np.ndarray, tol: float = EIG_CLAMP) -> np.ndarray:

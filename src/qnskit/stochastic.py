@@ -43,10 +43,6 @@ class StochasticOperatorMatrix:
         dx, da, dh = self.dims
         return self.mat.reshape(dx, da, dh, dx, da, dh)
 
-    def block(self, x: int, xp: int, a: int, ap: int) -> np.ndarray:
-        """The H-block E[x, x', a, a']."""
-        return np.array(self.tensor6()[x, a, :, xp, ap, :])
-
     def blocks(self) -> np.ndarray:
         """All blocks as an array of shape (dx, dx, da, da, dh, dh)."""
         return np.transpose(self.tensor6(), (0, 3, 1, 4, 2, 5))
@@ -58,14 +54,13 @@ def verify(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> Report:
     marg = partial_trace(e.mat, e.dims, 1)
     marg_res = float(np.max(np.abs(marg - np.eye(dx * dh))))
     # Derived consequence: (E[x, x, a, a])_a is a POVM for every x.
-    diag = np.einsum("xahxak->xahk", e.tensor6()).reshape(-1, dh, dh)
-    povm = np.max([psd_defect(b) for b in diag], initial=0.0)
+    diag = np.einsum("xahxak->xahk", e.tensor6())
     return Report({"hermiticity": hermiticity_defect(e.mat), "psd_defect": psd_defect(e.mat),
-                   "marginal_residual": marg_res, "povm_defect": float(povm)}, tol)
+                   "marginal_residual": marg_res, "povm_defect": psd_defect(diag)}, tol)
 
 
-def _require_verified(e: StochasticOperatorMatrix, tol: float = TOL_ALG):
-    verify(e, tol).require("stochastic operator matrix fails verification")
+def _require_verified(e: StochasticOperatorMatrix):
+    verify(e).require("stochastic operator matrix fails verification")
 
 
 @dataclass(frozen=True)
@@ -93,13 +88,13 @@ class IsometryDilation:
                                         t.reshape(size, size))
 
 
-def dilate(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> IsometryDilation:
+def dilate(e: StochasticOperatorMatrix) -> IsometryDilation:
     """Read an isometry dilation off the Hermitian square root of E.
 
     K = X (x) A (x) H truncated to the numerical rank of E; the block
     V[a, x] is the (x, a)-column block of the square root.
     """
-    _require_verified(e, tol)
+    _require_verified(e)
     dx, da, dh = e.dims
     w, v = np.linalg.eigh((e.mat + dagger(e.mat)) / 2)
     keep = w > EIG_CLAMP
@@ -110,32 +105,31 @@ def dilate(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> IsometryDilatio
     return IsometryDilation(dx, da, dh, dk, blocks)
 
 
-def channel_choi(e: StochasticOperatorMatrix, sigma: np.ndarray,
-                 tol: float = TOL_ALG) -> np.ndarray:
+def channel_choi(e: StochasticOperatorMatrix, sigma: np.ndarray) -> np.ndarray:
     """Choi matrix of the channel rho -> slice of E against rho (x) sigma.
 
     With H trivial and sigma = 1 this returns E itself.
     """
-    sigma = _check_sigma(sigma, e.dim_h, tol)
+    sigma = _check_sigma(sigma, e.dim_h)
     choi = np.einsum("xahybk,kh->xayb", e.tensor6(), sigma, optimize=True)
     n = e.dim_x * e.dim_a
     return choi.reshape(n, n)
 
 
-def _check_sigma(sigma: np.ndarray, dim_h: int, tol: float) -> np.ndarray:
-    sigma = check_state(sigma, tol)
+def _check_sigma(sigma: np.ndarray, dim_h: int) -> np.ndarray:
+    sigma = check_state(asmatrix(sigma))
     if sigma.shape != (dim_h, dim_h):
         raise ValueError(f"state shape {sigma.shape} does not match dim_h {dim_h}")
     return sigma
 
 
 def tensor_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                sigma: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
+                sigma: np.ndarray) -> np.ndarray:
     """``channel_choi(tensor(e, f), sigma)`` without forming E (x) F; rows (x, y, a, b)."""
-    _require_verified(e, tol)
-    _require_verified(f, tol)
+    _require_verified(e)
+    _require_verified(f)
     he, hf = e.dim_h, f.dim_h
-    s4 = _check_sigma(sigma, he * hf, tol).reshape(he, hf, he, hf)
+    s4 = _check_sigma(sigma, he * hf).reshape(he, hf, he, hf)
     choi = np.einsum("xahXAH,ybkYBK,HKhk->xyabXYAB", e.tensor6(), f.tensor6(), s4,
                      optimize=True)
     n = e.dim_x * f.dim_x * e.dim_a * f.dim_a
@@ -143,21 +137,20 @@ def tensor_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
 
 
 def commuting_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                   sigma: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
+                   sigma: np.ndarray) -> np.ndarray:
     """``channel_choi(commuting_product(e, f), sigma)`` without forming the product."""
-    _require_commuting(e, f, tol)
-    sigma = _check_sigma(sigma, e.dim_h, tol)
+    _require_commuting(e, f)
+    sigma = _check_sigma(sigma, e.dim_h)
     choi = np.einsum("xahXAm,ybmYBk,kh->xyabXYAB", e.tensor6(), f.tensor6(), sigma,
                      optimize=True)
     n = e.dim_x * f.dim_x * e.dim_a * f.dim_a
     return choi.reshape(n, n)
 
 
-def tensor(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-           tol: float = TOL_ALG) -> StochasticOperatorMatrix:
+def tensor(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> StochasticOperatorMatrix:
     """Tensor product with factors reshuffled to X, Y, A, B, H1, H2 order."""
-    _require_verified(e, tol)
-    _require_verified(f, tol)
+    _require_verified(e)
+    _require_verified(f)
     g = np.einsum("xahXAH,ybkYBK->xyabhkXYABHK", e.tensor6(), f.tensor6())
     dx, da, dh = e.dim_x * f.dim_x, e.dim_a * f.dim_a, e.dim_h * f.dim_h
     return StochasticOperatorMatrix(dx, da, dh, g.reshape((dx * da * dh,) * 2))
@@ -174,17 +167,16 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
     return float(np.max(np.linalg.norm(comm, ord=2, axis=(2, 3)))) if comm.size else 0.0
 
 
-def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                       tol: float):
-    _require_verified(e, tol)
-    _require_verified(f, tol)
+def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix):
+    _require_verified(e)
+    _require_verified(f)
     require(max_commutator(e, f), TOL_COMM, "blocks do not commute: max commutator norm")
 
 
-def commuting_product(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                      tol: float = TOL_ALG) -> StochasticOperatorMatrix:
+def commuting_product(e: StochasticOperatorMatrix,
+                      f: StochasticOperatorMatrix) -> StochasticOperatorMatrix:
     """Blockwise product of a commuting pair on a common H."""
-    _require_commuting(e, f, tol)
+    _require_commuting(e, f)
     te, tf = e.tensor6(), f.tensor6()
     g = np.einsum("xahXAm,ybmYBk->xyabhXYABk", te, tf, optimize=True)
     size = e.dim_x * f.dim_x * e.dim_a * f.dim_a * e.dim_h
@@ -248,8 +240,7 @@ def to_classical(e: StochasticOperatorMatrix) -> StochasticOperatorMatrix:
     return StochasticOperatorMatrix(*e.dims, pinch(e.mat, e.dims, (0, 1)))
 
 
-def from_povms(povms: Sequence[Sequence[np.ndarray]],
-               tol: float = TOL_ALG) -> StochasticOperatorMatrix:
+def from_povms(povms: Sequence[Sequence[np.ndarray]]) -> StochasticOperatorMatrix:
     """Classical stochastic operator matrix from one POVM per input symbol."""
     dx = len(povms)
     if dx == 0:
@@ -260,13 +251,13 @@ def from_povms(povms: Sequence[Sequence[np.ndarray]],
     for family in ops:
         if len(family) != da:
             raise ValueError("all POVMs must have the same number of outcomes")
-        require(float(np.max(np.abs(sum(family) - np.eye(dh)))), tol,
+        require(float(np.max(np.abs(sum(family) - np.eye(dh)))), TOL_ALG,
                 "POVM does not sum to the identity within tolerance")
     mat = np.zeros((dx * da * dh,) * 2, dtype=complex)
     t = mat.reshape(dx, da, dh, dx, da, dh)
     for x, family in enumerate(ops):
         for a, op in enumerate(family):
-            require(hermiticity_defect(op), tol, f"POVM element ({x},{a}) is not Hermitian")
+            require(hermiticity_defect(op), TOL_ALG, f"POVM element ({x},{a}) is not Hermitian")
             t[x, a, :, x, a, :] = (op + dagger(op)) / 2
     return StochasticOperatorMatrix(dx, da, dh, mat)
 

@@ -19,7 +19,7 @@ from .algebra import (AlgStochasticMatrix, abelian_from_chois,
 from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                            QnsCorrelation, TracialWitness, build_tracial)
 from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, check_state,
-                     nullspace, require)
+                     check_weights, nullspace, require)
 
 
 # ---------------------------------------------------------------------------
@@ -125,28 +125,27 @@ def channel_sharp(choi: np.ndarray) -> np.ndarray:
 # Tracial constructors
 
 
-def build_locally_tracial(chois, weights, dims: tuple[int, int],
-                          tol: float = TOL_ALG) -> QnsCorrelation:
+def build_locally_tracial(chois, weights, dims: tuple[int, int]) -> QnsCorrelation:
     """Convex combination sum_j w_j Phi_j (x) Phi_j^sharp as a tracial witness."""
     dim_x, dim_a = dims
-    chois = [check_channel(c, (dim_x, dim_a), tol) for c in chois]
+    chois = check_channel(chois, (dim_x, dim_a))
     e = abelian_from_chois(chois, weights, dim_x, dim_a)
     return build_tracial(e)
 
 
-def build_tracial_cqns(e: AlgStochasticMatrix, tol: float = TOL_ALG) -> CqnsCorrelation:
+def build_tracial_cqns(e: AlgStochasticMatrix) -> CqnsCorrelation:
     """Classical-to-quantum tracial correlation from a semi-classical matrix."""
-    check_alg_stochastic(e, tol)
-    require(e.semiclassical_defect(), tol, "matrix must be semi-classical")
+    check_alg_stochastic(e)
+    require(e.semiclassical_defect(), TOL_ALG, "matrix must be semi-classical")
     states = tracial_states(e)
     dims = CorrelationDims(e.dim_x, e.dim_x, e.dim_a, e.dim_a)
     return CqnsCorrelation(dims, states, TracialWitness(e))
 
 
-def build_tracial_ns(e: AlgStochasticMatrix, tol: float = TOL_ALG) -> NsCorrelation:
+def build_tracial_ns(e: AlgStochasticMatrix) -> NsCorrelation:
     """Classical tracial correlation p(a, b | x, y) = tau(g[x, a] g[y, b])."""
-    check_alg_stochastic(e, tol)
-    require(e.classical_defect(), tol, "matrix must be classical")
+    check_alg_stochastic(e)
+    require(e.classical_defect(), TOL_ALG, "matrix must be classical")
     table = tracial_table(e)
     dims = CorrelationDims(e.dim_x, e.dim_x, e.dim_a, e.dim_a)
     return NsCorrelation(dims, table, TracialWitness(e))
@@ -168,11 +167,11 @@ def reciprocal_state(e: AlgStochasticMatrix) -> np.ndarray:
     return tracial_choi(e)
 
 
-def reciprocal_from_state(omega: np.ndarray, tol: float = TOL_ALG) -> AlgStochasticMatrix:
+def reciprocal_from_state(omega: np.ndarray) -> AlgStochasticMatrix:
     """Scalar-algebra witness whose reciprocal state is omega (x) omega^t."""
     from .algebra import scalar_algebra
     from .stochastic import StochasticOperatorMatrix
-    omega = check_state(omega, tol)
+    omega = check_state(asmatrix(omega))
     dim = omega.shape[0]
     block = StochasticOperatorMatrix(1, dim, 1, omega)
     return AlgStochasticMatrix(scalar_algebra(), (block,))
@@ -182,10 +181,12 @@ def reciprocal_certificate(weights, states, target: np.ndarray,
                            tol: float = TOL_ALG) -> bool:
     """Check a claimed decomposition sum_j w_j omega_j (x) omega_j^t of ``target``."""
     target = asmatrix(target)
-    total = np.zeros_like(target)
-    for w, omega in zip(weights, states):
-        omega = check_state(omega, TOL_INPUT)
-        total += float(w) * np.kron(omega, omega.T)
+    weights = check_weights(weights)
+    states = check_state(states, TOL_INPUT)
+    if states.ndim != 3 or len(states) != len(weights):
+        raise ValueError("need one weight per state")
+    n = states.shape[-1]
+    total = np.einsum("j,jik,jlm->imkl", weights, states, states).reshape(n * n, n * n)
     return float(np.max(np.abs(total - target))) <= tol
 
 

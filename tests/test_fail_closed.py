@@ -24,7 +24,7 @@ from qnskit.linalg import (CheckError, Report, channel_defects, check_state,
                            herm_sqrt, is_psd, max_entangled, psd_defect,
                            state_defect)
 from qnskit.stochastic import StochasticOperatorMatrix, from_povms, verify
-from qnskit.symmetry import fair_residual
+from qnskit.symmetry import fair_residual, reciprocal_certificate
 from qnskit.theta import solve_theta
 
 D2 = CorrelationDims(2, 2, 2, 2)
@@ -77,7 +77,7 @@ def test_cqns_report_fails_on_off_diagonal_nan():
 def test_qns_report_fails_on_nan():
     choi = np.diag(np.full(16, 0.25)).astype(complex)
     choi[3, 5] = np.nan
-    assert not qns_report(QnsCorrelation(D2, choi), D2).ok
+    assert not qns_report(QnsCorrelation(D2, choi)).ok
 
 
 def test_cli_verify_nan_table_exits_nonzero(tmp_path, capsys):
@@ -177,6 +177,32 @@ def test_build_local_rejects_nan_weight():
     ident = max_entangled(2)
     with pytest.raises(CheckError, match="weights"):
         build_local([np.nan], [ident], [ident], D2)
+
+
+def test_build_local_names_a_non_channel_among_channels(rng):
+    chois = [qr.random_channel_choi(rng, 2, 2) for _ in range(3)]
+    chois[1] = 1.3 * chois[1]
+    with pytest.raises(CheckError, match="Choi matrix of a channel"):
+        build_local([0.2, 0.3, 0.5], chois, [max_entangled(2)] * 3, D2)
+
+
+def _kron_t(omega):
+    return np.kron(omega, omega.T)
+
+
+_MIXED, _PURE = np.eye(2) / 2, np.diag([1.0, 0.0])
+
+
+@pytest.mark.parametrize("weights, states, target, message", [
+    # 2 w1 (x) w1^t - w2 (x) w2^t is not even positive
+    ([2.0, -1.0], [_MIXED, _PURE], 2 * _kron_t(_MIXED) - _kron_t(_PURE), "non-negative"),
+    ([1.0], [_MIXED, _PURE], _kron_t(_MIXED), "one weight per state"),
+    ([0.5], [_MIXED], 0.5 * _kron_t(_MIXED), "sum to one"),
+])
+def test_reciprocal_certificate_refuses_malformed_decompositions(weights, states, target,
+                                                                 message):
+    with pytest.raises(ValueError, match=message):
+        reciprocal_certificate(weights, states, target)
 
 
 def test_skew_subspace_rejects_nan_basis():

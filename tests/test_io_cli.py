@@ -266,6 +266,15 @@ def test_cli_malformed_input(tmp_path, capsys):
     assert run(["theta", missing]) == 2
 
 
+def test_cli_build_local_ragged_terms_exit_2(tmp_path, capsys, rng):
+    choi = io.matrix_to_json(qr.random_channel_choi(rng, 2, 2))
+    path = _write(tmp_path, "ragged.json", {
+        "dims": {"X": 2, "Y": 2, "A": 2, "B": 2}, "weights": [0.5, 0.5],
+        "alice": [choi, io.matrix_to_json(np.eye(2))], "bob": [choi, choi]})
+    assert run(["build", "local", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_rejects_bad_tolerance(tmp_path):
     path = _write(tmp_path, "k2.json", io.graph_to_json(Graph.complete(2)))
     with pytest.raises(SystemExit):
@@ -309,16 +318,27 @@ def test_default_tolerances_pinned():
     import inspect
     import pathlib
 
-    from qnskit import correlations, games, graphs, linalg, stochastic, theta
+    from qnskit import (algebra, correlations, games, graphs, linalg, stochastic,
+                        symmetry, theta)
     from qnskit.cli import build_parser
     assert (linalg.TOL_ALG, linalg.EIG_CLAMP, linalg.TOL_COMM, linalg.NEG_CLAMP,
             linalg.TOL_INPUT) == (1e-9, 1e-10, 1e-8, -1e-12, 1e-7)
     assert (theta.GAP_TOL, theta.FEAS_TOL) == (1e-7, 1e-8)
-    # the checks that had a probability, POVM or game tolerance of their own
-    for fn in (correlations.ns_report, correlations.from_classical, stochastic.from_povms,
-               graphs.stahlke_check, graphs.hom_check, graphs.proper_check,
-               games.perfect_strategy_check):
+    # the checks that had a probability or game tolerance of their own
+    for fn in (correlations.ns_report, graphs.stahlke_check, graphs.hom_check,
+               graphs.proper_check, games.perfect_strategy_check):
         assert inspect.signature(fn).parameters["tol"].default == 1e-9, fn.__name__
+    # builders and input gates compare at TOL_ALG, so a witness that builds re-checks
+    for fn in (correlations.from_classical, correlations.build_local,
+               correlations.build_quantum, correlations.build_commuting,
+               stochastic.dilate, stochastic.channel_choi, stochastic.tensor_choi,
+               stochastic.commuting_choi, stochastic.tensor, stochastic.commuting_product,
+               stochastic.from_povms, symmetry.build_locally_tracial,
+               symmetry.build_tracial_cqns, symmetry.build_tracial_ns,
+               symmetry.reciprocal_from_state, algebra.check_alg_stochastic,
+               linalg.herm_sqrt, linalg.check_channel, stochastic._require_verified,
+               stochastic._check_sigma, stochastic._require_commuting):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
     for module in (correlations, games, graphs, stochastic):
         for name in ("TOL_PROB", "TOL_POVM", "TOL_GAME"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -5,6 +5,8 @@ followed by a factor permutation or as nested loops over diagonal blocks;
 they serve only as oracles.
 """
 
+import ast
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,9 @@ from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
                                  reduce_cqns, reduce_ns, witness_residual)
 from qnskit.graphs import (Graph, channel_sharp, graph_subspace, hom_residual,
                            kd2_colouring)
-from qnskit.linalg import kron, permute_systems, pinch
+from qnskit.linalg import (CheckError, channel_defects, check_channel,
+                           check_state, hermiticity_defect, kron,
+                           permute_systems, pinch, psd_defect, state_defect)
 from qnskit.stochastic import (StochasticOperatorMatrix, channel_choi,
                                classical_defect, semiclassical_defect, tensor,
                                to_classical, to_semiclassical,
@@ -243,6 +247,80 @@ def test_rebuild_keeps_builder_checks(rng):
                                  LocalWitness((0.5,), local.witness.alice, local.witness.bob))
     with pytest.raises(ValueError, match="weights"):
         rebuild_from_witness(bad_weights)
+
+
+# ---------------------------------------------------------------------------
+# Stacked residuals: one call over a stack (..., d, d) is the worst block
+
+
+def _block_loop(fn, blocks, *args) -> float:
+    """The oracle: ``fn`` on every block, then the largest value (NaN kept)."""
+    return float(np.max([fn(b, *args) for b in blocks], initial=0.0))
+
+
+def _fails(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except CheckError:
+        return True
+    return False
+
+
+def _random_stack(rng, shape, din, dout, kind):
+    d = din * dout
+    n = int(np.prod(shape, dtype=int))
+    if kind == "state":
+        blocks = [qr.random_state(rng, d) for _ in range(n)]
+    elif kind == "channel":
+        blocks = [qr.random_channel_choi(rng, din, dout) for _ in range(n)]
+    else:
+        blocks = [qr.complex_gaussian(rng, d, d) for _ in range(n)]
+        if kind == "hermitian":
+            blocks = [(b + b.conj().T) / 2 for b in blocks]
+    return np.array(blocks, dtype=complex).reshape(*shape, d, d)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@kernel_settings
+@given(st.lists(st.integers(0, 3), max_size=2), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.nan)]), seed)
+def test_stacked_residuals_match_block_loop(shape, din, dout, bad, s):
+    rng = np.random.default_rng(s)
+    for kind in ("state", "channel", "hermitian", "any"):
+        stack = _random_stack(rng, shape, din, dout, kind)
+        _check_stack_against_loop(stack, din, dout)
+        if bad is not None and stack.size:
+            stack[np.unravel_index(rng.integers(stack.size), stack.shape)] = bad
+            _check_stack_against_loop(stack, din, dout)
+            assert psd_defect(stack) == state_defect(stack) == np.inf
+
+
+def _check_stack_against_loop(stack, din, dout):
+    d = din * dout
+    blocks = stack.reshape(-1, d, d)  # one block for a plain matrix, none for an empty stack
+    for fn in (hermiticity_defect, psd_defect, state_defect):
+        np.testing.assert_equal(fn(stack), _block_loop(fn, blocks), err_msg=fn.__name__)
+    cp, tp = channel_defects(stack, (din, dout))
+    np.testing.assert_equal(cp, _block_loop(lambda b: channel_defects(b, (din, dout))[0], blocks))
+    np.testing.assert_equal(tp, _block_loop(lambda b: channel_defects(b, (din, dout))[1], blocks))
+    assert _fails(check_state, stack) == any(_fails(check_state, b) for b in blocks)
+    assert _fails(check_channel, stack, (din, dout)) == \
+        any(_fails(check_channel, b, (din, dout)) for b in blocks)
+
+
+def test_residuals_are_never_looped_over_blocks():
+    """Residuals take stacks, so no loop in the package calls one per block."""
+    stacked = {"psd_defect", "state_defect", "channel_defects", "check_state", "check_channel"}
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for path in sorted(pathlib.Path(qr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, loops):
+                continue
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                    assert name not in stacked, f"{path.name}:{call.lineno} loops {name}"
 
 
 # ---------------------------------------------------------------------------
