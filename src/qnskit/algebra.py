@@ -69,7 +69,10 @@ def abelian_algebra(weights) -> TracialAlgebra:
 
 @dataclass(frozen=True)
 class AlgStochasticMatrix:
-    """Stochastic algebra matrix over (X, A): one verified block per algebra block."""
+    """Stochastic algebra matrix over (X, A): one stochastic operator matrix per algebra block.
+
+    Construction checks only the shapes; the tracial contractions verify the blocks.
+    """
 
     alg: TracialAlgebra
     blocks: tuple[StochasticOperatorMatrix, ...]
@@ -118,45 +121,42 @@ def check_alg_stochastic(e: AlgStochasticMatrix):
     e.verification_report().require("stochastic algebra matrix fails verification")
 
 
+def _tau(e: AlgStochasticMatrix, spec: str) -> np.ndarray:
+    """Verify ``e``, then sum (w_i / d_i) einsum(spec, E_i, E_i) over its blocks.
+
+    ``spec`` contracts two ``tensor6`` views of a block, the trace over H
+    included, so each term is the normalised block trace of a product of
+    entries; a subscript repeated within an operand takes its diagonal.
+    """
+    check_alg_stochastic(e)
+    return sum((w / d) * np.einsum(spec, b.tensor6(), b.tensor6(), optimize=True)
+               for w, d, b in zip(e.alg.weights, e.alg.block_dims, e.blocks))
+
+
 def tracial_choi(e: AlgStochasticMatrix) -> np.ndarray:
     """Choi matrix with entries tau(g[x,x',a,a'] g[y',y,b',b]).
 
     Rows are indexed (x, y, a, b), columns (x', y', a', b'); the result is
     the Choi matrix of a quantum no-signalling correlation on (X, X, A, A).
     """
-    dx, da = e.dim_x, e.dim_a
-    out = np.zeros((dx, dx, da, da, dx, dx, da, da), dtype=complex)
-    for w, d, block in zip(e.alg.weights, e.alg.block_dims, e.blocks):
-        t = block.tensor6()
-        out += (w / d) * np.einsum("xahXAk,YBkybh->xyabXYAB", t, t, optimize=True)
-    n = dx * dx * da * da
-    return out.reshape(n, n)
+    n = (e.dim_x * e.dim_a) ** 2
+    return _tau(e, "xahXAk,YBkybh->xyabXYAB").reshape(n, n)
 
 
 def tracial_states(e: AlgStochasticMatrix) -> np.ndarray:
     """State family sigma[x, y] with entries tau(g[x,a,a'] g[y,b',b]).
 
-    Requires a semi-classical matrix; returns shape (dx, dx, da*da, da*da)
+    Reads only the input-diagonal entries, so a semi-classical matrix gives
+    the states of its correlation; returns shape (dx, dx, da*da, da*da)
     with sigma[x, y] indexed by rows (a, b) and columns (a', b').
     """
     dx, da = e.dim_x, e.dim_a
-    out = np.zeros((dx, dx, da, da, da, da), dtype=complex)
-    for w, d, block in zip(e.alg.weights, e.alg.block_dims, e.blocks):
-        t = block.tensor6()
-        diag = np.einsum("xahxAk->xaAhk", t)  # g[x, a, a'] operators
-        out += (w / d) * np.einsum("xaAhk,yBbkh->xyabAB", diag, diag, optimize=True)
-    return out.reshape(dx, dx, da * da, da * da)
+    return _tau(e, "xahxAk,yBkybh->xyabAB").reshape(dx, dx, da * da, da * da)
 
 
 def tracial_table(e: AlgStochasticMatrix) -> np.ndarray:
     """Probability table p(a, b | x, y) = tau(g[x,a] g[y,b]) of a classical matrix."""
-    dx, da = e.dim_x, e.dim_a
-    out = np.zeros((dx, dx, da, da), dtype=complex)
-    for w, d, block in zip(e.alg.weights, e.alg.block_dims, e.blocks):
-        t = block.tensor6()
-        diag = np.einsum("xahxak->xahk", t)  # g[x, a] operators
-        out += (w / d) * np.einsum("xahk,ybkh->xyab", diag, diag, optimize=True)
-    return np.real(out)
+    return np.real(_tau(e, "xahxak,ybkybh->xyab"))
 
 
 def compose_alg(f: AlgStochasticMatrix, e: AlgStochasticMatrix) -> AlgStochasticMatrix:

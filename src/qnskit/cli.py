@@ -15,9 +15,8 @@ import numpy as np
 
 from . import io
 from .algebra import AlgStochasticMatrix
-from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
-                           QnsCorrelation, build_commuting, build_local,
-                           build_quantum, build_tracial, compose_correlations,
+from .correlations import (CqnsCorrelation, NsCorrelation, QnsCorrelation,
+                           build_from_witness, compose_correlations,
                            compose_tables, cqns_report, lift_cqns, ns_report,
                            qns_report, reduce_cqns, reduce_ns)
 from .games import ConstraintGame, compose_games, perfect_strategy_check
@@ -128,33 +127,22 @@ def _cmd_verify(args) -> int:
     return _emit_report(report, args.format, sys.stdout)
 
 
-_BUILDERS = ("local", "quantum", "qc", "tracial", "cqns-tracial", "ns-tracial")
+#: ``build`` kind -> witness class; the other kinds build classical-input data.
+_WITNESS_CLASSES = {"local": "local", "quantum": "quantum", "qc": "commuting",
+                    "tracial": "tracial"}
+_BUILDERS = (*_WITNESS_CLASSES, "cqns-tracial", "ns-tracial")
 
 
 def _cmd_build(args) -> int:
     obj = io.load(args.witness)
-    kind = args.kind
     try:
-        if kind == "local":
-            dims = CorrelationDims(int(obj["dims"]["X"]), int(obj["dims"]["Y"]),
-                                   int(obj["dims"]["A"]), int(obj["dims"]["B"]))
-            corr = build_local([float(w) for w in obj["weights"]],
-                               [io.matrix_from_json(m) for m in obj["alice"]],
-                               [io.matrix_from_json(m) for m in obj["bob"]], dims)
-        elif kind in ("quantum", "qc"):
-            e = io.stochastic_from_json(obj["E"])
-            f = io.stochastic_from_json(obj["F"])
-            sigma = io.matrix_from_json(obj["sigma"])
-            corr = build_quantum(e, f, sigma) if kind == "quantum" \
-                else build_commuting(e, f, sigma)
+        if args.kind in _WITNESS_CLASSES:
+            dims = io.dims_from_json(obj["dims"]) if args.kind == "local" else None
+            witness = io.witness_from_json({**obj, "class": _WITNESS_CLASSES[args.kind]})
+            corr = build_from_witness(witness, dims)
         else:
-            matrix = io.alg_stochastic_from_json(obj)
-            if kind == "tracial":
-                corr = build_tracial(matrix)
-            elif kind == "cqns-tracial":
-                corr = build_tracial_cqns(matrix)
-            else:
-                corr = build_tracial_ns(matrix)
+            build = build_tracial_cqns if args.kind == "cqns-tracial" else build_tracial_ns
+            corr = build(io.alg_stochastic_from_json(obj))
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed witness file: {exc}") from exc
     return _emit_correlation(corr, args)

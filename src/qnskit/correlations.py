@@ -17,9 +17,9 @@ import numpy as np
 from . import stochastic
 from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
                       tracial_states, tracial_table)
-from .linalg import (TOL_ALG, NEG_CLAMP, Report, asmatrix, channel_defects,
-                     check_channel, check_weights, choi_compose, hermiticity_defect,
-                     kron, pinch, state_defect)
+from .linalg import (TOL_ALG, NEG_CLAMP, Report, apply_choi, asmatrix,
+                     channel_defects, check_channel, check_weights, choi_compose,
+                     hermiticity_defect, kron, pinch, state_defect)
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -101,9 +101,7 @@ class QnsCorrelation:
         return self.choi.reshape(d.x, d.y, d.a, d.b, d.x, d.y, d.a, d.b)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = self.dims
-        c = self.choi.reshape(d.in_size, d.out_size, d.in_size, d.out_size)
-        return np.einsum("ij,ikjl->kl", asmatrix(rho), c)
+        return apply_choi(self.choi, (self.dims.in_size, self.dims.out_size), rho)
 
 
 @dataclass(frozen=True)
@@ -121,9 +119,6 @@ class CqnsCorrelation:
             raise ValueError(f"state family shape {states.shape} does not match dims {d}")
         object.__setattr__(self, "states", states)
 
-    def state(self, x: int, y: int) -> np.ndarray:
-        return np.array(self.states[x, y])
-
 
 @dataclass(frozen=True)
 class NsCorrelation:
@@ -140,9 +135,6 @@ class NsCorrelation:
             raise ValueError(f"table shape {table.shape} does not match dims {d}")
         table = np.where((table < 0) & (table > NEG_CLAMP), 0.0, table)
         object.__setattr__(self, "table", table)
-
-    def prob(self, a: int, b: int, x: int, y: int) -> float:
-        return float(self.table[x, y, a, b])
 
 
 def qns_report(corr: QnsCorrelation, tol: float = TOL_ALG,
@@ -294,8 +286,8 @@ def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
         raise ValueError("need one weight per channel pair")
     weights = check_weights(weights)
     d = dims
-    alice = check_channel(np.array(alice, dtype=complex), (d.x, d.a))
-    bob = check_channel(np.array(bob, dtype=complex), (d.y, d.b))
+    alice = _channel_terms("alice", alice, (d.x, d.a))
+    bob = _channel_terms("bob", bob, (d.y, d.b))
     # sum_t w_t Phi_t (x) Psi_t in one contraction, rows (x, y, a, b)
     a5 = alice.reshape(-1, d.x, d.a, d.x, d.a)
     b5 = bob.reshape(-1, d.y, d.b, d.y, d.b)
@@ -303,6 +295,18 @@ def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
     choi = choi.reshape(d.choi_size, d.choi_size)
     witness = LocalWitness(tuple(weights), tuple(alice), tuple(bob))
     return QnsCorrelation(d, choi, witness)
+
+
+def _channel_terms(field: str, terms: Sequence[np.ndarray], dims: tuple[int, int]) -> np.ndarray:
+    """The local terms of ``field`` as a stack of channel Choi matrices on ``dims``.
+
+    Shapes are checked term by term first, so a misshapen term is named.
+    """
+    n = dims[0] * dims[1]
+    for i, choi in enumerate(terms):
+        if np.shape(choi) != (n, n):
+            raise ValueError(f"{field} term {i} has shape {np.shape(choi)}, expected {(n, n)}")
+    return check_channel(np.array(terms, dtype=complex), dims)
 
 
 def build_quantum(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
@@ -334,6 +338,24 @@ def build_tracial(e: AlgStochasticMatrix) -> QnsCorrelation:
 # Witness re-verification
 
 
+def build_from_witness(w: Witness, dims: CorrelationDims | None = None) -> QnsCorrelation:
+    """The correlation ``w`` generates, through the builder of its class.
+
+    Only a local witness needs ``dims``: its Choi matrices alone do not
+    split into input and output dimensions.
+    """
+    if isinstance(w, LocalWitness):
+        if dims is None:
+            raise ValueError("a local witness needs the correlation dims")
+        return build_local(w.weights, w.alice, w.bob, dims)
+    if isinstance(w, QuantumWitness):
+        build = build_quantum if w.kind == "quantum" else build_commuting
+        return build(w.e, w.f, w.sigma)
+    if isinstance(w, TracialWitness):
+        return build_tracial(w.matrix)
+    raise TypeError(f"unknown witness type {type(w)!r}")
+
+
 def rebuild_from_witness(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> np.ndarray:
     """Recompute the correlation data from its attached witness.
 
@@ -342,25 +364,16 @@ def rebuild_from_witness(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation)
     only the input-diagonal blocks of its Choi matrix.
     """
     w = corr.witness
-    d = corr.dims
     if w is None:
         raise ValueError("correlation carries no witness")
     if isinstance(w, TracialWitness) and not isinstance(corr, QnsCorrelation):
         if isinstance(corr, CqnsCorrelation):
             return tracial_states(w.matrix)
         return tracial_table(w.matrix)
-    if isinstance(w, LocalWitness):
-        choi = build_local(w.weights, w.alice, w.bob, d).choi
-    elif isinstance(w, QuantumWitness):
-        build = build_quantum if w.kind == "quantum" else build_commuting
-        choi = build(w.e, w.f, w.sigma).choi
-    elif isinstance(w, TracialWitness):
-        choi = build_tracial(w.matrix).choi
-    else:
-        raise TypeError(f"unknown witness type {type(w)!r}")
+    choi = build_from_witness(w, corr.dims).choi
     if isinstance(corr, QnsCorrelation):
         return choi
-    lifted = QnsCorrelation(d, choi)
+    lifted = QnsCorrelation(corr.dims, choi)
     if isinstance(corr, CqnsCorrelation):
         return reduce_cqns(lifted).states
     return reduce_ns(lifted).table

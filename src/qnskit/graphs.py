@@ -17,7 +17,7 @@ from .algebra import AlgStochasticMatrix, matrix_algebra, scalar_algebra
 from .correlations import CqnsCorrelation
 from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, dagger,
                      max_entangled, max_entangled_vector, orthonormal_columns,
-                     require)
+                     permute_systems, require)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
 from .theta import GAP_TOL, solve_theta
@@ -102,15 +102,6 @@ def independence_number(graph: Graph) -> int:
     return best
 
 
-def flip_operator(n: int) -> np.ndarray:
-    """Swap of the two tensor factors of C^n (x) C^n."""
-    f = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            f[j * n + i, i * n + j] = 1.0
-    return f
-
-
 @dataclass(frozen=True)
 class SkewSymmetricSubspace:
     """Flip-invariant subspace of C^n (x) C^n orthogonal to sum_z e_z (x) e_z."""
@@ -157,9 +148,8 @@ class SkewSymmetricSubspace:
     def symmetry_defect(self) -> float:
         if self.dim == 0:
             return 0.0
-        f = flip_operator(self.n)
         p = self.projector()
-        return float(np.max(np.abs(f @ p @ f - p)))
+        return float(np.max(np.abs(permute_systems(p, (self.n, self.n), (1, 0)) - p)))
 
 
 def graph_subspace(graph: Graph) -> SkewSymmetricSubspace:

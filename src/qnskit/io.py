@@ -123,7 +123,7 @@ def _dims_obj(d: CorrelationDims) -> dict:
     return {"X": d.x, "Y": d.y, "A": d.a, "B": d.b}
 
 
-def _dims_from_obj(obj: Any) -> CorrelationDims:
+def dims_from_json(obj: Any) -> CorrelationDims:
     return CorrelationDims(int(obj["X"]), int(obj["Y"]), int(obj["A"]), int(obj["B"]))
 
 
@@ -149,7 +149,7 @@ def correlation_to_json(corr) -> dict:
 def correlation_from_json(obj: Any):
     try:
         kind = obj["kind"]
-        dims = _dims_from_obj(obj["dims"])
+        dims = dims_from_json(obj["dims"])
     except (TypeError, KeyError) as exc:
         raise FormatError(f"not a correlation object: {exc}") from exc
     witness = witness_from_json(obj["witness"]) if "witness" in obj else None

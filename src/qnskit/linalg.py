@@ -171,7 +171,9 @@ def _stack(m) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entry of m - m* over every block of a stack ``(..., d, d)``; NaN stays NaN."""
     m = _stack(m)
-    return float(np.max(np.abs(m - dagger(m)), initial=0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf on a diagonal: NaN, which fails
+        diff = m - dagger(m)
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def psd_defect(m: np.ndarray) -> float:

@@ -13,9 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (AlgStochasticMatrix, abelian_from_chois,
-                      check_alg_stochastic, compose_alg, tracial_choi,
-                      tracial_states, tracial_table)
+from .algebra import (AlgStochasticMatrix, abelian_from_chois, compose_alg,
+                      tracial_choi, tracial_states, tracial_table)
 from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                            QnsCorrelation, TracialWitness, build_tracial)
 from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, check_state,
@@ -135,7 +134,6 @@ def build_locally_tracial(chois, weights, dims: tuple[int, int]) -> QnsCorrelati
 
 def build_tracial_cqns(e: AlgStochasticMatrix) -> CqnsCorrelation:
     """Classical-to-quantum tracial correlation from a semi-classical matrix."""
-    check_alg_stochastic(e)
     require(e.semiclassical_defect(), TOL_ALG, "matrix must be semi-classical")
     states = tracial_states(e)
     dims = CorrelationDims(e.dim_x, e.dim_x, e.dim_a, e.dim_a)
@@ -144,7 +142,6 @@ def build_tracial_cqns(e: AlgStochasticMatrix) -> CqnsCorrelation:
 
 def build_tracial_ns(e: AlgStochasticMatrix) -> NsCorrelation:
     """Classical tracial correlation p(a, b | x, y) = tau(g[x, a] g[y, b])."""
-    check_alg_stochastic(e)
     require(e.classical_defect(), TOL_ALG, "matrix must be classical")
     table = tracial_table(e)
     dims = CorrelationDims(e.dim_x, e.dim_x, e.dim_a, e.dim_a)
@@ -163,7 +160,6 @@ def reciprocal_state(e: AlgStochasticMatrix) -> np.ndarray:
     """
     if e.dim_x != 1:
         raise ValueError("reciprocal states come from matrices over a trivial input")
-    check_alg_stochastic(e)
     return tracial_choi(e)
 
 

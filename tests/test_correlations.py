@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from qnskit import rand as qr
 from qnskit.correlations import (CorrelationDims, NsCorrelation,
-                                 QnsCorrelation, build_commuting, build_local,
-                                 build_quantum, compose_correlations,
+                                 QnsCorrelation, build_commuting,
+                                 build_from_witness, build_local, build_quantum,
+                                 build_tracial, compose_correlations,
                                  compose_tables, cqns_report, from_classical,
                                  lift_cqns, mix_local, ns_report, qns_report,
                                  reduce_cqns, reduce_ns, witness_residual)
 from qnskit.graphs import kd2_colouring
 from qnskit.linalg import kron, max_entangled, permute_systems
-from qnskit.stochastic import from_choi
+from qnskit.stochastic import from_choi, with_ancilla_left, with_ancilla_right
 
 D2222 = CorrelationDims(2, 2, 2, 2)
 
@@ -380,3 +381,18 @@ def test_classical_reports_recheck_the_witness(report):
     wrong = type(corr)(corr.dims, moved, corr.witness)
     assert report(type(corr)(corr.dims, moved)).ok
     assert not report(wrong).ok and report(wrong).witness_residual > 1e-3
+
+
+def test_build_from_witness_uses_the_builder_of_each_class(rng):
+    e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
+    sigma = qr.random_state(rng, 4)
+    chois = [qr.random_channel_choi(rng, 2, 2) for _ in range(2)]
+    for corr in (build_local([1.0], chois[:1], chois[1:], D2222), build_quantum(e, f, sigma),
+                 build_commuting(with_ancilla_right(e, 2), with_ancilla_left(f, 2),
+                                 qr.random_state(rng, 4)),
+                 build_tracial(qr.random_tracial_witness(rng, 2, 2))):
+        built = build_from_witness(corr.witness, corr.dims)
+        assert np.array_equal(built.choi, corr.choi)
+        assert type(built.witness) is type(corr.witness)
+    with pytest.raises(ValueError, match="needs the correlation dims"):
+        build_from_witness(build_local([1.0], chois[:1], chois[1:], D2222).witness)

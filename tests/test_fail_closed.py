@@ -3,18 +3,20 @@
 import ast
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from qnskit import graphs, io, linalg, stochastic
 from qnskit import rand as qr
-from qnskit.algebra import TracialAlgebra
+from qnskit.algebra import TracialAlgebra, abelian_from_chois
 from qnskit.cli import run
 from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
                                  NsCorrelation, QnsCorrelation, QuantumWitness,
-                                 build_local, build_quantum, cqns_report,
-                                 ns_report, qns_report)
+                                 TracialWitness, build_local, build_quantum,
+                                 build_tracial, cqns_report, ns_report,
+                                 qns_report)
 from qnskit.games import colouring_game, perfect_strategy_check
 from qnskit.graphs import (Graph, SkewSymmetricSubspace, cycle5_umbrella,
                            graph_subspace, kd2_colouring,
@@ -256,6 +258,93 @@ def test_broken_witness_reports_its_error(rng, tmp_path, capsys):
     path.write_text(json.dumps(io.correlation_to_json(broken)))
     assert run(["verify", str(path)]) == 1
     assert "not a state" in json.loads(capsys.readouterr().out)["witness_error"]
+
+
+def _cli(*argv):
+    """``python -m qnskit argv`` in a fresh interpreter, so warnings reach stderr."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(linalg.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "qnskit", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_cli_verify_infinite_diagonal_warns_nothing(tmp_path):
+    m = np.diag([np.inf, 1.0]).astype(complex)
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(io.stochastic_to_json(StochasticOperatorMatrix(1, 2, 1, m)),
+                               allow_nan=True))
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["hermiticity"] == "nan" and report["psd_defect"] == "inf"
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("alice, message", [
+    ([max_entangled(2), np.eye(2)], r"alice term 1 has shape \(2, 2\), expected \(4, 4\)"),
+    ([np.eye(2), np.eye(2)], r"alice term 0 has shape \(2, 2\), expected \(4, 4\)"),
+], ids=["ragged", "all-wrong-size"])
+def test_cli_build_local_names_a_misshapen_term(tmp_path, capsys, alice, message):
+    ident = io.matrix_to_json(max_entangled(2))
+    path = tmp_path / "local.json"
+    path.write_text(json.dumps({
+        "dims": {"X": 2, "Y": 2, "A": 2, "B": 2}, "weights": [0.5, 0.5],
+        "alice": [io.matrix_to_json(c) for c in alice], "bob": [ident, ident]}))
+    assert run(["build", "local", str(path)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# Tracial witnesses: every contraction verifies its matrix
+
+
+def _non_positive_tracial():
+    """Abelian witness whose blocks diag(1.1, -0.1) and diag(-0.1, 1.1) are not
+    positive (psd_defect 0.1), while the data they generate is a valid correlation."""
+    chois = [np.diag([1.1, -0.1]), np.diag([-0.1, 1.1]), np.diag([0.5, 0.5])]
+    e = abelian_from_chois(chois, (0.1, 0.1, 0.8), 1, 2)
+    choi = sum(w * np.kron(c, c) for w, c in zip(e.alg.weights, chois))
+    return e, choi.astype(complex)
+
+
+def test_build_tracial_refuses_a_non_positive_witness():
+    e, _ = _non_positive_tracial()
+    assert e.verification_report().psd_defect == pytest.approx(0.1)
+    with pytest.raises(CheckError, match="stochastic algebra matrix fails verification"):
+        build_tracial(e)
+
+
+@pytest.mark.parametrize("kind", ["qns", "cqns", "ns"])
+def test_reports_refuse_a_non_positive_tracial_witness(kind):
+    e, choi = _non_positive_tracial()
+    d = CorrelationDims(1, 1, 2, 2)
+    corr, report = {
+        "qns": (QnsCorrelation(d, choi, TracialWitness(e)), qns_report),
+        "cqns": (CqnsCorrelation(d, choi.reshape(1, 1, 4, 4), TracialWitness(e)), cqns_report),
+        "ns": (NsCorrelation(d, np.real(np.diag(choi)).reshape(1, 1, 2, 2), TracialWitness(e)),
+               ns_report),
+    }[kind]
+    assert report(corr, check_witness=False).ok
+    result = report(corr)
+    assert result.witness_residual == np.inf and not result.ok
+    assert "fails verification" in result.info["witness_error"]
+
+
+def test_cli_refuses_a_non_positive_tracial_witness(tmp_path, capsys):
+    e, choi = _non_positive_tracial()
+    witness = tmp_path / "wit.json"
+    witness.write_text(json.dumps(io.alg_stochastic_to_json(e)))
+    assert run(["build", "tracial", str(witness)]) == 2
+    assert "fails verification" in capsys.readouterr().err
+    payload = tmp_path / "qns.json"
+    payload.write_text(json.dumps(io.correlation_to_json(
+        QnsCorrelation(CorrelationDims(1, 1, 2, 2), choi, TracialWitness(e)))))
+    assert run(["verify", str(payload)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False and report["witness_residual"] == "inf"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnskit import rand as qr
-from qnskit.algebra import tracial_choi
+from qnskit.algebra import tracial_choi, tracial_states, tracial_table
 from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
                                  LocalWitness, NsCorrelation, QnsCorrelation,
                                  QuantumWitness, TracialWitness,
@@ -221,6 +221,41 @@ def test_from_classical_and_lift_match_loops(dims, s):
 # Tracial witnesses of classical-input data
 
 
+def _loop_tracial(e, kernel):
+    """The per-block loops the tracial contractions replaced, kept as the oracle."""
+    dx, da = e.dim_x, e.dim_a
+    shape = {"choi": (dx, dx, da, da) * 2, "states": (dx, dx) + (da,) * 4,
+             "table": (dx, dx, da, da)}[kernel]
+    out = np.zeros(shape, dtype=complex)
+    for w, d, block in zip(e.alg.weights, e.alg.block_dims, e.blocks):
+        t = block.tensor6()
+        if kernel == "choi":
+            out += (w / d) * np.einsum("xahXAk,YBkybh->xyabXYAB", t, t, optimize=True)
+        elif kernel == "states":
+            diag = np.einsum("xahxAk->xaAhk", t)  # g[x, a, a'] operators
+            out += (w / d) * np.einsum("xaAhk,yBbkh->xyabAB", diag, diag, optimize=True)
+        else:
+            diag = np.einsum("xahxak->xahk", t)  # g[x, a] operators
+            out += (w / d) * np.einsum("xahk,ybkh->xyab", diag, diag, optimize=True)
+    if kernel == "choi":
+        return out.reshape((dx * da) ** 2, (dx * da) ** 2)
+    if kernel == "states":
+        return out.reshape(dx, dx, da * da, da * da)
+    return np.real(out)
+
+
+@kernel_settings
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+       st.sampled_from(["full", "semiclassical", "classical"]), seed)
+def test_tracial_kernels_match_block_loops(dx, da, blocks, max_dim, kind, s):
+    rng = np.random.default_rng(s)
+    alg = qr.random_algebra(rng, max_blocks=blocks, max_dim=max_dim)
+    m = qr.random_tracial_witness(rng, dx, da, alg, kind=kind)
+    for kernel, fn in (("choi", tracial_choi), ("states", tracial_states),
+                       ("table", tracial_table)):
+        np.testing.assert_array_equal(fn(m), _loop_tracial(m, kernel), err_msg=kernel)
+
+
 def test_tracial_rebuild_reads_input_blocks_of_tracial_choi(rng):
     for dims in ((2, 3), (3, 2), (2, 2)):
         m = qr.random_tracial_witness(rng, *dims)
@@ -280,7 +315,7 @@ def _random_stack(rng, shape, din, dout, kind):
     return np.array(blocks, dtype=complex).reshape(*shape, d, d)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # inf - inf is NaN, silently
 @kernel_settings
 @given(st.lists(st.integers(0, 3), max_size=2), st.integers(1, 3), st.integers(1, 3),
        st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.nan)]), seed)
