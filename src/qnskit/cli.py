@@ -87,10 +87,16 @@ def _emit_payload(payload: dict, report: dict, args) -> int:
     return _emit_report(report, args.format, stream)
 
 
-def _load_payload(path: str):
+#: What reading a file and decoding its JSON raise on malformed input: a JSON
+#: tree of the wrong shape fails a lookup, an unpacking or a conversion.
+_DECODE_ERRORS = (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError)
+
+
+def _load_payload(path: str, decode=io.detect_payload):
+    """``decode`` of the JSON in ``path``; a file that cannot be read or decoded is a CliError."""
     try:
-        return io.detect_payload(io.load(path))
-    except (OSError, ValueError) as exc:
+        return decode(io.load(path))
+    except _DECODE_ERRORS as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -134,17 +140,14 @@ _BUILDERS = (*_WITNESS_CLASSES, "cqns-tracial", "ns-tracial")
 
 
 def _cmd_build(args) -> int:
-    obj = io.load(args.witness)
-    try:
-        if args.kind in _WITNESS_CLASSES:
-            dims = io.dims_from_json(obj["dims"]) if args.kind == "local" else None
-            witness = io.witness_from_json({**obj, "class": _WITNESS_CLASSES[args.kind]})
-            corr = build_from_witness(witness, dims)
-        else:
-            build = build_tracial_cqns if args.kind == "cqns-tracial" else build_tracial_ns
-            corr = build(io.alg_stochastic_from_json(obj))
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"malformed witness file: {exc}") from exc
+    if args.kind in _WITNESS_CLASSES:
+        dims, witness = _load_payload(args.witness, lambda obj: (
+            io.dims_from_json(obj["dims"]) if args.kind == "local" else None,
+            io.witness_from_json({**obj, "class": _WITNESS_CLASSES[args.kind]})))
+        corr = build_from_witness(witness, dims)
+    else:
+        build = build_tracial_cqns if args.kind == "cqns-tracial" else build_tracial_ns
+        corr = build(_load_payload(args.witness, io.alg_stochastic_from_json))
     return _emit_correlation(corr, args)
 
 
@@ -226,11 +229,8 @@ def _cmd_orthrep(args) -> int:
     graph = _load_payload(args.graph)
     if not isinstance(graph, Graph):
         raise CliError("orthrep expects a graph file first")
-    obj = io.load(args.vectors)
-    try:
-        vectors = [io.vector_from_json(v) for v in obj["vectors"]]
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"malformed vectors file: {exc}") from exc
+    vectors = _load_payload(args.vectors,
+                            lambda obj: [io.vector_from_json(v) for v in obj["vectors"]])
     corr = orth_rep_to_colouring(vectors, graph)
     return _emit_correlation(corr, args, properness_residual=_properness(corr, graph))
 
@@ -326,10 +326,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (io.FormatError, OSError, ValueError, KeyError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -384,6 +384,9 @@ def witness_residual(corr) -> float:
     data = rebuild_from_witness(corr)
     stored = corr.choi if isinstance(corr, QnsCorrelation) else \
         corr.states if isinstance(corr, CqnsCorrelation) else corr.table
+    if data.shape != stored.shape:
+        raise ValueError(f"witness rebuilds data of shape {data.shape}, "
+                         f"stored data has shape {stored.shape}")
     return float(np.max(np.abs(data - stored)))
 
 
@@ -396,12 +399,10 @@ def _compose_witness(w2: Witness | None, w1: Witness | None,
     if w1 is None or w2 is None:
         return None
     if isinstance(w1, LocalWitness) and isinstance(w2, LocalWitness):
-        weights, alice, bob = [], [], []
-        for l1, a1, b1 in zip(w1.weights, w1.alice, w1.bob):
-            for l2, a2, b2 in zip(w2.weights, w2.alice, w2.bob):
-                weights.append(l1 * l2)
-                alice.append(choi_compose(a2, (d2.x, d2.a), a1, (d1.x, d1.a)))
-                bob.append(choi_compose(b2, (d2.y, d2.b), b1, (d1.y, d1.b)))
+        # term (s, t) is term t of w2 after term s of w1, s-major
+        weights = np.outer(w1.weights, w2.weights).reshape(-1).tolist()
+        alice = _compose_terms(w2.alice, w1.alice, d1.x, d1.a, d2.a)
+        bob = _compose_terms(w2.bob, w1.bob, d1.y, d1.b, d2.b)
         return LocalWitness(tuple(weights), tuple(alice), tuple(bob))
     if isinstance(w1, QuantumWitness) and isinstance(w2, QuantumWitness) \
             and w1.kind == w2.kind:
@@ -419,6 +420,14 @@ def _compose_witness(w2: Witness | None, w1: Witness | None,
     if isinstance(w1, TracialWitness) and isinstance(w2, TracialWitness):
         return TracialWitness(compose_alg(w2.matrix, w1.matrix))
     return None
+
+
+def _compose_terms(second, first, d_in: int, d_mid: int, d_out: int) -> np.ndarray:
+    """``choi_compose(second[t], first[s])`` for every pair (s, t), s-major, in one contraction."""
+    c1 = np.asarray(first, dtype=complex).reshape(-1, d_in, d_mid, d_in, d_mid)
+    c2 = np.asarray(second, dtype=complex).reshape(-1, d_mid, d_out, d_mid, d_out)
+    out = np.einsum("siajb,takbl->stikjl", c1, c2)
+    return out.reshape(-1, d_in * d_out, d_in * d_out)
 
 
 def compose_correlations(gamma2: QnsCorrelation, gamma1: QnsCorrelation) -> QnsCorrelation:

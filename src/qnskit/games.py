@@ -82,14 +82,20 @@ class ConstraintGame:
         return len(self.constraints)
 
 
-def _classical_pairs(u: np.ndarray, in_dims: tuple[int, int]) -> list[tuple[int, int]]:
-    """Decompose a classical input subspace into its (x, y) support."""
-    dx, dy = in_dims
-    weights = np.sum(np.abs(u) ** 2, axis=1)
-    pairs = [divmod(i, dy) for i in np.flatnonzero(weights > 0.5)]
-    if len(pairs) != u.shape[1]:
+def _classical_pairs(u: np.ndarray, in_dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Decompose a classical input subspace into its (x, y) support, as index arrays."""
+    support = np.flatnonzero(np.sum(np.abs(u) ** 2, axis=1) > 0.5)
+    if len(support) != u.shape[1]:
         raise ValueError("input subspace is not spanned by standard basis vectors")
-    return pairs
+    return np.divmod(support, in_dims[1])
+
+
+def _unit_columns(n: int, rows) -> np.ndarray:
+    """The columns e_r, r in ``rows``, of the n x n identity, without forming it."""
+    rows = np.asarray(rows, dtype=int).reshape(-1)
+    out = np.zeros((n, len(rows)), dtype=complex)
+    out[rows, np.arange(len(rows))] = 1.0
+    return out
 
 
 def from_rule(rule: RuleFunction | np.ndarray) -> ConstraintGame:
@@ -98,17 +104,10 @@ def from_rule(rule: RuleFunction | np.ndarray) -> ConstraintGame:
         rule = RuleFunction(np.asarray(rule))
     dx, dy = rule.in_dims
     da, db = rule.out_dims
-    constraints = []
-    for x in range(dx):
-        for y in range(dy):
-            u = np.zeros((dx * dy, 1), dtype=complex)
-            u[x * dy + y, 0] = 1.0
-            allowed = np.flatnonzero(rule.table[x, y].reshape(-1))
-            v = np.zeros((da * db, len(allowed)), dtype=complex)
-            for col, idx in enumerate(allowed):
-                v[idx, col] = 1.0
-            constraints.append((u, v))
-    return ConstraintGame((dx, dy), (da, db), True, tuple(constraints), rule)
+    wins = rule.table.reshape(dx * dy, da * db)
+    constraints = tuple((_unit_columns(dx * dy, k), _unit_columns(da * db, np.flatnonzero(row)))
+                        for k, row in enumerate(wins))
+    return ConstraintGame((dx, dy), (da, db), True, constraints, rule)
 
 
 def colouring_game(graph: Graph, a_dim: int, synchronous: bool = False) -> ConstraintGame:
@@ -119,19 +118,10 @@ def colouring_game(graph: Graph, a_dim: int, synchronous: bool = False) -> Const
     """
     n = graph.n
     v_edge = _orthocomplement_of_entangled(a_dim)
-    constraints = []
-    for x, y in graph.ordered_edges():
-        u = np.zeros((n * n, 1), dtype=complex)
-        u[x * n + y, 0] = 1.0
-        constraints.append((u, v_edge))
+    constraints = [(_unit_columns(n * n, x * n + y), v_edge) for x, y in graph.ordered_edges()]
     if synchronous:
-        v_diag = np.zeros((a_dim * a_dim, a_dim), dtype=complex)
-        for a in range(a_dim):
-            v_diag[a * a_dim + a, a] = 1.0
-        for x in range(n):
-            u = np.zeros((n * n, 1), dtype=complex)
-            u[x * n + x, 0] = 1.0
-            constraints.append((u, v_diag))
+        v_diag = _unit_columns(a_dim * a_dim, np.arange(a_dim) * (a_dim + 1))
+        constraints += [(_unit_columns(n * n, x * (n + 1)), v_diag) for x in range(n)]
     return ConstraintGame((n, n), (a_dim, a_dim), True, tuple(constraints))
 
 
@@ -147,22 +137,15 @@ def homomorphism_game(u: SkewSymmetricSubspace, v: SkewSymmetricSubspace) -> Con
 
 
 def _apply_strategy(strategy, game: ConstraintGame, u: np.ndarray) -> np.ndarray:
-    da, db = game.out_dims
     if isinstance(strategy, QnsCorrelation):
         return strategy.apply(u @ dagger(u))
     if not game.classical_input:
         raise ValueError("classical strategies only apply to classical-input games")
-    pairs = _classical_pairs(u, game.in_dims)
+    x, y = _classical_pairs(u, game.in_dims)
     if isinstance(strategy, CqnsCorrelation):
-        out = np.zeros((da * db, da * db), dtype=complex)
-        for x, y in pairs:
-            out += strategy.states[x, y]
-        return out
+        return strategy.states[x, y].sum(axis=0)
     if isinstance(strategy, NsCorrelation):
-        diag = np.zeros(da * db)
-        for x, y in pairs:
-            diag += strategy.table[x, y].reshape(-1)
-        return np.diag(diag).astype(complex)
+        return np.diag(strategy.table[x, y].sum(axis=0).reshape(-1)).astype(complex)
     raise TypeError(f"unsupported strategy type {type(strategy)!r}")
 
 
@@ -195,9 +178,9 @@ def _intersect(subspaces: list[np.ndarray], dim: int) -> np.ndarray:
     """Orthonormal basis of the intersection; empty list gives the full space."""
     if not subspaces:
         return np.eye(dim, dtype=complex)
-    total = np.zeros((dim, dim), dtype=complex)
-    for s in subspaces:
-        total += np.eye(dim) - s @ dagger(s)
+    # sum_s (I - P_s) = k I - C C*, with C the columns of every subspace side by side
+    cols = np.concatenate(subspaces, axis=1)
+    total = len(subspaces) * np.eye(dim) - cols @ dagger(cols)
     w, vecs = np.linalg.eigh((total + dagger(total)) / 2)
     keep = w < TOL_ALG
     return vecs[:, keep]

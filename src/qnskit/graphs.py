@@ -15,9 +15,9 @@ import numpy as np
 
 from .algebra import AlgStochasticMatrix, matrix_algebra, scalar_algebra
 from .correlations import CqnsCorrelation
-from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, dagger,
-                     max_entangled, max_entangled_vector, orthonormal_columns,
-                     permute_systems, require)
+from .linalg import (TOL_ALG, TOL_INPUT, check_channel, dagger,
+                     max_entangled_vector, orthonormal_columns, permute_systems,
+                     require)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
 from .theta import GAP_TOL, solve_theta
@@ -73,9 +73,14 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
+        i, j = _edge_index(list(self.edges))
+        a[i, j] = a[j, i] = 1.0
         return a
+
+
+def _edge_index(edges) -> tuple[np.ndarray, np.ndarray]:
+    """A list of vertex pairs as two index arrays (empty arrays for no pairs)."""
+    return tuple(np.array(edges, dtype=int).reshape(-1, 2).T)
 
 
 def independence_number(graph: Graph) -> int:
@@ -155,9 +160,9 @@ class SkewSymmetricSubspace:
 def graph_subspace(graph: Graph) -> SkewSymmetricSubspace:
     """span{e_x (x) e_y : x ~ y}, the non-commutative copy of a graph."""
     n = graph.n
-    vecs = np.zeros((n * n, 2 * len(graph.edges)), dtype=complex)
-    for k, (x, y) in enumerate(graph.ordered_edges()):
-        vecs[x * n + y, k] = 1.0
+    x, y = _edge_index(graph.ordered_edges())
+    vecs = np.zeros((n * n, len(x)), dtype=complex)
+    vecs[x * n + y, np.arange(len(x))] = 1.0
     return SkewSymmetricSubspace(n, vecs)
 
 
@@ -182,41 +187,35 @@ def trace_functional(zeta: np.ndarray, n: int) -> complex:
 # Homomorphism checks
 
 
-def _span_projector(mats: list[np.ndarray]) -> np.ndarray:
-    if not mats:
-        shape = (0, 0)
-        return np.zeros(shape)
-    cols = np.column_stack([m.reshape(-1) for m in mats])
-    basis = orthonormal_columns(cols)
-    return basis @ dagger(basis)
+def _kraus_stack(kraus) -> np.ndarray:
+    """A Kraus family as one array (k, d_out, d_in)."""
+    stack = np.asarray(kraus, dtype=complex)
+    if stack.ndim != 3 or len(stack) == 0:
+        raise ValueError(f"expected a non-empty family of equal-shape matrices, "
+                         f"got array of shape {stack.shape}")
+    return stack
 
 
 def kraus_channel_defect(kraus: list[np.ndarray]) -> float:
     """Deviation of sum M_i* M_i from the identity."""
-    kraus = [asmatrix(m) for m in kraus]
-    din = kraus[0].shape[1]
-    total = sum(dagger(m) @ m for m in kraus)
-    return float(np.max(np.abs(total - np.eye(din))))
+    kraus = _kraus_stack(kraus)
+    total = np.einsum("kij,kil->jl", kraus.conj(), kraus)
+    return float(np.max(np.abs(total - np.eye(kraus.shape[2]))))
 
 
 def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
                      t_basis: list[np.ndarray]) -> float:
     """Containment defect of conj(M_j) S M_i^T inside span(T)."""
-    kraus = [asmatrix(m) for m in kraus]
-    proj = _span_projector([asmatrix(t) for t in t_basis]) if t_basis else None
-    out = []
-    for mi in kraus:
-        for mj in kraus:
-            for s in s_basis:
-                img = np.conj(mj) @ asmatrix(s) @ mi.T
-                v = img.reshape(-1)
-                scale = max(1.0, float(np.linalg.norm(v)))
-                if proj is None or proj.size == 0:
-                    resid = float(np.linalg.norm(v))
-                else:
-                    resid = float(np.linalg.norm(v - proj @ v))
-                out.append(resid / scale)
-    return float(np.max(out, initial=0.0))
+    kraus = _kraus_stack(kraus)
+    k, dout, din = kraus.shape
+    s = np.asarray(s_basis, dtype=complex).reshape(-1, din, din)
+    # img[i, j, s] = conj(M_j) S M_i^T, flattened row-major
+    img = np.einsum("jpq,sqr,itr->ijspt", kraus.conj(), s, kraus,
+                    optimize=True).reshape(k, k, len(s), dout * dout)
+    t = orthonormal_columns(np.asarray(t_basis, dtype=complex).reshape(-1, dout * dout).T)
+    resid = np.linalg.norm(img - (img @ t.conj()) @ t.T, axis=-1)
+    scale = np.maximum(1.0, np.linalg.norm(img, axis=-1))
+    return float(np.max(resid / scale, initial=0.0))
 
 
 def stahlke_check(kraus: list[np.ndarray], s_basis: list[np.ndarray],
@@ -247,24 +246,23 @@ def hom_check(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
 
 
 def vertex_map_kraus(f, dim_in: int, dim_out: int) -> list[np.ndarray]:
-    """Kraus family of the channel induced by a vertex map."""
-    out = []
-    for x in range(dim_in):
-        m = np.zeros((dim_out, dim_in), dtype=complex)
-        m[int(f[x]) if not callable(f) else int(f(x)), x] = 1.0
-        out.append(m)
-    return out
+    """Kraus family of the channel induced by a vertex map: M_x = e_f(x) e_x*."""
+    image = [int(f(x)) if callable(f) else int(f[x]) for x in range(dim_in)]
+    x = np.arange(dim_in)
+    kraus = np.zeros((dim_in, dim_out, dim_in), dtype=complex)
+    kraus[x, image, x] = 1.0
+    return list(kraus)
 
 
 def kraus_to_choi(kraus: list[np.ndarray]) -> np.ndarray:
     """Choi matrix (rows (in, out)) of a channel given by Kraus operators."""
-    kraus = [asmatrix(m) for m in kraus]
-    dout, din = kraus[0].shape
-    choi = np.zeros((din * dout, din * dout), dtype=complex)
-    for m in kraus:
-        v = m.T.reshape(-1)  # v[(i, k)] = M[k, i]
-        choi += np.outer(v, v.conj())
-    return choi
+    kraus = _kraus_stack(kraus)
+    v = np.swapaxes(kraus, 1, 2).reshape(len(kraus), -1)  # v[m, (i, k)] = M_m[k, i]
+    n = v.shape[1]
+    # sum_m v_m v_m*, accumulated term by term from zero: numpy sums a contiguous
+    # axis pairwise, which would make the rounding depend on the dimensions
+    terms = np.concatenate([np.zeros((1, n, n)), v[:, :, None] * v.conj()[:, None, :]])
+    return np.add.accumulate(terms)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +274,11 @@ def proper_residuals(e: CqnsCorrelation, graph: Graph) -> dict[tuple[int, int], 
     d = e.dims
     if d.x != graph.n or d.y != graph.n or d.a != d.b:
         raise ValueError("correlation dimensions do not match the graph")
-    omega = max_entangled(d.a)
-    out = {}
-    for x, y in graph.ordered_edges():
-        val = np.trace(e.states[x, y] @ omega)
-        out[(x, y)] = abs(float(np.real(val))) + abs(float(np.imag(val)))
-    return out
+    edges = graph.ordered_edges()
+    x, y = _edge_index(edges)
+    # Tr(sigma Omega) is the sum of the entries sigma[(a, a), (b, b)]
+    val = np.einsum("eaabb->e", e.states[x, y].reshape(-1, d.a, d.a, d.a, d.a))
+    return dict(zip(edges, (np.abs(val.real) + np.abs(val.imag)).tolist()))
 
 
 def proper_check(e: CqnsCorrelation, graph: Graph, tol: float = TOL_ALG) -> bool:
@@ -295,6 +292,8 @@ def orth_rep_to_colouring(vectors, graph: Graph | None = None) -> CqnsCorrelatio
     When a graph is passed, vectors on an edge must be orthogonal.
     """
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    if not vecs:
+        raise ValueError("need at least one vector")
     k = vecs[0].shape[0]
     for i, v in enumerate(vecs):
         if v.shape[0] != k:
@@ -306,12 +305,13 @@ def orth_rep_to_colouring(vectors, graph: Graph | None = None) -> CqnsCorrelatio
         for x, y in graph.edges:
             require(abs(np.vdot(vecs[x], vecs[y])), TOL_INPUT,
                     f"vectors on edge ({x},{y}) are not orthogonal")
+    vecs = np.array(vecs)
     n = len(vecs)
-    choi = np.zeros((n * k, n * k), dtype=complex)
-    c4 = choi.reshape(n, k, n, k)
-    for x, v in enumerate(vecs):
-        c4[x, :, x, :] = np.outer(v, v.conj())
-    e = AlgStochasticMatrix(scalar_algebra(), (StochasticOperatorMatrix(n, k, 1, choi),))
+    c4 = np.zeros((n, k, n, k), dtype=complex)
+    x = np.arange(n)
+    c4[x, :, x, :] = vecs[:, :, None] * vecs.conj()[:, None, :]
+    e = AlgStochasticMatrix(scalar_algebra(),
+                            (StochasticOperatorMatrix(n, k, 1, c4.reshape(n * k, n * k)),))
     return build_tracial_cqns(e)
 
 
@@ -327,15 +327,9 @@ def kd2_colouring(d: int) -> CqnsCorrelation:
     zeta = np.exp(2j * np.pi / d)
     n = d * d
     mat = np.zeros((n * d * d,) * 2, dtype=complex)
-    t = mat.reshape(n, d, d, n, d, d)
-    for ap in range(d):
-        for bp in range(d):
-            x = ap * d + bp
-            for z in range(d):
-                for zp in range(d):
-                    op = np.zeros((d, d), dtype=complex)
-                    op[(z - ap) % d, (zp - ap) % d] = zeta ** ((zp - z) * bp)
-                    t[x, z, :, x, zp, :] = op
+    t = mat.reshape(n, d, d, n, d, d)  # [x, z, h, x', z', h']
+    a, b, z, w = np.indices((d,) * 4)
+    t[a * d + b, z, (z - a) % d, a * d + b, w, (w - a) % d] = zeta ** ((w - z) * b)
     witness = AlgStochasticMatrix(matrix_algebra(d),
                                   (StochasticOperatorMatrix(n, d, d, mat),))
     corr = build_tracial_cqns(witness)
@@ -350,16 +344,13 @@ def kd2_explicit_states(d: int) -> np.ndarray:
     """The explicit rank-one state family sigma[x, y] of the d^2 colouring."""
     zeta = np.exp(2j * np.pi / d)
     n = d * d
-    states = np.zeros((n, n, d * d, d * d), dtype=complex)
-    for ap, bp in itertools.product(range(d), repeat=2):
-        for app, bpp in itertools.product(range(d), repeat=2):
-            x, y = ap * d + bp, app * d + bpp
-            xi = np.zeros(d * d, dtype=complex)
-            for l in range(d):
-                xi[l * d + (l - ap + app) % d] = zeta ** ((bpp - bp) * l)
-            xi *= zeta ** (bpp * (app - ap)) / np.sqrt(d)
-            states[x, y] = np.outer(xi, xi.conj())
-    return states
+    # xi[x, y] for x = (a', b'), y = (a'', b''); the two phases stay separate factors
+    ap, bp, app, bpp, l = np.indices((d,) * 5)
+    xi = np.zeros((d,) * 4 + (d * d,), dtype=complex)
+    xi[ap, bp, app, bpp, l * d + (l - ap + app) % d] = zeta ** ((bpp - bp) * l)
+    xi *= zeta ** (bpp * (app - ap))[..., :1] / np.sqrt(d)
+    xi = xi.reshape(n, n, d * d)
+    return xi[..., :, None] * xi.conj()[..., None, :]
 
 
 def cycle5_umbrella() -> list[np.ndarray]:

@@ -26,10 +26,15 @@ class FormatError(ValueError):
     """Malformed JSON payload."""
 
 
+def _pairs(z: np.ndarray) -> list:
+    """The entries of ``z``, row-major, as [re, im] lists of Python floats."""
+    z = z.reshape(-1)
+    return np.stack((z.real, z.imag), -1).tolist()
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = asmatrix(m)
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs(m)}
 
 
 def matrix_from_json(obj: Any) -> np.ndarray:
@@ -45,8 +50,7 @@ def matrix_from_json(obj: Any) -> np.ndarray:
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in v]
+    return _pairs(np.asarray(v, dtype=complex))
 
 
 def vector_from_json(obj: Any) -> np.ndarray:

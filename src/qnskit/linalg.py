@@ -220,7 +220,8 @@ def max_entangled(dim: int) -> np.ndarray:
 
 
 def apply_choi(choi: np.ndarray, dims: tuple[int, int], rho: np.ndarray) -> np.ndarray:
-    """Apply the map with the given Choi matrix to ``rho``.
+    """Apply the map with the given Choi matrix to ``rho``, or to every matrix
+    of a stack ``(..., din, din)``.
 
     ``dims`` is the (input, output) dimension pair; the Choi matrix carries
     composite row index (in, out).
@@ -229,11 +230,11 @@ def apply_choi(choi: np.ndarray, dims: tuple[int, int], rho: np.ndarray) -> np.n
     din, dout = int(dims[0]), int(dims[1])
     if choi.shape != (din * dout, din * dout):
         raise ValueError(f"Choi shape {choi.shape} does not match dims {(din, dout)}")
-    rho = asmatrix(rho)
-    if rho.shape != (din, din):
+    rho = _stack(rho)
+    if rho.shape[-2:] != (din, din):
         raise ValueError(f"input state shape {rho.shape} does not match input dim {din}")
     c4 = choi.reshape(din, dout, din, dout)
-    return np.einsum("ij,ikjl->kl", rho, c4)
+    return np.einsum("...ij,ikjl->...kl", rho, c4)
 
 
 def choi_compose(choi2: np.ndarray, dims2: tuple[int, int],

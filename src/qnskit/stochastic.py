@@ -246,20 +246,21 @@ def from_povms(povms: Sequence[Sequence[np.ndarray]]) -> StochasticOperatorMatri
     if dx == 0:
         raise ValueError("need at least one POVM")
     da = len(povms[0])
-    ops = [[asmatrix(op) for op in family] for family in povms]
-    dh = ops[0][0].shape[0]
-    for family in ops:
-        if len(family) != da:
-            raise ValueError("all POVMs must have the same number of outcomes")
-        require(float(np.max(np.abs(sum(family) - np.eye(dh)))), TOL_ALG,
-                "POVM does not sum to the identity within tolerance")
-    mat = np.zeros((dx * da * dh,) * 2, dtype=complex)
-    t = mat.reshape(dx, da, dh, dx, da, dh)
-    for x, family in enumerate(ops):
-        for a, op in enumerate(family):
-            require(hermiticity_defect(op), TOL_ALG, f"POVM element ({x},{a}) is not Hermitian")
-            t[x, a, :, x, a, :] = (op + dagger(op)) / 2
-    return StochasticOperatorMatrix(dx, da, dh, mat)
+    if any(len(family) != da for family in povms):
+        raise ValueError("all POVMs must have the same number of outcomes")
+    ops = np.asarray(povms, dtype=complex)  # [x, a, h, h']
+    if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
+        raise ValueError(f"POVM elements must be square matrices of one size, got {ops.shape}")
+    dh = ops.shape[2]
+    require(float(np.max(np.abs(ops.sum(axis=1) - np.eye(dh)), initial=0.0)), TOL_ALG,
+            "POVM does not sum to the identity within tolerance")
+    bad = ~(np.max(np.abs(ops - dagger(ops)), axis=(2, 3), initial=0.0) <= TOL_ALG)
+    bx, ba = np.unravel_index(np.argmax(bad), bad.shape)  # the first non-Hermitian element
+    require(hermiticity_defect(ops), TOL_ALG, f"POVM element ({bx},{ba}) is not Hermitian")
+    t = np.zeros((dx, da, dh, dx, da, dh), dtype=complex)
+    x, a = np.indices((dx, da))
+    t[x, a, :, x, a, :] = (ops + dagger(ops)) / 2
+    return StochasticOperatorMatrix(dx, da, dh, t.reshape((dx * da * dh,) * 2))
 
 
 def from_choi(choi: np.ndarray, dim_x: int, dim_a: int) -> StochasticOperatorMatrix:

@@ -26,37 +26,35 @@ from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, check_state,
 
 
 def fair_state_residual(rho: np.ndarray, dim_x: int) -> float:
-    """Residual of the fair-state constraint for a matrix on X (x) X."""
-    rho = asmatrix(rho)
-    if rho.shape != (dim_x * dim_x,) * 2:
+    """Residual of the fair-state constraint for a matrix on X (x) X, or the
+    worst over a stack ``(..., n, n)`` of them."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (dim_x * dim_x,) * 2:
         raise ValueError(f"shape {rho.shape} does not match dim {dim_x}")
-    r4 = rho.reshape(dim_x, dim_x, dim_x, dim_x)  # [x, y, x', y'] with rows (x, y)
-    # rho[x, x', y, y'] = r4[x, y, x', y']
-    lhs = np.einsum("xzxw->zw", r4)     # sum_x rho[x, x, z, z']
-    rhs = np.einsum("wyzy->zw", r4)     # sum_y rho[z', z, y, y]
-    return float(np.max(np.abs(lhs - rhs)))
+    # rho[x, x', y, y'] = r[..., x, y, x', y'] with rows (x, y)
+    r = rho.reshape(*rho.shape[:-2], dim_x, dim_x, dim_x, dim_x)
+    lhs = np.einsum("...xzxw->...zw", r)     # sum_x rho[x, x, z, z']
+    rhs = np.einsum("...wyzy->...zw", r)     # sum_y rho[z', z, y, y]
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def is_fair_state(rho: np.ndarray, dim_x: int | None = None,
                   tol: float = TOL_ALG) -> bool:
     rho = check_state(rho, tol)
     if dim_x is None:
-        dim_x = int(round(rho.shape[0] ** 0.5))
+        dim_x = int(round(rho.shape[-1] ** 0.5))
     return fair_state_residual(rho, dim_x) <= tol
 
 
 def _fair_constraint_matrix(dim: int) -> np.ndarray:
-    """Linear map M_{XX} -> M_X whose kernel spans the fair states."""
-    rows = []
-    for z in range(dim):
-        for w in range(dim):
-            functional = np.zeros((dim, dim, dim, dim), dtype=complex)
-            for x in range(dim):
-                functional[x, z, x, w] += 1.0      # rho[x, x, z, z']
-            for y in range(dim):
-                functional[w, y, z, y] -= 1.0      # rho[z', z, y, y]
-            rows.append(functional.reshape(-1))
-    return np.array(rows)
+    """Linear map M_{XX} -> M_X whose kernel spans the fair states.
+
+    Row (z, z') is the functional rho -> sum_x rho[x, x, z, z'] - sum_y rho[z', z, y, y]
+    on the entries r[x, y, x', y'] of rho.
+    """
+    i = np.eye(dim)
+    m = np.einsum("xX,yz,Yw->zwxyXY", i, i, i) - np.einsum("xw,Xz,yY->zwxyXY", i, i, i)
+    return m.reshape(dim * dim, dim ** 4)
 
 
 @lru_cache(maxsize=None)
@@ -66,13 +64,9 @@ def fair_subspace(dim: int) -> np.ndarray:
 
 
 def _classical_fair_constraint(dim: int) -> np.ndarray:
-    rows = []
-    for z in range(dim):
-        functional = np.zeros((dim, dim))
-        functional[:, z] += 1.0
-        functional[z, :] -= 1.0
-        rows.append(functional.reshape(-1))
-    return np.array(rows)
+    """Row z is the functional q -> sum_x q[x, z] - sum_y q[z, y]."""
+    i = np.eye(dim)
+    return (i[:, None, :] - i[:, :, None]).reshape(dim, dim * dim)
 
 
 @lru_cache(maxsize=None)
@@ -81,9 +75,10 @@ def classical_fair_subspace(dim: int) -> np.ndarray:
 
 
 def classical_fair_residual(q: np.ndarray) -> float:
-    """Residual of row sums against column sums for a table on X x X."""
+    """Residual of row sums against column sums for a table on X x X, or the
+    worst over a stack ``(..., n, n)`` of them."""
     q = np.asarray(q)
-    return float(np.max(np.abs(q.sum(axis=0) - q.sum(axis=1))))
+    return float(np.max(np.abs(q.sum(axis=-2) - q.sum(axis=-1)), initial=0.0))
 
 
 def fair_residual(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> float:
@@ -92,19 +87,12 @@ def fair_residual(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> flo
     if d.x != d.y or d.a != d.b:
         raise ValueError("fairness requires X = Y and A = B")
     if isinstance(corr, QnsCorrelation):
-        basis = fair_subspace(d.x)
-        out = [fair_state_residual(corr.apply(rho), d.a)
-               for rho in basis.T.reshape(-1, d.in_size, d.in_size)]
-        return float(np.max(out, initial=0.0))
-    out = []
-    for q in classical_fair_subspace(d.x).T.reshape(-1, d.x, d.x):
-        if isinstance(corr, CqnsCorrelation):
-            image = np.einsum("xy,xyij->ij", q, corr.states)
-            out.append(fair_state_residual(image, d.a))
-        else:
-            image = np.einsum("xy,xyab->ab", q, corr.table.astype(complex))
-            out.append(classical_fair_residual(np.real(image)))
-    return float(np.max(out, initial=0.0))
+        rhos = fair_subspace(d.x).T.reshape(-1, d.in_size, d.in_size)
+        return fair_state_residual(corr.apply(rhos), d.a)
+    qs = classical_fair_subspace(d.x).T.reshape(-1, d.x, d.x)
+    if isinstance(corr, CqnsCorrelation):
+        return fair_state_residual(np.einsum("nxy,xyij->nij", qs, corr.states), d.a)
+    return classical_fair_residual(np.real(np.einsum("nxy,xyab->nab", qs, corr.table)))
 
 
 def is_fair(corr, tol: float = TOL_ALG) -> bool:

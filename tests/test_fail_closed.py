@@ -26,7 +26,8 @@ from qnskit.linalg import (CheckError, Report, channel_defects, check_state,
                            herm_sqrt, is_psd, max_entangled, psd_defect,
                            state_defect)
 from qnskit.stochastic import StochasticOperatorMatrix, from_povms, verify
-from qnskit.symmetry import fair_residual, reciprocal_certificate
+from qnskit.symmetry import (build_tracial_cqns, build_tracial_ns, fair_residual,
+                             reciprocal_certificate)
 from qnskit.theta import solve_theta
 
 D2 = CorrelationDims(2, 2, 2, 2)
@@ -345,6 +346,27 @@ def test_cli_refuses_a_non_positive_tracial_witness(tmp_path, capsys):
     assert run(["verify", str(payload)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False and report["witness_residual"] == "inf"
+
+
+@pytest.mark.parametrize("kind", ["cqns", "ns"])
+def test_reports_refuse_a_witness_of_other_dims(rng, kind):
+    """A tracial witness over X = 1 certifies nothing about data over X = Y = 2,
+    even when every state or table slice copies the one it generates."""
+    d = CorrelationDims(2, 2, 2, 2)
+    if kind == "cqns":
+        small = build_tracial_cqns(qr.random_tracial_witness(rng, 1, 2, kind="semiclassical"))
+        corr = CqnsCorrelation(d, np.broadcast_to(small.states, (2, 2, 4, 4)), small.witness)
+        report = cqns_report
+    else:
+        small = build_tracial_ns(qr.random_tracial_witness(rng, 1, 2, kind="classical"))
+        corr = NsCorrelation(d, np.broadcast_to(small.table, (2, 2, 2, 2)), small.witness)
+        report = ns_report
+    assert report(corr, check_witness=False).ok
+    result = report(corr)
+    assert result.witness_residual == np.inf and not result.ok
+    stored = (2, 2, 4, 4) if kind == "cqns" else (2, 2, 2, 2)
+    assert f"shape {(1, 1) + stored[2:]}" in result.info["witness_error"]
+    assert f"shape {stored}" in result.info["witness_error"]
 
 
 # ---------------------------------------------------------------------------

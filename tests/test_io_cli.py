@@ -7,7 +7,7 @@ from qnskit import io
 from qnskit import rand as qr
 from qnskit.cli import run
 from qnskit.correlations import (CorrelationDims, NsCorrelation,
-                                 QnsCorrelation, build_quantum,
+                                 QnsCorrelation, build_local, build_quantum,
                                  build_tracial, from_classical)
 from qnskit.games import colouring_game
 from qnskit.graphs import Graph, cycle5_umbrella
@@ -259,11 +259,32 @@ def test_cli_reads_stdin(monkeypatch, capsys):
     assert report["theta"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_cli_malformed_input(tmp_path, capsys):
+def test_cli_malformed_input(tmp_path, capsys, rng):
     path = _write(tmp_path, "junk.json", {"who": "knows"})
     assert run(["verify", path]) == 2
     missing = str(tmp_path / "absent.json")
     assert run(["theta", missing]) == 2
+    # JSON trees of the wrong shape: each fails a lookup, an unpacking or a
+    # conversion while it is decoded, and must read as malformed input
+    local = io.correlation_to_json(build_local(
+        [1.0], [qr.random_channel_choi(rng, 2, 2)], [qr.random_channel_choi(rng, 2, 2)],
+        CorrelationDims(2, 2, 2, 2)))
+    graph = _write(tmp_path, "c5.json", io.graph_to_json(Graph.cycle(5)))
+    cases = [
+        ["verify", {"rows": 1, "cols": 1, "data": [[None, 0]]}],
+        ["verify", {"rows": 1, "cols": 1, "data": [["1", "0"]]}],
+        ["verify", {"rows": 1, "cols": 1, "data": [1]}],
+        ["theta", {"n": 3, "edges": [[1]]}],
+        ["verify", {"kind": "cqns", "dims": local["dims"], "states": 3}],
+        ["verify", {**local, "witness": [local["witness"]]}],
+        ["verify", {**local, "witness": {**local["witness"], "alice": 3}}],
+        ["orthrep", graph, {"vectors": []}],
+    ]
+    capsys.readouterr()
+    for i, (*argv, obj) in enumerate(cases):
+        assert run([*argv, _write(tmp_path, f"bad{i}.json", obj)]) == 2, obj
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
 
 
 def test_cli_build_local_ragged_terms_exit_2(tmp_path, capsys, rng):

@@ -6,6 +6,7 @@ they serve only as oracles.
 """
 
 import ast
+import json
 import pathlib
 import tracemalloc
 
@@ -14,24 +15,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnskit import games, io, symmetry
 from qnskit import rand as qr
 from qnskit.algebra import tracial_choi, tracial_states, tracial_table
 from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
                                  LocalWitness, NsCorrelation, QnsCorrelation,
                                  QuantumWitness, TracialWitness,
                                  build_commuting, build_local, build_quantum,
-                                 compose_correlations, from_classical,
-                                 lift_cqns, qns_report, rebuild_from_witness,
-                                 reduce_cqns, reduce_ns, witness_residual)
+                                 build_tracial, compose_correlations,
+                                 from_classical, lift_cqns, qns_report,
+                                 rebuild_from_witness, reduce_cqns, reduce_ns,
+                                 witness_residual)
+from qnskit.games import (ConstraintGame, colouring_game, from_rule,
+                          perfect_strategy_check)
 from qnskit.graphs import (Graph, channel_sharp, graph_subspace, hom_residual,
-                           kd2_colouring)
+                           kd2_colouring, kd2_explicit_states, kraus_to_choi,
+                           proper_residuals, realization_basis,
+                           stahlke_residual, vertex_map_kraus)
 from qnskit.linalg import (CheckError, channel_defects, check_channel,
-                           check_state, hermiticity_defect, kron,
-                           permute_systems, pinch, psd_defect, state_defect)
+                           check_state, choi_compose, dagger,
+                           hermiticity_defect, kron, max_entangled,
+                           orthonormal_columns, permute_systems, pinch,
+                           psd_defect, state_defect)
 from qnskit.stochastic import (StochasticOperatorMatrix, channel_choi,
-                               classical_defect, semiclassical_defect, tensor,
-                               to_classical, to_semiclassical,
-                               with_ancilla_left, with_ancilla_right)
+                               classical_defect, from_povms,
+                               semiclassical_defect, tensor, to_classical,
+                               to_semiclassical, with_ancilla_left,
+                               with_ancilla_right)
+from qnskit.symmetry import (build_tracial_cqns, classical_fair_residual,
+                             fair_residual, fair_state_residual)
 
 #: Contractions sum in another order than kron-then-permute; entries are O(1)
 #: sums of at most a few hundred double-precision products.
@@ -315,7 +327,6 @@ def _random_stack(rng, shape, din, dout, kind):
     return np.array(blocks, dtype=complex).reshape(*shape, d, d)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # inf - inf is NaN, silently
 @kernel_settings
 @given(st.lists(st.integers(0, 3), max_size=2), st.integers(1, 3), st.integers(1, 3),
        st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.nan)]), seed)
@@ -380,3 +391,376 @@ def test_build_quantum_peak_memory(rng):
 def test_kd2_witness_residual_peak_memory():
     corr = kd2_colouring(4)
     assert _peak_mb(lambda: witness_residual(corr)) < 32
+
+
+def test_colouring_game_peak_memory():
+    # a dense identity on the 3600 question pairs alone would take 198 MiB
+    assert _peak_mb(lambda: colouring_game(Graph.cycle(60), 3)) < 32
+
+
+# ---------------------------------------------------------------------------
+# Graphs, fairness, games and witness composition: the loops they replaced
+
+
+def _bitwise(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _loop_kd2_witness(d):
+    zeta = np.exp(2j * np.pi / d)
+    n = d * d
+    mat = np.zeros((n * d * d,) * 2, dtype=complex)
+    t = mat.reshape(n, d, d, n, d, d)
+    for ap in range(d):
+        for bp in range(d):
+            x = ap * d + bp
+            for z in range(d):
+                for zp in range(d):
+                    op = np.zeros((d, d), dtype=complex)
+                    op[(z - ap) % d, (zp - ap) % d] = zeta ** ((zp - z) * bp)
+                    t[x, z, :, x, zp, :] = op
+    return mat
+
+
+def _loop_kd2_states(d):
+    zeta = np.exp(2j * np.pi / d)
+    n = d * d
+    states = np.zeros((n, n, d * d, d * d), dtype=complex)
+    for ap, bp, app, bpp in np.ndindex(d, d, d, d):
+        x, y = ap * d + bp, app * d + bpp
+        xi = np.zeros(d * d, dtype=complex)
+        for l in range(d):
+            xi[l * d + (l - ap + app) % d] = zeta ** ((bpp - bp) * l)
+        xi *= zeta ** (bpp * (app - ap)) / np.sqrt(d)
+        states[x, y] = np.outer(xi, xi.conj())
+    return states
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kd2_witness_and_states_match_loops(d):
+    assert _bitwise(kd2_colouring(d).witness.matrix.blocks[0].mat, _loop_kd2_witness(d))
+    assert _bitwise(kd2_explicit_states(d), _loop_kd2_states(d))
+
+
+def _loop_fair_constraint(dim):
+    rows = []
+    for z in range(dim):
+        for w in range(dim):
+            functional = np.zeros((dim, dim, dim, dim), dtype=complex)
+            for x in range(dim):
+                functional[x, z, x, w] += 1.0
+            for y in range(dim):
+                functional[w, y, z, y] -= 1.0
+            rows.append(functional.reshape(-1))
+    return np.array(rows)
+
+
+def _loop_classical_fair_constraint(dim):
+    rows = []
+    for z in range(dim):
+        functional = np.zeros((dim, dim))
+        functional[:, z] += 1.0
+        functional[z, :] -= 1.0
+        rows.append(functional.reshape(-1))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_fair_constraints_match_loops(dim):
+    # the fair matrix is real now; nullspace takes it as complex either way
+    assert np.array_equal(symmetry._fair_constraint_matrix(dim), _loop_fair_constraint(dim))
+    assert _bitwise(symmetry._classical_fair_constraint(dim), _loop_classical_fair_constraint(dim))
+
+
+def _loop_fair_state_residual(rho, dim_x):
+    r4 = rho.reshape(dim_x, dim_x, dim_x, dim_x)
+    return float(np.max(np.abs(np.einsum("xzxw->zw", r4) - np.einsum("wyzy->zw", r4))))
+
+
+def _loop_fair_residual(corr):
+    d = corr.dims
+    if isinstance(corr, QnsCorrelation):
+        out = [_loop_fair_state_residual(corr.apply(rho), d.a)
+               for rho in symmetry.fair_subspace(d.x).T.reshape(-1, d.in_size, d.in_size)]
+        return float(np.max(out, initial=0.0))
+    out = []
+    for q in symmetry.classical_fair_subspace(d.x).T.reshape(-1, d.x, d.x):
+        if isinstance(corr, CqnsCorrelation):
+            out.append(_loop_fair_state_residual(np.einsum("xy,xyij->ij", q, corr.states), d.a))
+        else:
+            image = np.real(np.einsum("xy,xyab->ab", q, corr.table.astype(complex)))
+            out.append(float(np.max(np.abs(image.sum(axis=0) - image.sum(axis=1)))))
+    return float(np.max(out, initial=0.0))
+
+
+@kernel_settings
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), seed)
+def test_fair_residual_matches_loop(dx, da, tracial, s):
+    rng = np.random.default_rng(s)
+    if tracial:  # fair, so every residual is rounding
+        corr = build_tracial(qr.random_tracial_witness(rng, dx, da))
+    else:
+        corr = build_quantum(qr.random_stochastic(rng, dx, da, 2),
+                             qr.random_stochastic(rng, dx, da, 1), qr.random_state(rng, 2))
+    for c in (corr, reduce_cqns(corr), reduce_ns(corr)):
+        assert abs(fair_residual(c) - _loop_fair_residual(c)) <= 1e-15
+    states = reduce_cqns(corr).states.reshape(-1, da * da, da * da)
+    assert fair_state_residual(states, da) == \
+        float(np.max([_loop_fair_state_residual(r, da) for r in states]))
+    tables = rng.random((3, dx, dx))
+    assert classical_fair_residual(tables) == \
+        float(np.max([np.max(np.abs(q.sum(axis=0) - q.sum(axis=1))) for q in tables]))
+
+
+def _random_graph(rng, n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    return Graph.from_edges(n, pairs)
+
+
+def _loop_kraus_to_choi(kraus):
+    dout, din = kraus[0].shape
+    choi = np.zeros((din * dout, din * dout), dtype=complex)
+    for m in kraus:
+        v = m.T.reshape(-1)
+        choi += np.outer(v, v.conj())
+    return choi
+
+
+def _loop_stahlke_residual(kraus, s_basis, t_basis):
+    basis = orthonormal_columns(np.column_stack([t.reshape(-1) for t in t_basis])) \
+        if t_basis else None
+    out = []
+    for mi in kraus:
+        for mj in kraus:
+            for s in s_basis:
+                v = (np.conj(mj) @ s @ mi.T).reshape(-1)
+                resid = v if basis is None else v - basis @ (dagger(basis) @ v)
+                out.append(float(np.linalg.norm(resid)) / max(1.0, float(np.linalg.norm(v))))
+    return float(np.max(out, initial=0.0))
+
+
+@kernel_settings
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), seed)
+def test_graph_and_kraus_constructions_match_loops(din, dout, k, s):
+    rng = np.random.default_rng(s)
+    kraus = [qr.complex_gaussian(rng, dout, din) for _ in range(k)]
+    assert _bitwise(kraus_to_choi(kraus), _loop_kraus_to_choi(kraus))
+    real = [m.real.astype(complex) for m in kraus]  # signed zeros in the products
+    assert _bitwise(kraus_to_choi(real), _loop_kraus_to_choi(real))
+
+    f = rng.integers(0, dout, din)
+    loop = [np.zeros((dout, din), dtype=complex) for _ in range(din)]
+    for x in range(din):
+        loop[x][f[x], x] = 1.0
+    for vm in (vertex_map_kraus(f, din, dout), vertex_map_kraus(lambda x: f[x], din, dout)):
+        assert all(_bitwise(a, b) for a, b in zip(vm, loop)) and len(vm) == din
+        assert _bitwise(kraus_to_choi(vm), _loop_kraus_to_choi(loop))
+
+    source, target = _random_graph(rng, din), _random_graph(rng, dout)
+    s_basis = realization_basis(graph_subspace(source))
+    for t_basis in (realization_basis(graph_subspace(target)), [],
+                    [qr.complex_gaussian(rng, dout, dout) for _ in range(2)]):
+        assert abs(stahlke_residual(kraus, s_basis, t_basis)
+                   - _loop_stahlke_residual(kraus, s_basis, t_basis)) <= 1e-15
+
+    vecs = np.zeros((din * din, 2 * len(source.edges)), dtype=complex)
+    adj = np.zeros((din, din))
+    for col, (x, y) in enumerate(source.ordered_edges()):
+        vecs[x * din + y, col] = 1.0
+        adj[x, y] = 1.0
+    assert _bitwise(graph_subspace(source).basis, vecs)
+    assert _bitwise(source.adjacency(), adj)
+
+
+@kernel_settings
+@given(st.integers(1, 4), st.integers(1, 3), seed)
+def test_proper_residuals_match_loop(n, a, s):
+    rng = np.random.default_rng(s)
+    graph = _random_graph(rng, n)
+    corr = build_tracial_cqns(qr.random_tracial_witness(rng, n, a, kind="semiclassical"))
+    omega = max_entangled(a)
+    loop = {}
+    for x, y in graph.ordered_edges():
+        val = np.trace(corr.states[x, y] @ omega)
+        loop[(x, y)] = abs(float(np.real(val))) + abs(float(np.imag(val)))
+    out = proper_residuals(corr, graph)
+    assert list(out) == list(loop)
+    assert all(abs(out[e] - loop[e]) <= 1e-15 for e in loop)
+
+
+def _games_equal(game, constraints):
+    ref = ConstraintGame(game.in_dims, game.out_dims, True, tuple(constraints), game.rule)
+    return len(game.constraints) == len(ref.constraints) and all(
+        _bitwise(u, ru) and _bitwise(v, rv)
+        for (u, v), (ru, rv) in zip(game.constraints, ref.constraints))
+
+
+@kernel_settings
+@given(st.tuples(dim, dim, dim, dim), seed)
+def test_from_rule_matches_loop(dims, s):
+    table = (np.random.default_rng(s).random(dims) < 0.5).astype(int)
+    dx, dy, da, db = dims
+    constraints = []
+    for x in range(dx):
+        for y in range(dy):
+            u = np.zeros((dx * dy, 1), dtype=complex)
+            u[x * dy + y, 0] = 1.0
+            allowed = np.flatnonzero(table[x, y].reshape(-1))
+            v = np.zeros((da * db, len(allowed)), dtype=complex)
+            for col, idx in enumerate(allowed):
+                v[idx, col] = 1.0
+            constraints.append((u, v))
+    assert _games_equal(from_rule(table), constraints)
+
+
+@kernel_settings
+@given(st.integers(1, 5), st.integers(1, 3), st.booleans(), seed)
+def test_colouring_game_and_classical_strategies_match_loops(n, a, synchronous, s):
+    rng = np.random.default_rng(s)
+    graph = _random_graph(rng, n)
+    game = colouring_game(graph, a, synchronous)
+    v_edge = games._orthocomplement_of_entangled(a)
+    constraints = []
+    for x, y in graph.ordered_edges():
+        u = np.zeros((n * n, 1), dtype=complex)
+        u[x * n + y, 0] = 1.0
+        constraints.append((u, v_edge))
+    if synchronous:
+        v_diag = np.zeros((a * a, a), dtype=complex)
+        for b in range(a):
+            v_diag[b * a + b, b] = 1.0
+        for x in range(n):
+            u = np.zeros((n * n, 1), dtype=complex)
+            u[x * n + x, 0] = 1.0
+            constraints.append((u, v_diag))
+    assert _games_equal(game, constraints)
+
+    corr = build_tracial_cqns(qr.random_tracial_witness(rng, n, a, kind="semiclassical"))
+    for strategy in (corr, reduce_ns(corr)):
+        residuals = perfect_strategy_check(game, strategy).info["residuals"]
+        for (u, v), r in zip(game.constraints, residuals):
+            pairs = [divmod(i, n) for i in np.flatnonzero(np.sum(np.abs(u) ** 2, axis=1) > 0.5)]
+            if isinstance(strategy, CqnsCorrelation):
+                image = np.zeros((a * a, a * a), dtype=complex)
+                for x, y in pairs:
+                    image += strategy.states[x, y]
+            else:
+                diag = np.zeros(a * a)
+                for x, y in pairs:
+                    diag += strategy.table[x, y].reshape(-1)
+                image = np.diag(diag).astype(complex)
+            ref = abs(float(np.real(np.trace(image @ (np.eye(a * a) - v @ dagger(v))))))
+            assert abs(r - ref) <= 1e-15
+
+
+@kernel_settings
+@given(st.integers(1, 6), st.lists(st.integers(0, 6), min_size=1, max_size=4), seed)
+def test_intersection_matches_loop(dim, ranks, s):
+    rng = np.random.default_rng(s)
+    subspaces = [orthonormal_columns(qr.complex_gaussian(rng, dim, min(r, dim)))
+                 for r in ranks]
+    subspaces.append(np.eye(dim, dtype=complex)[:, : dim // 2])
+    total = np.zeros((dim, dim), dtype=complex)
+    for sub in subspaces:
+        total += np.eye(dim) - sub @ dagger(sub)
+    w, vecs = np.linalg.eigh((total + dagger(total)) / 2)
+    ref = vecs[:, w < 1e-9]
+    out = games._intersect(subspaces, dim)
+    assert out.shape == ref.shape
+    # the sums agree to rounding; an eigenbasis of them moves by that over the spectral gap
+    assert _maxdiff(out @ dagger(out), ref @ dagger(ref)) <= TOL_ORDER
+
+
+@kernel_settings
+@given(st.integers(1, 3), st.integers(1, 3), seed)
+def test_from_povms_matches_loop(dh, dx, s):
+    rng = np.random.default_rng(s)
+    povms = [qr.random_pvm(rng, dh, int(rng.integers(1, dh + 1))) for _ in range(dx)]
+    povms = [p + [np.zeros((dh, dh))] * (dh - len(p)) for p in povms]  # one outcome count
+    da = dh
+    t = np.zeros((dx, da, dh, dx, da, dh), dtype=complex)
+    for x, family in enumerate(povms):
+        for a, op in enumerate(family):
+            op = np.asarray(op, dtype=complex)
+            t[x, a, :, x, a, :] = (op + dagger(op)) / 2
+    assert _bitwise(from_povms(povms).mat, t.reshape((dx * da * dh,) * 2))
+
+
+@kernel_settings
+@given(st.tuples(dim, dim, dim, dim), st.tuples(dim, dim), st.integers(1, 3),
+       st.integers(1, 3), seed)
+def test_local_composition_matches_pairwise_choi_compose(d1, out, k1, k2, s):
+    rng = np.random.default_rng(s)
+    d1 = CorrelationDims(*d1)
+    d2 = CorrelationDims(d1.a, d1.b, *out)
+
+    def local(d, k):
+        raw = rng.random(k) + 0.1
+        return build_local(list(raw / raw.sum()),
+                           [qr.random_channel_choi(rng, d.x, d.a) for _ in range(k)],
+                           [qr.random_channel_choi(rng, d.y, d.b) for _ in range(k)], d)
+
+    first, second = local(d1, k1), local(d2, k2)
+    w = compose_correlations(second, first).witness
+    w1, w2 = first.witness, second.witness
+    weights, alice, bob = [], [], []
+    for l1, a1, b1 in zip(w1.weights, w1.alice, w1.bob):
+        for l2, a2, b2 in zip(w2.weights, w2.alice, w2.bob):
+            weights.append(l1 * l2)
+            alice.append(choi_compose(a2, (d2.x, d2.a), a1, (d1.x, d1.a)))
+            bob.append(choi_compose(b2, (d2.y, d2.b), b1, (d1.y, d1.b)))
+    assert w.weights == tuple(weights) and all(type(x) is float for x in w.weights)
+    assert all(_bitwise(a, b) for a, b in zip(w.alice + w.bob, alice + bob))
+    assert len(w.alice) == len(w.bob) == k1 * k2
+
+
+def test_json_encoders_match_entrywise_loop():
+    for m in (np.array([[-0.0, 5e-324], [1e308, -1e308]]), np.array([[1 - 2j, -0.0j, -5e-324j]]),
+              np.zeros((0, 0)), np.zeros((3, 0))):
+        loop = [[float(z.real), float(z.imag)] for z in m.astype(complex).reshape(-1)]
+        assert json.dumps(io.matrix_to_json(m)["data"]) == json.dumps(loop)
+        assert json.dumps(io.vector_to_json(m)) == json.dumps(loop)
+
+
+#: Constructions that were loops over entries, basis vectors, question pairs or
+#: Kraus pairs; each is now an index assignment or a contraction.
+REWRITTEN = {
+    "graphs.py": {"Graph.adjacency", "graph_subspace", "stahlke_residual", "vertex_map_kraus",
+                  "kraus_to_choi", "proper_residuals", "kd2_colouring", "kd2_explicit_states"},
+    "symmetry.py": {"fair_state_residual", "_fair_constraint_matrix",
+                    "_classical_fair_constraint", "classical_fair_residual", "fair_residual"},
+    "games.py": {"from_rule", "colouring_game", "_apply_strategy", "_intersect"},
+    "stochastic.py": {"from_povms"},
+    "correlations.py": {"_compose_witness"},
+    "io.py": {"matrix_to_json", "vector_to_json"},
+}
+
+
+def _functions(tree):
+    """(qualified name, node) of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def test_no_nested_for_loops_and_none_in_constructions():
+    loops = (ast.For, ast.AsyncFor)
+    for path in sorted(pathlib.Path(qr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, loops):
+                inner = [n.lineno for n in ast.walk(node) if n is not node and isinstance(n, loops)]
+                assert not inner, f"{path.name}:{node.lineno} nests a for loop at {inner}"
+        found = set()
+        for name, fn in _functions(tree):
+            if name in REWRITTEN.get(path.name, ()):
+                found.add(name)
+                assert not any(isinstance(n, loops) for n in ast.walk(fn)), \
+                    f"{path.name}:{name} has a for loop"
+        assert found == REWRITTEN.get(path.name, set())
+
