@@ -25,7 +25,7 @@ from .graphs import (Graph, kd2_colouring, orth_rep_to_colouring,
 from .linalg import TOL_ALG, Report
 from .stochastic import StochasticOperatorMatrix, verify as verify_stochastic
 from .symmetry import build_tracial_cqns, build_tracial_ns, fair_residual
-from .theta import GAP_TOL, solve_theta
+from .theta import GAP_TOL, SolverError, solve_theta
 
 
 class CliError(Exception):
@@ -201,15 +201,18 @@ def _cmd_theta(args) -> int:
     graph = _load_payload(args.graph)
     if not isinstance(graph, Graph):
         raise CliError("theta expects a graph file")
-    result = solve_theta(graph.n, sorted(graph.edges), tol=args.tol)
-    report = Report({"gap": result.gap}, args.tol, {
-        "theta": result.value, "iterations": result.iterations,
-        "certificate_norm": result.certificate_norm, "dual_bound": result.dual_bound,
-        "xi_qc_lower_bound": xi_qc_lower_bound(graph, result.value)}).as_dict()
-    if args.format == "text":
-        print(f"{result.value:.6f}")
-        return _emit_report(report, "text", sys.stderr)
-    return _emit_report(report, "json", sys.stdout)
+    try:
+        result = solve_theta(graph.n, graph.edges, tol=args.tol)
+    except SolverError as exc:
+        report = Report({"gap": float("inf")}, args.tol, {"solver_error": str(exc)}).as_dict()
+    else:
+        report = Report({"gap": result.gap}, args.tol, {
+            "theta": result.value, "iterations": result.iterations,
+            "certificate_norm": result.certificate_norm, "dual_bound": result.dual_bound,
+            "xi_qc_lower_bound": xi_qc_lower_bound(graph, result.value)}).as_dict()
+        if args.format == "text":
+            print(f"{result.value:.6f}")
+    return _emit_report(report, args.format, sys.stderr if args.format == "text" else sys.stdout)
 
 
 def _properness(corr, graph: Graph) -> float:

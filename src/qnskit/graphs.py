@@ -20,7 +20,7 @@ from .linalg import (TOL_ALG, TOL_INPUT, check_channel, dagger,
                      require)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
-from .theta import GAP_TOL, solve_theta
+from .theta import GAP_TOL, edge_pairs, solve_theta
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,12 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        cleaned = set()
-        for e in self.edges:
-            i, j = int(e[0]), int(e[1])
-            if i == j:
-                raise ValueError(f"loop at vertex {i} not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge {e} out of range")
-            cleaned.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(cleaned))
+        pairs = edge_pairs(self.n, self.edges).tolist()
+        object.__setattr__(self, "edges", frozenset(map(tuple, pairs)))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        return cls(n, frozenset(tuple(e) for e in edges))
+        return cls(n, edges)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -369,8 +362,8 @@ def cycle5_umbrella() -> list[np.ndarray]:
 
 
 def lovasz_theta(graph: Graph, tol: float = GAP_TOL) -> float:
-    """Lovasz number through the dense interior-point solver."""
-    return solve_theta(graph.n, sorted(graph.edges), tol=tol).value
+    """Lovasz number through the interior-point solver in edge coordinates."""
+    return solve_theta(graph.n, graph.edges, tol=tol).value
 
 
 def xi_qc_lower_bound(graph: Graph, theta: float | None = None,

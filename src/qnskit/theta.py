@@ -1,14 +1,15 @@
-"""Dense primal-dual interior-point solver for the Lovasz theta SDP.
+"""Primal-dual interior-point solver for the Lovasz theta SDP in edge coordinates.
 
 theta(G) = max <J, X> subject to Tr X = 1, X[x, y] = 0 for edges xy, X psd.
 
-The solver is a feasible-start predictor-corrector method with dense
-Schur-complement solves.  Problem data is real symmetric, so the iteration
-runs over real symmetric matrices; results are deterministic.  A norm-form
-certificate derived from the primal optimum cross-validates the value:
-rescaling X by its diagonal yields a feasible point of
-max{||I + S|| : S zero on edges and diagonal, I + S psd}, whose norm
-matches theta at the optimum.
+The solver is a feasible-start predictor-corrector method.  Its constraints
+are the trace and the entries on the edges, held as two index arrays (i, j),
+and the Schur complement is assembled in closed form from those arrays.
+Problem data is real symmetric, so the iteration runs over real symmetric
+matrices; results are deterministic.  A norm-form certificate derived from
+the primal optimum cross-validates the value: rescaling X by its diagonal
+yields a feasible point of max{||I + S|| : S zero on edges and diagonal,
+I + S psd}, whose norm matches theta at the optimum.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ MAX_ITER = 200
 
 
 class SolverError(RuntimeError):
-    """Interior-point iteration failed to converge within the cap."""
+    """Interior-point iteration failed to converge within the cap, or broke down."""
 
 
 @dataclass(frozen=True)
@@ -46,24 +47,45 @@ def _sym(w: np.ndarray) -> np.ndarray:
     return (w + w.T) / 2
 
 
-def _constraint_matrices(n: int, edges) -> list[np.ndarray]:
-    mats = [np.eye(n)]
-    for i, j in edges:
-        a = np.zeros((n, n))
-        a[i, j] = a[j, i] = 1.0
-        mats.append(a)
-    return mats
+def edge_pairs(n: int, edges) -> np.ndarray:
+    """The edges of a graph on 0..n-1 as sorted, de-duplicated rows (i, j), i < j.
+
+    ``edges`` must convert to an integer array of shape (k, 2); an empty list
+    is the edgeless graph.  The first loop or out-of-range edge is named.
+    """
+    pairs = np.asarray(list(edges) or np.zeros((0, 2), dtype=int))
+    if pairs.dtype.kind not in "iu" or pairs.shape[1:] != (2,):
+        raise ValueError(f"edges must be pairs of integer vertices, got an array "
+                         f"of dtype {pairs.dtype} and shape {pairs.shape}")
+    bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        i, j = pairs[np.argmax(bad)].tolist()
+        raise ValueError(f"edge {(i, j)} is a loop or leaves the vertices 0..{n - 1}")
+    unique = sorted({(min(i, j), max(i, j)) for i, j in pairs.tolist()})
+    return np.array(unique, dtype=int).reshape(-1, 2)
 
 
-def _apply(mats, w: np.ndarray) -> np.ndarray:
-    return np.array([np.tensordot(a, w) for a in mats])
+def _apply(edges, w: np.ndarray) -> np.ndarray:
+    """[Tr W, <A_k, W>] for symmetric W, where A_k = e_i e_j^T + e_j e_i^T."""
+    return np.concatenate(([np.trace(w)], 2 * w[edges]))
 
 
-def _adjoint(mats, y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mats[0])
-    for a, yk in zip(mats, y):
-        out += yk * a
+def _adjoint(edges, y: np.ndarray, n: int) -> np.ndarray:
+    """y_0 I + sum_k y_k A_k."""
+    out = y[0] * np.eye(n)
+    out[edges] = out[edges[::-1]] = y[1:]
     return out
+
+
+def _schur(edges, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Schur matrix <A_k, Z^-1 A_l X> of the HKM direction, symmetrised."""
+    zx = zinv @ x
+    row = (zx + zx.T)[edges]
+    # A_k sums e_p e_q^T over both orders (p, q) of edge k, so <A_k, Z^-1 A_l X>
+    # sums Z^-1[q, a] X[b, p] over those and the orders (a, b) of edge l
+    ends = (edges, edges[::-1])
+    block = sum(zinv[np.ix_(q, a)] * x[np.ix_(p, b)] for p, q in ends for a, b in ends)
+    return _sym(np.block([[np.trace(zx), row], [row[:, None], block]]))
 
 
 def _max_step(psd: np.ndarray, step: np.ndarray) -> float:
@@ -84,14 +106,9 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL,
         raise ValueError("graph must have at least one vertex")
     if not 0 < tol < float("inf"):  # NaN fails
         raise ValueError("tolerance must be positive and finite")
-    edges = [(int(i), int(j)) for i, j in edges]
-    for i, j in edges:
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge {(i, j)} is a loop or leaves the vertices 0..{n - 1}")
-    edges = sorted({(min(e), max(e)) for e in edges})
+    edges = tuple(edge_pairs(n, edges).T)
 
-    mats = _constraint_matrices(n, edges)
-    m = len(mats)
+    m = 1 + len(edges[0])
     b = np.zeros(m)
     b[0] = 1.0
     c = -np.ones((n, n))  # minimise <-J, X>, maximising <J, X>
@@ -99,61 +116,64 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL,
     x = np.eye(n) / n                              # strictly feasible primal
     y = np.zeros(m)
     y[0] = -(n + 1.0)
-    z = c - _adjoint(mats, y)                      # (n+1) I - J, strictly psd
+    z = c - _adjoint(edges, y, n)                  # (n+1) I - J, strictly psd
 
     gap = float(np.tensordot(x, z))
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        rp = b - _apply(mats, x)
-        rd = c - z - _adjoint(mats, y)
-        gap = float(np.tensordot(x, z))
-        if gap <= tol and float(np.max(np.abs(rp))) <= FEAS_TOL \
-                and float(np.max(np.abs(rd))) <= FEAS_TOL:
-            break
+    try:
+        for iterations in range(1, max_iter + 1):
+            rp = b - _apply(edges, x)
+            rd = c - z - _adjoint(edges, y, n)
+            gap = float(np.tensordot(x, z))
+            if gap <= tol and float(np.max(np.abs(rp))) <= FEAS_TOL \
+                    and float(np.max(np.abs(rd))) <= FEAS_TOL:
+                break
 
-        zinv = _sym(np.linalg.inv(z))
-        images = [_sym(zinv @ a @ x) for a in mats]
-        schur = _sym(np.array([_apply(mats, img) for img in images]).T)
+            zinv = _sym(np.linalg.inv(z))
+            schur = _schur(edges, zinv, x)
 
-        rhs_base = rp + _apply(mats, x) + _apply(mats, _sym(zinv @ rd @ x))
+            rhs_base = rp + _apply(edges, x) + _apply(edges, _sym(zinv @ rd @ x))
 
-        def direction(target: np.ndarray):
-            """Solve the reduced system for complementarity target matrix."""
-            rhs = rhs_base - _apply(mats, _sym(zinv @ target))
-            try:
-                dy = np.linalg.solve(schur, rhs)
-            except np.linalg.LinAlgError:
-                dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
-            dz = rd - _adjoint(mats, dy)
-            dx = _sym(zinv @ target - x - zinv @ dz @ x)
-            return dx, dy, dz
+            def direction(target: np.ndarray):
+                """Solve the reduced system for complementarity target matrix."""
+                rhs = rhs_base - _apply(edges, _sym(zinv @ target))
+                try:
+                    dy = np.linalg.solve(schur, rhs)
+                except np.linalg.LinAlgError:
+                    dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+                dz = rd - _adjoint(edges, dy, n)
+                dx = _sym(zinv @ target - x - zinv @ dz @ x)
+                return dx, dy, dz
 
-        # predictor (affine scaling)
-        zero = np.zeros((n, n))
-        dx_a, _, dz_a = direction(zero)
-        ap = _max_step(x, dx_a)
-        ad = _max_step(z, dz_a)
-        gap_aff = float(np.tensordot(x + ap * dx_a, z + ad * dz_a))
-        sigma = min(1.0, max(gap_aff / gap, 0.0) ** 3)
+            # predictor (affine scaling)
+            zero = np.zeros((n, n))
+            dx_a, _, dz_a = direction(zero)
+            ap = _max_step(x, dx_a)
+            ad = _max_step(z, dz_a)
+            gap_aff = float(np.tensordot(x + ap * dx_a, z + ad * dz_a))
+            sigma = min(1.0, max(gap_aff / gap, 0.0) ** 3)
 
-        # corrector
-        mu = gap / n
-        target = sigma * mu * np.eye(n) - dz_a @ dx_a
-        dx, dy, dz = direction(target)
-        ap = _max_step(x, dx)
-        ad = _max_step(z, dz)
+            # corrector
+            mu = gap / n
+            target = sigma * mu * np.eye(n) - dz_a @ dx_a
+            dx, dy, dz = direction(target)
+            ap = _max_step(x, dx)
+            ad = _max_step(z, dz)
 
-        x = _sym(x + ap * dx)
-        z = _sym(z + ad * dz)
-        y = y + ad * dy
-    else:
-        raise SolverError(
-            f"no convergence within {max_iter} iterations (gap {gap:.3e})")
+            x = _sym(x + ap * dx)
+            z = _sym(z + ad * dz)
+            y = y + ad * dy
+        else:
+            raise SolverError(
+                f"no convergence within {max_iter} iterations (gap {gap:.3e})")
+    except np.linalg.LinAlgError as exc:
+        # an iterate that lost definiteness: fail closed, never return it
+        raise SolverError(f"iteration {iterations} failed at gap {gap:.3e}: {exc}") from exc
 
     value = float(np.sum(x))
     # Weak duality: Z = C - A*(y) gives <J, X'> = -y_1 - <Z, X'> for every
     # feasible X', hence theta <= -y_1 - min(0, lambda_min(Z)).
-    z_exact = c - _adjoint(mats, y)
+    z_exact = c - _adjoint(edges, y, n)
     slack = min(0.0, float(np.linalg.eigvalsh(_sym(z_exact))[0]))
     dual_bound = float(-y[0]) - slack
     return ThetaResult(value, x, gap, iterations, _certificate_norm(x), dual_bound)

@@ -18,6 +18,9 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    for bad in [(0, 1, 2), (0, 1.7), ("0", "2")]:
+        with pytest.raises(ValueError, match="pairs of integer vertices"):
+            Graph.from_edges(3, [bad])
     g = Graph.from_edges(3, [(1, 0), (0, 1), (1, 2)])
     assert g.edges == frozenset({(0, 1), (1, 2)})
 

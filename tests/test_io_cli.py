@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +261,20 @@ def test_cli_reads_stdin(monkeypatch, capsys):
     assert report["theta"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_cli_theta_solver_breakdown_fails_the_report(tmp_path, capsys):
+    # at --tol 1e-12 an iterate of this graph loses definiteness near the optimum
+    rng = np.random.default_rng(3)
+    edges = [list(e) for e in itertools.combinations(range(12), 2) if rng.random() < 0.5]
+    path = _write(tmp_path, "g12.json", {"n": 12, "edges": edges})
+    assert run(["theta", path, "--tol", "1e-12"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["pass"] is False and report["gap"] == "inf"
+    assert re.match(r"iteration \d+ failed at gap .*: Matrix is not positive definite",
+                    report["solver_error"])
+    assert "Traceback" not in captured.err
+
+
 def test_cli_malformed_input(tmp_path, capsys, rng):
     path = _write(tmp_path, "junk.json", {"who": "knows"})
     assert run(["verify", path]) == 2
@@ -275,6 +291,8 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
         ["verify", {"rows": 1, "cols": 1, "data": [["1", "0"]]}],
         ["verify", {"rows": 1, "cols": 1, "data": [1]}],
         ["theta", {"n": 3, "edges": [[1]]}],
+        ["theta", {"n": 3, "edges": [[0, 1, 2]]}],
+        ["theta", {"n": 3, "edges": [["0", "2"]]}],
         ["verify", {"kind": "cqns", "dims": local["dims"], "states": 3}],
         ["verify", {**local, "witness": [local["witness"]]}],
         ["verify", {**local, "witness": {**local["witness"], "alice": 3}}],

@@ -2,10 +2,13 @@
 
 The reference formulas below spell each construction out directly, as a kron
 followed by a factor permutation or as nested loops over diagonal blocks;
-they serve only as oracles.
+they serve only as oracles.  The theta kernels are checked against the dense
+constraint matrices they replaced.
 """
 
 import ast
+import importlib.util
+import itertools
 import json
 import pathlib
 import tracemalloc
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnskit import games, io, symmetry
+from qnskit import games, io, symmetry, theta
 from qnskit import rand as qr
 from qnskit.algebra import tracial_choi, tracial_states, tracial_table
 from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
@@ -513,8 +516,8 @@ def test_fair_residual_matches_loop(dx, da, tracial, s):
         float(np.max([np.max(np.abs(q.sum(axis=0) - q.sum(axis=1))) for q in tables]))
 
 
-def _random_graph(rng, n):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+def _random_graph(rng, n, p=0.5):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, pairs)
 
 
@@ -723,6 +726,70 @@ def test_json_encoders_match_entrywise_loop():
         assert json.dumps(io.vector_to_json(m)) == json.dumps(loop)
 
 
+def _dense_constraints(edges, n):
+    """The theta constraints as dense matrices: I, then e_i e_j^T + e_j e_i^T per edge."""
+    mats = [np.eye(n)]
+    for i, j in zip(*edges):
+        a = np.zeros((n, n))
+        a[i, j] = a[j, i] = 1.0
+        mats.append(a)
+    return mats
+
+
+def _dense_apply(edges, w):
+    return np.array([np.tensordot(a, w) for a in _dense_constraints(edges, len(w))])
+
+
+def _dense_adjoint(edges, y, n):
+    out = np.zeros((n, n))
+    for a, yk in zip(_dense_constraints(edges, n), y):
+        out += yk * a
+    return out
+
+
+def _dense_schur(edges, zinv, x):
+    mats = _dense_constraints(edges, len(x))
+    images = [theta._sym(zinv @ a @ x) for a in mats]
+    return theta._sym(np.array([[np.tensordot(a, img) for a in mats] for img in images]).T)
+
+
+def _spd(rng, n):
+    g = rng.standard_normal((n, n))
+    return g @ g.T / n + np.eye(n)
+
+
+@kernel_settings
+@given(st.integers(1, 12), st.sampled_from([0.0, 0.5, 1.0]), seed)
+def test_theta_kernels_match_dense_constraints(n, p, s):
+    rng = np.random.default_rng(s)
+    edges = tuple(theta.edge_pairs(n, _random_graph(rng, n, p).edges).T)
+    w, zinv, x = theta._sym(rng.standard_normal((n, n))), _spd(rng, n), _spd(rng, n)
+    y = rng.standard_normal(1 + len(edges[0]))
+    for fast, dense in [(theta._apply(edges, w), _dense_apply(edges, w)),
+                        (theta._adjoint(edges, y, n), _dense_adjoint(edges, y, n)),
+                        (theta._schur(edges, zinv, x), _dense_schur(edges, zinv, x))]:
+        assert fast.shape == dense.shape
+        assert _maxdiff(fast, dense) <= TOL_ORDER * max(1.0, float(np.max(np.abs(dense))))
+
+
+def test_solve_theta_matches_dense_constraints(monkeypatch, rng):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "theta_table.py"
+    spec = importlib.util.spec_from_file_location("theta_table", path)
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    graphs = [(g.n, g.edges) for _, g in table.catalogue(7)]
+    graphs += [(n, _random_graph(rng, n, p).edges) for n, p in
+               zip(rng.integers(1, 15, size=50), itertools.cycle([0.2, 0.5, 0.8]))]
+    fast = [theta.solve_theta(n, e) for n, e in graphs]
+    monkeypatch.setattr(theta, "_apply", _dense_apply)
+    monkeypatch.setattr(theta, "_adjoint", _dense_adjoint)
+    monkeypatch.setattr(theta, "_schur", _dense_schur)
+    for (n, e), ours in zip(graphs, fast):
+        dense = theta.solve_theta(n, e)
+        assert ours.iterations == dense.iterations, (n, e)
+        assert abs(ours.value - dense.value) <= theta.GAP_TOL, (n, e)
+
+
 #: Constructions that were loops over entries, basis vectors, question pairs or
 #: Kraus pairs; each is now an index assignment or a contraction.
 REWRITTEN = {
@@ -734,6 +801,7 @@ REWRITTEN = {
     "stochastic.py": {"from_povms"},
     "correlations.py": {"_compose_witness"},
     "io.py": {"matrix_to_json", "vector_to_json"},
+    "theta.py": {"_apply", "_adjoint", "_schur"},
 }
 
 

@@ -125,7 +125,38 @@ def test_runtime_midsize():
     assert time.time() - start < 10.0
 
 
-@pytest.mark.parametrize("edge", [(-1, 2), (0, 0), (0, 5)])
+@pytest.mark.parametrize("edge", [(-1, 2), (0, 0), (0, 5), (0, 1, 2), (0, 1.7), ("0", "2")])
 def test_solve_theta_rejects_edges_outside_the_graph(edge):
-    with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+    pair = len(edge) == 2 and all(isinstance(v, int) for v in edge)
+    match = rf"edge \({edge[0]}, {edge[1]}\)" if pair else "pairs of integer vertices"
+    with pytest.raises(ValueError, match=match):
         solve_theta(5, [edge])
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14, 1e-30])
+def test_tight_tolerance_converges_or_raises_solver_error(tol, rng):
+    # near the optimum an iterate can lose definiteness in floating point;
+    # the solver must then fail closed, never leak a LinAlgError
+    for _ in range(20):
+        n = int(rng.integers(2, 13))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        try:
+            result = solve_theta(n, edges, tol=tol)
+        except SolverError:
+            continue
+        assert result.gap <= tol
+
+
+def paley(q: int) -> Graph:
+    squares = {k * k % q for k in range(1, q)}
+    return Graph.from_edges(q, [e for e in itertools.combinations(range(q), 2)
+                                if (e[1] - e[0]) % q in squares])
+
+
+def test_theta_paley_61():
+    # 915 edges: the dense Schur assembly would take about 915^2 * 61^2 flops an iteration
+    g = paley(61)
+    assert len(g.edges) == 915
+    result = solve_theta(g.n, g.edges)
+    assert result.value == pytest.approx(np.sqrt(61), abs=1e-6)
+    assert result.value <= result.dual_bound + 1e-9
