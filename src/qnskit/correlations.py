@@ -10,6 +10,7 @@ Choi matrix itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -19,7 +20,7 @@ from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
                       tracial_states, tracial_table)
 from .linalg import (TOL_ALG, NEG_CLAMP, Report, apply_choi, asmatrix,
                      channel_defects, check_channel, check_weights, choi_compose,
-                     hermiticity_defect, kron, pinch, state_defect)
+                     hermiticity_defect, kron, pinch, readonly, state_defect)
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -64,13 +65,24 @@ class QuantumWitness:
     """Stochastic operator matrix pair with a shared state.
 
     ``kind`` is "quantum" for a tensor-product pair on H_A (x) H_B and
-    "commuting" for a commuting pair on a single H.
+    "commuting" for a commuting pair on a single H.  ``sigma`` is a read-only
+    copy, and ``choi`` is made, through the gated contraction of ``kind``, once.
     """
 
     kind: str
     e: StochasticOperatorMatrix
     f: StochasticOperatorMatrix
     sigma: np.ndarray
+
+    def __post_init__(self):
+        if self.kind not in ("quantum", "commuting"):
+            raise ValueError(f"witness kind must be 'quantum' or 'commuting', got {self.kind!r}")
+        object.__setattr__(self, "sigma", readonly(self.sigma))
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        contract = stochastic.tensor_choi if self.kind == "quantum" else stochastic.commuting_choi
+        return readonly(contract(self.e, self.f, self.sigma))
 
 
 @dataclass(frozen=True)
@@ -312,19 +324,13 @@ def _channel_terms(field: str, terms: Sequence[np.ndarray], dims: tuple[int, int
 def build_quantum(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
                   sigma: np.ndarray) -> QnsCorrelation:
     """Correlation generated by a tensor pair and a state on H_A (x) H_B."""
-    choi = stochastic.tensor_choi(e, f, sigma)
-    dims = CorrelationDims(e.dim_x, f.dim_x, e.dim_a, f.dim_a)
-    witness = QuantumWitness("quantum", e, f, np.array(sigma))
-    return QnsCorrelation(dims, choi, witness)
+    return build_from_witness(QuantumWitness("quantum", e, f, sigma))
 
 
 def build_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
                     sigma: np.ndarray) -> QnsCorrelation:
     """Correlation generated by a commuting pair on a common H."""
-    choi = stochastic.commuting_choi(e, f, sigma)
-    dims = CorrelationDims(e.dim_x, f.dim_x, e.dim_a, f.dim_a)
-    witness = QuantumWitness("commuting", e, f, np.array(sigma))
-    return QnsCorrelation(dims, choi, witness)
+    return build_from_witness(QuantumWitness("commuting", e, f, sigma))
 
 
 def build_tracial(e: AlgStochasticMatrix) -> QnsCorrelation:
@@ -339,7 +345,7 @@ def build_tracial(e: AlgStochasticMatrix) -> QnsCorrelation:
 
 
 def build_from_witness(w: Witness, dims: CorrelationDims | None = None) -> QnsCorrelation:
-    """The correlation ``w`` generates, through the builder of its class.
+    """The correlation ``w`` generates: its builder's, or a quantum witness's own Choi matrix.
 
     Only a local witness needs ``dims``: its Choi matrices alone do not
     split into input and output dimensions.
@@ -349,8 +355,8 @@ def build_from_witness(w: Witness, dims: CorrelationDims | None = None) -> QnsCo
             raise ValueError("a local witness needs the correlation dims")
         return build_local(w.weights, w.alice, w.bob, dims)
     if isinstance(w, QuantumWitness):
-        build = build_quantum if w.kind == "quantum" else build_commuting
-        return build(w.e, w.f, w.sigma)
+        return QnsCorrelation(CorrelationDims(w.e.dim_x, w.f.dim_x, w.e.dim_a, w.f.dim_a),
+                              w.choi, w)
     if isinstance(w, TracialWitness):
         return build_tracial(w.matrix)
     raise TypeError(f"unknown witness type {type(w)!r}")
@@ -359,8 +365,8 @@ def build_from_witness(w: Witness, dims: CorrelationDims | None = None) -> QnsCo
 def rebuild_from_witness(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> np.ndarray:
     """Recompute the correlation data from its attached witness.
 
-    The witness goes back through its builder, so every check the builder
-    makes applies again.  A tracial witness of classical-input data yields
+    Every check of the witness's builder applies; a witness object passes each
+    once and keeps what it measured.  A tracial witness of classical-input data yields
     only the input-diagonal blocks of its Choi matrix.
     """
     w = corr.witness

@@ -17,7 +17,7 @@ import numpy as np
 from .correlations import CqnsCorrelation, NsCorrelation, QnsCorrelation
 from .graphs import Graph, SkewSymmetricSubspace
 from .linalg import (TOL_ALG, Report, dagger, max_entangled_vector, nullspace,
-                     orthonormal_columns)
+                     orthonormality_defect, require)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ def compose_rules(outer: RuleFunction, inner: RuleFunction) -> RuleFunction:
 
 @dataclass(frozen=True)
 class ConstraintGame:
-    """Finite list of (input subspace, output subspace) constraints."""
+    """Finite list of (input subspace, output subspace) constraints; each subspace comes
+    as orthonormal columns, which construction checks and never recomputes."""
 
     in_dims: tuple[int, int]
     out_dims: tuple[int, int]
@@ -68,14 +69,15 @@ class ConstraintGame:
     def __post_init__(self):
         din = self.in_dims[0] * self.in_dims[1]
         dout = self.out_dims[0] * self.out_dims[1]
-        cleaned = []
-        for u, v in self.constraints:
-            u = orthonormal_columns(np.asarray(u, dtype=complex).reshape(din, -1))
-            v = orthonormal_columns(np.asarray(v, dtype=complex).reshape(dout, -1))
+        cleaned = tuple((np.asarray(u, dtype=complex).reshape(din, -1),
+                         np.asarray(v, dtype=complex).reshape(dout, -1))
+                        for u, v in self.constraints)
+        for k, (u, v) in enumerate(cleaned):
+            require(orthonormality_defect(u, v), TOL_ALG,
+                    f"constraint {k}: subspaces must have orthonormal columns")
             if self.classical_input:
                 _classical_pairs(u, self.in_dims)  # validates the span
-            cleaned.append((u, v))
-        object.__setattr__(self, "constraints", tuple(cleaned))
+        object.__setattr__(self, "constraints", cleaned)
 
     @property
     def n_constraints(self) -> int:

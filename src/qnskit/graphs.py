@@ -16,8 +16,8 @@ import numpy as np
 from .algebra import AlgStochasticMatrix, matrix_algebra, scalar_algebra
 from .correlations import CqnsCorrelation
 from .linalg import (TOL_ALG, TOL_INPUT, check_channel, dagger,
-                     max_entangled_vector, orthonormal_columns, permute_systems,
-                     require)
+                     max_entangled_vector, orthonormal_columns, orthonormality_defect,
+                     permute_systems, require)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
 from .theta import GAP_TOL, edge_pairs, solve_theta
@@ -111,9 +111,7 @@ class SkewSymmetricSubspace:
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.n * self.n:
             raise ValueError(f"basis shape {basis.shape} does not match n={self.n}")
-        gram = dagger(basis) @ basis
-        require(float(np.max(np.abs(gram - np.eye(basis.shape[1])), initial=0.0)), TOL_ALG,
-                "basis columns must be orthonormal")
+        require(orthonormality_defect(basis), TOL_ALG, "basis columns must be orthonormal")
         object.__setattr__(self, "basis", basis)
         require(self.skew_defect(), TOL_ALG, "subspace is not skew")
         require(self.symmetry_defect(), TOL_ALG, "subspace is not flip invariant")
@@ -169,11 +167,6 @@ def realize_vector(zeta: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 def realization_basis(space: SkewSymmetricSubspace) -> list[np.ndarray]:
     return [realize_vector(space.basis[:, k], (space.n, space.n))
             for k in range(space.dim)]
-
-
-def trace_functional(zeta: np.ndarray, n: int) -> complex:
-    """Pairing of zeta with the maximally entangled vector: sum_z zeta[(z, z)]."""
-    return complex(np.trace(np.asarray(zeta, dtype=complex).reshape(n, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from .algebra import AlgStochasticMatrix, TracialAlgebra
 from .correlations import (CorrelationDims, CqnsCorrelation, LocalWitness,
                            NsCorrelation, QnsCorrelation, QuantumWitness,
                            TracialWitness)
-from .games import ConstraintGame, RuleFunction
+from .games import ConstraintGame, RuleFunction, from_rule
 from .graphs import Graph
-from .linalg import asmatrix
+from .linalg import asmatrix, orthonormal_columns
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -193,25 +193,24 @@ def game_to_json(g: ConstraintGame) -> dict:
     return out
 
 
+def _columns(vectors, n: int) -> np.ndarray:
+    """Orthonormal columns spanning the JSON ``vectors`` of length ``n``."""
+    cols = [vector_from_json(v) for v in vectors]
+    return orthonormal_columns(np.column_stack(cols).reshape(n, -1) if cols else np.zeros((n, 0)))
+
+
 def game_from_json(obj: Any) -> ConstraintGame:
     try:
         if "rule" in obj and "constraints" not in obj:
-            from .games import from_rule
             return from_rule(np.asarray(obj["rule"]))
         in_dims = tuple(int(d) for d in obj["inDims"])
         out_dims = tuple(int(d) for d in obj["outDims"])
         din = in_dims[0] * in_dims[1]
         dout = out_dims[0] * out_dims[1]
-        constraints = []
-        for c in obj["constraints"]:
-            u_cols = [vector_from_json(v) for v in c["U"]]
-            v_cols = [vector_from_json(v) for v in c["V"]]
-            u = np.column_stack(u_cols) if u_cols else np.zeros((din, 0), dtype=complex)
-            v = np.column_stack(v_cols) if v_cols else np.zeros((dout, 0), dtype=complex)
-            constraints.append((u, v))
+        constraints = tuple((_columns(c["U"], din), _columns(c["V"], dout))
+                            for c in obj["constraints"])
         rule = RuleFunction(np.asarray(obj["rule"])) if "rule" in obj else None
-        return ConstraintGame(in_dims, out_dims, bool(obj["classicalInput"]),
-                              tuple(constraints), rule)
+        return ConstraintGame(in_dims, out_dims, bool(obj["classicalInput"]), constraints, rule)
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"not a game object: {exc}") from exc
 

@@ -95,6 +95,13 @@ def asmatrix(m) -> np.ndarray:
     return out
 
 
+def readonly(m) -> np.ndarray:
+    """A complex copy of ``m`` that refuses writes, for data checked once and then trusted."""
+    out = np.array(m, dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every block of a stack ``(..., d, d)``."""
     return np.conj(np.swapaxes(m, -1, -2))
@@ -191,6 +198,12 @@ def psd_defect(m: np.ndarray) -> float:
         return 0.0
     lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
     return max(hermiticity_defect(m), float(-np.min(lam)), 0.0)
+
+
+def orthonormality_defect(*bases: np.ndarray) -> float:
+    """Largest entry of B* B - I over the ``bases``: zero when each has orthonormal columns."""
+    return float(np.max([np.max(np.abs(dagger(b) @ b - np.eye(b.shape[1])), initial=0.0)
+                         for b in bases]))
 
 
 def is_psd(m: np.ndarray, tol: float = TOL_ALG) -> bool:

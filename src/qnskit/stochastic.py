@@ -8,18 +8,22 @@ X (x) H.  Blocks are written E[x, x', a, a'] and live on H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .linalg import (TOL_ALG, TOL_COMM, EIG_CLAMP, Report, asmatrix, check_state,
                      dagger, hermiticity_defect, partial_trace, pinch, psd_defect,
-                     require)
+                     readonly, require)
 
 
 @dataclass(frozen=True)
 class StochasticOperatorMatrix:
-    """Positive block matrix on X (x) A (x) H with Tr_A-marginal the identity."""
+    """Positive block matrix on X (x) A (x) H with Tr_A-marginal the identity.
+
+    ``mat`` is a read-only copy, so :func:`verify` measures it once, on first use."""
 
     dim_x: int
     dim_a: int
@@ -32,7 +36,7 @@ class StochasticOperatorMatrix:
         if mat.shape != (size, size):
             raise ValueError(f"matrix shape {mat.shape} does not match dims "
                              f"({self.dim_x},{self.dim_a},{self.dim_h})")
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", readonly(mat))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -47,20 +51,26 @@ class StochasticOperatorMatrix:
         """All blocks as an array of shape (dx, dx, da, da, dh, dh)."""
         return np.transpose(self.tensor6(), (0, 3, 1, 4, 2, 5))
 
+    @cached_property
+    def residuals(self) -> Mapping[str, float]:
+        """Positivity, the Tr_A marginal and the per-x diagonal POVMs, measured once; read-only."""
+        marg = partial_trace(self.mat, self.dims, 1)
+        # Derived consequence: (E[x, x, a, a])_a is a POVM for every x.
+        diag = np.einsum("xahxak->xahk", self.tensor6())
+        return MappingProxyType({
+            "hermiticity": hermiticity_defect(self.mat), "psd_defect": psd_defect(self.mat),
+            "marginal_residual": float(np.max(np.abs(marg - np.eye(len(marg))))),
+            "povm_defect": psd_defect(diag)})
+
 
 def verify(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> Report:
     """Check positivity, the Tr_A marginal, and the per-x diagonal POVMs."""
-    dx, dh = e.dim_x, e.dim_h
-    marg = partial_trace(e.mat, e.dims, 1)
-    marg_res = float(np.max(np.abs(marg - np.eye(dx * dh))))
-    # Derived consequence: (E[x, x, a, a])_a is a POVM for every x.
-    diag = np.einsum("xahxak->xahk", e.tensor6())
-    return Report({"hermiticity": hermiticity_defect(e.mat), "psd_defect": psd_defect(e.mat),
-                   "marginal_residual": marg_res, "povm_defect": psd_defect(diag)}, tol)
+    return Report(dict(e.residuals), tol)
 
 
-def _require_verified(e: StochasticOperatorMatrix):
-    verify(e).require("stochastic operator matrix fails verification")
+def _require_verified(*es: StochasticOperatorMatrix):
+    for e in es:
+        verify(e).require("stochastic operator matrix fails verification")
 
 
 @dataclass(frozen=True)
@@ -126,8 +136,7 @@ def _check_sigma(sigma: np.ndarray, dim_h: int) -> np.ndarray:
 def tensor_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
                 sigma: np.ndarray) -> np.ndarray:
     """``channel_choi(tensor(e, f), sigma)`` without forming E (x) F; rows (x, y, a, b)."""
-    _require_verified(e)
-    _require_verified(f)
+    _require_verified(e, f)
     he, hf = e.dim_h, f.dim_h
     s4 = _check_sigma(sigma, he * hf).reshape(he, hf, he, hf)
     choi = np.einsum("xahXAH,ybkYBK,HKhk->xyabXYAB", e.tensor6(), f.tensor6(), s4,
@@ -149,8 +158,7 @@ def commuting_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
 
 def tensor(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> StochasticOperatorMatrix:
     """Tensor product with factors reshuffled to X, Y, A, B, H1, H2 order."""
-    _require_verified(e)
-    _require_verified(f)
+    _require_verified(e, f)
     g = np.einsum("xahXAH,ybkYBK->xyabhkXYABHK", e.tensor6(), f.tensor6())
     dx, da, dh = e.dim_x * f.dim_x, e.dim_a * f.dim_a, e.dim_h * f.dim_h
     return StochasticOperatorMatrix(dx, da, dh, g.reshape((dx * da * dh,) * 2))
@@ -168,8 +176,7 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
 
 
 def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix):
-    _require_verified(e)
-    _require_verified(f)
+    _require_verified(e, f)
     require(max_commutator(e, f), TOL_COMM, "blocks do not commute: max commutator norm")
 
 

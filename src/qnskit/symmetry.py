@@ -18,7 +18,7 @@ from .algebra import (AlgStochasticMatrix, abelian_from_chois, compose_alg,
 from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                            QnsCorrelation, TracialWitness, build_tracial)
 from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, check_state,
-                     check_weights, nullspace, require)
+                     check_weights, nullspace, readonly, require)
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +59,8 @@ def _fair_constraint_matrix(dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def fair_subspace(dim: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of the fair constraint."""
-    return nullspace(_fair_constraint_matrix(dim))
+    """Orthonormal basis (columns) of the kernel of the fair constraint; cached, so read-only."""
+    return readonly(nullspace(_fair_constraint_matrix(dim)))
 
 
 def _classical_fair_constraint(dim: int) -> np.ndarray:
@@ -71,7 +71,7 @@ def _classical_fair_constraint(dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def classical_fair_subspace(dim: int) -> np.ndarray:
-    return nullspace(_classical_fair_constraint(dim))
+    return readonly(nullspace(_classical_fair_constraint(dim)))
 
 
 def classical_fair_residual(q: np.ndarray) -> float:
@@ -153,12 +153,8 @@ def reciprocal_state(e: AlgStochasticMatrix) -> np.ndarray:
 
 def reciprocal_from_state(omega: np.ndarray) -> AlgStochasticMatrix:
     """Scalar-algebra witness whose reciprocal state is omega (x) omega^t."""
-    from .algebra import scalar_algebra
-    from .stochastic import StochasticOperatorMatrix
     omega = check_state(asmatrix(omega))
-    dim = omega.shape[0]
-    block = StochasticOperatorMatrix(1, dim, 1, omega)
-    return AlgStochasticMatrix(scalar_algebra(), (block,))
+    return abelian_from_chois([omega], [1.0], 1, omega.shape[0])  # the scalar algebra
 
 
 def reciprocal_certificate(weights, states, target: np.ndarray,

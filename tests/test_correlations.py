@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnskit import rand as qr
+from qnskit import stochastic
 from qnskit.correlations import (CorrelationDims, NsCorrelation,
-                                 QnsCorrelation, build_commuting,
+                                 QnsCorrelation, QuantumWitness, build_commuting,
                                  build_from_witness, build_local, build_quantum,
                                  build_tracial, compose_correlations,
                                  compose_tables, cqns_report, from_classical,
@@ -13,7 +14,8 @@ from qnskit.correlations import (CorrelationDims, NsCorrelation,
                                  reduce_cqns, reduce_ns, witness_residual)
 from qnskit.graphs import kd2_colouring
 from qnskit.linalg import kron, max_entangled, permute_systems
-from qnskit.stochastic import from_choi, with_ancilla_left, with_ancilla_right
+from qnskit.stochastic import (StochasticOperatorMatrix, from_choi, verify,
+                               with_ancilla_left, with_ancilla_right)
 
 D2222 = CorrelationDims(2, 2, 2, 2)
 
@@ -396,3 +398,64 @@ def test_build_from_witness_uses_the_builder_of_each_class(rng):
         assert type(built.witness) is type(corr.witness)
     with pytest.raises(ValueError, match="needs the correlation dims"):
         build_from_witness(build_local([1.0], chois[:1], chois[1:], D2222).witness)
+
+
+# ---------------------------------------------------------------------------
+# Checked once: read-only witnesses carry their checks
+
+
+def _counting(monkeypatch, module, name, keep=lambda *args: True):
+    """Replace ``module.name`` by a wrapper that counts the calls ``keep`` accepts."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        if keep(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_commuting_build_and_report_measure_the_commutator_once(rng, monkeypatch):
+    e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
+    e, f = with_ancilla_right(e, 2), with_ancilla_left(f, 2)
+    calls = _counting(monkeypatch, stochastic, "max_commutator")
+    report = qns_report(build_commuting(e, f, qr.random_state(rng, 4)))
+    assert report.ok and report.witness_residual == 0.0
+    assert len(calls) == 1
+
+
+def test_kd2_build_report_and_recheck_verify_the_block_once(monkeypatch):
+    block = (9 * 3 * 3,) * 2  # d = 3: X = 9 inputs, A = 3 colours, H = C^3
+    calls = _counting(monkeypatch, stochastic, "psd_defect", lambda m: np.shape(m) == block)
+    corr = kd2_colouring(3)
+    assert cqns_report(corr).ok and witness_residual(corr) <= 1e-12
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("builder", [build_quantum, build_commuting])
+def test_witness_arrays_are_read_only_copies(rng, builder):
+    e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
+    if builder is build_commuting:
+        e, f = with_ancilla_right(e, 2), with_ancilla_left(f, 2)
+    mat, sigma = e.mat.copy(), qr.random_state(rng, 4)
+    e = StochasticOperatorMatrix(*e.dims, mat)
+    corr = builder(e, f, sigma)
+    w = corr.witness
+    for array in (e.mat, w.sigma, w.choi, corr.choi):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        e.residuals["psd_defect"] = 0.0
+    mat[:] = np.nan
+    sigma[:] = 0.0
+    assert verify(e).ok
+    report = qns_report(corr)
+    assert report.ok and report.witness_residual == 0.0
+
+
+def test_quantum_witness_refuses_an_unknown_kind(rng):
+    e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
+    with pytest.raises(ValueError, match="'tensor'"):
+        QuantumWitness("tensor", e, f, qr.random_state(rng, 4))

@@ -7,9 +7,11 @@ from qnskit.correlations import (CorrelationDims, NsCorrelation,
                                  from_classical)
 from qnskit.games import (ConstraintGame, RuleFunction, colouring_game,
                           compose_games, compose_rules, from_rule,
-                          homomorphism_game, perfect_strategy_check)
+                          _orthocomplement_of_entangled, homomorphism_game,
+                          perfect_strategy_check)
 from qnskit.graphs import (Graph, graph_subspace, kd2_colouring, kraus_to_choi,
                            vertex_map_kraus)
+from qnskit.linalg import CheckError
 from qnskit.symmetry import build_locally_tracial
 
 D2 = CorrelationDims(2, 2, 2, 2)
@@ -212,3 +214,27 @@ def test_composition_preserves_pass_for_tracial_strategies(rng):
         assert perfect_strategy_check(g2, p2).ok
         composed = compose_tables(p2, p1)
         assert perfect_strategy_check(compose_games(g2, g1), composed).ok
+
+
+def test_game_subspaces_are_checked_not_recomputed():
+    game = colouring_game(Graph.cycle(5), 3, synchronous=True)
+    v_edge = _orthocomplement_of_entangled(3)
+    assert all(np.array_equal(v, v_edge) for _, v in game.constraints[:10])  # the 10 edges
+    again = ConstraintGame(game.in_dims, game.out_dims, True, game.constraints)
+    assert all(np.array_equal(a, b) for pa, pb in zip(again.constraints, game.constraints)
+               for a, b in zip(pa, pb))
+    scaled = game.constraints[:1] + ((game.constraints[1][0], 2 * v_edge),)
+    with pytest.raises(CheckError, match="constraint 1: subspaces must have orthonormal"):
+        ConstraintGame(game.in_dims, game.out_dims, True, scaled)
+
+
+def test_decoded_games_are_orthonormalised(tmp_path):
+    from qnskit import io
+    game = colouring_game(Graph.complete(4), 2)
+    obj = io.game_to_json(game)
+    for c in obj["constraints"]:
+        c["V"] = [[[2 * re, 2 * im] for re, im in vec] for vec in c["V"]]
+    decoded = io.game_from_json(obj)
+    for (u, v), (u0, v0) in zip(decoded.constraints, game.constraints):
+        assert np.abs(v @ v.conj().T - v0 @ v0.conj().T).max() <= 1e-12
+    assert perfect_strategy_check(decoded, kd2_colouring(2)).ok

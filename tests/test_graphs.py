@@ -10,7 +10,8 @@ from qnskit.graphs import (Graph, SkewSymmetricSubspace, cycle5_umbrella,
                            orth_rep_to_colouring, proper_check,
                            proper_residuals, realization_basis,
                            realize_vector, stahlke_check, stahlke_residual,
-                           trace_functional, vertex_map_kraus)
+                           vertex_map_kraus)
+from qnskit.linalg import max_entangled_vector
 
 
 def test_graph_validation():
@@ -77,7 +78,7 @@ def test_realization_trace_equals_pairing(rng):
     for _ in range(10):
         zeta = qr.complex_gaussian(rng, 9)
         assert np.trace(realize_vector(zeta, (3, 3))) == pytest.approx(
-            trace_functional(zeta, 3))
+            max_entangled_vector(3) @ zeta)
 
 
 def test_realization_of_graph_space_is_adjacency_pattern():

@@ -15,6 +15,7 @@ from qnskit.symmetry import (build_locally_tracial, build_tracial_cqns,
                              fair_state_residual, image_reciprocal_witness,
                              is_fair, is_fair_state, reciprocal_certificate,
                              reciprocal_from_state, reciprocal_state)
+from qnskit import symmetry
 
 D = CorrelationDims(2, 2, 2, 2)
 
@@ -319,3 +320,12 @@ def test_compose_alg_matches_correlation_composition(rng):
     from qnskit.correlations import compose_correlations
     two_path = compose_correlations(build_tracial(w2), build_tracial(w1))
     assert np.max(np.abs(two_path.choi - g.choi)) <= 1e-8
+
+
+@pytest.mark.parametrize("subspace", [symmetry.fair_subspace, symmetry.classical_fair_subspace])
+def test_cached_fair_subspaces_are_read_only(rng, subspace):
+    corr = build_tracial(qr.random_tracial_witness(rng, 2, 2))
+    before = fair_residual(corr)
+    with pytest.raises(ValueError, match="read-only"):
+        subspace(2)[:] = 0
+    assert fair_residual(corr) == before
