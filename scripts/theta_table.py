@@ -44,7 +44,7 @@ def main():
         assert alpha - 1e-6 <= result.value <= g.n + 1e-6
         print(f"{name:>10} {g.n:>3} {result.value:>10.6f} "
               f"{result.certificate_norm:>10.6f} {alpha:>5} "
-              f"{xi_qc_lower_bound(g, result.value):>8.4f} "
+              f"{xi_qc_lower_bound(g, result.dual_bound):>8.4f} "
               f"{result.iterations:>5} {time.time() - start:>5.2f}s")
 
 

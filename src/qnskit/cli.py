@@ -68,21 +68,26 @@ def _emit_report(report: dict, fmt: str, stream) -> int:
     """Print ``report`` to ``stream``; the exit code, 0 if it passes and 1 if not."""
     report = _jsonable(report)
     if fmt == "json":
-        print(io.dump_json(report), file=stream)
+        io.write_json(report, stream)
+        stream.write("\n")
     else:
         print("\n".join(_render_text(report)), file=stream)
     return 0 if report["pass"] else 1
 
 
 def _emit_payload(payload: dict, report: dict, args) -> int:
-    """Write ``payload`` to --out, or to stdout with the report on stderr; the exit code."""
-    text = io.dump_json(payload)
+    """Write ``payload`` to --out, or to stdout with the report on stderr; the exit code.
+
+    The payload is checked before --out is opened, so one that JSON cannot hold
+    leaves the file as it was.
+    """
+    pieces = io.json_pieces(payload) + ["\n"]
     stream = sys.stdout
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            io.write_pieces(pieces, fh)
     else:
-        print(text)
+        io.write_pieces(pieces, sys.stdout)
         stream = sys.stderr
     return _emit_report(report, args.format, stream)
 
@@ -209,7 +214,7 @@ def _cmd_theta(args) -> int:
         report = Report({"gap": result.gap}, args.tol, {
             "theta": result.value, "iterations": result.iterations,
             "certificate_norm": result.certificate_norm, "dual_bound": result.dual_bound,
-            "xi_qc_lower_bound": xi_qc_lower_bound(graph, result.value)}).as_dict()
+            "xi_qc_lower_bound": xi_qc_lower_bound(graph, result.dual_bound)}).as_dict()
         if args.format == "text":
             print(f"{result.value:.6f}")
     return _emit_report(report, args.format, sys.stderr if args.format == "text" else sys.stdout)

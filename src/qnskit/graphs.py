@@ -361,9 +361,14 @@ def lovasz_theta(graph: Graph, tol: float = GAP_TOL) -> float:
 
 def xi_qc_lower_bound(graph: Graph, theta: float | None = None,
                       tol: float = GAP_TOL) -> float:
-    """Lower bound sqrt(n / theta(G)) on the commuting quantum chromatic number."""
+    """Lower bound sqrt(n / theta(G)) on the commuting quantum chromatic number.
+
+    ``theta`` must be an upper bound on theta(G), such as the solver's certified
+    ``dual_bound`` (the default); the primal value is a lower bound on theta(G)
+    and would overstate the bound.
+    """
     if theta is None:
-        theta = lovasz_theta(graph, tol)
+        theta = solve_theta(graph.n, graph.edges, tol=tol).dual_bound
     if graph.n == 0:
         return 0.0
     return float(np.sqrt(graph.n / theta))

@@ -2,12 +2,18 @@
 
 Matrices are stored as {"rows": n, "cols": m, "data": [[re, im], ...]} with
 row-major data; every other payload is built from this block plus plain
-dimension fields.
+dimension fields.  Payloads and reports are written as
+``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` would write
+them, but each list of [re, im] pairs is streamed in chunks instead of being
+built into one string.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+from io import StringIO
 from typing import Any
 
 import numpy as np
@@ -37,6 +43,23 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs(m)}
 
 
+def _complex(data: Any, shape: tuple, message: str) -> np.ndarray:
+    """``data``, nested lists of [re, im] number pairs, as one complex array of ``shape``.
+
+    One numpy conversion reads it all; a string or null entry, a pair of
+    another arity or nesting of another shape raises ``FormatError(message)``.
+    """
+    try:
+        pairs = np.asarray(data)
+    except ValueError as exc:  # ragged nesting
+        raise FormatError(message) from exc
+    empty = pairs.size == 0 == math.prod(shape)
+    if pairs.dtype.kind not in "biuf" or pairs.shape != (*shape, 2) and not empty:
+        raise FormatError(message)
+    pairs = np.ascontiguousarray(pairs.reshape(*shape, 2), dtype=float)
+    return pairs.view(complex).reshape(shape)
+
+
 def matrix_from_json(obj: Any) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
@@ -45,7 +68,7 @@ def matrix_from_json(obj: Any) -> np.ndarray:
         raise FormatError(f"not a matrix object: {exc}") from exc
     if len(data) != rows * cols:
         raise FormatError(f"matrix data length {len(data)} != {rows}x{cols}")
-    flat = np.array([complex(re, im) for re, im in data])
+    flat = _complex(data, (len(data),), "matrix data must be [re, im] number pairs")
     return flat.reshape(rows, cols)
 
 
@@ -54,7 +77,7 @@ def vector_to_json(v: np.ndarray) -> list:
 
 
 def vector_from_json(obj: Any) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj])
+    return _complex(obj, (len(obj),), "vector entries must be [re, im] number pairs")
 
 
 def stochastic_to_json(e: StochasticOperatorMatrix) -> dict:
@@ -193,10 +216,10 @@ def game_to_json(g: ConstraintGame) -> dict:
     return out
 
 
-def _columns(vectors, n: int) -> np.ndarray:
-    """Orthonormal columns spanning the JSON ``vectors`` of length ``n``."""
-    cols = [vector_from_json(v) for v in vectors]
-    return orthonormal_columns(np.column_stack(cols).reshape(n, -1) if cols else np.zeros((n, 0)))
+def _columns(vectors, n: int, where: str) -> np.ndarray:
+    """Orthonormal columns spanning the JSON ``vectors``, each of length ``n``."""
+    message = f"{where} must hold vectors of {n} [re, im] number pairs"
+    return orthonormal_columns(_complex(vectors, (len(vectors), n), message).T)
 
 
 def game_from_json(obj: Any) -> ConstraintGame:
@@ -207,8 +230,9 @@ def game_from_json(obj: Any) -> ConstraintGame:
         out_dims = tuple(int(d) for d in obj["outDims"])
         din = in_dims[0] * in_dims[1]
         dout = out_dims[0] * out_dims[1]
-        constraints = tuple((_columns(c["U"], din), _columns(c["V"], dout))
-                            for c in obj["constraints"])
+        constraints = tuple((_columns(c["U"], din, f"constraint {k}: U"),
+                             _columns(c["V"], dout, f"constraint {k}: V"))
+                            for k, c in enumerate(obj["constraints"]))
         rule = RuleFunction(np.asarray(obj["rule"])) if "rule" in obj else None
         return ConstraintGame(in_dims, out_dims, bool(obj["classicalInput"]), constraints, rule)
     except (TypeError, KeyError, ValueError) as exc:
@@ -247,6 +271,97 @@ def detect_payload(obj: Any):
     raise FormatError("unrecognised payload")
 
 
+#: Pairs formatted per write of a streamed pair list.
+_CHUNK = 4096
+
+
+def _is_pairs(obj: Any) -> bool:
+    """Whether ``obj`` is a non-empty list of [a, b] lists of two floats."""
+    return (type(obj) is list and len(obj) > 0 and set(map(type, obj)) == {list}
+            and set(map(len, obj)) == {2}
+            and set(map(type, itertools.chain.from_iterable(obj))) == {float})
+
+
+def _key(key: Any) -> str:
+    """``key`` as json writes a dict key: a number, bool or None as its JSON text, quoted."""
+    if key is None or isinstance(key, (int, float)):
+        key = json.dumps(key, indent=2, allow_nan=False)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.dumps(key)
+
+
+def _pieces(obj: Any, level: int):
+    """The JSON text of ``obj`` at nesting ``level``, in pieces: strings, and a
+    (pairs, level) tuple for each list of float pairs, checked but not yet formatted."""
+    indent = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj:
+        opener = "{"
+        for key, value in sorted(obj.items()):
+            yield f"{opener}{indent}{_key(key)}: "
+            yield from _pieces(value, level + 1)
+            opener = ","
+        yield "\n" + "  " * level + "}"
+    elif _is_pairs(obj):
+        # a NaN or inf makes the sum non-finite, and json then raises on the first
+        # one; a sum that only overflowed passes
+        if not math.isfinite(sum(itertools.chain.from_iterable(obj), 0.0)):
+            json.dumps(obj, indent=2, allow_nan=False)
+        yield obj, level
+    elif isinstance(obj, (list, tuple)) and obj:
+        opener = "["
+        for value in obj:
+            yield opener + indent
+            yield from _pieces(value, level + 1)
+            opener = ","
+        yield "\n" + "  " * level + "]"
+    else:  # scalars, {} and []
+        yield json.dumps(obj, indent=2, allow_nan=False)
+
+
+def json_pieces(obj: Any) -> list:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` as
+    pieces for ``write_pieces``: strings, and the lists of float pairs still to format.
+
+    The whole tree is checked here, so whatever ``json.dumps`` raises on it (a
+    non-finite float, an object JSON cannot hold) is raised before a byte is written.
+    """
+    runs = itertools.groupby(_pieces(obj, 0), key=lambda piece: type(piece) is str)
+    return [piece for text, run in runs for piece in (["".join(run)] if text else run)]
+
+
+def _write_pairs(fh, pairs: list, level: int) -> None:
+    """Write a list of float pairs at nesting ``level`` as ``json.dumps(indent=2)`` does:
+    ``_CHUNK`` pairs per write, each pair through one template and ``float.__repr__``."""
+    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    pair, sep = f"[{inner}%r,{inner}%r{outer}]", "," + outer
+    size = min(len(pairs), _CHUNK)
+    full = sep.join([pair] * size)
+    fh.write("[" + outer)
+    for start in range(0, len(pairs), _CHUNK):
+        chunk = pairs[start:start + _CHUNK]
+        template = full if len(chunk) == size else sep.join([pair] * len(chunk))
+        fh.write((sep if start else "") + template % tuple(itertools.chain.from_iterable(chunk)))
+    fh.write("\n" + "  " * level + "]")
+
+
+def write_pieces(pieces: list, fh) -> None:
+    """Write the ``json_pieces`` of a tree to the text stream ``fh``."""
+    for piece in pieces:
+        if type(piece) is str:
+            fh.write(piece)
+        else:
+            _write_pairs(fh, *piece)
+
+
+def write_json(obj: Any, fh) -> None:
+    """Write exactly ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` to
+    the text stream ``fh``; the tree is checked in full before the first write."""
+    write_pieces(json_pieces(obj), fh)
+
+
 def dump_json(obj: Any) -> str:
-    """Deterministic JSON rendering for reports and payloads."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """Deterministic JSON rendering for reports and payloads, as ``write_json`` writes it."""
+    text = StringIO()
+    write_json(obj, text)
+    return text.getvalue()

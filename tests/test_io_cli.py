@@ -1,9 +1,12 @@
 import itertools
 import json
 import re
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qnskit import io
 from qnskit import rand as qr
@@ -90,6 +93,124 @@ def test_detect_payload_variants(rng):
 def test_report_rendering_is_deterministic():
     text = io.dump_json({"b": 1.5, "a": [1, 2]})
     assert text == io.dump_json({"a": [1, 2], "b": 1.5})
+
+
+def test_decoded_entries_keep_their_values():
+    m = io.matrix_from_json({"rows": 2, "cols": 1, "data": [[1, -0.0], [float("inf"), 2.5]]})
+    assert m.shape == (2, 1) and m.dtype == complex
+    assert m[0, 0] == 1 and np.signbit(m[0, 0].imag) and m[1, 0] == complex(float("inf"), 2.5)
+    assert io.matrix_from_json({"rows": 3, "cols": 0, "data": []}).shape == (3, 0)
+    assert io.vector_from_json([]).shape == (0,)
+    assert np.array_equal(io.vector_from_json([[0, 1], [2.5, -3]]), [1j, 2.5 - 3j])
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e308, -1e308])
+_MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda shape: st.lists(_FLOATS, min_size=2 * shape[0] * shape[1],
+                           max_size=2 * shape[0] * shape[1]).map(
+        lambda xs: io.matrix_to_json(np.array(xs, dtype=float).view(complex).reshape(shape))))
+_LEAVES = (st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+           | st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=4) | _MATRICES)
+_TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                      | st.dictionaries(st.text(), kids, max_size=4), max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+@example({"dims": {"X": 3, "A": 2}, "text": "\"q\\\n\u2603\U0001f600", "e": [], "d": {},
+          "m00": io.matrix_to_json(np.zeros((0, 0))), "m30": io.matrix_to_json(np.zeros((3, 0))),
+          "flags": [True, False, None], "pairs": [[-0.0, 5e-324], [1e308, -1e308]]})
+def test_write_json_writes_the_bytes_of_json_dumps(tree):
+    text = StringIO()
+    io.write_json(tree, text)
+    assert text.getvalue() == io.dump_json(tree) == _oracle(tree)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_TREES, st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+       st.booleans())
+def test_write_json_refuses_non_finite_floats_before_writing(tree, bad, in_pair):
+    obj = {"a": tree, "b": [[1.0, bad]] if in_pair else bad}
+    with pytest.raises(ValueError) as want:
+        _oracle(obj)
+    text = StringIO()
+    with pytest.raises(ValueError) as got:
+        io.write_json(obj, text)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+    assert text.getvalue() == ""
+
+
+def test_dump_json_matches_json_dumps_on_payloads(rng):
+    e = qr.random_stochastic(rng, 2, 2, 2)
+    f = qr.random_stochastic(rng, 2, 2, 2)
+    payloads = [
+        io.correlation_to_json(build_quantum(e, f, qr.random_state(rng, 4))),
+        io.correlation_to_json(build_tracial(qr.random_tracial_witness(rng, 2, 2))),
+        io.correlation_to_json(build_tracial_cqns(
+            qr.random_tracial_witness(rng, 2, 2, kind="semiclassical"))),
+        io.correlation_to_json(build_tracial_ns(
+            qr.random_tracial_witness(rng, 2, 2, kind="classical"))),
+        io.correlation_to_json(build_local(
+            [1.0], [qr.random_channel_choi(rng, 2, 2)], [qr.random_channel_choi(rng, 2, 2)],
+            CorrelationDims(2, 2, 2, 2))),
+        io.game_to_json(colouring_game(Graph.cycle(5), 3)),
+        io.graph_to_json(Graph.cycle(5)),
+        {1: "int", 2: [1, 2.5]}, {1.5: "float"}, {True: 1, False: 0}, {None: []},
+    ]
+    for obj in payloads:
+        assert io.dump_json(obj) == _oracle(obj)
+
+
+def test_cli_payloads_and_reports_are_json_dumps_bytes(tmp_path, capsys, rng):
+    e = io.stochastic_to_json(qr.random_stochastic(rng, 2, 2, 2))
+    f = io.stochastic_to_json(qr.random_stochastic(rng, 2, 2, 2))
+    witness = _write(tmp_path, "w.json", {"E": e, "F": f,
+                                          "sigma": io.matrix_to_json(qr.random_state(rng, 4))})
+    q, cq = str(tmp_path / "q.json"), str(tmp_path / "cq.json")
+    commands = [["build", "quantum", witness], ["reduce", "E", q], ["reduce", "N", cq],
+                ["reduce", "N", q], ["lift", cq], ["compose", q, q],
+                ["kd2", "--d", "2"], ["kd2", "--d", "3"]]
+    outputs = {0: q, 1: cq}
+
+    def canonical(text):
+        assert text == _oracle(json.loads(text)) + "\n"
+
+    for i, argv in enumerate(commands):
+        out = outputs.get(i, str(tmp_path / f"out{i}.json"))
+        assert run([*argv, "--out", out]) == 0, argv
+        canonical(capsys.readouterr().out)
+        with open(out, encoding="utf-8") as fh:
+            payload = fh.read()
+        canonical(payload)
+        assert run(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.out == payload
+        canonical(captured.err)
+
+
+def test_cli_non_finite_payload_exits_2_and_leaves_out_alone(tmp_path, capsys):
+    choi = io.matrix_to_json(np.eye(16) / 4)
+    choi["data"][0][0] = float("nan")
+    path = _write(tmp_path, "nan.json", {"kind": "qns", "dims": {"X": 2, "Y": 2, "A": 2, "B": 2},
+                                         "choi": choi})
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("keep me\n")
+    for out in (kept, fresh):
+        assert run(["reduce", "E", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: Out of range float values are not JSON compliant: nan\n"
+    assert kept.read_text() == "keep me\n"
+    assert not fresh.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +424,46 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
         assert run([*argv, _write(tmp_path, f"bad{i}.json", obj)]) == 2, obj
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+_PAIRS_MESSAGE = "must be [re, im] number pairs"
+
+
+@pytest.mark.parametrize("data, rows, message", [
+    ([["1.0", 0.0]], 1, _PAIRS_MESSAGE),          # a string entry
+    ([[None, 0.0]], 1, _PAIRS_MESSAGE),           # a null entry
+    ([[1.0]], 1, _PAIRS_MESSAGE),                 # a pair of arity 1
+    ([[1.0, 0.0, 0.0]], 1, _PAIRS_MESSAGE),       # a pair of arity 3
+    ([[1.0, 0.0], [1.0]], 2, _PAIRS_MESSAGE),     # pairs of mixed arity
+    ([[1.0, 0.0], [0.0, 0.0]], 1, "matrix data length 2 != 1x1"),
+])
+def test_cli_refuses_malformed_matrix_data(tmp_path, capsys, data, rows, message):
+    path = _write(tmp_path, "bad.json", {"kind": "qns", "dims": {"X": 1, "Y": 1, "A": 1, "B": 1},
+                                         "choi": {"rows": rows, "cols": 1, "data": data}})
+    assert run(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and message in err, err
+
+
+@pytest.mark.parametrize("vector", [[["1.0", 0.0]] * 3, [[None, 0.0]] * 3, [[1.0]] * 3,
+                                    [[1.0, 0.0, 0.0]] * 3, [[1.0, 0.0], [1.0], [0.0, 0.0]]])
+def test_cli_refuses_malformed_vector_entries(tmp_path, capsys, vector):
+    graph = _write(tmp_path, "c5.json", io.graph_to_json(Graph.cycle(5)))
+    vectors = [io.vector_to_json(v) for v in cycle5_umbrella()]
+    path = _write(tmp_path, "bad.json", {"vectors": [vector, *vectors[1:]]})
+    assert run(["orthrep", graph, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and \
+        "vector entries must be [re, im] number pairs" in err, err
+
+
+def test_cli_check_game_refuses_vectors_of_the_wrong_length(tmp_path, capsys):
+    game = io.game_to_json(colouring_game(Graph.cycle(3), 3))
+    game["constraints"][0]["V"] = [io.vector_to_json(np.ones(18))] * 3
+    path = _write(tmp_path, "game.json", game)
+    assert run(["check-game", path, path]) == 2
+    assert "constraint 0: V must hold vectors of 9 [re, im] number pairs" in \
+        capsys.readouterr().err
 
 
 def test_cli_build_local_ragged_terms_exit_2(tmp_path, capsys, rng):

@@ -160,3 +160,19 @@ def test_theta_paley_61():
     result = solve_theta(g.n, g.edges)
     assert result.value == pytest.approx(np.sqrt(61), abs=1e-6)
     assert result.value <= result.dual_bound + 1e-9
+
+
+def _complement(g: Graph) -> Graph:
+    return Graph.from_edges(g.n, [e for e in itertools.combinations(range(g.n), 2)
+                                  if not g.has_edge(*e)])
+
+
+def test_chromatic_bound_divides_by_an_upper_bound_on_theta():
+    # closed forms: theta(Paley(q)) = sqrt(q), theta(C_n) = n cos(pi/n) / (1 + cos(pi/n))
+    # for odd n, and theta(G) theta(co-G) = n for a vertex-transitive G
+    cases = [(paley(13), np.sqrt(13))]
+    for n in range(5, 16, 2):
+        theta = n * np.cos(np.pi / n) / (1 + np.cos(np.pi / n))
+        cases += [(Graph.cycle(n), theta), (_complement(Graph.cycle(n)), n / theta)]
+    for g, theta in cases:
+        assert xi_qc_lower_bound(g) <= np.sqrt(g.n / theta), (g.n, len(g.edges))
