@@ -1,0 +1,78 @@
+"""Median wall time of the three stacked certificates on seeded inputs.
+
+usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d 3 4]
+                                                      [--repeat 7] [--seed 1]
+
+- `max_commutator` on a commuting lift (E (x) I, I (x) F) of two seeded
+  stochastic operator matrices with dims (dim_x, dim_a, dim_h), and on the
+  same pair with every block conjugated by one seeded unitary, so that the
+  commutators are rounding-sized rather than exactly zero;
+- `colouring_game` of K_{d^2} with d colours followed by
+  `perfect_strategy_check` of the kd2 colouring against it;
+- `fair_residual` of the kd2 colouring.
+
+Each line gives the median over the repeats in milliseconds and the value
+the call returned, so two source trees can be compared on the same seed.
+Set OPENBLAS_NUM_THREADS=1 for figures that do not depend on the machine's
+other load.
+"""
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from qnskit import rand as qr
+from qnskit.games import colouring_game, perfect_strategy_check
+from qnskit.graphs import Graph, kd2_colouring
+from qnskit.stochastic import (StochasticOperatorMatrix, max_commutator,
+                               with_ancilla_left, with_ancilla_right)
+from qnskit.symmetry import fair_residual
+
+
+def median_ms(fn, repeat: int):
+    """Median milliseconds of ``repeat`` calls of ``fn`` and the last value it returned."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        value = fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times), value
+
+
+def lifts(rng, dims):
+    """A commuting lift of two seeded matrices and its blockwise rotation by a unitary."""
+    e, f = qr.random_stochastic(rng, *dims), qr.random_stochastic(rng, *dims)
+    pair = (with_ancilla_right(e, dims[2]), with_ancilla_left(f, dims[2]))
+    big = np.kron(np.eye(dims[0] * dims[1]), qr.random_unitary(rng, dims[2] ** 2))
+    rotated = tuple(StochasticOperatorMatrix(*m.dims, big @ m.mat @ big.conj().T) for m in pair)
+    return pair, rotated
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--lifts", nargs="+", default=["3,3,2", "4,4,2"],
+                        help="dims dim_x,dim_a,dim_h of each lifted pair")
+    parser.add_argument("--d", type=int, nargs="+", default=[3, 4])
+    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    rng = np.random.default_rng(args.seed)
+    print(f"{'operation':>38} {'median ms':>10}  value")
+    for spec in args.lifts:
+        dims = tuple(int(n) for n in spec.split(","))
+        for label, (e, f) in zip(("lift", "rotated lift"), lifts(rng, dims)):
+            ms, value = median_ms(lambda: max_commutator(e, f), args.repeat)
+            print(f"{f'max_commutator {label} {dims}':>38} {ms:>10.2f}  {value!r}")
+    for d in args.d:
+        corr, graph = kd2_colouring(d), Graph.complete(d * d)
+        ms, report = median_ms(lambda: perfect_strategy_check(colouring_game(graph, d), corr),
+                               args.repeat)
+        print(f"{f'game + strategy check kd2 d={d}':>38} {ms:>10.2f}  {report.max_residual!r}")
+        ms, value = median_ms(lambda: fair_residual(corr), args.repeat)
+        print(f"{f'fair_residual kd2 d={d}':>38} {ms:>10.2f}  {value!r}")
+
+
+if __name__ == "__main__":
+    main()

@@ -18,9 +18,9 @@ import numpy as np
 from . import stochastic
 from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
                       tracial_states, tracial_table)
-from .linalg import (TOL_ALG, NEG_CLAMP, Report, apply_choi, asmatrix,
-                     channel_defects, check_channel, check_weights, choi_compose,
-                     hermiticity_defect, kron, pinch, readonly, state_defect)
+from .linalg import (TOL_ALG, NEG_CLAMP, Report, apply_choi, asmatrix, check_channel,
+                     check_weights, choi_compose, hermiticity_and_psd_defect, kron,
+                     pinch, readonly, state_defect, tp_residual)
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -97,6 +97,9 @@ Witness = Union[LocalWitness, QuantumWitness, TracialWitness]
 
 @dataclass(frozen=True)
 class QnsCorrelation:
+    """A channel M_{XY} -> M_{AB} through its Choi matrix, kept as a read-only
+    copy; one built from a quantum witness shares the witness's matrix."""
+
     dims: CorrelationDims
     choi: np.ndarray
     witness: Witness | None = None
@@ -106,7 +109,7 @@ class QnsCorrelation:
         n = self.dims.choi_size
         if choi.shape != (n, n):
             raise ValueError(f"Choi shape {choi.shape} does not match dims {self.dims}")
-        object.__setattr__(self, "choi", choi)
+        object.__setattr__(self, "choi", readonly(choi))
 
     def choi8(self) -> np.ndarray:
         d = self.dims
@@ -118,7 +121,7 @@ class QnsCorrelation:
 
 @dataclass(frozen=True)
 class CqnsCorrelation:
-    """Family of output states indexed by classical input pairs."""
+    """Family of output states indexed by classical input pairs, kept as a read-only copy."""
 
     dims: CorrelationDims
     states: np.ndarray  # shape (x, y, a*b, a*b)
@@ -129,7 +132,7 @@ class CqnsCorrelation:
         d = self.dims
         if states.shape != (d.x, d.y, d.out_size, d.out_size):
             raise ValueError(f"state family shape {states.shape} does not match dims {d}")
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", readonly(states))
 
 
 @dataclass(frozen=True)
@@ -159,14 +162,15 @@ def qns_report(corr: QnsCorrelation, tol: float = TOL_ALG,
     """
     choi, d = corr.choi, corr.dims
     c8 = corr.choi8()
-    psd, tp_res = channel_defects(choi, (d.in_size, d.out_size))
+    herm, psd = hermiticity_and_psd_defect(choi)
+    tp_res = tp_residual(choi, (d.in_size, d.out_size))
 
     tb = c8.trace(axis1=2, axis2=6)  # sum_a C[x,y,a,b,x',y',a,b'] -> [x,y,b,x',y',b']
     b_res = _marginal_residual(np.transpose(tb, (0, 3, 1, 4, 2, 5)), d.x)
     tc = c8.trace(axis1=3, axis2=7)  # sum_b -> [x,y,a,x',y',a']
     c_res = _marginal_residual(np.transpose(tc, (1, 4, 0, 3, 2, 5)), d.y)
 
-    checks = {"hermiticity": hermiticity_defect(choi), "psd_defect": psd,
+    checks = {"hermiticity": herm, "psd_defect": psd,
               "tp_residual": tp_res, "b_residual": b_res, "c_residual": c_res}
     return _report(checks, tol, corr, check_witness)
 

@@ -11,6 +11,7 @@ against them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,19 @@ def compose_rules(outer: RuleFunction, inner: RuleFunction) -> RuleFunction:
 
 
 @dataclass(frozen=True)
+class _Stack:
+    """The constraints of a game that share one (U, V) shape, stacked for one pass.
+
+    For a classical-input game ``support`` marks the standard basis vectors
+    that span each input subspace."""
+
+    index: np.ndarray        # constraint numbers, ascending
+    u: np.ndarray            # (g, din, ku)
+    v: np.ndarray            # (g, dout, kv)
+    support: np.ndarray | None
+
+
+@dataclass(frozen=True)
 class ConstraintGame:
     """Finite list of (input subspace, output subspace) constraints; each subspace comes
     as orthonormal columns, which construction checks and never recomputes."""
@@ -72,24 +86,37 @@ class ConstraintGame:
         cleaned = tuple((np.asarray(u, dtype=complex).reshape(din, -1),
                          np.asarray(v, dtype=complex).reshape(dout, -1))
                         for u, v in self.constraints)
-        for k, (u, v) in enumerate(cleaned):
-            require(orthonormality_defect(u, v), TOL_ALG,
-                    f"constraint {k}: subspaces must have orthonormal columns")
-            if self.classical_input:
-                _classical_pairs(u, self.in_dims)  # validates the span
         object.__setattr__(self, "constraints", cleaned)
+        if not all(orthonormality_defect(s.u, s.v) <= TOL_ALG for s in self._stacks):
+            # only a game that fails is searched for its first failing constraint
+            k = next(k for k, uv in enumerate(cleaned) if not orthonormality_defect(*uv) <= TOL_ALG)
+            require(orthonormality_defect(*cleaned[k]), TOL_ALG,
+                    f"constraint {k}: subspaces must have orthonormal columns")
+        if self.classical_input:
+            # each input subspace is spanned by as many standard basis vectors as it has columns
+            unspanned = [int(s.index[np.argmax(bad)]) for s in self._stacks
+                         if (bad := s.support.sum(axis=1) != s.u.shape[2]).any()]
+            if unspanned:
+                raise ValueError(f"constraint {min(unspanned)}: input subspace is not "
+                                 "spanned by standard basis vectors")
 
     @property
     def n_constraints(self) -> int:
         return len(self.constraints)
 
-
-def _classical_pairs(u: np.ndarray, in_dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose a classical input subspace into its (x, y) support, as index arrays."""
-    support = np.flatnonzero(np.sum(np.abs(u) ** 2, axis=1) > 0.5)
-    if len(support) != u.shape[1]:
-        raise ValueError("input subspace is not spanned by standard basis vectors")
-    return np.divmod(support, in_dims[1])
+    @cached_property
+    def _stacks(self) -> tuple[_Stack, ...]:
+        """The constraints grouped by (U, V) shape; a colouring game has at most two groups."""
+        groups: dict[tuple, list[int]] = {}
+        for k, (u, v) in enumerate(self.constraints):
+            groups.setdefault((u.shape, v.shape), []).append(k)
+        stacks = []
+        for index in groups.values():
+            u = np.stack([self.constraints[k][0] for k in index])
+            v = np.stack([self.constraints[k][1] for k in index])
+            support = np.sum(np.abs(u) ** 2, axis=2) > 0.5 if self.classical_input else None
+            stacks.append(_Stack(np.array(index), u, v, support))
+        return tuple(stacks)
 
 
 def _unit_columns(n: int, rows) -> np.ndarray:
@@ -138,32 +165,40 @@ def homomorphism_game(u: SkewSymmetricSubspace, v: SkewSymmetricSubspace) -> Con
                           ((u.basis, v.basis),))
 
 
-def _apply_strategy(strategy, game: ConstraintGame, u: np.ndarray) -> np.ndarray:
+def _apply_strategy(strategy, game: ConstraintGame, stack: _Stack) -> np.ndarray:
+    """The images Lambda(P_U) of the input subspaces of ``stack``, as a stack (g, dout, dout)."""
     if isinstance(strategy, QnsCorrelation):
-        return strategy.apply(u @ dagger(u))
+        return strategy.apply(stack.u @ dagger(stack.u))
     if not game.classical_input:
         raise ValueError("classical strategies only apply to classical-input games")
-    x, y = _classical_pairs(u, game.in_dims)
+    # the (x, y) pairs spanning each input subspace, in ascending order
+    rows = np.nonzero(stack.support)[1].reshape(len(stack.index), -1)
+    x, y = np.divmod(rows, game.in_dims[1])
     if isinstance(strategy, CqnsCorrelation):
-        return strategy.states[x, y].sum(axis=0)
+        return strategy.states[x, y].sum(axis=1)
     if isinstance(strategy, NsCorrelation):
-        return np.diag(strategy.table[x, y].sum(axis=0).reshape(-1)).astype(complex)
+        diag = strategy.table[x, y].sum(axis=1).reshape(len(rows), -1)
+        images = np.zeros(diag.shape + diag.shape[-1:], dtype=complex)
+        i = np.arange(diag.shape[-1])
+        images[:, i, i] = diag
+        return images
     raise TypeError(f"unsupported strategy type {type(strategy)!r}")
 
 
 def perfect_strategy_check(game: ConstraintGame, strategy,
                            tol: float = TOL_ALG) -> Report:
-    """Per-constraint residuals Tr(Lambda(P_U) (I - P_V))."""
+    """Per-constraint residuals Tr(Lambda(P_U) (I - P_V)), one batched pass per (U, V) shape."""
     d = strategy.dims
     if (d.x, d.y) != game.in_dims or (d.a, d.b) != game.out_dims:
         raise ValueError(f"strategy dims {(d.x, d.y, d.a, d.b)} do not match game "
                          f"{game.in_dims + game.out_dims}")
     dout = game.out_dims[0] * game.out_dims[1]
-    residuals = []
-    for u, v in game.constraints:
-        image = _apply_strategy(strategy, game, u)
-        comp = np.eye(dout) - v @ dagger(v)
-        residuals.append(abs(float(np.real(np.trace(image @ comp)))))
+    residuals = np.zeros(game.n_constraints)
+    for stack in game._stacks:
+        images = _apply_strategy(strategy, game, stack)
+        comp = np.eye(dout) - stack.v @ dagger(stack.v)
+        residuals[stack.index] = np.abs(np.real(np.trace(images @ comp, axis1=1, axis2=2)))
+    residuals = residuals.tolist()
     return Report({"max_residual": float(np.max(residuals, initial=0.0))}, tol,
                   {"residuals": residuals})
 

@@ -36,6 +36,10 @@ NEG_CLAMP = -1e-12
 #: Floor for vectors and states that come from outside the program.
 TOL_INPUT = 1e-7
 
+#: Relative slack on a norm inequality used to prune candidates, so that
+#: rounding in either norm cannot drop the true maximiser.
+PRUNE_MARGIN = 1e-9
+
 
 class CheckError(ValueError):
     """An input gate failed: its residual is above its tolerance, or not a number."""
@@ -96,7 +100,14 @@ def asmatrix(m) -> np.ndarray:
 
 
 def readonly(m) -> np.ndarray:
-    """A complex copy of ``m`` that refuses writes, for data checked once and then trusted."""
+    """A complex copy of ``m`` that refuses writes, for data checked once and then trusted.
+
+    An array this function made (complex, owning its data, refusing writes) is
+    returned as it is, so objects built from one another share it uncopied.
+    """
+    if isinstance(m, np.ndarray) and m.dtype == complex and m.base is None \
+            and not m.flags.writeable:
+        return m
     out = np.array(m, dtype=complex)
     out.flags.writeable = False
     return out
@@ -183,6 +194,18 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(diff), initial=0.0))
 
 
+def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
+    """``(hermiticity_defect(m), psd_defect(m))`` with the Hermiticity defect taken once."""
+    m = _stack(m)
+    herm = hermiticity_defect(m)
+    if not np.isfinite(m).all():
+        return herm, float("inf")
+    if m.size == 0:
+        return herm, 0.0
+    lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
+    return herm, max(herm, float(-np.min(lam)), 0.0)
+
+
 def psd_defect(m: np.ndarray) -> float:
     """How far the worst block of a stack ``(..., d, d)`` is from positive semidefinite.
 
@@ -191,18 +214,13 @@ def psd_defect(m: np.ndarray) -> float:
     non-finite input anywhere reads as infinitely far.  Never raises, so
     every check built on it fails closed.
     """
-    m = _stack(m)
-    if not np.isfinite(m).all():
-        return float("inf")
-    if m.size == 0:
-        return 0.0
-    lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
-    return max(hermiticity_defect(m), float(-np.min(lam)), 0.0)
+    return hermiticity_and_psd_defect(m)[1]
 
 
 def orthonormality_defect(*bases: np.ndarray) -> float:
-    """Largest entry of B* B - I over the ``bases``: zero when each has orthonormal columns."""
-    return float(np.max([np.max(np.abs(dagger(b) @ b - np.eye(b.shape[1])), initial=0.0)
+    """Largest entry of B* B - I over the ``bases``, each a matrix or a stack
+    ``(..., n, k)`` of them: zero when every one has orthonormal columns."""
+    return float(np.max([np.max(np.abs(dagger(b) @ b - np.eye(b.shape[-1])), initial=0.0)
                          for b in bases]))
 
 
@@ -263,14 +281,21 @@ def choi_compose(choi2: np.ndarray, dims2: tuple[int, int],
     return out.reshape(d_in * d_out, d_in * d_out)
 
 
-def channel_defects(choi: np.ndarray, dims: tuple[int, int]) -> tuple[float, float]:
-    """(CP defect, trace-preservation residual) of the worst Choi matrix of a stack."""
+def tp_residual(choi: np.ndarray, dims: tuple[int, int]) -> float:
+    """Largest entry of Tr_out(C) - I over the Choi matrices of a stack: zero when
+    every one is trace preserving."""
     choi = _stack(choi)
     din, dout = int(dims[0]), int(dims[1])
     if choi.shape[-2:] != (din * dout, din * dout):
         raise ValueError(f"Choi shape {choi.shape[-2:]} does not match dims {(din, dout)}")
     marg = np.einsum("...iaja->...ij", choi.reshape(*choi.shape[:-2], din, dout, din, dout))
-    return psd_defect(choi), float(np.max(np.abs(marg - np.eye(din)), initial=0.0))
+    return float(np.max(np.abs(marg - np.eye(din)), initial=0.0))
+
+
+def channel_defects(choi: np.ndarray, dims: tuple[int, int]) -> tuple[float, float]:
+    """(CP defect, trace-preservation residual) of the worst Choi matrix of a stack."""
+    tp = tp_residual(choi, dims)
+    return psd_defect(choi), tp
 
 
 def is_channel(choi: np.ndarray, dims: tuple[int, int], tol: float = TOL_ALG) -> bool:

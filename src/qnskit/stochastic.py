@@ -14,9 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import (TOL_ALG, TOL_COMM, EIG_CLAMP, Report, asmatrix, check_state,
-                     dagger, hermiticity_defect, partial_trace, pinch, psd_defect,
-                     readonly, require)
+from .linalg import (TOL_ALG, TOL_COMM, EIG_CLAMP, PRUNE_MARGIN, Report, asmatrix,
+                     check_state, dagger, hermiticity_and_psd_defect, hermiticity_defect,
+                     partial_trace, pinch, psd_defect, readonly, require)
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,9 @@ class StochasticOperatorMatrix:
         marg = partial_trace(self.mat, self.dims, 1)
         # Derived consequence: (E[x, x, a, a])_a is a POVM for every x.
         diag = np.einsum("xahxak->xahk", self.tensor6())
+        herm, psd = hermiticity_and_psd_defect(self.mat)
         return MappingProxyType({
-            "hermiticity": hermiticity_defect(self.mat), "psd_defect": psd_defect(self.mat),
+            "hermiticity": herm, "psd_defect": psd,
             "marginal_residual": float(np.max(np.abs(marg - np.eye(len(marg))))),
             "povm_defect": psd_defect(diag)})
 
@@ -165,14 +166,34 @@ def tensor(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> Stochast
 
 
 def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> float:
-    """Largest operator norm of a commutator between blocks of E and F."""
+    """Largest operator norm of a commutator between blocks of E and F; inf when a
+    commutator is not finite.
+
+    Since |C|_F / sqrt(d) <= |C|_2 <= |C|_F on H = C^d, only the commutators
+    whose Frobenius norm reaches the largest one over sqrt(d) can hold the
+    largest operator norm, and only those are decomposed.  Each singular value
+    decomposition is that of its own matrix, so the value is the one a
+    decomposition of every commutator gives.
+    """
     if e.dim_h != f.dim_h:
         raise ValueError("operands act on different spaces")
-    eb = e.blocks().reshape(-1, e.dim_h, e.dim_h)
-    fb = f.blocks().reshape(-1, f.dim_h, f.dim_h)
-    comm = np.einsum("imn,jnk->ijmk", eb, fb, optimize=True) \
-        - np.einsum("jmn,ink->ijmk", fb, eb, optimize=True)
-    return float(np.max(np.linalg.norm(comm, ord=2, axis=(2, 3)))) if comm.size else 0.0
+    d = e.dim_h
+    eb = e.blocks().reshape(-1, d, d)
+    fb = f.blocks().reshape(-1, d, d)
+    with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: NaN, which reads as inf below
+        comm = np.einsum("imn,jnk->ijmk", eb, fb, optimize=True)
+        comm -= np.einsum("jmn,ink->ijmk", fb, eb, optimize=True)
+    if comm.size == 0:
+        return 0.0
+    frob = np.sqrt(np.einsum("ijmk,ijmk->ij", comm.real, comm.real)
+                   + np.einsum("ijmk,ijmk->ij", comm.imag, comm.imag))
+    top = float(np.max(frob))
+    if not np.isfinite(top):
+        return float("inf")
+    if top == 0.0:
+        return 0.0
+    candidates = comm[frob >= top / np.sqrt(d) * (1 - PRUNE_MARGIN)]
+    return float(np.max(np.linalg.norm(candidates, ord=2, axis=(1, 2))))
 
 
 def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix):

@@ -89,10 +89,12 @@ def fair_residual(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> flo
     if isinstance(corr, QnsCorrelation):
         rhos = fair_subspace(d.x).T.reshape(-1, d.in_size, d.in_size)
         return fair_state_residual(corr.apply(rhos), d.a)
-    qs = classical_fair_subspace(d.x).T.reshape(-1, d.x, d.x)
+    qs = classical_fair_subspace(d.x).T  # one fair table q[x, y] per row
     if isinstance(corr, CqnsCorrelation):
-        return fair_state_residual(np.einsum("nxy,xyij->nij", qs, corr.states), d.a)
-    return classical_fair_residual(np.real(np.einsum("nxy,xyab->nab", qs, corr.table)))
+        images = qs @ corr.states.reshape(d.in_size, -1)
+        return fair_state_residual(images.reshape(-1, d.out_size, d.out_size), d.a)
+    images = np.real(qs @ corr.table.reshape(d.in_size, -1))
+    return classical_fair_residual(images.reshape(-1, d.a, d.b))
 
 
 def is_fair(corr, tol: float = TOL_ALG) -> bool:

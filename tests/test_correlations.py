@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qnskit import rand as qr
 from qnskit import stochastic
-from qnskit.correlations import (CorrelationDims, NsCorrelation,
+from qnskit.correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                                  QnsCorrelation, QuantumWitness, build_commuting,
                                  build_from_witness, build_local, build_quantum,
                                  build_tracial, compose_correlations,
@@ -428,10 +428,29 @@ def test_commuting_build_and_report_measure_the_commutator_once(rng, monkeypatch
 
 def test_kd2_build_report_and_recheck_verify_the_block_once(monkeypatch):
     block = (9 * 3 * 3,) * 2  # d = 3: X = 9 inputs, A = 3 colours, H = C^3
-    calls = _counting(monkeypatch, stochastic, "psd_defect", lambda m: np.shape(m) == block)
+    calls = [call for name in ("psd_defect", "hermiticity_and_psd_defect")
+             for call in [_counting(monkeypatch, stochastic, name,
+                                    lambda m: np.shape(m) == block)]]
     corr = kd2_colouring(3)
     assert cqns_report(corr).ok and witness_residual(corr) <= 1e-12
-    assert len(calls) == 1
+    assert sum(map(len, calls)) == 1
+
+
+def test_correlations_keep_read_only_copies_of_their_arrays(rng):
+    corr = build_quantum(qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 1),
+                         qr.random_state(rng, 2))
+    choi, states = corr.choi.copy(), reduce_cqns(corr).states.copy()
+    direct = QnsCorrelation(corr.dims, choi)
+    classical = CqnsCorrelation(corr.dims, states)
+    for data, kept in ((choi, direct.choi), (states, classical.states)):
+        assert not np.shares_memory(data, kept) and np.array_equal(data, kept)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[(0,) * kept.ndim] = 1.0
+        data[(0,) * data.ndim] = 7.0  # the caller's array stays writable
+        assert kept[(0,) * kept.ndim] != 7.0
+    # built from a witness, the correlation shares the witness's read-only matrix
+    assert corr.choi is corr.witness.choi
+    assert build_from_witness(corr.witness).choi is corr.witness.choi
 
 
 @pytest.mark.parametrize("builder", [build_quantum, build_commuting])

@@ -35,13 +35,14 @@ from qnskit.graphs import (Graph, channel_sharp, graph_subspace, hom_residual,
                            kd2_colouring, kd2_explicit_states, kraus_to_choi,
                            proper_residuals, realization_basis,
                            stahlke_residual, vertex_map_kraus)
-from qnskit.linalg import (CheckError, channel_defects, check_channel,
-                           check_state, choi_compose, dagger,
-                           hermiticity_defect, kron, max_entangled,
-                           orthonormal_columns, permute_systems, pinch,
-                           psd_defect, state_defect)
+from qnskit.linalg import (TOL_ALG, TOL_COMM, CheckError, channel_defects,
+                           check_channel, check_state, choi_compose, dagger,
+                           hermiticity_and_psd_defect, hermiticity_defect, kron,
+                           max_entangled, orthonormal_columns,
+                           orthonormality_defect, permute_systems, pinch,
+                           psd_defect, require, state_defect)
 from qnskit.stochastic import (StochasticOperatorMatrix, channel_choi,
-                               classical_defect, from_povms,
+                               classical_defect, from_povms, max_commutator,
                                semiclassical_defect, tensor, to_classical,
                                to_semiclassical, with_ancilla_left,
                                with_ancilla_right)
@@ -370,6 +371,184 @@ def test_residuals_are_never_looped_over_blocks():
                     func = call.func
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
                     assert name not in stacked, f"{path.name}:{call.lineno} loops {name}"
+
+
+def test_combined_hermiticity_and_psd_defect_is_both_residuals(rng):
+    stacks = [_random_stack(rng, shape, 2, 2, kind) for shape in ([], [3], [2, 0], [2, 3])
+              for kind in ("state", "hermitian", "any")]
+    broken = _random_stack(rng, [2, 2], 1, 3, "any")
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        stacks.append(broken.copy())
+        stacks[-1][1, 0, 2, 1] = bad
+    for stack in stacks:
+        np.testing.assert_equal(hermiticity_and_psd_defect(stack),
+                                (hermiticity_defect(stack), psd_defect(stack)))
+
+
+def test_orthonormality_defect_takes_stacks(rng):
+    bases = [orthonormal_columns(qr.complex_gaussian(rng, 5, 3)) for _ in range(4)]
+    bases[2] = 1.5 * bases[2]
+    stack = np.stack(bases)
+    loop = float(np.max([orthonormality_defect(b) for b in bases]))
+    assert orthonormality_defect(stack) == loop
+    assert orthonormality_defect(stack[:2], stack[2:]) == loop
+    assert orthonormality_defect(stack[:0]) == 0.0
+    stack[3, 1, 2] = np.nan
+    assert np.isnan(orthonormality_defect(stack))
+
+
+# ---------------------------------------------------------------------------
+# Certificates in stacked passes: each against the per-item form it replaced
+
+
+def _full_svd_max_commutator(e, f):
+    """Every commutator decomposed: the largest operator norm over all block pairs."""
+    eb = e.blocks().reshape(-1, e.dim_h, e.dim_h)
+    fb = f.blocks().reshape(-1, f.dim_h, f.dim_h)
+    comm = np.einsum("imn,jnk->ijmk", eb, fb, optimize=True) \
+        - np.einsum("jmn,ink->ijmk", fb, eb, optimize=True)
+    return float(np.max(np.linalg.norm(comm, ord=2, axis=(2, 3)))) if comm.size else 0.0
+
+
+def _rotated(e, w):
+    """``e`` with every block conjugated by the unitary ``w`` on H."""
+    n = e.dim_x * e.dim_a
+    big = np.kron(np.eye(n), w)
+    return StochasticOperatorMatrix(*e.dims, big @ e.mat @ dagger(big))
+
+
+@kernel_settings
+@given(triple, triple, seed)
+def test_max_commutator_matches_full_svd(de, df, s):
+    rng = np.random.default_rng(s)
+    e, f = qr.random_stochastic(rng, *de), qr.random_stochastic(rng, *df)
+    lifted = (with_ancilla_right(e, df[2]), with_ancilla_left(f, de[2]))
+    w = qr.random_unitary(rng, de[2] * df[2])
+    pairs = [lifted, tuple(_rotated(m, w) for m in lifted),  # exact, then near commuting
+             (e, qr.random_stochastic(rng, df[0], df[1], de[2]))]
+    for a, b in pairs:
+        assert max_commutator(a, b) == _full_svd_max_commutator(a, b)
+
+
+def test_max_commutator_on_paulis_and_empty_blocks():
+    x = StochasticOperatorMatrix(1, 1, 2, np.array([[0, 1], [1, 0]]))
+    z = StochasticOperatorMatrix(1, 1, 2, np.diag([1.0, -1.0]))
+    assert max_commutator(x, z) == _full_svd_max_commutator(x, z) == 2.0
+    empty = StochasticOperatorMatrix(0, 2, 2, np.zeros((0, 0)))
+    assert max_commutator(empty, z) == _full_svd_max_commutator(empty, z) == 0.0
+    assert max_commutator(z, empty) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_max_commutator_of_a_non_finite_block_fails_the_gate(rng, bad):
+    e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
+    mat = e.mat.copy()
+    mat[1, 2] = bad
+    broken = StochasticOperatorMatrix(*e.dims, mat)
+    value = max_commutator(broken, f)
+    assert not np.isfinite(value)
+    with pytest.raises(CheckError, match="blocks do not commute"):
+        require(value, TOL_COMM, "blocks do not commute")
+
+
+def _loop_strategy_residuals(game, strategy):
+    """The per-constraint check the batched pass replaced."""
+    dout = game.out_dims[0] * game.out_dims[1]
+    out = []
+    for u, v in game.constraints:
+        if isinstance(strategy, QnsCorrelation):
+            image = strategy.apply(u @ dagger(u))
+        else:
+            support = np.flatnonzero(np.sum(np.abs(u) ** 2, axis=1) > 0.5)
+            x, y = np.divmod(support, game.in_dims[1])
+            if isinstance(strategy, CqnsCorrelation):
+                image = strategy.states[x, y].sum(axis=0)
+            else:
+                image = np.diag(strategy.table[x, y].sum(axis=0).reshape(-1)).astype(complex)
+        out.append(abs(float(np.real(np.trace(image @ (np.eye(dout) - v @ dagger(v)))))))
+    return out
+
+
+def _strategies(rng, dx, dy, da, db):
+    """A quantum strategy and its classical-input and classical reductions."""
+    corr = build_quantum(qr.random_stochastic(rng, dx, da, 2), qr.random_stochastic(rng, dy, db, 2),
+                         qr.random_state(rng, 4))
+    return corr, reduce_cqns(corr), reduce_ns(corr)
+
+
+@kernel_settings
+@given(st.tuples(dim, dim, dim, dim), st.integers(1, 4), st.integers(1, 3), seed)
+def test_batched_game_checks_match_constraint_loop(dims, n, a, s):
+    rng = np.random.default_rng(s)
+    rule_game = from_rule((rng.random(dims) < 0.5).astype(int))  # V widths differ
+    graph = _random_graph(rng, n, 0.7)
+    colouring = colouring_game(graph, a, synchronous=True)
+    tracial = build_tracial_cqns(qr.random_tracial_witness(rng, n, a, kind="semiclassical"))
+    cases = [(rule_game, _strategies(rng, *dims)),
+             (colouring, _strategies(rng, n, n, a, a) + (tracial, reduce_ns(tracial)))]
+    for game, strategies in cases:
+        for strategy in strategies:
+            report = perfect_strategy_check(game, strategy)
+            loop = _loop_strategy_residuals(game, strategy)
+            assert report.info["residuals"] == loop
+            assert report.max_residual == float(np.max(loop, initial=0.0))
+
+
+def test_kd2_game_checks_match_constraint_loop():
+    for d in (2, 3):
+        corr = kd2_colouring(d)
+        game = colouring_game(Graph.complete(d * d), d)
+        for strategy in (corr, reduce_ns(corr)):
+            assert perfect_strategy_check(game, strategy).info["residuals"] == \
+                _loop_strategy_residuals(game, strategy)
+
+
+def test_game_construction_names_the_first_failing_constraint():
+    game = colouring_game(Graph.cycle(4), 2, synchronous=True)  # edges 0-7, diagonals 8-11
+    constraints = list(game.constraints)
+    u9, v9 = constraints[9]
+    constraints[9] = (u9, 2 * v9)
+    with pytest.raises(CheckError, match="constraint 9: subspaces must have orthonormal"):
+        ConstraintGame(game.in_dims, game.out_dims, True, tuple(constraints))
+    u3, v3 = constraints[3]
+    constraints[3] = (u3, v3 * np.nan)
+    with pytest.raises(CheckError, match="constraint 3: .*residual nan"):
+        ConstraintGame(game.in_dims, game.out_dims, True, tuple(constraints))
+    constraints = list(game.constraints)
+    mixed = np.zeros((16, 1), dtype=complex)
+    mixed[[1, 4], 0] = 2 ** -0.5  # orthonormal, but not a standard basis vector
+    constraints[10] = (mixed, constraints[10][1])
+    with pytest.raises(ValueError, match="constraint 10: input subspace is not spanned"):
+        ConstraintGame(game.in_dims, game.out_dims, True, tuple(constraints))
+    # a non-classical game takes any orthonormal input subspace
+    assert ConstraintGame(game.in_dims, game.out_dims, False, tuple(constraints)).n_constraints \
+        == 12
+
+
+def _einsum_fair_residual(corr):
+    """The classical-input contractions as one unoptimised einsum each."""
+    d = corr.dims
+    qs = symmetry.classical_fair_subspace(d.x).T.reshape(-1, d.x, d.x)
+    if isinstance(corr, CqnsCorrelation):
+        return fair_state_residual(np.einsum("nxy,xyij->nij", qs, corr.states), d.a)
+    return classical_fair_residual(np.real(np.einsum("nxy,xyab->nab", qs, corr.table)))
+
+
+@kernel_settings
+@given(st.integers(1, 4), st.integers(1, 3), st.booleans(), seed)
+def test_fair_residual_matches_einsum(dx, da, tracial, s):
+    rng = np.random.default_rng(s)
+    if tracial:  # fair, so every residual is rounding
+        corr = build_tracial(qr.random_tracial_witness(rng, dx, da))
+    else:
+        corr = build_quantum(qr.random_stochastic(rng, dx, da, 2),
+                             qr.random_stochastic(rng, dx, da, 1), qr.random_state(rng, 2))
+    for c in (reduce_cqns(corr), reduce_ns(corr)):
+        ours, ref = fair_residual(c), _einsum_fair_residual(c)
+        assert abs(ours - ref) <= 1e-15
+        assert (ours <= TOL_ALG) == (ref <= TOL_ALG)
+    kd2 = kd2_colouring(3)
+    assert abs(fair_residual(kd2) - _einsum_fair_residual(kd2)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("argv", [["theta_table.py"], ["kd2_study.py", "--max-d", "3"],
                                   ["synchronicity_boundary.py"],
-                                  ["cli_cost.py", "--d", "2", "--repeat", "1"]])
+                                  ["cli_cost.py", "--d", "2", "--repeat", "1"],
+                                  ["witness_cost.py", "--lifts", "2,2,2", "--d", "2",
+                                   "--repeat", "1"]])
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
