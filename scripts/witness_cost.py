@@ -9,7 +9,12 @@ usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d
   commutators are rounding-sized rather than exactly zero;
 - `colouring_game` of K_{d^2} with d colours followed by
   `perfect_strategy_check` of the kd2 colouring against it;
-- `fair_residual` of the kd2 colouring.
+- `fair_residual` of the kd2 colouring;
+- `kd2_colouring` followed by `cqns_report` and `witness_residual`, which
+  share the one tracial contraction of the colouring's witness;
+- `build_local` of a seeded mixture of two product channels on
+  (X, Y, A, B) = (2, 2, 2, 2) followed by `qns_report`, whose witness
+  re-check reads the Choi matrix the build made.
 
 Each line gives the median over the repeats in milliseconds and the value
 the call returned, so two source trees can be compared on the same seed.
@@ -24,6 +29,8 @@ import time
 import numpy as np
 
 from qnskit import rand as qr
+from qnskit.correlations import (CorrelationDims, build_local, cqns_report, qns_report,
+                                 witness_residual)
 from qnskit.games import colouring_game, perfect_strategy_check
 from qnskit.graphs import Graph, kd2_colouring
 from qnskit.stochastic import (StochasticOperatorMatrix, max_commutator,
@@ -72,6 +79,16 @@ def main() -> None:
         print(f"{f'game + strategy check kd2 d={d}':>38} {ms:>10.2f}  {report.max_residual!r}")
         ms, value = median_ms(lambda: fair_residual(corr), args.repeat)
         print(f"{f'fair_residual kd2 d={d}':>38} {ms:>10.2f}  {value!r}")
+
+        def kd2_certified(d=d):
+            corr = kd2_colouring(d)
+            return cqns_report(corr).ok, witness_residual(corr)
+        ms, value = median_ms(kd2_certified, args.repeat)
+        print(f"{f'kd2 + cqns_report + residual d={d}':>38} {ms:>10.2f}  {value!r}")
+    chois = [qr.random_channel_choi(rng, 2, 2) for _ in range(4)]
+    ms, report = median_ms(lambda: qns_report(build_local(
+        [0.4, 0.6], chois[:2], chois[2:], CorrelationDims(2, 2, 2, 2))), args.repeat)
+    print(f"{'build_local + qns_report':>38} {ms:>10.2f}  {report.witness_residual!r}")
 
 
 if __name__ == "__main__":

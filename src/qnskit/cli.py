@@ -146,10 +146,8 @@ _BUILDERS = (*_WITNESS_CLASSES, "cqns-tracial", "ns-tracial")
 
 def _cmd_build(args) -> int:
     if args.kind in _WITNESS_CLASSES:
-        dims, witness = _load_payload(args.witness, lambda obj: (
-            io.dims_from_json(obj["dims"]) if args.kind == "local" else None,
-            io.witness_from_json({**obj, "class": _WITNESS_CLASSES[args.kind]})))
-        corr = build_from_witness(witness, dims)
+        corr = build_from_witness(_load_payload(args.witness, lambda obj: io.witness_from_json(
+            {**obj, "class": _WITNESS_CLASSES[args.kind]})))
     else:
         build = build_tracial_cqns if args.kind == "cqns-tracial" else build_tracial_ns
         corr = build(_load_payload(args.witness, io.alg_stochastic_from_json))

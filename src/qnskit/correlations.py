@@ -2,8 +2,10 @@
 
 A QNS correlation is a channel M_{XY} -> M_{AB} stored through its Choi
 matrix (rows (x, y, a, b), columns (x', y', a', b')).  Class membership is
-certificate based: constructors attach witnesses which can be re-verified,
-while :func:`qns_report` checks the defining no-signalling conditions of the
+certificate based: constructors attach witnesses, each of which carries its
+``dims`` and makes its read-only ``choi`` (a tracial one also ``states`` and
+``table``) once, through its class's gates, so a re-check reads what the build
+made; :func:`qns_report` checks the defining no-signalling conditions of the
 Choi matrix itself.
 """
 
@@ -53,11 +55,32 @@ class CorrelationDims:
 
 @dataclass(frozen=True)
 class LocalWitness:
-    """Convex combination of product channels, stored through Choi matrices."""
+    """Convex combination of product channels, stored through read-only copies of
+    their Choi matrices; ``choi`` is made, through the weight and channel gates, once."""
 
     weights: tuple[float, ...]
     alice: tuple[np.ndarray, ...]
     bob: tuple[np.ndarray, ...]
+    dims: CorrelationDims
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        object.__setattr__(self, "alice", tuple(map(readonly, self.alice)))
+        object.__setattr__(self, "bob", tuple(map(readonly, self.bob)))
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        if not len(self.weights) == len(self.alice) == len(self.bob):
+            raise ValueError("need one weight per channel pair")
+        weights = check_weights(self.weights)
+        d = self.dims
+        alice = _channel_terms("alice", self.alice, (d.x, d.a))
+        bob = _channel_terms("bob", self.bob, (d.y, d.b))
+        # sum_t w_t Phi_t (x) Psi_t in one contraction, rows (x, y, a, b)
+        a5 = alice.reshape(-1, d.x, d.a, d.x, d.a)
+        b5 = bob.reshape(-1, d.y, d.b, d.y, d.b)
+        choi = np.einsum("t,txaXA,tybYB->xyabXYAB", weights, a5, b5, optimize=True)
+        return readonly(choi.reshape(d.choi_size, d.choi_size))
 
 
 @dataclass(frozen=True)
@@ -79,6 +102,10 @@ class QuantumWitness:
             raise ValueError(f"witness kind must be 'quantum' or 'commuting', got {self.kind!r}")
         object.__setattr__(self, "sigma", readonly(self.sigma))
 
+    @property
+    def dims(self) -> CorrelationDims:
+        return CorrelationDims(self.e.dim_x, self.f.dim_x, self.e.dim_a, self.f.dim_a)
+
     @cached_property
     def choi(self) -> np.ndarray:
         contract = stochastic.tensor_choi if self.kind == "quantum" else stochastic.commuting_choi
@@ -87,9 +114,29 @@ class QuantumWitness:
 
 @dataclass(frozen=True)
 class TracialWitness:
-    """Stochastic algebra matrix generating the correlation through its trace."""
+    """Stochastic algebra matrix generating the correlation through its trace;
+    ``choi``, ``states`` and ``table`` are each made, by a gated contraction, once."""
 
     matrix: AlgStochasticMatrix
+
+    @property
+    def dims(self) -> CorrelationDims:
+        m = self.matrix
+        return CorrelationDims(m.dim_x, m.dim_x, m.dim_a, m.dim_a)
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        return readonly(tracial_choi(self.matrix))
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return readonly(tracial_states(self.matrix))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = tracial_table(self.matrix)
+        table.flags.writeable = False
+        return table
 
 
 Witness = Union[LocalWitness, QuantumWitness, TracialWitness]
@@ -98,7 +145,7 @@ Witness = Union[LocalWitness, QuantumWitness, TracialWitness]
 @dataclass(frozen=True)
 class QnsCorrelation:
     """A channel M_{XY} -> M_{AB} through its Choi matrix, kept as a read-only
-    copy; one built from a quantum witness shares the witness's matrix."""
+    copy; one built from a witness shares the witness's matrix."""
 
     dims: CorrelationDims
     choi: np.ndarray
@@ -241,10 +288,10 @@ def from_classical(p: NsCorrelation) -> QnsCorrelation:
     """Lift a classical no-signalling table to a diagonal-Choi correlation."""
     ns_report(p, check_witness=False).require("invalid no-signalling table")
     choi = np.diag(p.table.reshape(-1).astype(complex))
-    return QnsCorrelation(p.dims, choi, witness=_pinch_witness(p.witness, p.dims, True))
+    return QnsCorrelation(p.dims, choi, witness=_pinch_witness(p.witness, True))
 
 
-def _pinch_witness(w: Witness | None, d: CorrelationDims, classical: bool) -> Witness | None:
+def _pinch_witness(w: Witness | None, classical: bool) -> Witness | None:
     """Witness of the correlation precomposed with the input pinching.
 
     With ``classical`` set, the output pinching is applied as well, giving a
@@ -253,10 +300,10 @@ def _pinch_witness(w: Witness | None, d: CorrelationDims, classical: bool) -> Wi
     if w is None:
         return None
     if isinstance(w, LocalWitness):
-        which = (0, 1) if classical else 0
+        d, which = w.dims, (0, 1) if classical else 0
         alice = tuple(pinch(c, (d.x, d.a), which) for c in w.alice)
         bob = tuple(pinch(c, (d.y, d.b), which) for c in w.bob)
-        return LocalWitness(w.weights, alice, bob)
+        return LocalWitness(w.weights, alice, bob, d)
     pinch_som = stochastic.to_classical if classical else stochastic.to_semiclassical
     if isinstance(w, QuantumWitness):
         return QuantumWitness(w.kind, pinch_som(w.e), pinch_som(w.f), w.sigma)
@@ -272,7 +319,7 @@ def reduce_cqns(gamma: QnsCorrelation) -> CqnsCorrelation:
     d = gamma.dims
     c8 = gamma.choi8()
     states = np.einsum("xyabxyAB->xyabAB", c8).reshape(d.x, d.y, d.out_size, d.out_size)
-    return CqnsCorrelation(d, states, witness=_pinch_witness(gamma.witness, d, False))
+    return CqnsCorrelation(d, states, witness=_pinch_witness(gamma.witness, False))
 
 
 def reduce_ns(corr: QnsCorrelation | CqnsCorrelation) -> NsCorrelation:
@@ -282,7 +329,7 @@ def reduce_ns(corr: QnsCorrelation | CqnsCorrelation) -> NsCorrelation:
         corr = reduce_cqns(corr)
     s4 = corr.states.reshape(d.x, d.y, d.a, d.b, d.a, d.b)
     table = np.real(np.einsum("xyabab->xyab", s4))
-    return NsCorrelation(d, table, witness=_pinch_witness(corr.witness, d, True))
+    return NsCorrelation(d, table, witness=_pinch_witness(corr.witness, True))
 
 
 def lift_cqns(e: CqnsCorrelation) -> QnsCorrelation:
@@ -292,25 +339,13 @@ def lift_cqns(e: CqnsCorrelation) -> QnsCorrelation:
     i = np.arange(d.in_size)
     c4[i, :, i, :] = e.states.reshape(d.in_size, d.out_size, d.out_size)
     n = d.choi_size
-    return QnsCorrelation(d, c4.reshape(n, n), witness=_pinch_witness(e.witness, d, False))
+    return QnsCorrelation(d, c4.reshape(n, n), witness=_pinch_witness(e.witness, False))
 
 
 def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
                 bob: Sequence[np.ndarray], dims: CorrelationDims) -> QnsCorrelation:
     """Convex combination of product channels Phi_i (x) Psi_i."""
-    if not len(weights) == len(alice) == len(bob):
-        raise ValueError("need one weight per channel pair")
-    weights = check_weights(weights)
-    d = dims
-    alice = _channel_terms("alice", alice, (d.x, d.a))
-    bob = _channel_terms("bob", bob, (d.y, d.b))
-    # sum_t w_t Phi_t (x) Psi_t in one contraction, rows (x, y, a, b)
-    a5 = alice.reshape(-1, d.x, d.a, d.x, d.a)
-    b5 = bob.reshape(-1, d.y, d.b, d.y, d.b)
-    choi = np.einsum("t,txaXA,tybYB->xyabXYAB", weights, a5, b5, optimize=True)
-    choi = choi.reshape(d.choi_size, d.choi_size)
-    witness = LocalWitness(tuple(weights), tuple(alice), tuple(bob))
-    return QnsCorrelation(d, choi, witness)
+    return build_from_witness(LocalWitness(weights, alice, bob, dims))
 
 
 def _channel_terms(field: str, terms: Sequence[np.ndarray], dims: tuple[int, int]) -> np.ndarray:
@@ -339,51 +374,33 @@ def build_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
 
 def build_tracial(e: AlgStochasticMatrix) -> QnsCorrelation:
     """Correlation with Choi entries tau(g[x,x',a,a'] g[y',y,b',b])."""
-    choi = tracial_choi(e)
-    dims = CorrelationDims(e.dim_x, e.dim_x, e.dim_a, e.dim_a)
-    return QnsCorrelation(dims, choi, TracialWitness(e))
+    return build_from_witness(TracialWitness(e))
 
 
 # ---------------------------------------------------------------------------
 # Witness re-verification
 
 
-def build_from_witness(w: Witness, dims: CorrelationDims | None = None) -> QnsCorrelation:
-    """The correlation ``w`` generates: its builder's, or a quantum witness's own Choi matrix.
-
-    Only a local witness needs ``dims``: its Choi matrices alone do not
-    split into input and output dimensions.
-    """
-    if isinstance(w, LocalWitness):
-        if dims is None:
-            raise ValueError("a local witness needs the correlation dims")
-        return build_local(w.weights, w.alice, w.bob, dims)
-    if isinstance(w, QuantumWitness):
-        return QnsCorrelation(CorrelationDims(w.e.dim_x, w.f.dim_x, w.e.dim_a, w.f.dim_a),
-                              w.choi, w)
-    if isinstance(w, TracialWitness):
-        return build_tracial(w.matrix)
-    raise TypeError(f"unknown witness type {type(w)!r}")
+def build_from_witness(w: Witness) -> QnsCorrelation:
+    """The correlation ``w`` generates, sharing the witness's read-only Choi matrix."""
+    return QnsCorrelation(w.dims, w.choi, w)
 
 
 def rebuild_from_witness(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> np.ndarray:
     """Recompute the correlation data from its attached witness.
 
-    Every check of the witness's builder applies; a witness object passes each
-    once and keeps what it measured.  A tracial witness of classical-input data yields
-    only the input-diagonal blocks of its Choi matrix.
+    The witness makes its data, through every check of its class, once.  A
+    tracial witness of classical-input data makes only the input-diagonal
+    blocks of its Choi matrix; a local or quantum one lifts and reduces.
     """
     w = corr.witness
     if w is None:
         raise ValueError("correlation carries no witness")
-    if isinstance(w, TracialWitness) and not isinstance(corr, QnsCorrelation):
-        if isinstance(corr, CqnsCorrelation):
-            return tracial_states(w.matrix)
-        return tracial_table(w.matrix)
-    choi = build_from_witness(w, corr.dims).choi
     if isinstance(corr, QnsCorrelation):
-        return choi
-    lifted = QnsCorrelation(corr.dims, choi)
+        return w.choi
+    if isinstance(w, TracialWitness):
+        return w.states if isinstance(corr, CqnsCorrelation) else w.table
+    lifted = QnsCorrelation(corr.dims, w.choi)
     if isinstance(corr, CqnsCorrelation):
         return reduce_cqns(lifted).states
     return reduce_ns(lifted).table
@@ -404,16 +421,16 @@ def witness_residual(corr) -> float:
 # Composition
 
 
-def _compose_witness(w2: Witness | None, w1: Witness | None,
-                     d1: CorrelationDims, d2: CorrelationDims) -> Witness | None:
+def _compose_witness(w2: Witness | None, w1: Witness | None) -> Witness | None:
     if w1 is None or w2 is None:
         return None
     if isinstance(w1, LocalWitness) and isinstance(w2, LocalWitness):
+        d1, d2 = w1.dims, w2.dims
         # term (s, t) is term t of w2 after term s of w1, s-major
-        weights = np.outer(w1.weights, w2.weights).reshape(-1).tolist()
+        weights = np.outer(w1.weights, w2.weights).reshape(-1)
         alice = _compose_terms(w2.alice, w1.alice, d1.x, d1.a, d2.a)
         bob = _compose_terms(w2.bob, w1.bob, d1.y, d1.b, d2.b)
-        return LocalWitness(tuple(weights), tuple(alice), tuple(bob))
+        return LocalWitness(weights, alice, bob, CorrelationDims(d1.x, d1.y, d2.a, d2.b))
     if isinstance(w1, QuantumWitness) and isinstance(w2, QuantumWitness) \
             and w1.kind == w2.kind:
         e = stochastic.compose(w2.e, w1.e)
@@ -448,7 +465,7 @@ def compose_correlations(gamma2: QnsCorrelation, gamma1: QnsCorrelation) -> QnsC
     choi = choi_compose(gamma2.choi, (d2.in_size, d2.out_size),
                         gamma1.choi, (d1.in_size, d1.out_size))
     dims = CorrelationDims(d1.x, d1.y, d2.a, d2.b)
-    witness = _compose_witness(gamma2.witness, gamma1.witness, d1, d2)
+    witness = _compose_witness(gamma2.witness, gamma1.witness)
     return QnsCorrelation(dims, choi, witness)
 
 
@@ -471,6 +488,6 @@ def mix_local(corr1: QnsCorrelation, corr2: QnsCorrelation,
         raise ValueError("dimension mismatch")
     weights = tuple(weight * w for w in w1.weights) + \
         tuple((1 - weight) * w for w in w2.weights)
-    witness = LocalWitness(weights, w1.alice + w2.alice, w1.bob + w2.bob)
+    witness = LocalWitness(weights, w1.alice + w2.alice, w1.bob + w2.bob, corr1.dims)
     choi = weight * corr1.choi + (1 - weight) * corr2.choi
     return QnsCorrelation(corr1.dims, choi, witness)

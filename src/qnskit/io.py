@@ -32,6 +32,13 @@ class FormatError(ValueError):
     """Malformed JSON payload."""
 
 
+def _integer(value: Any, field: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool in ``field`` is refused."""
+    if type(value) is not int:
+        raise FormatError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _pairs(z: np.ndarray) -> list:
     """The entries of ``z``, row-major, as [re, im] lists of Python floats."""
     z = z.reshape(-1)
@@ -62,7 +69,7 @@ def _complex(data: Any, shape: tuple, message: str) -> np.ndarray:
 
 def matrix_from_json(obj: Any) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols")
         data = obj["data"]
     except (TypeError, KeyError) as exc:
         raise FormatError(f"not a matrix object: {exc}") from exc
@@ -87,8 +94,7 @@ def stochastic_to_json(e: StochasticOperatorMatrix) -> dict:
 
 def stochastic_from_json(obj: Any) -> StochasticOperatorMatrix:
     try:
-        return StochasticOperatorMatrix(int(obj["dimX"]), int(obj["dimA"]),
-                                        int(obj["dimH"]),
+        return StochasticOperatorMatrix(*(_integer(obj[k], k) for k in ("dimX", "dimA", "dimH")),
                                         matrix_from_json(obj["matrix"]))
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"not a stochastic operator matrix: {exc}") from exc
@@ -99,7 +105,8 @@ def algebra_to_json(alg: TracialAlgebra) -> dict:
 
 
 def algebra_from_json(obj: Any) -> TracialAlgebra:
-    return TracialAlgebra(tuple(obj["blocks"]), tuple(obj["weights"]))
+    return TracialAlgebra(tuple(_integer(d, "algebra blocks") for d in obj["blocks"]),
+                          tuple(obj["weights"]))
 
 
 def alg_stochastic_to_json(e: AlgStochasticMatrix) -> dict:
@@ -110,7 +117,9 @@ def alg_stochastic_to_json(e: AlgStochasticMatrix) -> dict:
 def alg_stochastic_from_json(obj: Any) -> AlgStochasticMatrix:
     try:
         alg = algebra_from_json(obj["algebra"])
-        dx, da = int(obj["dimX"]), int(obj["dimA"])
+        dx, da = _integer(obj["dimX"], "dimX"), _integer(obj["dimA"], "dimA")
+        if len(obj["blocks"]) != alg.n_blocks:
+            raise FormatError(f"{len(obj['blocks'])} blocks for an algebra of {alg.n_blocks}")
         blocks = tuple(StochasticOperatorMatrix(dx, da, d, matrix_from_json(m))
                        for d, m in zip(alg.block_dims, obj["blocks"]))
         return AlgStochasticMatrix(alg, blocks)
@@ -132,11 +141,13 @@ def witness_to_json(w) -> dict:
 
 
 def witness_from_json(obj: Any):
+    """The witness ``obj`` encodes; a local one reads its correlation's ``dims`` too."""
     kind = obj.get("class")
     if kind == "local":
         return LocalWitness(tuple(float(x) for x in obj["weights"]),
                             tuple(matrix_from_json(m) for m in obj["alice"]),
-                            tuple(matrix_from_json(m) for m in obj["bob"]))
+                            tuple(matrix_from_json(m) for m in obj["bob"]),
+                            dims_from_json(obj["dims"]))
     if kind in ("quantum", "commuting"):
         return QuantumWitness(kind, stochastic_from_json(obj["E"]),
                               stochastic_from_json(obj["F"]),
@@ -151,7 +162,7 @@ def _dims_obj(d: CorrelationDims) -> dict:
 
 
 def dims_from_json(obj: Any) -> CorrelationDims:
-    return CorrelationDims(int(obj["X"]), int(obj["Y"]), int(obj["A"]), int(obj["B"]))
+    return CorrelationDims(*(_integer(obj[k], k) for k in "XYAB"))
 
 
 def correlation_to_json(corr) -> dict:
@@ -179,7 +190,8 @@ def correlation_from_json(obj: Any):
         dims = dims_from_json(obj["dims"])
     except (TypeError, KeyError) as exc:
         raise FormatError(f"not a correlation object: {exc}") from exc
-    witness = witness_from_json(obj["witness"]) if "witness" in obj else None
+    witness = witness_from_json({**obj["witness"], "dims": obj["dims"]}) \
+        if "witness" in obj else None
     if kind == "qns":
         return QnsCorrelation(dims, matrix_from_json(obj["choi"]), witness)
     if kind == "cqns":
@@ -197,7 +209,7 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(obj: Any) -> Graph:
     try:
-        return Graph.from_edges(int(obj["n"]), obj["edges"])
+        return Graph.from_edges(_integer(obj["n"], "n"), obj["edges"])
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"not a graph object: {exc}") from exc
 
@@ -226,8 +238,8 @@ def game_from_json(obj: Any) -> ConstraintGame:
     try:
         if "rule" in obj and "constraints" not in obj:
             return from_rule(np.asarray(obj["rule"]))
-        in_dims = tuple(int(d) for d in obj["inDims"])
-        out_dims = tuple(int(d) for d in obj["outDims"])
+        in_dims = tuple(_integer(d, "inDims") for d in obj["inDims"])
+        out_dims = tuple(_integer(d, "outDims") for d in obj["outDims"])
         din = in_dims[0] * in_dims[1]
         dout = out_dims[0] * out_dims[1]
         constraints = tuple((_columns(c["U"], din, f"constraint {k}: U"),
@@ -242,14 +254,10 @@ def game_from_json(obj: Any) -> ConstraintGame:
 def load(path_or_obj) -> Any:
     """Parse a JSON file (path, '-' for stdin) into its payload object."""
     import sys
-    if isinstance(path_or_obj, (dict, list)):
-        obj = path_or_obj
-    elif path_or_obj == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(path_or_obj, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    return obj
+    if path_or_obj == "-":
+        return json.load(sys.stdin)
+    with open(path_or_obj, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def detect_payload(obj: Any):

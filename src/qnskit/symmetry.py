@@ -13,10 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (AlgStochasticMatrix, abelian_from_chois, compose_alg,
-                      tracial_choi, tracial_states, tracial_table)
-from .correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
-                           QnsCorrelation, TracialWitness, build_tracial)
+from .algebra import AlgStochasticMatrix, abelian_from_chois, compose_alg, tracial_choi
+from .correlations import (CqnsCorrelation, NsCorrelation, QnsCorrelation,
+                           TracialWitness, build_tracial)
 from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, check_state,
                      check_weights, nullspace, readonly, require)
 
@@ -125,17 +124,15 @@ def build_locally_tracial(chois, weights, dims: tuple[int, int]) -> QnsCorrelati
 def build_tracial_cqns(e: AlgStochasticMatrix) -> CqnsCorrelation:
     """Classical-to-quantum tracial correlation from a semi-classical matrix."""
     require(e.semiclassical_defect(), TOL_ALG, "matrix must be semi-classical")
-    states = tracial_states(e)
-    dims = CorrelationDims(e.dim_x, e.dim_x, e.dim_a, e.dim_a)
-    return CqnsCorrelation(dims, states, TracialWitness(e))
+    w = TracialWitness(e)
+    return CqnsCorrelation(w.dims, w.states, w)
 
 
 def build_tracial_ns(e: AlgStochasticMatrix) -> NsCorrelation:
     """Classical tracial correlation p(a, b | x, y) = tau(g[x, a] g[y, b])."""
     require(e.classical_defect(), TOL_ALG, "matrix must be classical")
-    table = tracial_table(e)
-    dims = CorrelationDims(e.dim_x, e.dim_x, e.dim_a, e.dim_a)
-    return NsCorrelation(dims, table, TracialWitness(e))
+    w = TracialWitness(e)
+    return NsCorrelation(w.dims, w.table, w)
 
 
 # ---------------------------------------------------------------------------

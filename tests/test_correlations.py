@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnskit import algebra, correlations, io, stochastic
 from qnskit import rand as qr
-from qnskit import stochastic
+from qnskit.algebra import AlgStochasticMatrix, matrix_algebra
 from qnskit.correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                                  QnsCorrelation, QuantumWitness, build_commuting,
                                  build_from_witness, build_local, build_quantum,
@@ -393,11 +394,10 @@ def test_build_from_witness_uses_the_builder_of_each_class(rng):
                  build_commuting(with_ancilla_right(e, 2), with_ancilla_left(f, 2),
                                  qr.random_state(rng, 4)),
                  build_tracial(qr.random_tracial_witness(rng, 2, 2))):
-        built = build_from_witness(corr.witness, corr.dims)
-        assert np.array_equal(built.choi, corr.choi)
+        built = build_from_witness(corr.witness)
+        assert built.dims == corr.witness.dims == corr.dims
+        assert built.choi is corr.witness.choi and np.array_equal(built.choi, corr.choi)
         assert type(built.witness) is type(corr.witness)
-    with pytest.raises(ValueError, match="needs the correlation dims"):
-        build_from_witness(build_local([1.0], chois[:1], chois[1:], D2222).witness)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +431,33 @@ def test_kd2_build_report_and_recheck_verify_the_block_once(monkeypatch):
     calls = [call for name in ("psd_defect", "hermiticity_and_psd_defect")
              for call in [_counting(monkeypatch, stochastic, name,
                                     lambda m: np.shape(m) == block)]]
+    taus = _counting(monkeypatch, algebra, "_tau")
     corr = kd2_colouring(3)
     assert cqns_report(corr).ok and witness_residual(corr) <= 1e-12
     assert sum(map(len, calls)) == 1
+    assert len(taus) == 1
+
+
+def test_tracial_build_and_report_contract_once(rng, monkeypatch):
+    calls = _counting(monkeypatch, algebra, "_tau")
+    corr = build_tracial(qr.random_tracial_witness(rng, 2, 2))
+    report = qns_report(corr)
+    assert report.ok and report.witness_residual == 0.0
+    assert len(calls) == 1
+    # a decoded witness is a new object, and its re-check contracts again
+    assert qns_report(io.correlation_from_json(io.correlation_to_json(corr))).ok
+    assert len(calls) == 2
+
+
+def test_local_build_and_report_gate_the_channels_once(rng, monkeypatch):
+    calls = _counting(monkeypatch, correlations, "check_channel")
+    chois = [qr.random_channel_choi(rng, 2, 2) for _ in range(4)]
+    corr = build_local([0.25, 0.75], chois[:2], chois[2:], D2222)
+    report = qns_report(corr)
+    assert report.ok and report.witness_residual == 0.0
+    assert len(calls) == 2  # the alice stack and the bob stack
+    assert qns_report(io.correlation_from_json(io.correlation_to_json(corr))).ok
+    assert len(calls) == 4
 
 
 def test_correlations_keep_read_only_copies_of_their_arrays(rng):
@@ -453,22 +477,30 @@ def test_correlations_keep_read_only_copies_of_their_arrays(rng):
     assert build_from_witness(corr.witness).choi is corr.witness.choi
 
 
-@pytest.mark.parametrize("builder", [build_quantum, build_commuting])
+@pytest.mark.parametrize("builder", [build_quantum, build_commuting, build_local, build_tracial])
 def test_witness_arrays_are_read_only_copies(rng, builder):
     e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
     if builder is build_commuting:
         e, f = with_ancilla_right(e, 2), with_ancilla_left(f, 2)
     mat, sigma = e.mat.copy(), qr.random_state(rng, 4)
     e = StochasticOperatorMatrix(*e.dims, mat)
-    corr = builder(e, f, sigma)
-    w = corr.witness
-    for array in (e.mat, w.sigma, w.choi, corr.choi):
+    terms = [qr.random_channel_choi(rng, 2, 2) for _ in range(2)]
+    if builder is build_local:
+        corr = build_local([1.0], terms[:1], terms[1:], D2222)
+        kept = (*corr.witness.alice, *corr.witness.bob)
+    elif builder is build_tracial:
+        corr = build_tracial(AlgStochasticMatrix(matrix_algebra(2), (e,)))
+        kept = (e.mat, corr.witness.states, corr.witness.table)
+    else:
+        corr = builder(e, f, sigma)
+        kept = (e.mat, corr.witness.sigma)
+    for array in (*kept, corr.witness.choi, corr.choi):
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 1.0
+            array[(0,) * array.ndim] = 1.0
     with pytest.raises(TypeError):
         e.residuals["psd_defect"] = 0.0
-    mat[:] = np.nan
-    sigma[:] = 0.0
+    for data in (mat, sigma, *terms):
+        data[:] = np.nan
     assert verify(e).ok
     report = qns_report(corr)
     assert report.ok and report.witness_residual == 0.0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qnskit import io
 from qnskit import rand as qr
+from qnskit.algebra import abelian_algebra
 from qnskit.cli import run
 from qnskit.correlations import (CorrelationDims, NsCorrelation,
                                  QnsCorrelation, build_local, build_quantum,
@@ -407,6 +408,9 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
         [1.0], [qr.random_channel_choi(rng, 2, 2)], [qr.random_channel_choi(rng, 2, 2)],
         CorrelationDims(2, 2, 2, 2)))
     graph = _write(tmp_path, "c5.json", io.graph_to_json(Graph.cycle(5)))
+    two_blocks = io.alg_stochastic_to_json(
+        qr.random_tracial_witness(rng, 2, 2, abelian_algebra((0.5, 0.5))))
+    extra = {**two_blocks, "blocks": two_blocks["blocks"] * 2}  # 4 blocks, 2 algebra blocks
     cases = [
         ["verify", {"rows": 1, "cols": 1, "data": [[None, 0]]}],
         ["verify", {"rows": 1, "cols": 1, "data": [["1", "0"]]}],
@@ -418,12 +422,48 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
         ["verify", {**local, "witness": [local["witness"]]}],
         ["verify", {**local, "witness": {**local["witness"], "alice": 3}}],
         ["orthrep", graph, {"vectors": []}],
+        ["verify", extra],
     ]
     capsys.readouterr()
     for i, (*argv, obj) in enumerate(cases):
         assert run([*argv, _write(tmp_path, f"bad{i}.json", obj)]) == 2, obj
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, err
+    with pytest.raises(io.FormatError, match="4 blocks for an algebra of 2"):
+        io.alg_stochastic_from_json(extra)
+
+
+_UNIT = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("value", [1.9, "1", True])
+@pytest.mark.parametrize("command, files, payload, path", [
+    ("verify", 1, {"kind": "qns", "dims": {"X": 1, "Y": 1, "A": 1, "B": 1}, "choi": _UNIT},
+     path) for path in [("dims", "X"), ("dims", "Y"), ("dims", "A"), ("dims", "B"),
+                        ("choi", "rows"), ("choi", "cols")]] + [
+    ("verify", 1, {"dimX": 1, "dimA": 1, "dimH": 1, "matrix": _UNIT}, (key,))
+    for key in ("dimX", "dimA", "dimH")] + [
+    ("theta", 1, {"n": 1, "edges": []}, ("n",)),
+    ("compose", 2, {"inDims": [1, 1], "outDims": [1, 1], "classicalInput": True,
+                    "constraints": []}, ("inDims", 1)),
+    ("compose", 2, {"inDims": [1, 1], "outDims": [1, 1], "classicalInput": True,
+                    "constraints": []}, ("outDims", 0)),
+])
+def test_cli_refuses_dimensions_that_are_not_integers(tmp_path, capsys, command, files,
+                                                      payload, path, value):
+    # every payload decodes with 1 in the field; int() would read each value as 1
+    obj = json.loads(json.dumps(payload))
+    *outer, last = path
+    parent = obj
+    for key in outer:
+        parent = parent[key]
+    parent[last] = value
+    file = _write(tmp_path, "bad.json", obj)
+    assert run([command, *[file] * files]) == 2
+    err = capsys.readouterr().err
+    field = path[0] if path[0] in ("inDims", "outDims") else last
+    assert err.startswith(f"error: cannot read {file}: ") \
+        and f"{field} must be an integer, got {value!r}" in err, err
 
 
 _PAIRS_MESSAGE = "must be [re, im] number pairs"
@@ -539,6 +579,11 @@ def test_default_tolerances_pinned():
                linalg.herm_sqrt, linalg.check_channel, stochastic._require_verified,
                stochastic._check_sigma, stochastic._require_commuting):
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    # a witness carries its dims, so nothing on the witness path takes them
+    for fn, params in ((correlations.build_from_witness, ["w"]),
+                       (correlations._pinch_witness, ["w", "classical"]),
+                       (correlations._compose_witness, ["w2", "w1"])):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
     for module in (correlations, games, graphs, stochastic):
         for name in ("TOL_PROB", "TOL_POVM", "TOL_GAME"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"

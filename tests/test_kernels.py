@@ -295,7 +295,8 @@ def test_rebuild_keeps_builder_checks(rng):
     local = build_local([1.0], [qr.random_channel_choi(rng, 2, 2)],
                         [qr.random_channel_choi(rng, 2, 2)], corr.dims)
     bad_weights = QnsCorrelation(local.dims, local.choi,
-                                 LocalWitness((0.5,), local.witness.alice, local.witness.bob))
+                                 LocalWitness((0.5,), local.witness.alice, local.witness.bob,
+                                              local.dims))
     with pytest.raises(ValueError, match="weights"):
         rebuild_from_witness(bad_weights)
 
