@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_ALG, Report, require
+from .linalg import TOL_ALG, Report, dimensions, require
 from .stochastic import (StochasticOperatorMatrix, classical_defect,
                          compose as compose_som, semiclassical_defect)
 
@@ -24,12 +24,10 @@ class TracialAlgebra:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.block_dims)
+        dims = dimensions(self.block_dims, "block dimensions")
         weights = tuple(float(w) for w in self.weights)
         if len(dims) != len(weights) or not dims:
             raise ValueError("need matching, non-empty block dims and weights")
-        if any(d < 1 for d in dims):
-            raise ValueError("block dimensions must be >= 1")
         if not all(w > 0 for w in weights):  # NaN fails
             raise ValueError("weights must be positive")
         require(abs(sum(weights) - 1.0), TOL_ALG, f"weights must sum to 1, got {sum(weights)}")

@@ -21,7 +21,7 @@ from . import stochastic
 from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
                       tracial_states, tracial_table)
 from .linalg import (TOL_ALG, NEG_CLAMP, Report, apply_choi, asmatrix, check_channel,
-                     check_weights, choi_compose, hermiticity_and_psd_defect, kron,
+                     check_weights, choi_compose, dimensions, hermiticity_and_psd_defect, kron,
                      pinch, readonly, state_defect, tp_residual)
 from .stochastic import StochasticOperatorMatrix
 
@@ -36,9 +36,8 @@ class CorrelationDims:
     b: int
 
     def __post_init__(self):
-        for d in (self.x, self.y, self.a, self.b):
-            if int(d) < 1:
-                raise ValueError("dimensions must be >= 1")
+        for name, d in zip("xyab", dimensions((self.x, self.y, self.a, self.b))):
+            object.__setattr__(self, name, d)
 
     @property
     def in_size(self) -> int:
@@ -184,7 +183,7 @@ class CqnsCorrelation:
 
 @dataclass(frozen=True)
 class NsCorrelation:
-    """Classical no-signalling behaviour p(a, b | x, y)."""
+    """Classical no-signalling behaviour p(a, b | x, y), kept as a read-only float copy."""
 
     dims: CorrelationDims
     table: np.ndarray  # shape (x, y, a, b)
@@ -196,6 +195,7 @@ class NsCorrelation:
         if table.shape != (d.x, d.y, d.a, d.b):
             raise ValueError(f"table shape {table.shape} does not match dims {d}")
         table = np.where((table < 0) & (table > NEG_CLAMP), 0.0, table)
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
 

@@ -2,10 +2,10 @@
 
 Matrices are stored as {"rows": n, "cols": m, "data": [[re, im], ...]} with
 row-major data; every other payload is built from this block plus plain
-dimension fields.  Payloads and reports are written as
-``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` would write
-them, but each list of [re, im] pairs is streamed in chunks instead of being
-built into one string.
+dimension fields.  In the trees of the ``*_to_json`` functions each list of
+[re, im] pairs is a read-only (n, 2) float array, which ``write_json`` and
+``dump_json`` stream in chunks as ``json.dumps(obj, sort_keys=True, indent=2,
+allow_nan=False)`` would write its list.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .correlations import (CorrelationDims, CqnsCorrelation, LocalWitness,
                            TracialWitness)
 from .games import ConstraintGame, RuleFunction, from_rule
 from .graphs import Graph
-from .linalg import asmatrix, orthonormal_columns
+from .linalg import asmatrix, orthonormal_columns, readonly
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -32,26 +32,31 @@ class FormatError(ValueError):
     """Malformed JSON payload."""
 
 
-def _integer(value: Any, field: str) -> int:
-    """``value`` if it is a JSON integer; a float, string or bool in ``field`` is refused."""
-    if type(value) is not int:
-        raise FormatError(f"{field} must be an integer, got {value!r}")
+#: The types ``json.load`` gives for each kind of value a field may hold.
+_KINDS = {"an integer": (int,), "a number": (int, float), "true or false": (bool,)}
+
+
+def _typed(value: Any, field: str, kind: str = "an integer") -> Any:
+    """``value`` if ``json.load`` gives it as ``kind``; anything else in ``field`` (a
+    string, a float for an integer, a bool for a number) is refused."""
+    if type(value) not in _KINDS[kind]:
+        raise FormatError(f"{field} must be {kind}, got {value!r}")
     return value
 
 
-def _pairs(z: np.ndarray) -> list:
-    """The entries of ``z``, row-major, as [re, im] lists of Python floats."""
-    z = z.reshape(-1)
-    return np.stack((z.real, z.imag), -1).tolist()
+def vector_to_json(v: np.ndarray) -> np.ndarray:
+    """The entries of ``v``, row-major, as a read-only (n, 2) float array of [re, im]
+    pairs: a view of C-ordered data the library holds read-only, else a copy."""
+    return readonly(np.ascontiguousarray(v)).reshape(-1).view(float).reshape(-1, 2)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = asmatrix(m)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs(m)}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": vector_to_json(m)}
 
 
 def _complex(data: Any, shape: tuple, message: str) -> np.ndarray:
-    """``data``, nested lists of [re, im] number pairs, as one complex array of ``shape``.
+    """``data``, [re, im] number pairs in lists or a pair array, as a complex array of ``shape``.
 
     One numpy conversion reads it all; a string or null entry, a pair of
     another arity or nesting of another shape raises ``FormatError(message)``.
@@ -69,7 +74,7 @@ def _complex(data: Any, shape: tuple, message: str) -> np.ndarray:
 
 def matrix_from_json(obj: Any) -> np.ndarray:
     try:
-        rows, cols = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols")
+        rows, cols = _typed(obj["rows"], "rows"), _typed(obj["cols"], "cols")
         data = obj["data"]
     except (TypeError, KeyError) as exc:
         raise FormatError(f"not a matrix object: {exc}") from exc
@@ -77,10 +82,6 @@ def matrix_from_json(obj: Any) -> np.ndarray:
         raise FormatError(f"matrix data length {len(data)} != {rows}x{cols}")
     flat = _complex(data, (len(data),), "matrix data must be [re, im] number pairs")
     return flat.reshape(rows, cols)
-
-
-def vector_to_json(v: np.ndarray) -> list:
-    return _pairs(np.asarray(v, dtype=complex))
 
 
 def vector_from_json(obj: Any) -> np.ndarray:
@@ -94,7 +95,7 @@ def stochastic_to_json(e: StochasticOperatorMatrix) -> dict:
 
 def stochastic_from_json(obj: Any) -> StochasticOperatorMatrix:
     try:
-        return StochasticOperatorMatrix(*(_integer(obj[k], k) for k in ("dimX", "dimA", "dimH")),
+        return StochasticOperatorMatrix(*(_typed(obj[k], k) for k in ("dimX", "dimA", "dimH")),
                                         matrix_from_json(obj["matrix"]))
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"not a stochastic operator matrix: {exc}") from exc
@@ -105,8 +106,8 @@ def algebra_to_json(alg: TracialAlgebra) -> dict:
 
 
 def algebra_from_json(obj: Any) -> TracialAlgebra:
-    return TracialAlgebra(tuple(_integer(d, "algebra blocks") for d in obj["blocks"]),
-                          tuple(obj["weights"]))
+    return TracialAlgebra(tuple(_typed(d, "algebra blocks") for d in obj["blocks"]),
+                          tuple(_typed(w, "algebra weights", "a number") for w in obj["weights"]))
 
 
 def alg_stochastic_to_json(e: AlgStochasticMatrix) -> dict:
@@ -117,7 +118,7 @@ def alg_stochastic_to_json(e: AlgStochasticMatrix) -> dict:
 def alg_stochastic_from_json(obj: Any) -> AlgStochasticMatrix:
     try:
         alg = algebra_from_json(obj["algebra"])
-        dx, da = _integer(obj["dimX"], "dimX"), _integer(obj["dimA"], "dimA")
+        dx, da = _typed(obj["dimX"], "dimX"), _typed(obj["dimA"], "dimA")
         if len(obj["blocks"]) != alg.n_blocks:
             raise FormatError(f"{len(obj['blocks'])} blocks for an algebra of {alg.n_blocks}")
         blocks = tuple(StochasticOperatorMatrix(dx, da, d, matrix_from_json(m))
@@ -144,7 +145,7 @@ def witness_from_json(obj: Any):
     """The witness ``obj`` encodes; a local one reads its correlation's ``dims`` too."""
     kind = obj.get("class")
     if kind == "local":
-        return LocalWitness(tuple(float(x) for x in obj["weights"]),
+        return LocalWitness(tuple(_typed(w, "weights", "a number") for w in obj["weights"]),
                             tuple(matrix_from_json(m) for m in obj["alice"]),
                             tuple(matrix_from_json(m) for m in obj["bob"]),
                             dims_from_json(obj["dims"]))
@@ -162,7 +163,7 @@ def _dims_obj(d: CorrelationDims) -> dict:
 
 
 def dims_from_json(obj: Any) -> CorrelationDims:
-    return CorrelationDims(*(_integer(obj[k], k) for k in "XYAB"))
+    return CorrelationDims(*(_typed(obj[k], k) for k in "XYAB"))
 
 
 def correlation_to_json(corr) -> dict:
@@ -172,8 +173,7 @@ def correlation_to_json(corr) -> dict:
         out["choi"] = matrix_to_json(corr.choi)
     elif isinstance(corr, CqnsCorrelation):
         out["kind"] = "cqns"
-        out["states"] = [[matrix_to_json(corr.states[x, y])
-                          for y in range(corr.dims.y)] for x in range(corr.dims.x)]
+        out["states"] = [[matrix_to_json(m) for m in row] for row in corr.states]
     elif isinstance(corr, NsCorrelation):
         out["kind"] = "ns"
         out["table"] = corr.table.tolist()
@@ -209,7 +209,7 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(obj: Any) -> Graph:
     try:
-        return Graph.from_edges(_integer(obj["n"], "n"), obj["edges"])
+        return Graph.from_edges(_typed(obj["n"], "n"), obj["edges"])
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"not a graph object: {exc}") from exc
 
@@ -219,9 +219,8 @@ def game_to_json(g: ConstraintGame) -> dict:
         "inDims": list(g.in_dims),
         "outDims": list(g.out_dims),
         "classicalInput": g.classical_input,
-        "constraints": [{"U": [vector_to_json(u[:, k]) for k in range(u.shape[1])],
-                         "V": [vector_to_json(v[:, k]) for k in range(v.shape[1])]}
-                        for u, v in g.constraints],
+        "constraints": [{"U": [vector_to_json(c) for c in u.T],
+                         "V": [vector_to_json(c) for c in v.T]} for u, v in g.constraints],
     }
     if g.rule is not None:
         out["rule"] = g.rule.table.tolist()
@@ -238,15 +237,16 @@ def game_from_json(obj: Any) -> ConstraintGame:
     try:
         if "rule" in obj and "constraints" not in obj:
             return from_rule(np.asarray(obj["rule"]))
-        in_dims = tuple(_integer(d, "inDims") for d in obj["inDims"])
-        out_dims = tuple(_integer(d, "outDims") for d in obj["outDims"])
+        in_dims = tuple(_typed(d, "inDims") for d in obj["inDims"])
+        out_dims = tuple(_typed(d, "outDims") for d in obj["outDims"])
         din = in_dims[0] * in_dims[1]
         dout = out_dims[0] * out_dims[1]
         constraints = tuple((_columns(c["U"], din, f"constraint {k}: U"),
                              _columns(c["V"], dout, f"constraint {k}: V"))
                             for k, c in enumerate(obj["constraints"]))
         rule = RuleFunction(np.asarray(obj["rule"])) if "rule" in obj else None
-        return ConstraintGame(in_dims, out_dims, bool(obj["classicalInput"]), constraints, rule)
+        classical = _typed(obj["classicalInput"], "classicalInput", "true or false")
+        return ConstraintGame(in_dims, out_dims, classical, constraints, rule)
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"not a game object: {exc}") from exc
 
@@ -283,13 +283,6 @@ def detect_payload(obj: Any):
 _CHUNK = 4096
 
 
-def _is_pairs(obj: Any) -> bool:
-    """Whether ``obj`` is a non-empty list of [a, b] lists of two floats."""
-    return (type(obj) is list and len(obj) > 0 and set(map(type, obj)) == {list}
-            and set(map(len, obj)) == {2}
-            and set(map(type, itertools.chain.from_iterable(obj))) == {float})
-
-
 def _key(key: Any) -> str:
     """``key`` as json writes a dict key: a number, bool or None as its JSON text, quoted."""
     if key is None or isinstance(key, (int, float)):
@@ -301,7 +294,7 @@ def _key(key: Any) -> str:
 
 def _pieces(obj: Any, level: int):
     """The JSON text of ``obj`` at nesting ``level``, in pieces: strings, and a
-    (pairs, level) tuple for each list of float pairs, checked but not yet formatted."""
+    (pairs, level) tuple for each (n, 2) pair array, checked but not yet formatted."""
     indent = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj:
         opener = "{"
@@ -310,12 +303,10 @@ def _pieces(obj: Any, level: int):
             yield from _pieces(value, level + 1)
             opener = ","
         yield "\n" + "  " * level + "}"
-    elif _is_pairs(obj):
-        # a NaN or inf makes the sum non-finite, and json then raises on the first
-        # one; a sum that only overflowed passes
-        if not math.isfinite(sum(itertools.chain.from_iterable(obj), 0.0)):
-            json.dumps(obj, indent=2, allow_nan=False)
-        yield obj, level
+    elif isinstance(obj, np.ndarray):
+        if not np.isfinite(obj).all():  # json's own error, which names the value
+            json.dumps(obj.tolist(), indent=2, allow_nan=False)
+        yield (obj, level) if obj.size else "[]"
     elif isinstance(obj, (list, tuple)) and obj:
         opener = "["
         for value in obj:
@@ -329,7 +320,7 @@ def _pieces(obj: Any, level: int):
 
 def json_pieces(obj: Any) -> list:
     """The text of ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` as
-    pieces for ``write_pieces``: strings, and the lists of float pairs still to format.
+    pieces for ``write_pieces``: strings, and the pair arrays still to format.
 
     The whole tree is checked here, so whatever ``json.dumps`` raises on it (a
     non-finite float, an object JSON cannot hold) is raised before a byte is written.
@@ -338,18 +329,15 @@ def json_pieces(obj: Any) -> list:
     return [piece for text, run in runs for piece in (["".join(run)] if text else run)]
 
 
-def _write_pairs(fh, pairs: list, level: int) -> None:
-    """Write a list of float pairs at nesting ``level`` as ``json.dumps(indent=2)`` does:
-    ``_CHUNK`` pairs per write, each pair through one template and ``float.__repr__``."""
+def _write_pairs(fh, pairs: np.ndarray, level: int) -> None:
+    """Write an (n, 2) pair array at nesting ``level`` as ``json.dumps(indent=2)`` writes
+    its list: ``_CHUNK`` pairs per write, each through one template and ``float.__repr__``."""
     outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     pair, sep = f"[{inner}%r,{inner}%r{outer}]", "," + outer
-    size = min(len(pairs), _CHUNK)
-    full = sep.join([pair] * size)
     fh.write("[" + outer)
     for start in range(0, len(pairs), _CHUNK):
-        chunk = pairs[start:start + _CHUNK]
-        template = full if len(chunk) == size else sep.join([pair] * len(chunk))
-        fh.write((sep if start else "") + template % tuple(itertools.chain.from_iterable(chunk)))
+        chunk = pairs[start:start + _CHUNK].reshape(-1).tolist()
+        fh.write((sep if start else "") + sep.join([pair] * (len(chunk) // 2)) % tuple(chunk))
     fh.write("\n" + "  " * level + "]")
 
 

@@ -9,6 +9,7 @@ the identity channel is the non-normalised maximally entangled matrix.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -325,6 +326,18 @@ def check_channel(choi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     require(float(np.max((cp, tp))), TOL_ALG,
             f"not the Choi matrix of a channel (cp {cp:.2e}, tp {tp:.2e})")
     return choi
+
+
+def dimensions(dims, what: str = "dimensions") -> tuple[int, ...]:
+    """``dims`` as ints unless one is not an integer >= 1: numpy integers pass, and a
+    float, string or bool is refused by value."""
+    for d in dims:
+        if isinstance(d, bool) or not hasattr(d, "__index__"):
+            raise ValueError(f"{what} must be integers, got {d!r}")
+    dims = tuple(map(operator.index, dims))
+    if any(d < 1 for d in dims):
+        raise ValueError(f"{what} must be >= 1")
+    return dims
 
 
 def check_weights(weights) -> list[float]:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from qnskit.graphs import kd2_colouring
 from qnskit.linalg import kron, max_entangled, permute_systems
 from qnskit.stochastic import (StochasticOperatorMatrix, from_choi, verify,
                                with_ancilla_left, with_ancilla_right)
+from qnskit.symmetry import build_tracial_ns
 
 D2222 = CorrelationDims(2, 2, 2, 2)
 
@@ -504,6 +507,30 @@ def test_witness_arrays_are_read_only_copies(rng, builder):
     assert verify(e).ok
     report = qns_report(corr)
     assert report.ok and report.witness_residual == 0.0
+
+
+@pytest.mark.parametrize("source", ["build_tracial_ns", "NsCorrelation"])
+def test_ns_tables_are_read_only_copies(rng, source):
+    if source == "build_tracial_ns":
+        corr = build_tracial_ns(qr.random_tracial_witness(rng, 2, 2, kind="classical"))
+    else:
+        data = np.full((2, 2, 2, 2), 0.25)
+        corr = NsCorrelation(D2222, data)
+        data[0, 0, 0, 0] = 0.9  # the caller's array stays writable
+    assert corr.table.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        corr.table[0, 0, 0, 0] = 0.9
+    assert ns_report(corr).ok
+
+
+@pytest.mark.parametrize("value", [2.9, "2", True, np.True_])
+@pytest.mark.parametrize("make", [lambda d: CorrelationDims(d, 2, 2, 2),
+                                  lambda d: algebra.TracialAlgebra((d,), (1.0,))],
+                         ids=["CorrelationDims", "TracialAlgebra"])
+def test_dimensions_must_be_integers(make, value):
+    with pytest.raises(ValueError, match=re.escape(f"must be integers, got {value!r}")):
+        make(value)
+    assert make(np.int64(2)) == make(2)
 
 
 def test_quantum_witness_refuses_an_unknown_kind(rng):

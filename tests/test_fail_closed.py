@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import plain
 
 from qnskit import graphs, io, linalg, stochastic
 from qnskit import rand as qr
@@ -85,7 +86,7 @@ def test_qns_report_fails_on_nan():
 
 def test_cli_verify_nan_table_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "nan.json"
-    path.write_text(json.dumps(io.correlation_to_json(_nan_table()), allow_nan=True))
+    path.write_text(json.dumps(plain(io.correlation_to_json(_nan_table())), allow_nan=True))
     assert run(["verify", str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
@@ -114,10 +115,10 @@ def test_orth_rep_rejects_nan_vector(tmp_path, capsys):
     with pytest.raises(ValueError, match="vector 2 "):
         orth_rep_to_colouring(vectors, Graph.cycle(5))
     graph_path = tmp_path / "c5.json"
-    graph_path.write_text(json.dumps(io.graph_to_json(Graph.cycle(5))))
+    graph_path.write_text(json.dumps(plain(io.graph_to_json(Graph.cycle(5)))))
     vectors_path = tmp_path / "vectors.json"
     vectors_path.write_text(json.dumps(
-        {"vectors": [io.vector_to_json(v) for v in vectors]}, allow_nan=True))
+        plain({"vectors": [io.vector_to_json(v) for v in vectors]}), allow_nan=True))
     assert run(["orthrep", str(graph_path), str(vectors_path)]) == 2
     assert "vector 2 " in capsys.readouterr().err
 
@@ -139,7 +140,7 @@ def test_cqns_report_counts_non_hermiticity():
 @pytest.mark.parametrize("eps, tol", [(5e-8, "1e-12"), (0.3, "1e-9")])
 def test_cli_verify_non_hermitian_cqns_fails_with_report(tmp_path, capsys, eps, tol):
     path = tmp_path / "cq.json"
-    path.write_text(json.dumps(io.correlation_to_json(_non_hermitian_states(eps))))
+    path.write_text(json.dumps(plain(io.correlation_to_json(_non_hermitian_states(eps)))))
     assert run(["verify", str(path), "--tol", tol]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False and report["state_defect"] >= eps
@@ -256,7 +257,7 @@ def test_broken_witness_reports_its_error(rng, tmp_path, capsys):
     assert "not a state" in report.info["witness_error"]
     assert "witness_error" not in qns_report(corr).info
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(io.correlation_to_json(broken)))
+    path.write_text(json.dumps(plain(io.correlation_to_json(broken))))
     assert run(["verify", str(path)]) == 1
     assert "not a state" in json.loads(capsys.readouterr().out)["witness_error"]
 
@@ -275,7 +276,7 @@ def _cli(*argv):
 def test_cli_verify_infinite_diagonal_warns_nothing(tmp_path):
     m = np.diag([np.inf, 1.0]).astype(complex)
     path = tmp_path / "inf.json"
-    path.write_text(json.dumps(io.stochastic_to_json(StochasticOperatorMatrix(1, 2, 1, m)),
+    path.write_text(json.dumps(plain(io.stochastic_to_json(StochasticOperatorMatrix(1, 2, 1, m))),
                                allow_nan=True))
     proc = _cli("verify", str(path))
     assert proc.returncode == 1
@@ -291,9 +292,9 @@ def test_cli_verify_infinite_diagonal_warns_nothing(tmp_path):
 def test_cli_build_local_names_a_misshapen_term(tmp_path, capsys, alice, message):
     ident = io.matrix_to_json(max_entangled(2))
     path = tmp_path / "local.json"
-    path.write_text(json.dumps({
+    path.write_text(json.dumps(plain({
         "dims": {"X": 2, "Y": 2, "A": 2, "B": 2}, "weights": [0.5, 0.5],
-        "alice": [io.matrix_to_json(c) for c in alice], "bob": [ident, ident]}))
+        "alice": [io.matrix_to_json(c) for c in alice], "bob": [ident, ident]})))
     assert run(["build", "local", str(path)]) == 2
     assert re.search(message, capsys.readouterr().err)
 
@@ -337,12 +338,12 @@ def test_reports_refuse_a_non_positive_tracial_witness(kind):
 def test_cli_refuses_a_non_positive_tracial_witness(tmp_path, capsys):
     e, choi = _non_positive_tracial()
     witness = tmp_path / "wit.json"
-    witness.write_text(json.dumps(io.alg_stochastic_to_json(e)))
+    witness.write_text(json.dumps(plain(io.alg_stochastic_to_json(e))))
     assert run(["build", "tracial", str(witness)]) == 2
     assert "fails verification" in capsys.readouterr().err
     payload = tmp_path / "qns.json"
-    payload.write_text(json.dumps(io.correlation_to_json(
-        QnsCorrelation(CorrelationDims(1, 1, 2, 2), choi, TracialWitness(e)))))
+    payload.write_text(json.dumps(plain(io.correlation_to_json(
+        QnsCorrelation(CorrelationDims(1, 1, 2, 2), choi, TracialWitness(e))))))
     assert run(["verify", str(payload)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False and report["witness_residual"] == "inf"
@@ -382,10 +383,10 @@ def test_solve_theta_rejects_bad_tolerance(tol):
 @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0"])
 def test_cli_rejects_non_finite_tolerance(tmp_path, capsys, tol):
     graph = tmp_path / "c5.json"
-    graph.write_text(json.dumps(io.graph_to_json(Graph.cycle(5))))
+    graph.write_text(json.dumps(plain(io.graph_to_json(Graph.cycle(5)))))
     table = tmp_path / "ns.json"  # normalisation residual 4.0
-    table.write_text(json.dumps(io.correlation_to_json(
-        NsCorrelation(D2, np.full((2, 2, 2, 2), 1.25)))))
+    table.write_text(json.dumps(plain(io.correlation_to_json(
+        NsCorrelation(D2, np.full((2, 2, 2, 2), 1.25))))))
     for argv in (["theta", str(graph)], ["verify", str(table)]):
         with pytest.raises(SystemExit) as err:
             run(argv + [f"--tol={tol}"])

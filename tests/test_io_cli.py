@@ -5,6 +5,7 @@ from io import StringIO
 
 import numpy as np
 import pytest
+from conftest import plain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from qnskit.symmetry import build_tracial_cqns, build_tracial_ns
 
 def _write(tmp_path, name, obj):
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(plain(obj)))
     return str(path)
 
 
@@ -34,7 +35,7 @@ def test_matrix_roundtrip(rng):
 
 def test_matrix_format_shape():
     obj = io.matrix_to_json(np.array([[1 + 2j]]))
-    assert obj == {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}
+    assert plain(obj) == {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}
     with pytest.raises(io.FormatError):
         io.matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
 
@@ -96,6 +97,42 @@ def test_report_rendering_is_deterministic():
     assert text == io.dump_json({"a": [1, 2], "b": 1.5})
 
 
+def _arrays(tree):
+    """Every array leaf of a payload tree."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return [a for value in tree for a in _arrays(value)]
+    return [tree] if isinstance(tree, np.ndarray) else []
+
+
+def test_pair_arrays_view_read_only_data_and_copy_the_callers(rng):
+    e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
+    corr = build_quantum(e, f, qr.random_state(rng, 4))
+    data = io.matrix_to_json(corr.choi)["data"]
+    assert data.shape == (corr.choi.size, 2) and data.dtype == float
+    assert not data.flags.writeable and np.shares_memory(data, corr.choi)
+    assert np.shares_memory(io.stochastic_to_json(e)["matrix"]["data"], e.mat)
+    mine = qr.complex_gaussian(rng, 3, 4)
+    for m in (mine, np.asfortranarray(mine), mine.T):
+        for pairs in (io.matrix_to_json(m)["data"], io.vector_to_json(m)):
+            assert not pairs.flags.writeable and not np.shares_memory(pairs, mine)
+            assert np.array_equal(pairs.view(complex).reshape(m.shape), m)
+    trees = [io.correlation_to_json(c) for c in (
+        corr, build_tracial_cqns(qr.random_tracial_witness(rng, 2, 2, kind="semiclassical")),
+        build_local([1.0], [qr.random_channel_choi(rng, 2, 2)],
+                    [qr.random_channel_choi(rng, 2, 2)], CorrelationDims(2, 2, 2, 2)),
+        build_tracial(qr.random_tracial_witness(rng, 2, 2)))]
+    trees.append(io.game_to_json(colouring_game(Graph.cycle(3), 3)))
+    for tree in trees:
+        arrays = _arrays(tree)
+        assert arrays and all(not a.flags.writeable and a.dtype == float and a.ndim == 2
+                              and a.shape[1] == 2 for a in arrays)
+        with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+            json.dumps(tree)
+        assert io.dump_json(tree) == _oracle(tree)
+
+
 def test_decoded_entries_keep_their_values():
     m = io.matrix_from_json({"rows": 2, "cols": 1, "data": [[1, -0.0], [float("inf"), 2.5]]})
     assert m.shape == (2, 1) and m.dtype == complex
@@ -110,7 +147,7 @@ def test_decoded_entries_keep_their_values():
 
 
 def _oracle(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(plain(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -130,6 +167,8 @@ _TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
 @example({"dims": {"X": 3, "A": 2}, "text": "\"q\\\n\u2603\U0001f600", "e": [], "d": {},
           "m00": io.matrix_to_json(np.zeros((0, 0))), "m30": io.matrix_to_json(np.zeros((3, 0))),
           "flags": [True, False, None], "pairs": [[-0.0, 5e-324], [1e308, -1e308]]})
+@example({"kind": "cqns", "states": [[io.matrix_to_json(np.eye(2) / 2),
+                                      io.matrix_to_json(np.diag([1.0, -0.0j]))]] * 2})
 def test_write_json_writes_the_bytes_of_json_dumps(tree):
     text = StringIO()
     io.write_json(tree, text)
@@ -138,9 +177,10 @@ def test_write_json_writes_the_bytes_of_json_dumps(tree):
 
 @settings(max_examples=50, deadline=None)
 @given(_TREES, st.sampled_from([float("nan"), float("inf"), float("-inf")]),
-       st.booleans())
-def test_write_json_refuses_non_finite_floats_before_writing(tree, bad, in_pair):
-    obj = {"a": tree, "b": [[1.0, bad]] if in_pair else bad}
+       st.sampled_from(["float", "pairs", "array"]))
+def test_write_json_refuses_non_finite_floats_before_writing(tree, bad, where):
+    obj = {"a": tree, "b": {"float": bad, "pairs": [[1.0, bad]],
+                            "array": np.array([[1.0, bad]])}[where]}
     with pytest.raises(ValueError) as want:
         _oracle(obj)
     text = StringIO()
@@ -200,8 +240,9 @@ def test_cli_payloads_and_reports_are_json_dumps_bytes(tmp_path, capsys, rng):
 
 
 def test_cli_non_finite_payload_exits_2_and_leaves_out_alone(tmp_path, capsys):
-    choi = io.matrix_to_json(np.eye(16) / 4)
-    choi["data"][0][0] = float("nan")
+    matrix = np.eye(16) / 4
+    matrix[0, 0] = float("nan")
+    choi = io.matrix_to_json(matrix)
     path = _write(tmp_path, "nan.json", {"kind": "qns", "dims": {"X": 2, "Y": 2, "A": 2, "B": 2},
                                          "choi": choi})
     kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
@@ -376,7 +417,7 @@ def test_cli_orthrep(tmp_path, capsys):
 
 def test_cli_reads_stdin(monkeypatch, capsys):
     import io as _io
-    payload = json.dumps(io.graph_to_json(Graph.complete(3)))
+    payload = json.dumps(plain(io.graph_to_json(Graph.complete(3))))
     monkeypatch.setattr("sys.stdin", _io.StringIO(payload))
     assert run(["theta", "-"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -409,8 +450,13 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
         CorrelationDims(2, 2, 2, 2)))
     graph = _write(tmp_path, "c5.json", io.graph_to_json(Graph.cycle(5)))
     two_blocks = io.alg_stochastic_to_json(
-        qr.random_tracial_witness(rng, 2, 2, abelian_algebra((0.5, 0.5))))
+        qr.random_tracial_witness(rng, 2, 2, abelian_algebra((0.5, 0.5)), kind="classical"))
     extra = {**two_blocks, "blocks": two_blocks["blocks"] * 2}  # 4 blocks, 2 algebra blocks
+    k3 = io.game_to_json(colouring_game(Graph.complete(3), 3))
+    game = _write(tmp_path, "k3.json", k3)
+    # flags and weights of another JSON type, which bool() and float() would read
+    alg_weights = {**two_blocks["algebra"], "weights": ["0.5", "0.5"]}
+    local_witness = {**local["witness"], "dims": local["dims"]}
     cases = [
         ["verify", {"rows": 1, "cols": 1, "data": [[None, 0]]}],
         ["verify", {"rows": 1, "cols": 1, "data": [["1", "0"]]}],
@@ -423,6 +469,11 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
         ["verify", {**local, "witness": {**local["witness"], "alice": 3}}],
         ["orthrep", graph, {"vectors": []}],
         ["verify", extra],
+        ["compose", game, {**k3, "classicalInput": "false"}],
+        ["build", "ns-tracial", {**two_blocks, "algebra": alg_weights}],
+        ["build", "local", {**local_witness, "weights": ["1.0"]}],
+        ["build", "local", {**local_witness, "weights": [True]}],
+        ["verify", {**local, "witness": {**local["witness"], "weights": ["1.0"]}}],
     ]
     capsys.readouterr()
     for i, (*argv, obj) in enumerate(cases):

@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import plain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -902,8 +903,8 @@ def test_json_encoders_match_entrywise_loop():
     for m in (np.array([[-0.0, 5e-324], [1e308, -1e308]]), np.array([[1 - 2j, -0.0j, -5e-324j]]),
               np.zeros((0, 0)), np.zeros((3, 0))):
         loop = [[float(z.real), float(z.imag)] for z in m.astype(complex).reshape(-1)]
-        assert json.dumps(io.matrix_to_json(m)["data"]) == json.dumps(loop)
-        assert json.dumps(io.vector_to_json(m)) == json.dumps(loop)
+        assert json.dumps(plain(io.matrix_to_json(m)["data"])) == json.dumps(loop)
+        assert json.dumps(plain(io.vector_to_json(m))) == json.dumps(loop)
 
 
 def _dense_constraints(edges, n):
