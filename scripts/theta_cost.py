@@ -1,0 +1,80 @@
+"""Per-graph time and iteration count of the theta solver on its two paths.
+
+usage: PYTHONPATH=src python3 scripts/theta_cost.py [--seed 301] [--repeat 5]
+                                                    [--paley 61 101]
+
+The graphs are the theta catalogue of perfbench (Paley(13, 17, 29), C5 ... C15,
+co-C9 ... co-C15 and two seeded G(16, 1/2) with their complements, drawn from
+``--seed``), then Paley(q) for each ``--paley`` q.  Each graph is solved by
+`solve_theta`, which takes the circulant operator (Delsarte's LP) when the
+graph is circulant, and by the interior-point loop with the edge operator
+forced, which is the path every graph took before the circulant operator
+existed.  Each line gives, per path, the median milliseconds over the
+repeats, the iteration count and the constraint count, and the distance
+between the two values.  The last line sums one benchmark round (the
+repeated graphs counted as often as a round solves them).
+
+Set OPENBLAS_NUM_THREADS=1 for figures that do not depend on the machine's
+other load; the benchmark runs with it.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from qnskit import theta
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402  (perfbench's numpy-only input generator)
+
+
+def median_ms(fn, repeat: int):
+    """Median milliseconds of ``repeat`` calls of ``fn`` and the last value it returned."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        value = fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times), value
+
+
+def edge_path(n: int, edges) -> theta.ThetaResult:
+    op = theta._EdgeOperator(n, tuple(theta.edge_pairs(n, edges).T))
+    return theta._solve(op, theta.GAP_TOL, theta.MAX_ITER)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=301)
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--paley", type=int, nargs="*", default=[61, 101])
+    args = parser.parse_args()
+
+    catalogue = inputs.theta_catalogue(args.seed)
+    extra = [{"name": f"Paley({q})", "n": q, "edges": inputs.paley_edges(q)}
+             for q in args.paley]
+    print(f"{'graph':>16} {'n':>4} | {'solve_theta':>11} {'iters':>5} {'m':>5} | "
+          f"{'edge path':>11} {'iters':>5} {'m':>5} | {'|dtheta|':>8}")
+    timed = {}
+    for g in catalogue + extra:
+        name, n, edges = g["name"], g["n"], g["edges"]
+        if name in timed:
+            continue
+        pairs = tuple(theta.edge_pairs(n, edges).T)
+        shifts = theta._shifts(n, pairs)
+        m_circ = "-" if shifts is None else 1 + len(shifts)
+        ms, ours = median_ms(lambda: theta.solve_theta(n, edges), args.repeat)
+        ms_edge, edge = median_ms(lambda: edge_path(n, edges), args.repeat)
+        timed[name] = ms, ms_edge
+        print(f"{name:>16} {n:>4} | {ms:>8.2f} ms {ours.iterations:>5} {m_circ:>5} | "
+              f"{ms_edge:>8.2f} ms {edge.iterations:>5} {1 + len(pairs[0]):>5} | "
+              f"{abs(ours.value - edge.value):>8.1e}")
+    ours, edge = (sum(timed[g["name"]][k] for g in catalogue) for k in (0, 1))
+    print(f"one benchmark round ({len(catalogue)} solves): solve_theta {ours:.1f} ms, "
+          f"edge path {edge:.1f} ms")
+
+
+if __name__ == "__main__":
+    main()

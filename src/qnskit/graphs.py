@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgStochasticMatrix, matrix_algebra, scalar_algebra
 from .correlations import CqnsCorrelation
-from .linalg import (TOL_ALG, TOL_INPUT, check_channel, dagger,
+from .linalg import (TOL_ALG, TOL_INPUT, check_channel, dagger, dimensions,
                      max_entangled_vector, orthonormal_columns, orthonormality_defect,
                      permute_systems, require)
 from .stochastic import StochasticOperatorMatrix
@@ -31,8 +31,7 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+        object.__setattr__(self, "n", _vertex_count(self.n))
         pairs = edge_pairs(self.n, self.edges).tolist()
         object.__setattr__(self, "edges", frozenset(map(tuple, pairs)))
 
@@ -42,6 +41,7 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        n = _vertex_count(n)
         return cls.from_edges(n, itertools.combinations(range(n), 2))
 
     @classmethod
@@ -50,7 +50,7 @@ class Graph:
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
-        if n < 3:
+        if _vertex_count(n) < 3:
             raise ValueError("cycles need at least 3 vertices")
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -69,6 +69,11 @@ class Graph:
         i, j = _edge_index(list(self.edges))
         a[i, j] = a[j, i] = 1.0
         return a
+
+
+def _vertex_count(n) -> int:
+    """``n`` as an int unless it is not an integer >= 0."""
+    return dimensions((n,), "vertex count", least=0)[0]
 
 
 def _edge_index(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +360,7 @@ def cycle5_umbrella() -> list[np.ndarray]:
 
 
 def lovasz_theta(graph: Graph, tol: float = GAP_TOL) -> float:
-    """Lovasz number through the interior-point solver in edge coordinates."""
+    """Lovasz number through the interior-point solver (Delsarte's LP when circulant)."""
     return solve_theta(graph.n, graph.edges, tol=tol).value
 
 

@@ -328,15 +328,15 @@ def check_channel(choi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return choi
 
 
-def dimensions(dims, what: str = "dimensions") -> tuple[int, ...]:
-    """``dims`` as ints unless one is not an integer >= 1: numpy integers pass, and a
-    float, string or bool is refused by value."""
+def dimensions(dims, what: str = "dimensions", least: int = 1) -> tuple[int, ...]:
+    """``dims`` as ints unless one is not an integer >= ``least``: numpy integers pass,
+    and a float, string or bool is refused by value."""
     for d in dims:
         if isinstance(d, bool) or not hasattr(d, "__index__"):
             raise ValueError(f"{what} must be integers, got {d!r}")
     dims = tuple(map(operator.index, dims))
-    if any(d < 1 for d in dims):
-        raise ValueError(f"{what} must be >= 1")
+    if any(d < least for d in dims):
+        raise ValueError(f"{what} must be >= {least}")
     return dims
 
 

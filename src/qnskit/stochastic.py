@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import (TOL_ALG, TOL_COMM, EIG_CLAMP, PRUNE_MARGIN, Report, asmatrix,
-                     check_state, dagger, hermiticity_and_psd_defect, hermiticity_defect,
-                     partial_trace, pinch, psd_defect, readonly, require)
+                     check_state, dagger, dimensions, hermiticity_and_psd_defect,
+                     hermiticity_defect, partial_trace, pinch, psd_defect, readonly, require)
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class StochasticOperatorMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
+        dimensions(self.dims, least=0)
         mat = asmatrix(self.mat)
         size = self.dim_x * self.dim_a * self.dim_h
         if mat.shape != (size, size):

@@ -1,10 +1,28 @@
-"""Primal-dual interior-point solver for the Lovasz theta SDP in edge coordinates.
+"""Primal-dual interior-point solver for the Lovasz theta SDP.
 
 theta(G) = max <J, X> subject to Tr X = 1, X[x, y] = 0 for edges xy, X psd.
 
-The solver is a feasible-start predictor-corrector method.  Its constraints
-are the trace and the entries on the edges, held as two index arrays (i, j),
-and the Schur complement is assembled in closed form from those arrays.
+The solver is one feasible-start HKM predictor-corrector loop over a stack of
+symmetric blocks with multiplicities: the iterates X and Z are (K, s, s)
+arrays, block k counts w_k times, and <X, Z> = sum_k w_k tr(X_k Z_k).  A
+constraint operator supplies the blocks, the cost C, and the constraint map
+with its adjoint and Schur complement.  There are two:
+
+* The edge operator is one n x n block.  Its constraints are the trace and
+  the entries on the edges, held as two index arrays (i, j), and its Schur
+  complement is assembled in closed form from those arrays.
+* The circulant operator serves graphs whose edge set is invariant under
+  v -> v + 1 mod n: Paley graphs, cycles and their complements.  The SDP is
+  invariant under that shift, so averaging an optimum over it gives a
+  circulant optimum X = (1/n) sum_k lambda_k f_k f_k^* with DFT vectors f_k.
+  Folding lambda_k = lambda_{n-k} leaves Delsarte's LP in the floor(n/2) + 1
+  eigenvalues: 1 x 1 blocks of multiplicity 1 (k = 0 and k = n/2) or 2, the
+  trace row, and one row cos(2 pi k s / n) for each s <= n/2 of the
+  connection set (Schrijver 1979; the 1 x 1-block case of de Klerk,
+  Pasechnik and Schrijver 2007).
+
+`solve_theta` takes the circulant operator exactly when the adjacency matrix
+equals its own cyclic shift; a relabelled circulant takes the edge operator.
 Problem data is real symmetric, so the iteration runs over real symmetric
 matrices; results are deterministic.  A norm-form certificate derived from
 the primal optimum cross-validates the value: rescaling X by its diagonal
@@ -17,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import dimensions
 
 #: Duality-gap stopping tolerance.
 GAP_TOL = 1e-7
@@ -44,7 +64,12 @@ class ThetaResult:
 
 
 def _sym(w: np.ndarray) -> np.ndarray:
-    return (w + w.T) / 2
+    return (w + w.swapaxes(-1, -2)) / 2
+
+
+def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """sum_k w_k tr(a_k b_k) for stacks of symmetric blocks."""
+    return float(np.vdot(w[:, None, None] * a, b))
 
 
 def edge_pairs(n: int, edges) -> np.ndarray:
@@ -65,100 +90,169 @@ def edge_pairs(n: int, edges) -> np.ndarray:
     return np.array(unique, dtype=int).reshape(-1, 2)
 
 
-def _apply(edges, w: np.ndarray) -> np.ndarray:
-    """[Tr W, <A_k, W>] for symmetric W, where A_k = e_i e_j^T + e_j e_i^T."""
-    return np.concatenate(([np.trace(w)], 2 * w[edges]))
+class _EdgeOperator:
+    """One n x n block; the rows are Tr X and <A_k, X> = 2 X[i, j] per edge (i, j)."""
+
+    def __init__(self, n: int, edges: tuple[np.ndarray, np.ndarray]):
+        self.edges = edges
+        self.w = np.ones(1)
+        self.c = -np.ones((1, n, n))  # minimise <-J, X>, maximising <J, X>
+        self.m = 1 + len(edges[0])
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """[Tr W, <A_k, W>] for symmetric W, where A_k = e_i e_j^T + e_j e_i^T."""
+        return np.concatenate(([np.trace(w[0])], 2 * w[0][self.edges]))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """y_0 I + sum_k y_k A_k."""
+        out = y[0] * np.eye(self.c.shape[-1])
+        out[self.edges] = out[self.edges[::-1]] = y[1:]
+        return out[None]
+
+    def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The Schur matrix <A_k, Z^-1 A_l X> of the HKM direction, symmetrised."""
+        zinv, x = zinv[0], x[0]
+        zx = zinv @ x
+        row = (zx + zx.T)[self.edges]
+        # A_k sums e_p e_q^T over both orders (p, q) of edge k, so <A_k, Z^-1 A_l X>
+        # sums Z^-1[q, a] X[b, p] over those and the orders (a, b) of edge l; as
+        # Z^-1 and X are symmetric, two of the four terms are transposes
+        i, j = self.edges
+        t1 = zinv[np.ix_(j, i)] * x[np.ix_(i, j)]
+        block = t1 + t1.T + zinv[np.ix_(j, j)] * x[np.ix_(i, i)] \
+            + zinv[np.ix_(i, i)] * x[np.ix_(j, j)]
+        return _sym(np.block([[np.trace(zx), row], [row[:, None], block]]))
+
+    def x_matrix(self, x: np.ndarray) -> np.ndarray:
+        return x[0]
+
+    def certificate_norm(self, x: np.ndarray) -> float:
+        """Norm of the diagonal-rescaled optimum, feasible for the max-norm form."""
+        x = x[0]
+        d = np.diag(x).copy()
+        support = d > 1e-8 * max(float(d.max()), 1e-30)
+        if not np.any(support):
+            return 0.0
+        xs = x[np.ix_(support, support)]
+        scale = np.sqrt(d[support])
+        bmat = xs / np.outer(scale, scale)
+        return float(np.linalg.eigvalsh(_sym(bmat))[-1])
 
 
-def _adjoint(edges, y: np.ndarray, n: int) -> np.ndarray:
-    """y_0 I + sum_k y_k A_k."""
-    out = y[0] * np.eye(n)
-    out[edges] = out[edges[::-1]] = y[1:]
-    return out
+class _CirculantOperator:
+    """Delsarte's LP: 1 x 1 blocks lambda_k, k = 0..n//2, of multiplicity w_k.
+
+    The rows are the trace sum_k w_k lambda_k and, for each shift s of the
+    folded connection set, sum_k w_k lambda_k cos(2 pi k s / n) = n X[0, s].
+    """
+
+    def __init__(self, n: int, shifts: np.ndarray):
+        k = np.arange(n // 2 + 1)
+        self.n = n
+        self.w = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+        # cos(2 pi k d / n) for every block k and difference d = 0..n-1; k d is
+        # reduced mod n in integers first, so the angle stays below 2 pi
+        self.cos = np.cos((2 * np.pi / n) * (np.outer(k, np.arange(n)) % n))
+        self.rows = np.vstack([np.ones(len(k)), self.cos[:, shifts].T])
+        self.m = len(self.rows)
+        self.c = np.zeros((len(k), 1, 1))
+        self.c[0] = -n  # <C, X> = -n lambda_0 = -<J, X>
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        return self.rows @ (self.w * w[:, 0, 0])
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return (y @ self.rows)[:, None, None]
+
+    def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """sum_b w_b a_kb a_lb x_b / z_b for the diagonal X and Z of the LP."""
+        return (self.rows * (self.w * zinv[:, 0, 0] * x[:, 0, 0])) @ self.rows.T
+
+    def x_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The n x n circulant with spectrum lambda: entry [u, v] depends on v - u."""
+        first = (self.w * x[:, 0, 0]) @ self.cos / self.n
+        d = np.arange(self.n)
+        return first[(d - d[:, None]) % self.n]
+
+    def certificate_norm(self, x: np.ndarray) -> float:
+        """The diagonal of X is Tr X / n = 1 / n, so the rescaled norm is n max lambda."""
+        return self.n * float(np.max(x))
 
 
-def _schur(edges, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The Schur matrix <A_k, Z^-1 A_l X> of the HKM direction, symmetrised."""
-    zx = zinv @ x
-    row = (zx + zx.T)[edges]
-    # A_k sums e_p e_q^T over both orders (p, q) of edge k, so <A_k, Z^-1 A_l X>
-    # sums Z^-1[q, a] X[b, p] over those and the orders (a, b) of edge l
-    ends = (edges, edges[::-1])
-    block = sum(zinv[np.ix_(q, a)] * x[np.ix_(p, b)] for p, q in ends for a, b in ends)
-    return _sym(np.block([[np.trace(zx), row], [row[:, None], block]]))
+def _shifts(n: int, edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
+    """The connection set {s <= n/2 : 0 ~ s} when v -> v + 1 maps edges to edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges] = adj[edges[::-1]] = True
+    if not np.array_equal(adj, np.roll(adj, (1, 1), axis=(0, 1))):
+        return None
+    return np.flatnonzero(adj[0, :n // 2 + 1])
 
 
-def _max_step(psd: np.ndarray, step: np.ndarray) -> float:
-    """Largest damped alpha <= 1 keeping psd + alpha * step positive definite."""
-    jitter = 1e-14 * max(1.0, float(np.trace(psd)))
-    chol = np.linalg.cholesky(psd + jitter * np.eye(psd.shape[0]))
+def _max_steps(w: np.ndarray, psd: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """For each p, the largest damped alpha <= 1 keeping every block of
+    psd[p] + alpha * step[p] positive definite (1 when the step keeps it psd)."""
+    jitter = 1e-14 * np.maximum(1.0, np.trace(psd, axis1=-2, axis2=-1) @ w)
+    chol = np.linalg.cholesky(psd + jitter[:, None, None, None] * np.eye(psd.shape[-1]))
     inv = np.linalg.inv(chol)
-    lam = float(np.linalg.eigvalsh(_sym(inv @ step @ inv.T))[0])
-    if lam >= -1e-14:
-        return 1.0
-    return min(1.0, -0.98 / lam)
+    lam = np.linalg.eigvalsh(_sym(inv @ step @ inv.swapaxes(-1, -2)))[..., 0].min(axis=-1)
+    return np.minimum(1.0, -0.98 / np.minimum(lam, -1e-14))
 
 
-def solve_theta(n: int, edges, tol: float = GAP_TOL,
-                max_iter: int = MAX_ITER) -> ThetaResult:
-    """Solve the theta SDP for a graph given by vertex count and edge list."""
-    if n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if not 0 < tol < float("inf"):  # NaN fails
-        raise ValueError("tolerance must be positive and finite")
-    edges = tuple(edge_pairs(n, edges).T)
-
-    m = 1 + len(edges[0])
-    b = np.zeros(m)
+def _solve(op, tol: float, max_iter: int) -> ThetaResult:
+    """The HKM predictor-corrector loop on the blocks of constraint operator ``op``."""
+    w = op.w
+    eye = np.eye(op.c.shape[-1])
+    n = float(w.sum()) * len(eye)                  # the size of the expanded matrix
+    b = np.zeros(op.m)
     b[0] = 1.0
-    c = -np.ones((n, n))  # minimise <-J, X>, maximising <J, X>
 
-    x = np.eye(n) / n                              # strictly feasible primal
-    y = np.zeros(m)
+    x = np.broadcast_to(eye, op.c.shape) / n       # I / n, strictly feasible primal
+    y = np.zeros(op.m)
     y[0] = -(n + 1.0)
-    z = c - _adjoint(edges, y, n)                  # (n+1) I - J, strictly psd
+    z = op.c - op.adjoint(y)                       # (n+1) I - J, strictly psd
 
-    gap = float(np.tensordot(x, z))
+    gap = _inner(w, x, z)
     iterations = 0
     try:
         for iterations in range(1, max_iter + 1):
-            rp = b - _apply(edges, x)
-            rd = c - z - _adjoint(edges, y, n)
-            gap = float(np.tensordot(x, z))
+            rp = b - op.apply(x)
+            rd = op.c - z - op.adjoint(y)
+            gap = _inner(w, x, z)
+            if gap < 0:
+                # <X, Z> >= 0 on the cone, so these iterates have left it
+                raise SolverError(f"iteration {iterations} has a negative duality gap "
+                                  f"{gap:.3e}: the iterates left the cone")
             if gap <= tol and float(np.max(np.abs(rp))) <= FEAS_TOL \
                     and float(np.max(np.abs(rd))) <= FEAS_TOL:
                 break
 
             zinv = _sym(np.linalg.inv(z))
-            schur = _schur(edges, zinv, x)
+            schur = op.schur(zinv, x)
 
-            rhs_base = rp + _apply(edges, x) + _apply(edges, _sym(zinv @ rd @ x))
+            rhs_base = rp + op.apply(x) + op.apply(_sym(zinv @ rd @ x))
 
             def direction(target: np.ndarray):
                 """Solve the reduced system for complementarity target matrix."""
-                rhs = rhs_base - _apply(edges, _sym(zinv @ target))
+                rhs = rhs_base - op.apply(_sym(zinv @ target))
                 try:
                     dy = np.linalg.solve(schur, rhs)
                 except np.linalg.LinAlgError:
                     dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
-                dz = rd - _adjoint(edges, dy, n)
+                dz = rd - op.adjoint(dy)
                 dx = _sym(zinv @ target - x - zinv @ dz @ x)
                 return dx, dy, dz
 
             # predictor (affine scaling)
-            zero = np.zeros((n, n))
-            dx_a, _, dz_a = direction(zero)
-            ap = _max_step(x, dx_a)
-            ad = _max_step(z, dz_a)
-            gap_aff = float(np.tensordot(x + ap * dx_a, z + ad * dz_a))
+            dx_a, _, dz_a = direction(np.zeros_like(x))
+            ap, ad = _max_steps(w, np.stack([x, z]), np.stack([dx_a, dz_a]))
+            gap_aff = _inner(w, x + ap * dx_a, z + ad * dz_a)
             sigma = min(1.0, max(gap_aff / gap, 0.0) ** 3)
 
             # corrector
             mu = gap / n
-            target = sigma * mu * np.eye(n) - dz_a @ dx_a
+            target = sigma * mu * eye - dz_a @ dx_a
             dx, dy, dz = direction(target)
-            ap = _max_step(x, dx)
-            ad = _max_step(z, dz)
+            ap, ad = _max_steps(w, np.stack([x, z]), np.stack([dx, dz]))
 
             x = _sym(x + ap * dx)
             z = _sym(z + ad * dz)
@@ -170,22 +264,28 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL,
         # an iterate that lost definiteness: fail closed, never return it
         raise SolverError(f"iteration {iterations} failed at gap {gap:.3e}: {exc}") from exc
 
-    value = float(np.sum(x))
+    x_matrix = op.x_matrix(x)
     # Weak duality: Z = C - A*(y) gives <J, X'> = -y_1 - <Z, X'> for every
-    # feasible X', hence theta <= -y_1 - min(0, lambda_min(Z)).
-    z_exact = c - _adjoint(edges, y, n)
-    slack = min(0.0, float(np.linalg.eigvalsh(_sym(z_exact))[0]))
+    # feasible X', hence theta <= -y_1 - min(0, lambda_min(Z)); the blocks of Z
+    # hold its spectrum.
+    z_exact = op.c - op.adjoint(y)
+    slack = min(0.0, float(np.min(np.linalg.eigvalsh(_sym(z_exact))[:, 0])))
     dual_bound = float(-y[0]) - slack
-    return ThetaResult(value, x, gap, iterations, _certificate_norm(x), dual_bound)
+    return ThetaResult(float(np.sum(x_matrix)), x_matrix, gap, iterations,
+                       op.certificate_norm(x), dual_bound)
 
 
-def _certificate_norm(x: np.ndarray) -> float:
-    """Norm of the diagonal-rescaled optimum, feasible for the max-norm form."""
-    d = np.diag(x).copy()
-    support = d > 1e-8 * max(float(d.max()), 1e-30)
-    if not np.any(support):
-        return 0.0
-    xs = x[np.ix_(support, support)]
-    scale = np.sqrt(d[support])
-    bmat = xs / np.outer(scale, scale)
-    return float(np.linalg.eigvalsh(_sym(bmat))[-1])
+def solve_theta(n: int, edges, tol: float = GAP_TOL,
+                max_iter: int = MAX_ITER) -> ThetaResult:
+    """Solve the theta SDP for a graph given by vertex count and edge list.
+
+    A graph whose edge set is invariant under v -> v + 1 mod n is solved
+    through Delsarte's LP in its DFT eigenvalues; any other in edge coordinates.
+    """
+    (n,) = dimensions((n,), "vertex count")
+    if not 0 < tol < float("inf"):  # NaN fails
+        raise ValueError("tolerance must be positive and finite")
+    edges = tuple(edge_pairs(n, edges).T)
+    shifts = _shifts(n, edges)
+    op = _EdgeOperator(n, edges) if shifts is None else _CirculantOperator(n, shifts)
+    return _solve(op, tol, max_iter)

@@ -15,11 +15,12 @@ from qnskit.correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation
                                  compose_tables, cqns_report, from_classical,
                                  lift_cqns, mix_local, ns_report, qns_report,
                                  reduce_cqns, reduce_ns, witness_residual)
-from qnskit.graphs import kd2_colouring
+from qnskit.graphs import Graph, kd2_colouring
 from qnskit.linalg import kron, max_entangled, permute_systems
 from qnskit.stochastic import (StochasticOperatorMatrix, from_choi, verify,
                                with_ancilla_left, with_ancilla_right)
 from qnskit.symmetry import build_tracial_ns
+from qnskit.theta import solve_theta
 
 D2222 = CorrelationDims(2, 2, 2, 2)
 
@@ -531,6 +532,29 @@ def test_dimensions_must_be_integers(make, value):
     with pytest.raises(ValueError, match=re.escape(f"must be integers, got {value!r}")):
         make(value)
     assert make(np.int64(2)) == make(2)
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda d: solve_theta(d, []), 5.0),
+    (lambda d: Graph.complete(d), True),
+    (lambda d: Graph.from_edges(d, [(0, 1)]), 4.0),
+    (lambda d: Graph.cycle(d), np.float64(5)),
+    (lambda d: Graph.empty(d), "3"),
+    (lambda d: StochasticOperatorMatrix(d, 2, 2, np.eye(8)), 2.0),
+    (lambda d: StochasticOperatorMatrix(2, 2, d, np.eye(8)), np.True_),
+], ids=["solve_theta", "Graph.complete", "Graph.from_edges", "Graph.cycle", "Graph.empty",
+        "StochasticOperatorMatrix-x", "StochasticOperatorMatrix-h"])
+def test_vertex_counts_and_stochastic_dims_must_be_integers(make, value):
+    with pytest.raises(ValueError, match=re.escape(f"must be integers, got {value!r}")):
+        make(value)
+    # numpy integers pass and are stored as ints; the ranges stay as they were
+    assert type(Graph.complete(np.int64(3)).n) is int
+    assert StochasticOperatorMatrix(np.int64(1), 1, 1, np.eye(1)).dims == (1, 1, 1)
+    assert Graph.empty(0).n == 0
+    with pytest.raises(ValueError, match="vertex count must be >= 0"):
+        Graph.empty(-1)
+    with pytest.raises(ValueError, match="vertex count must be >= 1"):
+        solve_theta(0, [])
 
 
 def test_quantum_witness_refuses_an_unknown_kind(rng):

@@ -917,21 +917,25 @@ def _dense_constraints(edges, n):
     return mats
 
 
-def _dense_apply(edges, w):
-    return np.array([np.tensordot(a, w) for a in _dense_constraints(edges, len(w))])
+class _DenseEdgeOperator(theta._EdgeOperator):
+    """The edge operator with every constraint spelt out as a dense matrix."""
 
+    def apply(self, w):
+        mats = _dense_constraints(self.edges, w.shape[-1])
+        return np.array([np.tensordot(a, w[0]) for a in mats])
 
-def _dense_adjoint(edges, y, n):
-    out = np.zeros((n, n))
-    for a, yk in zip(_dense_constraints(edges, n), y):
-        out += yk * a
-    return out
+    def adjoint(self, y):
+        n = self.c.shape[-1]
+        out = np.zeros((n, n))
+        for a, yk in zip(_dense_constraints(self.edges, n), y):
+            out += yk * a
+        return out[None]
 
-
-def _dense_schur(edges, zinv, x):
-    mats = _dense_constraints(edges, len(x))
-    images = [theta._sym(zinv @ a @ x) for a in mats]
-    return theta._sym(np.array([[np.tensordot(a, img) for a in mats] for img in images]).T)
+    def schur(self, zinv, x):
+        zinv, x = zinv[0], x[0]
+        mats = _dense_constraints(self.edges, len(x))
+        images = [theta._sym(zinv @ a @ x) for a in mats]
+        return theta._sym(np.array([[np.tensordot(a, img) for a in mats] for img in images]).T)
 
 
 def _spd(rng, n):
@@ -939,21 +943,58 @@ def _spd(rng, n):
     return g @ g.T / n + np.eye(n)
 
 
+def _assert_close(fast, dense):
+    assert fast.shape == dense.shape
+    assert _maxdiff(fast, dense) <= TOL_ORDER * max(1.0, float(np.max(np.abs(dense), initial=0.0)))
+
+
 @kernel_settings
 @given(st.integers(1, 12), st.sampled_from([0.0, 0.5, 1.0]), seed)
 def test_theta_kernels_match_dense_constraints(n, p, s):
     rng = np.random.default_rng(s)
     edges = tuple(theta.edge_pairs(n, _random_graph(rng, n, p).edges).T)
-    w, zinv, x = theta._sym(rng.standard_normal((n, n))), _spd(rng, n), _spd(rng, n)
-    y = rng.standard_normal(1 + len(edges[0]))
-    for fast, dense in [(theta._apply(edges, w), _dense_apply(edges, w)),
-                        (theta._adjoint(edges, y, n), _dense_adjoint(edges, y, n)),
-                        (theta._schur(edges, zinv, x), _dense_schur(edges, zinv, x))]:
-        assert fast.shape == dense.shape
-        assert _maxdiff(fast, dense) <= TOL_ORDER * max(1.0, float(np.max(np.abs(dense))))
+    fast, dense = theta._EdgeOperator(n, edges), _DenseEdgeOperator(n, edges)
+    w, zinv, x = (theta._sym(rng.standard_normal((1, n, n))), _spd(rng, n)[None],
+                  _spd(rng, n)[None])
+    y = rng.standard_normal(fast.m)
+    _assert_close(fast.apply(w), dense.apply(w))
+    _assert_close(fast.adjoint(y), dense.adjoint(y))
+    _assert_close(fast.schur(zinv, x), dense.schur(zinv, x))
 
 
-def test_solve_theta_matches_dense_constraints(monkeypatch, rng):
+@kernel_settings
+@given(st.integers(1, 16), seed)
+def test_circulant_kernels_match_the_edge_operator_on_expanded_matrices(n, s):
+    # row s of the circulant operator is the functional <B_s, X> = n X[0, s] with
+    # B_s = c_s sum of A_e over the orbit of edge (0, s): c_s = n / (2 |orbit|), that
+    # is 1/2 or, for s = n/2, 1.  M[e, s] = c_s relates all three kernels.
+    rng = np.random.default_rng(s)
+    shifts = np.flatnonzero(rng.random(n // 2 + 1) < 0.5)
+    shifts = shifts[shifts > 0]
+    graph = Graph.from_edges(n, [(v, (v + t) % n) for v in range(n) for t in shifts])
+    edges = tuple(theta.edge_pairs(n, graph.edges).T)
+    assert np.array_equal(theta._shifts(n, edges), shifts)
+    circ, edge = theta._CirculantOperator(n, shifts), theta._EdgeOperator(n, edges)
+    diff = (edges[1] - edges[0]) % n
+    orbit = np.minimum(diff, n - diff)
+    cols = np.searchsorted(shifts, orbit)
+    m = np.zeros((edge.m, circ.m))
+    m[0, 0] = 1.0
+    m[1 + np.arange(len(orbit)), 1 + cols] = n / (2 * np.bincount(cols)[cols])
+    lam, zinv = rng.random((2, n // 2 + 1, 1, 1)) + 0.1
+    y = rng.standard_normal(circ.m)
+    x_full = circ.x_matrix(lam)[None]
+    _assert_close(circ.apply(lam), m.T @ edge.apply(x_full))
+    _assert_close(circ.x_matrix(circ.adjoint(y)), edge.adjoint(m @ y)[0])
+    _assert_close(circ.schur(zinv, lam), m.T @ edge.schur(circ.x_matrix(zinv)[None], x_full) @ m)
+    # the expanded X is the circulant whose spectrum is lambda, each k with multiplicity w_k
+    expected = np.sort(np.repeat(lam.ravel(), circ.w.astype(int)))
+    _assert_close(np.linalg.eigvalsh(x_full[0]), expected)
+
+
+def test_solve_theta_matches_dense_constraints(rng):
+    # the edge operator drives every graph here, circulant ones (K3, K9, E7, C5, C7)
+    # included, so the circulant path is never compared with itself
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "theta_table.py"
     spec = importlib.util.spec_from_file_location("theta_table", path)
     table = importlib.util.module_from_spec(spec)
@@ -961,12 +1002,10 @@ def test_solve_theta_matches_dense_constraints(monkeypatch, rng):
     graphs = [(g.n, g.edges) for _, g in table.catalogue(7)]
     graphs += [(n, _random_graph(rng, n, p).edges) for n, p in
                zip(rng.integers(1, 15, size=50), itertools.cycle([0.2, 0.5, 0.8]))]
-    fast = [theta.solve_theta(n, e) for n, e in graphs]
-    monkeypatch.setattr(theta, "_apply", _dense_apply)
-    monkeypatch.setattr(theta, "_adjoint", _dense_adjoint)
-    monkeypatch.setattr(theta, "_schur", _dense_schur)
-    for (n, e), ours in zip(graphs, fast):
-        dense = theta.solve_theta(n, e)
+    for n, e in graphs:
+        edges = tuple(theta.edge_pairs(n, e).T)
+        ours = theta._solve(theta._EdgeOperator(n, edges), theta.GAP_TOL, theta.MAX_ITER)
+        dense = theta._solve(_DenseEdgeOperator(n, edges), theta.GAP_TOL, theta.MAX_ITER)
         assert ours.iterations == dense.iterations, (n, e)
         assert abs(ours.value - dense.value) <= theta.GAP_TOL, (n, e)
 
@@ -982,7 +1021,9 @@ REWRITTEN = {
     "stochastic.py": {"from_povms"},
     "correlations.py": {"_compose_witness"},
     "io.py": {"matrix_to_json", "vector_to_json"},
-    "theta.py": {"_apply", "_adjoint", "_schur"},
+    "theta.py": {"_EdgeOperator.apply", "_EdgeOperator.adjoint", "_EdgeOperator.schur",
+                 "_CirculantOperator.apply", "_CirculantOperator.adjoint",
+                 "_CirculantOperator.schur", "_CirculantOperator.x_matrix"},
 }
 
 

@@ -14,7 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
                                   ["synchronicity_boundary.py"],
                                   ["cli_cost.py", "--d", "2", "--repeat", "1"],
                                   ["witness_cost.py", "--lifts", "2,2,2", "--d", "2",
-                                   "--repeat", "1"]])
+                                   "--repeat", "1"],
+                                  ["theta_cost.py", "--repeat", "1", "--paley", "37"]])
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qnskit.graphs import Graph, independence_number, lovasz_theta, xi_qc_lower_bound
+from qnskit import theta
 from qnskit.theta import SolverError, solve_theta
 
 
@@ -135,16 +136,20 @@ def test_solve_theta_rejects_edges_outside_the_graph(edge):
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-14, 1e-30])
 def test_tight_tolerance_converges_or_raises_solver_error(tol, rng):
-    # near the optimum an iterate can lose definiteness in floating point;
-    # the solver must then fail closed, never leak a LinAlgError
+    # near the optimum an iterate can lose definiteness in floating point, or its
+    # gap <X, Z> turn negative; the solver must then fail closed, never leak a
+    # LinAlgError or return a gap that certifies nothing
+    graphs = [(5, sorted(Graph.cycle(5).edges)), (13, sorted(paley(13).edges)),
+              (4, sorted(Graph.complete(4).edges))]
     for _ in range(20):
         n = int(rng.integers(2, 13))
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        graphs.append((n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]))
+    for n, edges in graphs:
         try:
             result = solve_theta(n, edges, tol=tol)
         except SolverError:
             continue
-        assert result.gap <= tol
+        assert 0 <= result.gap <= tol
 
 
 def paley(q: int) -> Graph:
@@ -176,3 +181,92 @@ def test_chromatic_bound_divides_by_an_upper_bound_on_theta():
         cases += [(Graph.cycle(n), theta), (_complement(Graph.cycle(n)), n / theta)]
     for g, theta in cases:
         assert xi_qc_lower_bound(g) <= np.sqrt(g.n / theta), (g.n, len(g.edges))
+
+
+# ---------------------------------------------------------------------------
+# circulant graphs: Delsarte's LP in the DFT eigenvalues
+
+
+def circulant(n: int, shifts) -> Graph:
+    return Graph.from_edges(n, [(v, (v + s) % n) for s in shifts for v in range(n)])
+
+
+def paley_shifts(q: int) -> list[int]:
+    return sorted({k * k % q for k in range(1, q)})
+
+
+def cycle_theta(n: int) -> float:
+    return n * np.cos(np.pi / n) / (1 + np.cos(np.pi / n))
+
+
+class _Recorder(theta._CirculantOperator):
+    """The circulant operator, keeping the last y its adjoint saw: the final dual."""
+
+    def adjoint(self, y):
+        self.y = y
+        return super().adjoint(y)
+
+
+def _closed_forms():
+    cases = [(f"Paley({q})", q, paley_shifts(q), np.sqrt(q)) for q in (61, 101, 1009)]
+    for n in [*range(5, 62, 2), 101, 301, 1001]:
+        cases.append((f"C{n}", n, [1], cycle_theta(n)))
+        cases.append((f"co-C{n}", n, range(2, n // 2 + 1), n / cycle_theta(n)))
+    cases += [(f"K{n}", n, range(1, n // 2 + 1), 1.0) for n in (1, 2, 3, 4, 9, 10)]
+    cases += [(f"E{n}", n, [], float(n)) for n in (1, 2, 3, 7, 8)]
+    return cases
+
+
+@pytest.mark.parametrize("name, n, shifts, closed", _closed_forms(),
+                         ids=[c[0] for c in _closed_forms()])
+def test_circulant_path_meets_closed_forms(name, n, shifts, closed):
+    # theta(Paley(q)) = sqrt(q), theta(C_n) = n cos(pi/n) / (1 + cos(pi/n)) for odd
+    # n, theta(G) theta(co-G) = n for vertex-transitive G, theta(K_n) = 1 and
+    # theta(E_n) = n
+    g = circulant(n, shifts)
+    edges = tuple(theta.edge_pairs(n, g.edges).T)
+    assert np.array_equal(theta._shifts(n, edges), sorted(s for s in shifts if s <= n // 2))
+    result = solve_theta(n, g.edges)
+    assert abs(result.value - closed) <= 1e-6
+    assert result.value <= result.dual_bound + 1e-9
+    op = _Recorder(n, theta._shifts(n, edges))
+    assert theta._solve(op, theta.GAP_TOL, theta.MAX_ITER).value == result.value
+    # the expanded primal and dual slack are psd as full n x n matrices
+    x, z = result.x_matrix, op.x_matrix(op.c - op.adjoint(op.y))
+    assert np.linalg.eigvalsh(x)[0] >= -theta.FEAS_TOL
+    assert np.linalg.eigvalsh(z)[0] >= -theta.FEAS_TOL
+    assert abs(np.trace(x) - 1) <= theta.FEAS_TOL
+    assert max((abs(x[i, j]) for i, j in g.edges), default=0.0) <= theta.FEAS_TOL
+    assert abs(np.sum(x) - result.value) <= 1e-12 * max(1.0, result.value)
+
+
+def _catalogue_circulants(rng):
+    """The circulants of the theta catalogues with n <= 61, then 50 seeded random ones."""
+    graphs = [circulant(q, paley_shifts(q)) for q in (5, 13, 17, 29, 37, 41, 53, 61)]
+    graphs += [Graph.cycle(n) for n in range(5, 16, 2)]
+    graphs += [circulant(n, range(2, n // 2 + 1)) for n in range(9, 16, 2)]
+    graphs += [Graph.complete(3), Graph.complete(9), Graph.empty(7)]
+    for _ in range(50):
+        n = int(rng.integers(1, 25))
+        shifts = np.flatnonzero(rng.random(n // 2 + 1) < 0.5)
+        graphs.append(circulant(n, shifts[shifts > 0].tolist()))
+    return graphs
+
+
+def test_circulant_path_agrees_with_the_edge_path(rng):
+    for g in _catalogue_circulants(rng):
+        edges = tuple(theta.edge_pairs(g.n, g.edges).T)
+        assert theta._shifts(g.n, edges) is not None
+        circ = solve_theta(g.n, g.edges)
+        edge = theta._solve(theta._EdgeOperator(g.n, edges), theta.GAP_TOL, theta.MAX_ITER)
+        assert abs(circ.value - edge.value) <= theta.GAP_TOL, (g.n, sorted(g.edges))
+        assert abs(circ.dual_bound - edge.dual_bound) <= theta.GAP_TOL, (g.n, sorted(g.edges))
+        assert circ.certificate_norm == pytest.approx(edge.certificate_norm, abs=5e-5)
+
+
+def test_relabelled_circulant_takes_the_edge_path():
+    # C5 with vertices 1 and 2 swapped is the same graph, but not invariant under v -> v + 1
+    relabel = [0, 2, 1, 3, 4]
+    edges = [(relabel[i], relabel[j]) for i, j in Graph.cycle(5).edges]
+    assert theta._shifts(5, tuple(theta.edge_pairs(5, edges).T)) is None
+    assert solve_theta(5, edges).value == pytest.approx(np.sqrt(5), abs=1e-6)
