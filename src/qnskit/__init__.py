@@ -21,25 +21,22 @@ from .games import (ConstraintGame, RuleFunction, colouring_game,
                     compose_games, compose_rules, from_rule,
                     homomorphism_game, perfect_strategy_check)
 from .graphs import (Graph, SkewSymmetricSubspace, cycle5_umbrella,
-                     graph_subspace, hom_check, hom_residual,
-                     independence_number, kd2_colouring, kd2_explicit_states,
-                     kraus_to_choi, lovasz_theta, orth_rep_to_colouring,
-                     proper_check, proper_residuals, realization_basis,
-                     realize_vector, stahlke_check, stahlke_residual,
+                     graph_subspace, hom_residual, independence_number,
+                     kd2_colouring, kd2_explicit_states, kraus_to_choi,
+                     lovasz_theta, orth_rep_to_colouring, proper_residuals,
+                     realization_basis, realize_vector, stahlke_residual,
                      vertex_map_kraus, xi_qc_lower_bound)
-from .linalg import (Report, apply_choi, herm_sqrt, is_channel, is_psd, kron,
-                     max_entangled, max_entangled_vector, partial_trace,
-                     permute_systems)
+from .linalg import (Report, apply_choi, herm_sqrt, kron, max_entangled,
+                     max_entangled_vector, partial_trace, permute_systems)
 from .stochastic import (IsometryDilation, StochasticOperatorMatrix,
                          channel_choi, commuting_product, compose, dilate,
-                         from_choi, from_povms, is_classical,
-                         is_semiclassical, tensor, to_classical,
+                         from_choi, from_povms, tensor, to_classical,
                          to_semiclassical, verify)
 from .symmetry import (build_locally_tracial, build_tracial_cqns,
                        build_tracial_ns, channel_sharp, fair_residual,
                        fair_state_residual, image_reciprocal_witness,
-                       is_fair, is_fair_state, reciprocal_certificate,
-                       reciprocal_from_state, reciprocal_state)
+                       reciprocal_from_state, reciprocal_residual,
+                       reciprocal_state)
 from .theta import ThetaResult, solve_theta
 
 __version__ = "0.1.0"

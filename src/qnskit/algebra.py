@@ -107,12 +107,6 @@ class AlgStochasticMatrix:
     def classical_defect(self) -> float:
         return float(np.max([classical_defect(b) for b in self.blocks]))
 
-    def is_semiclassical(self, tol: float = TOL_ALG) -> bool:
-        return self.semiclassical_defect() <= tol
-
-    def is_classical(self, tol: float = TOL_ALG) -> bool:
-        return self.classical_defect() <= tol
-
 
 def check_alg_stochastic(e: AlgStochasticMatrix):
     e.verification_report().require("stochastic algebra matrix fails verification")

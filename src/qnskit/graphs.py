@@ -196,8 +196,10 @@ def kraus_channel_defect(kraus: list[np.ndarray]) -> float:
 
 def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
                      t_basis: list[np.ndarray]) -> float:
-    """Containment defect of conj(M_j) S M_i^T inside span(T)."""
+    """Containment defect of conj(M_j) S M_i^T inside span(T), for a trace-preserving
+    Kraus family."""
     kraus = _kraus_stack(kraus)
+    require(kraus_channel_defect(kraus), TOL_ALG, "Kraus family is not trace preserving")
     k, dout, din = kraus.shape
     s = np.asarray(s_basis, dtype=complex).reshape(-1, din, din)
     # img[i, j, s] = conj(M_j) S M_i^T, flattened row-major
@@ -207,13 +209,6 @@ def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
     resid = np.linalg.norm(img - (img @ t.conj()) @ t.T, axis=-1)
     scale = np.maximum(1.0, np.linalg.norm(img, axis=-1))
     return float(np.max(resid / scale, initial=0.0))
-
-
-def stahlke_check(kraus: list[np.ndarray], s_basis: list[np.ndarray],
-                  t_basis: list[np.ndarray], tol: float = TOL_ALG) -> bool:
-    """Kraus-level homomorphism check between twisted operator anti-systems."""
-    require(kraus_channel_defect(kraus), TOL_ALG, "Kraus family is not trace preserving")
-    return stahlke_residual(kraus, s_basis, t_basis) <= tol
 
 
 def hom_residual(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
@@ -229,11 +224,6 @@ def hom_residual(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
                       optimize=True).reshape(dim_a * dim_a, dim_a * dim_a)
     comp = np.eye(dim_a * dim_a) - v.projector()
     return abs(float(np.real(np.trace(image @ comp))))
-
-
-def hom_check(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
-              v: SkewSymmetricSubspace, tol: float = TOL_ALG) -> bool:
-    return hom_residual(phi_choi, u, v) <= tol
 
 
 def vertex_map_kraus(f, dim_in: int, dim_out: int) -> list[np.ndarray]:
@@ -270,11 +260,6 @@ def proper_residuals(e: CqnsCorrelation, graph: Graph) -> dict[tuple[int, int], 
     # Tr(sigma Omega) is the sum of the entries sigma[(a, a), (b, b)]
     val = np.einsum("eaabb->e", e.states[x, y].reshape(-1, d.a, d.a, d.a, d.a))
     return dict(zip(edges, (np.abs(val.real) + np.abs(val.imag)).tolist()))
-
-
-def proper_check(e: CqnsCorrelation, graph: Graph, tol: float = TOL_ALG) -> bool:
-    residuals = proper_residuals(e, graph)
-    return float(np.max(list(residuals.values()), initial=0.0)) <= tol
 
 
 def orth_rep_to_colouring(vectors, graph: Graph | None = None) -> CqnsCorrelation:

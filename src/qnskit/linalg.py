@@ -225,10 +225,6 @@ def orthonormality_defect(*bases: np.ndarray) -> float:
                          for b in bases]))
 
 
-def is_psd(m: np.ndarray, tol: float = TOL_ALG) -> bool:
-    return psd_defect(m) <= tol
-
-
 def herm_sqrt(m: np.ndarray) -> np.ndarray:
     """PSD square root of an almost-Hermitian matrix, negative eigenvalues clamped."""
     m = asmatrix(m)
@@ -297,11 +293,6 @@ def channel_defects(choi: np.ndarray, dims: tuple[int, int]) -> tuple[float, flo
     """(CP defect, trace-preservation residual) of the worst Choi matrix of a stack."""
     tp = tp_residual(choi, dims)
     return psd_defect(choi), tp
-
-
-def is_channel(choi: np.ndarray, dims: tuple[int, int], tol: float = TOL_ALG) -> bool:
-    cp, tp = channel_defects(choi, dims)
-    return cp <= tol and tp <= tol
 
 
 def state_defect(rho: np.ndarray) -> float:

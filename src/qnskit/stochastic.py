@@ -61,7 +61,7 @@ class StochasticOperatorMatrix:
         herm, psd = hermiticity_and_psd_defect(self.mat)
         return MappingProxyType({
             "hermiticity": herm, "psd_defect": psd,
-            "marginal_residual": float(np.max(np.abs(marg - np.eye(len(marg))))),
+            "marginal_residual": float(np.max(np.abs(marg - np.eye(len(marg))), initial=0.0)),
             "povm_defect": psd_defect(diag)})
 
 
@@ -249,14 +249,6 @@ def semiclassical_defect(e: StochasticOperatorMatrix) -> float:
 def classical_defect(e: StochasticOperatorMatrix) -> float:
     """Largest entry outside the (x, x, a, a) diagonal blocks."""
     return float(np.max(np.abs(e.mat - to_classical(e).mat), initial=0.0))
-
-
-def is_semiclassical(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> bool:
-    return semiclassical_defect(e) <= tol
-
-
-def is_classical(e: StochasticOperatorMatrix, tol: float = TOL_ALG) -> bool:
-    return classical_defect(e) <= tol
 
 
 def to_semiclassical(e: StochasticOperatorMatrix) -> StochasticOperatorMatrix:

@@ -37,14 +37,6 @@ def fair_state_residual(rho: np.ndarray, dim_x: int) -> float:
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
-def is_fair_state(rho: np.ndarray, dim_x: int | None = None,
-                  tol: float = TOL_ALG) -> bool:
-    rho = check_state(rho, tol)
-    if dim_x is None:
-        dim_x = int(round(rho.shape[-1] ** 0.5))
-    return fair_state_residual(rho, dim_x) <= tol
-
-
 def _fair_constraint_matrix(dim: int) -> np.ndarray:
     """Linear map M_{XX} -> M_X whose kernel spans the fair states.
 
@@ -94,10 +86,6 @@ def fair_residual(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> flo
         return fair_state_residual(images.reshape(-1, d.out_size, d.out_size), d.a)
     images = np.real(qs @ corr.table.reshape(d.in_size, -1))
     return classical_fair_residual(images.reshape(-1, d.a, d.b))
-
-
-def is_fair(corr, tol: float = TOL_ALG) -> bool:
-    return fair_residual(corr) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +144,9 @@ def reciprocal_from_state(omega: np.ndarray) -> AlgStochasticMatrix:
     return abelian_from_chois([omega], [1.0], 1, omega.shape[0])  # the scalar algebra
 
 
-def reciprocal_certificate(weights, states, target: np.ndarray,
-                           tol: float = TOL_ALG) -> bool:
-    """Check a claimed decomposition sum_j w_j omega_j (x) omega_j^t of ``target``."""
+def reciprocal_residual(weights, states, target: np.ndarray) -> float:
+    """Largest entry of sum_j w_j omega_j (x) omega_j^t - ``target``: zero when the
+    claimed decomposition of ``target`` holds."""
     target = asmatrix(target)
     weights = check_weights(weights)
     states = check_state(states, TOL_INPUT)
@@ -166,7 +154,7 @@ def reciprocal_certificate(weights, states, target: np.ndarray,
         raise ValueError("need one weight per state")
     n = states.shape[-1]
     total = np.einsum("j,jik,jlm->imkl", weights, states, states).reshape(n * n, n * n)
-    return float(np.max(np.abs(total - target))) <= tol
+    return float(np.max(np.abs(total - target)))
 
 
 def image_reciprocal_witness(corr_witness: AlgStochasticMatrix,

@@ -18,10 +18,11 @@ from qnskit.correlations import (CorrelationDims, NsCorrelation,
                                  reduce_cqns, reduce_ns, witness_residual)
 from qnskit.games import (compose_games, from_rule, homomorphism_game,
                           perfect_strategy_check)
-from qnskit.graphs import (Graph, graph_subspace, hom_check, kd2_colouring,
+from qnskit.graphs import (Graph, graph_subspace, hom_residual, kd2_colouring,
                            kd2_explicit_states, kraus_to_choi,
-                           proper_residuals, realization_basis, stahlke_check,
+                           proper_residuals, realization_basis, stahlke_residual,
                            vertex_map_kraus, xi_qc_lower_bound)
+from qnskit.linalg import TOL_ALG
 from qnskit.stochastic import with_ancilla_left, with_ancilla_right
 from qnskit.symmetry import (build_locally_tracial, build_tracial_ns,
                              channel_sharp, fair_residual)
@@ -212,18 +213,18 @@ def test_criterion_7_homomorphism_equivalence():
         choi = qr.random_channel_choi(rng, 2, 3)
         kraus = _choi_to_kraus(choi, 2, 3)
         v = targets[trial % len(targets)]
-        assert stahlke_check(kraus, realization_basis(u), realization_basis(v),
-                             tol=1e-8) == hom_check(choi, u, v, tol=1e-8)
+        assert (stahlke_residual(kraus, realization_basis(u), realization_basis(v)) <= 1e-8) \
+            == (hom_residual(choi, u, v) <= 1e-8)
     v3 = graph_subspace(Graph.complete(3))
     v1 = graph_subspace(Graph.complete(1))
     good = kraus_to_choi(vertex_map_kraus([0, 1], 2, 3))
     bad = kraus_to_choi(vertex_map_kraus([0, 0], 2, 1))
-    assert hom_check(good, u, v3)
-    assert stahlke_check(vertex_map_kraus([0, 1], 2, 3),
-                         realization_basis(u), realization_basis(v3))
-    assert not hom_check(bad, u, v1)
-    assert not stahlke_check(vertex_map_kraus([0, 0], 2, 1),
-                             realization_basis(u), realization_basis(v1))
+    assert hom_residual(good, u, v3) <= TOL_ALG
+    assert stahlke_residual(vertex_map_kraus([0, 1], 2, 3),
+                            realization_basis(u), realization_basis(v3)) <= TOL_ALG
+    assert not hom_residual(bad, u, v1) <= TOL_ALG
+    assert not stahlke_residual(vertex_map_kraus([0, 0], 2, 1),
+                                realization_basis(u), realization_basis(v1)) <= TOL_ALG
     _report("7 homomorphism equivalence", "50 random + complete-graph fixtures")
 
 

@@ -1,16 +1,21 @@
-"""Trivial tensor factors (dimension one) through every pipeline stage."""
+"""Trivial tensor factors (dimension one) through every pipeline stage, and empty ones."""
+
+import json
 
 import numpy as np
 import pytest
 
+from qnskit import io
 from qnskit import rand as qr
+from qnskit.cli import run
 from qnskit.correlations import (CorrelationDims, NsCorrelation, build_quantum,
                                  build_tracial, cqns_report, ns_report,
                                  qns_report, reduce_cqns, reduce_ns)
 from qnskit.games import from_rule, homomorphism_game, perfect_strategy_check
 from qnskit.graphs import Graph, graph_subspace, lovasz_theta
-from qnskit.linalg import is_channel, max_entangled
-from qnskit.stochastic import channel_choi, compose, dilate, tensor, verify
+from qnskit.linalg import TOL_ALG, channel_defects, max_entangled
+from qnskit.stochastic import (StochasticOperatorMatrix, channel_choi, compose, dilate,
+                               tensor, verify)
 from qnskit.symmetry import fair_residual
 
 
@@ -23,8 +28,22 @@ def test_stochastic_paths_with_unit_factors(rng, dims):
     assert dil.isometry_defect() <= 1e-8
     assert np.max(np.abs(dil.reconstruct().mat - e.mat)) <= 1e-8
     choi = channel_choi(e, qr.random_state(rng, dims[2]))
-    assert is_channel(choi, (dims[0], dims[1]))
+    assert np.max(channel_defects(choi, (dims[0], dims[1]))) <= TOL_ALG
 
+
+
+@pytest.mark.parametrize("dims, marginal", [((0, 2, 2), 0.0), ((1, 2, 0), 0.0),
+                                            ((2, 0, 2), 1.0)])
+def test_verify_empty_stochastic_matrix(tmp_path, capsys, dims, marginal):
+    # no input or no workspace: the marginal is the empty identity; no outputs
+    # with inputs and workspace: Tr_A E = 0, one away from the identity
+    e = StochasticOperatorMatrix(*dims, np.zeros((0, 0)))
+    report = verify(e)
+    assert report.marginal_residual == marginal and report.ok == (marginal == 0.0)
+    path = tmp_path / "empty.json"
+    path.write_text(io.dump_json(io.stochastic_to_json(e)))
+    assert run(["verify", str(path)]) == (0 if marginal == 0.0 else 1)
+    assert json.loads(capsys.readouterr().out)["marginal_residual"] == marginal
 
 def test_products_with_unit_factors(rng):
     e1 = qr.random_stochastic(rng, 1, 2, 2)

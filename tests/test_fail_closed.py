@@ -21,14 +21,13 @@ from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
 from qnskit.games import colouring_game, perfect_strategy_check
 from qnskit.graphs import (Graph, SkewSymmetricSubspace, cycle5_umbrella,
                            graph_subspace, kd2_colouring,
-                           orth_rep_to_colouring, realization_basis,
-                           stahlke_check, stahlke_residual, vertex_map_kraus)
-from qnskit.linalg import (CheckError, Report, channel_defects, check_state,
-                           herm_sqrt, is_psd, max_entangled, psd_defect,
-                           state_defect)
+                           hom_residual, kraus_to_choi, orth_rep_to_colouring,
+                           realization_basis, stahlke_residual, vertex_map_kraus)
+from qnskit.linalg import (TOL_ALG, CheckError, Report, channel_defects, check_state,
+                           herm_sqrt, max_entangled, psd_defect, state_defect)
 from qnskit.stochastic import StochasticOperatorMatrix, from_povms, verify
 from qnskit.symmetry import (build_tracial_cqns, build_tracial_ns, fair_residual,
-                             reciprocal_certificate)
+                             reciprocal_residual)
 from qnskit.theta import solve_theta
 
 D2 = CorrelationDims(2, 2, 2, 2)
@@ -102,11 +101,13 @@ def test_fair_residual_keeps_nan():
 
 def test_stahlke_rejects_nan_kraus():
     kraus = vertex_map_kraus([1, 2, 0], 3, 3)
-    basis = realization_basis(graph_subspace(Graph.cycle(3)))
+    space = graph_subspace(Graph.cycle(3))
+    basis = realization_basis(space)
     kraus[2][0, 2] = np.nan
-    assert np.isnan(stahlke_residual(kraus, basis, basis))
     with pytest.raises(ValueError, match="not trace preserving"):
-        stahlke_check(kraus, basis, basis)
+        stahlke_residual(kraus, basis, basis)
+    with pytest.raises(ValueError, match="Choi matrix of a channel"):
+        hom_residual(kraus_to_choi(kraus), space, space)
 
 
 def test_orth_rep_rejects_nan_vector(tmp_path, capsys):
@@ -150,7 +151,7 @@ def test_residuals_measure_non_hermitian_input_without_raising():
     m = np.eye(2, dtype=complex) / 2
     m[0, 1] = 0.3
     assert psd_defect(m) == pytest.approx(0.3)
-    assert not is_psd(m)
+    assert not psd_defect(m) <= TOL_ALG
     assert state_defect(m) == pytest.approx(0.3)
     cp, tp = channel_defects(m, (1, 2))
     assert cp == pytest.approx(0.3) and tp == 0.0
@@ -206,7 +207,7 @@ _MIXED, _PURE = np.eye(2) / 2, np.diag([1.0, 0.0])
 def test_reciprocal_certificate_refuses_malformed_decompositions(weights, states, target,
                                                                  message):
     with pytest.raises(ValueError, match=message):
-        reciprocal_certificate(weights, states, target)
+        reciprocal_residual(weights, states, target)
 
 
 def test_skew_subspace_rejects_nan_basis():

@@ -4,14 +4,12 @@ import pytest
 from qnskit import rand as qr
 from qnskit.correlations import cqns_report, qns_report, witness_residual
 from qnskit.graphs import (Graph, SkewSymmetricSubspace, cycle5_umbrella,
-                           graph_subspace, hom_check, hom_residual,
-                           independence_number, kd2_colouring,
-                           kd2_explicit_states, kraus_to_choi,
-                           orth_rep_to_colouring, proper_check,
-                           proper_residuals, realization_basis,
-                           realize_vector, stahlke_check, stahlke_residual,
+                           graph_subspace, hom_residual, independence_number,
+                           kd2_colouring, kd2_explicit_states, kraus_to_choi,
+                           orth_rep_to_colouring, proper_residuals,
+                           realization_basis, realize_vector, stahlke_residual,
                            vertex_map_kraus)
-from qnskit.linalg import max_entangled_vector
+from qnskit.linalg import TOL_ALG, max_entangled_vector
 
 
 def test_graph_validation():
@@ -92,14 +90,14 @@ def test_realization_of_graph_space_is_adjacency_pattern():
 def test_stahlke_identity_channel(rng):
     u = graph_subspace(Graph.complete(3))
     basis = realization_basis(u)
-    assert stahlke_check([np.eye(3)], basis, basis)
+    assert stahlke_residual([np.eye(3)], basis, basis) <= TOL_ALG
 
 
 def test_stahlke_vertex_map_homomorphism():
     u = graph_subspace(Graph.complete(2))
     v = graph_subspace(Graph.complete(3))
     kraus = vertex_map_kraus([0, 1], 2, 3)
-    assert stahlke_check(kraus, realization_basis(u), realization_basis(v))
+    assert stahlke_residual(kraus, realization_basis(u), realization_basis(v)) <= TOL_ALG
 
 
 def test_stahlke_fails_without_homomorphism():
@@ -108,17 +106,16 @@ def test_stahlke_fails_without_homomorphism():
     kraus = vertex_map_kraus([0, 0], 2, 1)
     resid = stahlke_residual(kraus, realization_basis(u), realization_basis(v))
     assert resid > 0.1
-    assert not stahlke_check(kraus, realization_basis(u), realization_basis(v))
 
 
 def test_stahlke_requires_channel():
     with pytest.raises(ValueError):
-        stahlke_check([2 * np.eye(2)], [np.eye(2)], [np.eye(2)])
+        stahlke_residual([2 * np.eye(2)], [np.eye(2)], [np.eye(2)])
 
 
 def test_hom_check_identity(rng):
     u = graph_subspace(Graph.complete(3))
-    assert hom_check(np.asarray(kraus_to_choi([np.eye(3)])), u, u)
+    assert hom_residual(np.asarray(kraus_to_choi([np.eye(3)])), u, u) <= TOL_ALG
 
 
 def test_hom_check_k2_to_k3_and_k1():
@@ -127,8 +124,7 @@ def test_hom_check_k2_to_k3_and_k1():
     v1 = graph_subspace(Graph.complete(1))
     good = kraus_to_choi(vertex_map_kraus([0, 1], 2, 3))
     bad = kraus_to_choi(vertex_map_kraus([0, 0], 2, 1))
-    assert hom_check(good, u, v3)
-    assert not hom_check(bad, u, v1)
+    assert hom_residual(good, u, v3) <= TOL_ALG
     assert hom_residual(bad, u, v1) > 0.5
 
 
@@ -155,9 +151,8 @@ def test_stahlke_agrees_with_hom_check(rng):
         choi = qr.random_channel_choi(rng, 2, 3)
         kraus = _choi_to_kraus(choi, 2, 3)
         v = targets[trial % len(targets)]
-        a = stahlke_check(kraus, realization_basis(u), realization_basis(v),
-                          tol=1e-8)
-        b = hom_check(choi, u, v, tol=1e-8)
+        a = stahlke_residual(kraus, realization_basis(u), realization_basis(v)) <= 1e-8
+        b = hom_residual(choi, u, v) <= 1e-8
         assert a == b
         agreements += 1
     assert agreements == 20
@@ -174,7 +169,7 @@ def _choi_to_kraus(choi, din, dout):
 
 def test_proper_check_k2_basis_vectors():
     corr = orth_rep_to_colouring([np.array([1, 0]), np.array([0, 1])])
-    assert proper_check(corr, Graph.complete(2))
+    assert max(proper_residuals(corr, Graph.complete(2)).values()) <= TOL_ALG
     assert cqns_report(corr).ok
 
 
@@ -184,7 +179,7 @@ def test_umbrella_colours_c5():
     for x, y in g.edges:
         assert abs(np.vdot(vectors[x], vectors[y])) <= 1e-12
     corr = orth_rep_to_colouring(vectors, g)
-    assert proper_check(corr, g, tol=1e-12)
+    assert max(proper_residuals(corr, g).values()) <= 1e-12
     assert cqns_report(corr).ok
     assert witness_residual(corr) <= 1e-12
 
@@ -213,7 +208,7 @@ def test_kd2_invariants():
         report = cqns_report(corr)
         assert report.ok
         graph = Graph.complete(d * d)
-        assert proper_check(corr, graph)
+        assert max(proper_residuals(corr, graph).values()) <= TOL_ALG
         # workspace marginals are maximally mixed
         s = corr.states.reshape(d * d, d * d, d, d, d, d)
         tr_a = s.trace(axis1=2, axis2=4)

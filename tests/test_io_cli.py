@@ -604,6 +604,20 @@ def test_cli_kd2_d5_within_3gb_address_space():
     assert report["witness_residual"] <= 1e-9
 
 
+def test_no_boolean_verdict_takes_a_tolerance():
+    import ast
+    import pathlib
+
+    from qnskit import linalg
+    # a public check returns a residual or a Report, never a bool decided at ``tol``
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                returns_bool = isinstance(node.returns, ast.Name) and node.returns.id == "bool"
+                assert not ("tol" in names and returns_bool), f"{path.name}:{node.name}"
+
 def test_default_tolerances_pinned():
     import ast
     import inspect
@@ -616,9 +630,14 @@ def test_default_tolerances_pinned():
             linalg.TOL_INPUT) == (1e-9, 1e-10, 1e-8, -1e-12, 1e-7)
     assert (theta.GAP_TOL, theta.FEAS_TOL) == (1e-7, 1e-8)
     # the checks that had a probability or game tolerance of their own
-    for fn in (correlations.ns_report, graphs.stahlke_check, graphs.hom_check,
-               graphs.proper_check, games.perfect_strategy_check):
+    for fn in (correlations.ns_report, games.perfect_strategy_check):
         assert inspect.signature(fn).parameters["tol"].default == 1e-9, fn.__name__
+    # residuals only measure: a Report or require holds them against a tolerance
+    for fn in (graphs.stahlke_residual, graphs.hom_residual, graphs.proper_residuals,
+               symmetry.fair_residual, symmetry.fair_state_residual,
+               symmetry.reciprocal_residual, stochastic.semiclassical_defect,
+               stochastic.classical_defect, linalg.psd_defect, linalg.channel_defects):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
     # builders and input gates compare at TOL_ALG, so a witness that builds re-checks
     for fn in (correlations.from_classical, correlations.build_local,
                correlations.build_quantum, correlations.build_commuting,

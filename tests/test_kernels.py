@@ -276,7 +276,7 @@ def test_tracial_kernels_match_block_loops(dx, da, blocks, max_dim, kind, s):
 def test_tracial_rebuild_reads_input_blocks_of_tracial_choi(rng):
     for dims in ((2, 3), (3, 2), (2, 2)):
         m = qr.random_tracial_witness(rng, *dims)
-        assert not m.is_semiclassical()
+        assert not m.semiclassical_defect() <= TOL_ALG
         full = QnsCorrelation(CorrelationDims(dims[0], dims[0], dims[1], dims[1]),
                               tracial_choi(m))
         cq = CqnsCorrelation(full.dims, reduce_cqns(full).states, TracialWitness(m))
@@ -743,10 +743,15 @@ def test_graph_and_kraus_constructions_match_loops(din, dout, k, s):
 
     source, target = _random_graph(rng, din), _random_graph(rng, dout)
     s_basis = realization_basis(graph_subspace(source))
+    # stahlke_residual takes trace-preserving families: the blocks of an isometry
+    # C^din -> C^(k dout), with k raised until there is room for one
+    k_tp = max(k, -(-din // dout))
+    channel = list(np.linalg.qr(qr.complex_gaussian(rng, k_tp * dout, din))[0]
+                   .reshape(k_tp, dout, din))
     for t_basis in (realization_basis(graph_subspace(target)), [],
                     [qr.complex_gaussian(rng, dout, dout) for _ in range(2)]):
-        assert abs(stahlke_residual(kraus, s_basis, t_basis)
-                   - _loop_stahlke_residual(kraus, s_basis, t_basis)) <= 1e-15
+        assert abs(stahlke_residual(channel, s_basis, t_basis)
+                   - _loop_stahlke_residual(channel, s_basis, t_basis)) <= 1e-15
 
     vecs = np.zeros((din * din, 2 * len(source.edges)), dtype=complex)
     adj = np.zeros((din, din))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnskit.linalg import (CheckError, Report, apply_choi, herm_sqrt, is_psd,
+from qnskit.linalg import (TOL_ALG, CheckError, Report, apply_choi, herm_sqrt,
                            kron, max_entangled, max_entangled_vector, nullspace,
                            partial_trace, permute_systems, psd_defect)
 
@@ -97,10 +97,10 @@ def test_herm_sqrt_rejects_asymmetric(rng):
 
 def test_is_psd(rng):
     g = _cg(rng, 4, 4)
-    assert is_psd(g @ g.conj().T)
+    assert psd_defect(g @ g.conj().T) <= TOL_ALG
     h = g + g.conj().T
     h -= (np.linalg.eigvalsh(h)[0] - 1.0) * np.eye(4)  # shift to be indefinite
-    assert not is_psd(h - 10 * np.eye(4))
+    assert not psd_defect(h - 10 * np.eye(4)) <= TOL_ALG
 
 
 def test_omega_small_cases():

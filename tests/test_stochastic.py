@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from qnskit import rand as qr
-from qnskit.linalg import CheckError, is_channel, kron, max_entangled
+from qnskit.linalg import TOL_ALG, CheckError, channel_defects, kron, max_entangled
 from qnskit.stochastic import (StochasticOperatorMatrix, channel_choi,
-                               commuting_product, compose, dilate, from_choi,
-                               from_povms, is_classical, is_semiclassical,
-                               max_commutator, tensor, to_classical,
+                               classical_defect, commuting_product, compose, dilate,
+                               from_choi, from_povms, max_commutator,
+                               semiclassical_defect, tensor, to_classical,
                                to_semiclassical, verify, with_ancilla_left,
                                with_ancilla_right)
 
@@ -94,7 +94,7 @@ def test_channel_output_is_channel(rng):
     for _ in range(5):
         e = qr.random_stochastic(rng, 3, 2, 2)
         choi = channel_choi(e, qr.random_state(rng, 2))
-        assert is_channel(choi, (3, 2), tol=1e-9)
+        assert np.max(channel_defects(choi, (3, 2))) <= 1e-9
 
 
 def test_channel_rejects_non_state(rng):
@@ -198,15 +198,15 @@ def test_compose_verifies(rng):
 
 def test_classicality_predicates(rng):
     trivial = from_povms([[np.eye(3)]])
-    assert is_classical(trivial) and is_semiclassical(trivial)
+    assert classical_defect(trivial) <= TOL_ALG and semiclassical_defect(trivial) <= TOL_ALG
     omega = from_choi(max_entangled(2), 2, 2)
-    assert not is_semiclassical(omega)
+    assert not semiclassical_defect(omega) <= TOL_ALG
     e = qr.random_stochastic(rng, 2, 2, 2)
     sc = to_semiclassical(e)
-    assert is_semiclassical(sc) and verify(sc).ok
+    assert semiclassical_defect(sc) <= TOL_ALG and verify(sc).ok
     assert np.max(np.abs(to_semiclassical(sc).mat - sc.mat)) == 0.0  # idempotent
     cl = to_classical(e)
-    assert is_classical(cl) and verify(cl).ok
+    assert classical_defect(cl) <= TOL_ALG and verify(cl).ok
     assert np.max(np.abs(to_classical(to_semiclassical(e)).mat - cl.mat)) == 0.0
 
 

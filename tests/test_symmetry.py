@@ -9,12 +9,12 @@ from qnskit.algebra import (abelian_from_chois, compose_alg,
 from qnskit.correlations import (CorrelationDims, build_local, build_tracial,
                                  qns_report, reduce_cqns, reduce_ns,
                                  witness_residual)
-from qnskit.linalg import apply_choi, is_channel, max_entangled
+from qnskit.linalg import TOL_ALG, apply_choi, channel_defects, max_entangled, state_defect
 from qnskit.symmetry import (build_locally_tracial, build_tracial_cqns,
                              build_tracial_ns, channel_sharp, fair_residual,
                              fair_state_residual, image_reciprocal_witness,
-                             is_fair, is_fair_state, reciprocal_certificate,
-                             reciprocal_from_state, reciprocal_state)
+                             reciprocal_from_state, reciprocal_residual,
+                             reciprocal_state)
 from qnskit import symmetry
 
 D = CorrelationDims(2, 2, 2, 2)
@@ -25,25 +25,19 @@ D = CorrelationDims(2, 2, 2, 2)
 
 
 def test_maximally_mixed_is_fair():
-    assert is_fair_state(np.eye(4) / 4, 2)
+    assert fair_state_residual(np.eye(4) / 4, 2) <= TOL_ALG
 
 
 def test_diagonal_pair_is_fair():
     rho = np.zeros((4, 4))
     rho[0, 0] = 1.0  # e_0 e_0* (x) e_0 e_0*
-    assert is_fair_state(rho, 2)
+    assert fair_state_residual(rho, 2) <= TOL_ALG
 
 
 def test_mismatched_pair_is_not_fair():
     rho = np.zeros((4, 4))
     rho[1, 1] = 1.0  # e_0 e_0* (x) e_1 e_1*
-    assert not is_fair_state(rho, 2)
     assert fair_state_residual(rho, 2) == pytest.approx(1.0)
-
-
-def test_fair_state_rejects_non_state():
-    with pytest.raises(ValueError):
-        is_fair_state(np.eye(4), 2)
 
 
 def test_product_with_transpose_is_fair(rng):
@@ -86,7 +80,7 @@ def test_sharp_involution_and_cp(rng):
     for _ in range(5):
         choi = qr.random_channel_choi(rng, 2, 3)
         sharp = channel_sharp(choi)
-        assert is_channel(sharp, (2, 3))
+        assert np.max(channel_defects(sharp, (2, 3))) <= TOL_ALG
         assert np.allclose(channel_sharp(sharp), choi)
 
 
@@ -105,7 +99,7 @@ def test_sharp_matches_direct_application(rng):
 def test_product_with_sharp_is_fair(rng):
     choi = qr.random_channel_choi(rng, 2, 2)
     corr = build_local([1.0], [choi], [channel_sharp(choi)], D)
-    assert is_fair(corr)
+    assert fair_residual(corr) <= TOL_ALG
 
 
 def test_mismatched_product_is_not_fair():
@@ -117,7 +111,7 @@ def test_mismatched_product_is_not_fair():
         return c4.reshape(4, 4)
 
     corr = build_local([1.0], [det_choi([0, 1])], [det_choi([1, 0])], D)
-    assert not is_fair(corr)
+    assert not fair_residual(corr) <= TOL_ALG
 
 
 def test_fairness_iff_sharp_condition(rng):
@@ -129,7 +123,7 @@ def test_fairness_iff_sharp_condition(rng):
             psi = qr.random_channel_choi(rng, 2, 2)
         corr = build_local([1.0], [phi], [psi], D)
         algebraic = np.max(np.abs(channel_sharp(psi) - phi)) <= 1e-9
-        assert is_fair(corr) == algebraic
+        assert (fair_residual(corr) <= TOL_ALG) == algebraic
 
 
 def test_aggregate_fairness_of_mixtures(rng):
@@ -140,23 +134,23 @@ def test_aggregate_fairness_of_mixtures(rng):
     psi1, psi2 = channel_sharp(phi2), channel_sharp(phi1)
     corr = build_local([0.5, 0.5], [phi1, phi2], [psi1, psi2], D)
     assert np.max(np.abs(channel_sharp(psi1) - phi1)) > 1e-3  # not termwise
-    assert is_fair(corr)
+    assert fair_residual(corr) <= TOL_ALG
     # breaking the aggregate identity breaks fairness
     bad = build_local([0.5, 0.5], [phi1, phi2],
                       [psi1, qr.random_channel_choi(rng, 2, 2)], D)
-    assert not is_fair(bad)
+    assert not fair_residual(bad) <= TOL_ALG
 
 
 def test_fair_requires_square_dims(rng):
     corr = build_local([1.0], [qr.random_channel_choi(rng, 2, 3)],
                        [qr.random_channel_choi(rng, 2, 3)],
                        CorrelationDims(2, 2, 3, 3))
-    assert is_fair(corr) in (True, False)  # square out dims are fine
+    assert np.isfinite(fair_residual(corr))  # square out dims are fine
     bad = build_local([1.0], [qr.random_channel_choi(rng, 2, 2)],
                       [qr.random_channel_choi(rng, 3, 2)],
                       CorrelationDims(2, 3, 2, 2))
     with pytest.raises(ValueError):
-        is_fair(bad)
+        fair_residual(bad)
 
 
 # --------------------------------------------------------------------------
@@ -258,13 +252,13 @@ def test_abelian_reciprocal_is_exchangeable(rng):
     omega = reciprocal_state(witness)
     expect = sum(w * np.kron(np.diag(q), np.diag(q)) for w, q in zip(weights, dists))
     assert np.max(np.abs(omega - expect)) <= 1e-12
-    assert reciprocal_certificate(weights, [np.diag(q) for q in dists], omega)
+    assert reciprocal_residual(weights, [np.diag(q) for q in dists], omega) <= TOL_ALG
 
 
 def test_reciprocal_certificate_rejects_wrong_target(rng):
     omega = qr.random_state(rng, 2)
     target = np.kron(omega, omega.T) + 0.1 * np.eye(4)
-    assert not reciprocal_certificate([1.0], [omega], target)
+    assert not reciprocal_residual([1.0], [omega], target) <= TOL_ALG
 
 
 def test_tracial_image_of_reciprocal_is_reciprocal(rng):
@@ -273,7 +267,7 @@ def test_tracial_image_of_reciprocal_is_reciprocal(rng):
         rec_wit = qr.random_tracial_witness(rng, 1, 2)
         corr = build_tracial(corr_wit)
         omega_in = reciprocal_state(rec_wit)
-        assert is_fair_state(omega_in, 2)
+        assert max(state_defect(omega_in), fair_state_residual(omega_in, 2)) <= TOL_ALG
         image = corr.apply(omega_in)
         out_wit = image_reciprocal_witness(corr_wit, rec_wit)
         assert np.max(np.abs(reciprocal_state(out_wit) - image)) <= 1e-9
@@ -289,7 +283,7 @@ def test_tracial_cqns_image_of_exchangeable_is_reciprocal(rng):
     image = np.einsum("xy,xyij->ij", q_in, e.states)
     out_wit = image_reciprocal_witness(corr_wit, rec_wit)
     assert np.max(np.abs(reciprocal_state(out_wit) - image)) <= 1e-9
-    assert is_fair_state(image, 3)
+    assert max(state_defect(image), fair_state_residual(image, 3)) <= TOL_ALG
 
 
 def test_tracial_ns_image_of_exchangeable_is_exchangeable(rng):
@@ -302,7 +296,7 @@ def test_tracial_ns_image_of_exchangeable_is_exchangeable(rng):
     q_in = np.real(np.einsum("xyxy->xy", reciprocal_state(rec_wit).reshape(2, 2, 2, 2)))
     q_out = np.einsum("xyab,xy->ab", p.table, q_in)
     out_wit = image_reciprocal_witness(corr_wit, rec_wit)
-    assert out_wit.is_classical()
+    assert out_wit.classical_defect() <= TOL_ALG
     omega_out = reciprocal_state(out_wit)
     diag = np.real(np.einsum("abab->ab", omega_out.reshape(3, 3, 3, 3)))
     assert np.max(np.abs(diag - q_out)) <= 1e-9
