@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_ALG, Report, dimensions, require
+from .linalg import TOL_ALG, Report, dimensions, require, worst
 from .stochastic import (StochasticOperatorMatrix, classical_defect,
                          compose as compose_som, semiclassical_defect)
 
@@ -98,14 +98,14 @@ class AlgStochasticMatrix:
 
     def verification_report(self, tol: float = TOL_ALG) -> Report:
         """The checks of :func:`stochastic.verify`, each maximised over the blocks."""
-        return Report({name: float(np.max([b.residuals[name] for b in self.blocks]))
+        return Report({name: worst(*(b.residuals[name] for b in self.blocks))
                        for name in self.blocks[0].residuals}, tol)
 
     def semiclassical_defect(self) -> float:
-        return float(np.max([semiclassical_defect(b) for b in self.blocks]))
+        return worst(*map(semiclassical_defect, self.blocks))
 
     def classical_defect(self) -> float:
-        return float(np.max([classical_defect(b) for b in self.blocks]))
+        return worst(*map(classical_defect, self.blocks))
 
 
 def check_alg_stochastic(e: AlgStochasticMatrix):

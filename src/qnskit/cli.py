@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import io
 from .algebra import AlgStochasticMatrix
 from .correlations import (CqnsCorrelation, NsCorrelation, QnsCorrelation,
@@ -22,7 +20,7 @@ from .correlations import (CqnsCorrelation, NsCorrelation, QnsCorrelation,
 from .games import ConstraintGame, compose_games, perfect_strategy_check
 from .graphs import (Graph, kd2_colouring, orth_rep_to_colouring,
                      proper_residuals, xi_qc_lower_bound)
-from .linalg import TOL_ALG, Report
+from .linalg import TOL_ALG, Report, worst
 from .stochastic import StochasticOperatorMatrix, verify as verify_stochastic
 from .symmetry import build_tracial_cqns, build_tracial_ns, fair_residual
 from .theta import GAP_TOL, SolverError, solve_theta
@@ -220,7 +218,7 @@ def _cmd_theta(args) -> int:
 
 def _properness(corr, graph: Graph) -> float:
     """Largest pairing of an edge state with the maximally entangled matrix."""
-    return float(np.max(list(proper_residuals(corr, graph).values()), initial=0.0))
+    return worst(*proper_residuals(corr, graph).values())
 
 
 def _cmd_kd2(args) -> int:

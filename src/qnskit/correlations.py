@@ -22,7 +22,7 @@ from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
                       tracial_states, tracial_table)
 from .linalg import (TOL_ALG, NEG_CLAMP, Report, apply_choi, asmatrix, check_channel,
                      check_weights, choi_compose, dimensions, hermiticity_and_psd_defect, kron,
-                     pinch, readonly, state_defect, tp_residual)
+                     pinch, readonly, state_defect, tp_residual, worst)
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -238,9 +238,9 @@ def _report(checks: dict, tol: float, corr, check_witness: bool) -> Report:
     return Report(checks, tol, info)
 
 
-def _spread(t: np.ndarray, axis: int) -> float:
-    """Largest deviation of ``t`` from its mean along ``axis`` (0 for a single slice)."""
-    return float(np.max(np.abs(t - t.mean(axis=axis, keepdims=True))))
+def _spread(t: np.ndarray, axis: int) -> np.ndarray:
+    """Deviations of ``t`` from its mean along ``axis`` (zero for a single slice)."""
+    return t - t.mean(axis=axis, keepdims=True)
 
 
 def _marginal_residual(t: np.ndarray, n: int) -> float:
@@ -250,9 +250,7 @@ def _marginal_residual(t: np.ndarray, n: int) -> float:
     idx = np.arange(n)
     diag = t[idx, idx]
     off[idx, idx] = 0.0
-    off_res = float(np.max(np.abs(off))) if off.size else 0.0
-    diag_res = _spread(diag, 0)
-    return float(np.max([off_res, diag_res]))
+    return worst(off, _spread(diag, 0))
 
 
 def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG,
@@ -262,7 +260,7 @@ def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG,
     s4 = corr.states.reshape(d.x, d.y, d.a, d.b, d.a, d.b)
     tr_a = s4.trace(axis1=2, axis2=4)  # -> [x, y, b, b']
     tr_b = s4.trace(axis1=3, axis2=5)  # -> [x, y, a, a']
-    res = float(np.max([_spread(tr_a, 0), _spread(tr_b, 1)]))
+    res = worst(_spread(tr_a, 0), _spread(tr_b, 1))
     return _report({"state_defect": state_defect(corr.states), "marginal_residual": res},
                    tol, corr, check_witness)
 
@@ -271,12 +269,12 @@ def ns_report(corr: NsCorrelation, tol: float = TOL_ALG,
               check_witness: bool = True) -> Report:
     """Check positivity, normalisation and the no-signalling marginals of a table."""
     t = corr.table
-    neg = float(np.clip(-t.min(), 0.0, None))
-    norm = float(np.max(np.abs(t.sum(axis=(2, 3)) - 1.0)))
+    neg = worst(np.minimum(t, 0.0))
+    norm = worst(t.sum(axis=(2, 3)) - 1.0)
     marg_b = t.sum(axis=2)  # sum over a -> [x, y, b]; must not depend on x
     marg_a = t.sum(axis=3)  # sum over b -> [x, y, a]; must not depend on y
     return _report({"negativity": neg, "normalisation": norm,
-                    "ns_residual": float(np.max([_spread(marg_b, 0), _spread(marg_a, 1)]))},
+                    "ns_residual": worst(_spread(marg_b, 0), _spread(marg_a, 1))},
                    tol, corr, check_witness)
 
 
@@ -414,7 +412,7 @@ def witness_residual(corr) -> float:
     if data.shape != stored.shape:
         raise ValueError(f"witness rebuilds data of shape {data.shape}, "
                          f"stored data has shape {stored.shape}")
-    return float(np.max(np.abs(data - stored)))
+    return worst(data - stored)
 
 
 # ---------------------------------------------------------------------------

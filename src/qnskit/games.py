@@ -18,7 +18,7 @@ import numpy as np
 from .correlations import CqnsCorrelation, NsCorrelation, QnsCorrelation
 from .graphs import Graph, SkewSymmetricSubspace
 from .linalg import (TOL_ALG, Report, dagger, max_entangled_vector, nullspace,
-                     orthonormality_defect, require)
+                     orthonormality_defect, require, worst)
 
 
 @dataclass(frozen=True)
@@ -198,17 +198,12 @@ def perfect_strategy_check(game: ConstraintGame, strategy,
         images = _apply_strategy(strategy, game, stack)
         comp = np.eye(dout) - stack.v @ dagger(stack.v)
         residuals[stack.index] = np.abs(np.real(np.trace(images @ comp, axis1=1, axis2=2)))
-    residuals = residuals.tolist()
-    return Report({"max_residual": float(np.max(residuals, initial=0.0))}, tol,
-                  {"residuals": residuals})
+    return Report({"max_residual": worst(residuals)}, tol, {"residuals": residuals.tolist()})
 
 
 def _subspace_leq(v: np.ndarray, u: np.ndarray) -> bool:
     """Is span(v) contained in span(u)?"""
-    if v.shape[1] == 0:
-        return True
-    resid = v - u @ (dagger(u) @ v)
-    return float(np.max(np.abs(resid))) <= TOL_ALG
+    return worst(v - u @ (dagger(u) @ v)) <= TOL_ALG
 
 
 def _intersect(subspaces: list[np.ndarray], dim: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from .algebra import AlgStochasticMatrix, matrix_algebra, scalar_algebra
 from .correlations import CqnsCorrelation
 from .linalg import (TOL_ALG, TOL_INPUT, check_channel, dagger, dimensions,
                      max_entangled_vector, orthonormal_columns, orthonormality_defect,
-                     permute_systems, require)
+                     permute_systems, require, worst)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
 from .theta import GAP_TOL, edge_pairs, solve_theta
@@ -141,16 +141,11 @@ class SkewSymmetricSubspace:
         return self.basis @ dagger(self.basis)
 
     def skew_defect(self) -> float:
-        if self.dim == 0:
-            return 0.0
-        rep = max_entangled_vector(self.n)
-        return float(np.max(np.abs(dagger(self.basis) @ rep)))
+        return worst(dagger(self.basis) @ max_entangled_vector(self.n))
 
     def symmetry_defect(self) -> float:
-        if self.dim == 0:
-            return 0.0
         p = self.projector()
-        return float(np.max(np.abs(permute_systems(p, (self.n, self.n), (1, 0)) - p)))
+        return worst(permute_systems(p, (self.n, self.n), (1, 0)) - p)
 
 
 def graph_subspace(graph: Graph) -> SkewSymmetricSubspace:
@@ -191,7 +186,7 @@ def kraus_channel_defect(kraus: list[np.ndarray]) -> float:
     """Deviation of sum M_i* M_i from the identity."""
     kraus = _kraus_stack(kraus)
     total = np.einsum("kij,kil->jl", kraus.conj(), kraus)
-    return float(np.max(np.abs(total - np.eye(kraus.shape[2]))))
+    return worst(total - np.eye(kraus.shape[2]))
 
 
 def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
@@ -208,7 +203,7 @@ def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
     t = orthonormal_columns(np.asarray(t_basis, dtype=complex).reshape(-1, dout * dout).T)
     resid = np.linalg.norm(img - (img @ t.conj()) @ t.T, axis=-1)
     scale = np.maximum(1.0, np.linalg.norm(img, axis=-1))
-    return float(np.max(resid / scale, initial=0.0))
+    return worst(resid / scale)
 
 
 def hom_residual(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
@@ -311,7 +306,7 @@ def kd2_colouring(d: int) -> CqnsCorrelation:
     corr = build_tracial_cqns(witness)
     # the normalised-trace pairing of the witness must reproduce the explicit
     # rank-one states entrywise
-    require(float(np.max(np.abs(corr.states - kd2_explicit_states(d)))), TOL_ALG,
+    require(worst(corr.states - kd2_explicit_states(d)), TOL_ALG,
             "colouring self-check failed")
     return corr
 

@@ -60,6 +60,16 @@ def require(residual: float, tol: float, what: str) -> None:
         raise CheckError(what, float(residual), tol)
 
 
+def worst(*residuals) -> float:
+    """Largest absolute entry over ``residuals``, any mix of arrays and numbers.
+
+    Every residual reduction of the package goes through here: empty input
+    reads 0.0, and a NaN anywhere reads NaN, so ``worst(...) <= tol`` fails
+    closed; inf stays inf.
+    """
+    return float(np.max([np.max(np.abs(r), initial=0.0) for r in residuals], initial=0.0))
+
+
 @dataclass(frozen=True)
 class Report:
     """Named residuals of a certificate's defining conditions.
@@ -89,8 +99,7 @@ class Report:
 
     def require(self, what: str) -> None:
         """Raise :class:`CheckError` unless every check passes; the worst residual is shown."""
-        require(float(np.max(list(self.checks.values()), initial=0.0)), self.tol,
-                f"{what}: {self.checks}")
+        require(worst(*self.checks.values()), self.tol, f"{what}: {self.checks}")
 
 
 def asmatrix(m) -> np.ndarray:
@@ -192,7 +201,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
     m = _stack(m)
     with np.errstate(invalid="ignore"):  # inf - inf on a diagonal: NaN, which fails
         diff = m - dagger(m)
-    return float(np.max(np.abs(diff), initial=0.0))
+    return worst(diff)
 
 
 def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
@@ -201,10 +210,8 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
     herm = hermiticity_defect(m)
     if not np.isfinite(m).all():
         return herm, float("inf")
-    if m.size == 0:
-        return herm, 0.0
-    lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
-    return herm, max(herm, float(-np.min(lam)), 0.0)
+    lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., :1]
+    return herm, worst(herm, np.minimum(lam, 0.0))
 
 
 def psd_defect(m: np.ndarray) -> float:
@@ -221,8 +228,7 @@ def psd_defect(m: np.ndarray) -> float:
 def orthonormality_defect(*bases: np.ndarray) -> float:
     """Largest entry of B* B - I over the ``bases``, each a matrix or a stack
     ``(..., n, k)`` of them: zero when every one has orthonormal columns."""
-    return float(np.max([np.max(np.abs(dagger(b) @ b - np.eye(b.shape[-1])), initial=0.0)
-                         for b in bases]))
+    return worst(*(dagger(b) @ b - np.eye(b.shape[-1]) for b in bases))
 
 
 def herm_sqrt(m: np.ndarray) -> np.ndarray:
@@ -286,7 +292,7 @@ def tp_residual(choi: np.ndarray, dims: tuple[int, int]) -> float:
     if choi.shape[-2:] != (din * dout, din * dout):
         raise ValueError(f"Choi shape {choi.shape[-2:]} does not match dims {(din, dout)}")
     marg = np.einsum("...iaja->...ij", choi.reshape(*choi.shape[:-2], din, dout, din, dout))
-    return float(np.max(np.abs(marg - np.eye(din)), initial=0.0))
+    return worst(marg - np.eye(din))
 
 
 def channel_defects(choi: np.ndarray, dims: tuple[int, int]) -> tuple[float, float]:
@@ -300,7 +306,7 @@ def state_defect(rho: np.ndarray) -> float:
     rho = _stack(rho)
     trace = np.trace(rho, axis1=-2, axis2=-1)
     # a non-finite trace needs a non-finite entry, so the first term is then inf
-    return max(psd_defect(rho), float(np.max(np.abs(trace - 1.0), initial=0.0)))
+    return max(psd_defect(rho), worst(trace - 1.0))
 
 
 def check_state(rho: np.ndarray, tol: float = TOL_ALG) -> np.ndarray:
@@ -314,7 +320,7 @@ def check_channel(choi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """``choi`` (a Choi matrix or a stack of them) unless one is not a channel."""
     choi = _stack(choi)
     cp, tp = channel_defects(choi, dims)
-    require(float(np.max((cp, tp))), TOL_ALG,
+    require(worst(cp, tp), TOL_ALG,
             f"not the Choi matrix of a channel (cp {cp:.2e}, tp {tp:.2e})")
     return choi
 
@@ -334,7 +340,7 @@ def dimensions(dims, what: str = "dimensions", least: int = 1) -> tuple[int, ...
 def check_weights(weights) -> list[float]:
     """``weights`` as floats unless they are not non-negative summing to one."""
     weights = [float(w) for w in weights]
-    require(float(np.max([*np.negative(weights), abs(sum(weights) - 1.0)])), TOL_ALG,
+    require(worst(np.minimum(weights, 0.0), sum(weights) - 1.0), TOL_ALG,
             "weights must be non-negative and sum to one")
     return weights
 

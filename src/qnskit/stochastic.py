@@ -16,7 +16,8 @@ import numpy as np
 
 from .linalg import (TOL_ALG, TOL_COMM, EIG_CLAMP, PRUNE_MARGIN, Report, asmatrix,
                      check_state, dagger, dimensions, hermiticity_and_psd_defect,
-                     hermiticity_defect, partial_trace, pinch, psd_defect, readonly, require)
+                     hermiticity_defect, partial_trace, pinch, psd_defect, readonly, require,
+                     worst)
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class StochasticOperatorMatrix:
         herm, psd = hermiticity_and_psd_defect(self.mat)
         return MappingProxyType({
             "hermiticity": herm, "psd_defect": psd,
-            "marginal_residual": float(np.max(np.abs(marg - np.eye(len(marg))), initial=0.0)),
+            "marginal_residual": worst(marg - np.eye(len(marg))),
             "povm_defect": psd_defect(diag)})
 
 
@@ -89,7 +90,7 @@ class IsometryDilation:
         dx, dh = self.dim_x, self.dim_h
         gram = np.einsum("axki,aykj->xiyj", self.blocks.conj(), self.blocks,
                          optimize=True).reshape(dx * dh, dx * dh)
-        return float(np.max(np.abs(gram - np.eye(dx * dh))))
+        return worst(gram - np.eye(dx * dh))
 
     def reconstruct(self) -> StochasticOperatorMatrix:
         """Rebuild E with blocks V[a,x]* V[a',x']."""
@@ -184,17 +185,15 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
     with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: NaN, which reads as inf below
         comm = np.einsum("imn,jnk->ijmk", eb, fb, optimize=True)
         comm -= np.einsum("jmn,ink->ijmk", fb, eb, optimize=True)
-    if comm.size == 0:
-        return 0.0
     frob = np.sqrt(np.einsum("ijmk,ijmk->ij", comm.real, comm.real)
                    + np.einsum("ijmk,ijmk->ij", comm.imag, comm.imag))
-    top = float(np.max(frob))
+    top = worst(frob)
     if not np.isfinite(top):
         return float("inf")
     if top == 0.0:
         return 0.0
     candidates = comm[frob >= top / np.sqrt(d) * (1 - PRUNE_MARGIN)]
-    return float(np.max(np.linalg.norm(candidates, ord=2, axis=(1, 2))))
+    return worst(np.linalg.norm(candidates, ord=2, axis=(1, 2)))
 
 
 def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix):
@@ -243,12 +242,12 @@ def with_ancilla_left(e: StochasticOperatorMatrix, dim: int) -> StochasticOperat
 
 def semiclassical_defect(e: StochasticOperatorMatrix) -> float:
     """Largest entry of an off-diagonal input block."""
-    return float(np.max(np.abs(e.mat - to_semiclassical(e).mat), initial=0.0))
+    return worst(e.mat - to_semiclassical(e).mat)
 
 
 def classical_defect(e: StochasticOperatorMatrix) -> float:
     """Largest entry outside the (x, x, a, a) diagonal blocks."""
-    return float(np.max(np.abs(e.mat - to_classical(e).mat), initial=0.0))
+    return worst(e.mat - to_classical(e).mat)
 
 
 def to_semiclassical(e: StochasticOperatorMatrix) -> StochasticOperatorMatrix:
@@ -273,7 +272,7 @@ def from_povms(povms: Sequence[Sequence[np.ndarray]]) -> StochasticOperatorMatri
     if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
         raise ValueError(f"POVM elements must be square matrices of one size, got {ops.shape}")
     dh = ops.shape[2]
-    require(float(np.max(np.abs(ops.sum(axis=1) - np.eye(dh)), initial=0.0)), TOL_ALG,
+    require(worst(ops.sum(axis=1) - np.eye(dh)), TOL_ALG,
             "POVM does not sum to the identity within tolerance")
     bad = ~(np.max(np.abs(ops - dagger(ops)), axis=(2, 3), initial=0.0) <= TOL_ALG)
     bx, ba = np.unravel_index(np.argmax(bad), bad.shape)  # the first non-Hermitian element

@@ -17,7 +17,7 @@ from .algebra import AlgStochasticMatrix, abelian_from_chois, compose_alg, traci
 from .correlations import (CqnsCorrelation, NsCorrelation, QnsCorrelation,
                            TracialWitness, build_tracial)
 from .linalg import (TOL_ALG, TOL_INPUT, asmatrix, check_channel, check_state,
-                     check_weights, nullspace, readonly, require)
+                     check_weights, nullspace, readonly, require, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +34,7 @@ def fair_state_residual(rho: np.ndarray, dim_x: int) -> float:
     r = rho.reshape(*rho.shape[:-2], dim_x, dim_x, dim_x, dim_x)
     lhs = np.einsum("...xzxw->...zw", r)     # sum_x rho[x, x, z, z']
     rhs = np.einsum("...wyzy->...zw", r)     # sum_y rho[z', z, y, y]
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    return worst(lhs - rhs)
 
 
 def _fair_constraint_matrix(dim: int) -> np.ndarray:
@@ -69,7 +69,7 @@ def classical_fair_residual(q: np.ndarray) -> float:
     """Residual of row sums against column sums for a table on X x X, or the
     worst over a stack ``(..., n, n)`` of them."""
     q = np.asarray(q)
-    return float(np.max(np.abs(q.sum(axis=-2) - q.sum(axis=-1)), initial=0.0))
+    return worst(q.sum(axis=-2) - q.sum(axis=-1))
 
 
 def fair_residual(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> float:
@@ -153,8 +153,11 @@ def reciprocal_residual(weights, states, target: np.ndarray) -> float:
     if states.ndim != 3 or len(states) != len(weights):
         raise ValueError("need one weight per state")
     n = states.shape[-1]
+    if target.shape != (n * n, n * n):
+        raise ValueError(f"target of shape {target.shape} does not match states of shape "
+                         f"{states.shape[-2:]}: it must be {(n * n, n * n)}")
     total = np.einsum("j,jik,jlm->imkl", weights, states, states).reshape(n * n, n * n)
-    return float(np.max(np.abs(total - target)))
+    return worst(total - target)
 
 
 def image_reciprocal_witness(corr_witness: AlgStochasticMatrix,

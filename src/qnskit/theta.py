@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dimensions
+from .linalg import dimensions, worst
 
 #: Duality-gap stopping tolerance.
 GAP_TOL = 1e-7
@@ -60,7 +60,7 @@ class ThetaResult:
     iterations: int
     certificate_norm: float
     #: certified upper bound from the dual slack (weak duality)
-    dual_bound: float = float("nan")
+    dual_bound: float
 
 
 def _sym(w: np.ndarray) -> np.ndarray:
@@ -222,8 +222,7 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
                 # <X, Z> >= 0 on the cone, so these iterates have left it
                 raise SolverError(f"iteration {iterations} has a negative duality gap "
                                   f"{gap:.3e}: the iterates left the cone")
-            if gap <= tol and float(np.max(np.abs(rp))) <= FEAS_TOL \
-                    and float(np.max(np.abs(rd))) <= FEAS_TOL:
+            if gap <= tol and worst(rp, rd) <= FEAS_TOL:
                 break
 
             zinv = _sym(np.linalg.inv(z))

@@ -12,7 +12,7 @@ from qnskit.correlations import (CorrelationDims, NsCorrelation, build_quantum,
                                  build_tracial, cqns_report, ns_report,
                                  qns_report, reduce_cqns, reduce_ns)
 from qnskit.games import from_rule, homomorphism_game, perfect_strategy_check
-from qnskit.graphs import Graph, graph_subspace, lovasz_theta
+from qnskit.graphs import Graph, graph_subspace, kraus_channel_defect, lovasz_theta
 from qnskit.linalg import TOL_ALG, channel_defects, max_entangled
 from qnskit.stochastic import (StochasticOperatorMatrix, channel_choi, compose, dilate,
                                tensor, verify)
@@ -44,6 +44,13 @@ def test_verify_empty_stochastic_matrix(tmp_path, capsys, dims, marginal):
     path.write_text(io.dump_json(io.stochastic_to_json(e)))
     assert run(["verify", str(path)]) == (0 if marginal == 0.0 else 1)
     assert json.loads(capsys.readouterr().out)["marginal_residual"] == marginal
+    if report.ok:
+        assert dilate(e).isometry_defect() == 0.0
+
+
+def test_kraus_family_with_empty_input():
+    # input dimension 0: sum M* M is the empty identity
+    assert kraus_channel_defect(np.zeros((1, 2, 0))) == 0.0
 
 def test_products_with_unit_factors(rng):
     e1 = qr.random_stochastic(rng, 1, 2, 2)

@@ -203,6 +203,8 @@ _MIXED, _PURE = np.eye(2) / 2, np.diag([1.0, 0.0])
     ([2.0, -1.0], [_MIXED, _PURE], 2 * _kron_t(_MIXED) - _kron_t(_PURE), "non-negative"),
     ([1.0], [_MIXED, _PURE], _kron_t(_MIXED), "one weight per state"),
     ([0.5], [_MIXED], 0.5 * _kron_t(_MIXED), "sum to one"),
+    # the target of 2 x 2 states is 4 x 4
+    ([1.0], [_MIXED], np.eye(9), r"shape \(9, 9\) .* must be \(4, 4\)"),
 ])
 def test_reciprocal_certificate_refuses_malformed_decompositions(weights, states, target,
                                                                  message):
@@ -413,3 +415,28 @@ def test_gates_raise_through_require():
             if any(n == "tol" or n.startswith("TOL_") for n in names):
                 assert not any(isinstance(n, ast.Raise) for n in ast.walk(node)), \
                     f"{path.name}:{node.lineno} compares a tolerance by hand"
+
+
+def _np_call(node, names) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr in names and isinstance(node.func.value, ast.Name) \
+        and node.func.value.id == "np"
+
+
+def test_residuals_reduce_through_worst():
+    """Outside ``linalg.worst`` no whole-array maximum takes ``np.abs`` or ``initial=``:
+    each residual reduces through ``worst``, which holds the empty and NaN policy."""
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(n) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "worst"
+                  and path.name == "linalg.py" for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in exempt or not _np_call(node, ("max", "amax")):
+                continue
+            keywords = {k.arg for k in node.keywords}
+            if "axis" in keywords or len(node.args) > 1:
+                continue
+            assert "initial" not in keywords and not (
+                node.args and _np_call(node.args[0], ("abs", "absolute"))), \
+                f"{path.name}:{node.lineno} reduces a residual by hand"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qnskit.linalg import (TOL_ALG, CheckError, Report, apply_choi, herm_sqrt,
                            kron, max_entangled, max_entangled_vector, nullspace,
-                           partial_trace, permute_systems, psd_defect)
+                           partial_trace, permute_systems, psd_defect, worst)
 
 
 def _cg(rng, *shape):
@@ -169,3 +169,16 @@ def test_report_reads_checks_and_fails_closed():
         report.witness_residual
     for bad in (np.nan, np.inf, 1e-8):
         assert not Report({"b_residual": 0.0, "c_residual": bad}, 1e-9).ok
+
+
+def test_worst_policy():
+    assert worst() == 0.0
+    assert worst(np.zeros(0), np.zeros((2, 0, 3)), []) == 0.0
+    # absolute values over scalars and stacks alike
+    assert worst(-3.0, np.array([[1.0, -2j]])) == 3.0
+    assert worst(np.array([[[1.0]], [[-4.0]]]), 0.5) == 4.0
+    for parts in ((np.array([1.0, np.nan]), 5.0), (np.inf, np.nan), (np.nan, np.inf),
+                  (np.array([complex(np.nan, 0.0)]),)):
+        assert np.isnan(worst(*parts))
+    assert worst(1.0, np.array([-np.inf])) == np.inf
+    assert type(worst(np.float32(1.0))) is float

@@ -73,6 +73,12 @@ def test_dual_bound_brackets_value(rng):
     assert exact.value - 1e-7 <= np.sqrt(5) <= exact.dual_bound + 1e-12
 
 
+def test_theta_result_requires_its_dual_bound():
+    # without it, xi_qc_lower_bound would read sqrt(n / nan)
+    with pytest.raises(TypeError, match="dual_bound"):
+        theta.ThetaResult(1.0, np.eye(1), 0.0, 1, 1.0)
+
+
 def test_solution_is_feasible():
     g = Graph.cycle(5)
     result = solve_theta(g.n, sorted(g.edges))
