@@ -11,7 +11,9 @@ graph is circulant, and by the interior-point loop with the edge operator
 forced, which is the path every graph took before the circulant operator
 existed.  Each line gives, per path, the median milliseconds over the
 repeats, the iteration count and the constraint count, and the distance
-between the two values.  The last line sums one benchmark round (the
+between the two values.  A graph with more than EDGE_PATH_MAX_M edge
+constraints skips the edge path (its m x m Schur matrix alone would pass
+128 MB) and prints "-" there.  The last line sums one benchmark round (the
 repeated graphs counted as often as a round solves them).
 
 Set OPENBLAS_NUM_THREADS=1 for figures that do not depend on the machine's
@@ -28,6 +30,9 @@ from qnskit import theta
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402  (perfbench's numpy-only input generator)
+
+#: The most constraints the forced edge path is run with.
+EDGE_PATH_MAX_M = 4000
 
 
 def median_ms(fn, repeat: int):
@@ -65,12 +70,16 @@ def main() -> None:
         pairs = tuple(theta.edge_pairs(n, edges).T)
         shifts = theta._shifts(n, pairs)
         m_circ = "-" if shifts is None else 1 + len(shifts)
+        m_edge = 1 + len(pairs[0])
         ms, ours = median_ms(lambda: theta.solve_theta(n, edges), args.repeat)
-        ms_edge, edge = median_ms(lambda: edge_path(n, edges), args.repeat)
+        if m_edge <= EDGE_PATH_MAX_M:
+            ms_edge, edge = median_ms(lambda: edge_path(n, edges), args.repeat)
+            cols = (f"{ms_edge:>8.2f} ms {edge.iterations:>5} {m_edge:>5} | "
+                    f"{abs(ours.value - edge.value):>8.1e}")
+        else:
+            ms_edge, cols = float("nan"), f"{'-':>11} {'-':>5} {m_edge:>5} | {'-':>8}"
         timed[name] = ms, ms_edge
-        print(f"{name:>16} {n:>4} | {ms:>8.2f} ms {ours.iterations:>5} {m_circ:>5} | "
-              f"{ms_edge:>8.2f} ms {edge.iterations:>5} {1 + len(pairs[0]):>5} | "
-              f"{abs(ours.value - edge.value):>8.1e}")
+        print(f"{name:>16} {n:>4} | {ms:>8.2f} ms {ours.iterations:>5} {m_circ:>5} | {cols}")
     ours, edge = (sum(timed[g["name"]][k] for g in catalogue) for k in (0, 1))
     print(f"one benchmark round ({len(catalogue)} solves): solve_theta {ours:.1f} ms, "
           f"edge path {edge:.1f} ms")

@@ -39,7 +39,7 @@ def main():
           f"{'alpha':>5} {'xi_qc>=':>8} {'iters':>5} {'time':>6}")
     for name, g in catalogue(args.seed):
         start = time.time()
-        result = solve_theta(g.n, sorted(g.edges))
+        result = solve_theta(g.n, g.edges)
         alpha = independence_number(g)
         assert alpha - 1e-6 <= result.value <= g.n + 1e-6
         print(f"{name:>10} {g.n:>3} {result.value:>10.6f} "

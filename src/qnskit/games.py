@@ -147,7 +147,7 @@ def colouring_game(graph: Graph, a_dim: int, synchronous: bool = False) -> Const
     """
     n = graph.n
     v_edge = _orthocomplement_of_entangled(a_dim)
-    constraints = [(_unit_columns(n * n, x * n + y), v_edge) for x, y in graph.ordered_edges()]
+    constraints = [(_unit_columns(n * n, k), v_edge) for k in graph.ordered_edges() @ [n, 1]]
     if synchronous:
         v_diag = _unit_columns(a_dim * a_dim, np.arange(a_dim) * (a_dim + 1))
         constraints += [(_unit_columns(n * n, x * (n + 1)), v_diag) for x in range(n)]

@@ -8,7 +8,6 @@ realizations send xi (x) eta to eta xi^T.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +22,17 @@ from .symmetry import build_tracial_cqns, channel_sharp
 from .theta import GAP_TOL, edge_pairs, solve_theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple graph on vertices 0..n-1; edges stored as sorted pairs."""
+    """Simple graph on vertices 0..n-1, compared by identity; ``edges`` is the read-only
+    array of rows (i, j), i < j, in lexicographic order that `theta.edge_pairs` makes."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "n", _vertex_count(self.n))
-        pairs = edge_pairs(self.n, self.edges).tolist()
-        object.__setattr__(self, "edges", frozenset(map(tuple, pairs)))
+        object.__setattr__(self, "edges", edge_pairs(self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -42,7 +41,7 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         n = _vertex_count(n)
-        return cls.from_edges(n, itertools.combinations(range(n), 2))
+        return cls.from_edges(n, np.transpose(np.triu_indices(n, 1)))
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -54,19 +53,15 @@ class Graph:
             raise ValueError("cycles need at least 3 vertices")
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
-    def ordered_edges(self) -> list[tuple[int, int]]:
-        """All edges as ordered pairs, both directions, sorted."""
-        out = []
-        for i, j in self.edges:
-            out.extend([(i, j), (j, i)])
-        return sorted(out)
+    def ordered_edges(self) -> np.ndarray:
+        """All edges as ordered pairs (x, y), both directions: a (2k, 2) array in
+        lexicographic order."""
+        both = np.concatenate((self.edges, self.edges[:, ::-1]))
+        return both[np.lexsort(both.T[::-1])]
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        i, j = _edge_index(list(self.edges))
+        i, j = self.edges.T
         a[i, j] = a[j, i] = 1.0
         return a
 
@@ -76,15 +71,10 @@ def _vertex_count(n) -> int:
     return dimensions((n,), "vertex count", least=0)[0]
 
 
-def _edge_index(edges) -> tuple[np.ndarray, np.ndarray]:
-    """A list of vertex pairs as two index arrays (empty arrays for no pairs)."""
-    return tuple(np.array(edges, dtype=int).reshape(-1, 2).T)
-
-
 def independence_number(graph: Graph) -> int:
     """Brute-force maximum independent set (exponential; keep n small)."""
     adj = [0] * graph.n
-    for i, j in graph.edges:
+    for i, j in graph.edges.tolist():  # Python ints: 1 << j must not overflow
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     best = 0
@@ -92,15 +82,10 @@ def independence_number(graph: Graph) -> int:
         size = mask.bit_count()
         if size <= best:
             continue
-        ok = True
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            if adj[v] & mask:
-                ok = False
-                break
+        m = mask  # drop the lowest vertex of the mask while it has no neighbour in it
+        while m and not adj[(m & -m).bit_length() - 1] & mask:
             m &= m - 1
-        if ok:
+        if not m:
             best = size
     return best
 
@@ -151,7 +136,7 @@ class SkewSymmetricSubspace:
 def graph_subspace(graph: Graph) -> SkewSymmetricSubspace:
     """span{e_x (x) e_y : x ~ y}, the non-commutative copy of a graph."""
     n = graph.n
-    x, y = _edge_index(graph.ordered_edges())
+    x, y = graph.ordered_edges().T
     vecs = np.zeros((n * n, len(x)), dtype=complex)
     vecs[x * n + y, np.arange(len(x))] = 1.0
     return SkewSymmetricSubspace(n, vecs)
@@ -196,7 +181,7 @@ def stahlke_residual(kraus: list[np.ndarray], s_basis: list[np.ndarray],
     kraus = _kraus_stack(kraus)
     require(kraus_channel_defect(kraus), TOL_ALG, "Kraus family is not trace preserving")
     k, dout, din = kraus.shape
-    s = np.asarray(s_basis, dtype=complex).reshape(-1, din, din)
+    s = np.asarray(s_basis, dtype=complex).reshape(len(s_basis), din, din)
     # img[i, j, s] = conj(M_j) S M_i^T, flattened row-major
     img = np.einsum("jpq,sqr,itr->ijspt", kraus.conj(), s, kraus,
                     optimize=True).reshape(k, k, len(s), dout * dout)
@@ -251,10 +236,10 @@ def proper_residuals(e: CqnsCorrelation, graph: Graph) -> dict[tuple[int, int], 
     if d.x != graph.n or d.y != graph.n or d.a != d.b:
         raise ValueError("correlation dimensions do not match the graph")
     edges = graph.ordered_edges()
-    x, y = _edge_index(edges)
+    x, y = edges.T
     # Tr(sigma Omega) is the sum of the entries sigma[(a, a), (b, b)]
     val = np.einsum("eaabb->e", e.states[x, y].reshape(-1, d.a, d.a, d.a, d.a))
-    return dict(zip(edges, (np.abs(val.real) + np.abs(val.imag)).tolist()))
+    return dict(zip(map(tuple, edges.tolist()), (np.abs(val.real) + np.abs(val.imag)).tolist()))
 
 
 def orth_rep_to_colouring(vectors, graph: Graph | None = None) -> CqnsCorrelation:
@@ -270,13 +255,16 @@ def orth_rep_to_colouring(vectors, graph: Graph | None = None) -> CqnsCorrelatio
         if v.shape[0] != k:
             raise ValueError("all vectors must live in the same space")
         require(abs(np.linalg.norm(v) - 1.0), TOL_INPUT, f"vector {i} is not unit norm")
+    vecs = np.array(vecs)
     if graph is not None:
         if graph.n != len(vecs):
             raise ValueError("need one vector per vertex")
-        for x, y in graph.edges:
-            require(abs(np.vdot(vecs[x], vecs[y])), TOL_INPUT,
-                    f"vectors on edge ({x},{y}) are not orthogonal")
-    vecs = np.array(vecs)
+        x, y = graph.edges.T
+        overlap = np.abs(np.sum(vecs[x].conj() * vecs[y], axis=1))
+        fails = np.flatnonzero(~(overlap <= TOL_INPUT))  # NaN fails
+        if len(fails):  # name the first failing edge in edge order
+            e = fails[0]
+            require(overlap[e], TOL_INPUT, f"vectors on edge ({x[e]},{y[e]}) are not orthogonal")
     n = len(vecs)
     c4 = np.zeros((n, k, n, k), dtype=complex)
     x = np.arange(n)

@@ -204,7 +204,7 @@ def correlation_from_json(obj: Any):
 
 
 def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+    return {"n": g.n, "edges": g.edges.tolist()}
 
 
 def graph_from_json(obj: Any) -> Graph:

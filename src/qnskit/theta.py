@@ -73,12 +73,15 @@ def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def edge_pairs(n: int, edges) -> np.ndarray:
-    """The edges of a graph on 0..n-1 as sorted, de-duplicated rows (i, j), i < j.
+    """The edges of a graph on 0..n-1 as a read-only int64 array of rows (i, j),
+    i < j, de-duplicated and in lexicographic order.
 
-    ``edges`` must convert to an integer array of shape (k, 2); an empty list
-    is the edgeless graph.  The first loop or out-of-range edge is named.
+    ``edges`` must convert to an integer array of shape (k, 2), and an array is
+    taken as it is; an empty list is the edgeless graph.  The first loop or
+    out-of-range edge is named.
     """
-    pairs = np.asarray(list(edges) or np.zeros((0, 2), dtype=int))
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray)
+                       else list(edges) or np.zeros((0, 2), dtype=int))
     if pairs.dtype.kind not in "iu" or pairs.shape[1:] != (2,):
         raise ValueError(f"edges must be pairs of integer vertices, got an array "
                          f"of dtype {pairs.dtype} and shape {pairs.shape}")
@@ -86,8 +89,16 @@ def edge_pairs(n: int, edges) -> np.ndarray:
     if bad.any():
         i, j = pairs[np.argmax(bad)].tolist()
         raise ValueError(f"edge {(i, j)} is a loop or leaves the vertices 0..{n - 1}")
-    unique = sorted({(min(i, j), max(i, j)) for i, j in pairs.tolist()})
-    return np.array(unique, dtype=int).reshape(-1, 2)
+    if len(pairs) and n * (n - 1) > 2**63:  # the keys below must fit in an int64
+        raise ValueError(f"{n} vertices are too many for a graph with edges")
+    # the key i n + j of edge (i, j), i < j, sorts as the pair does
+    i, j = pairs.astype(np.int64).T
+    keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    first = np.ones(len(keys), dtype=bool)  # the first key of each run of equal ones
+    first[1:] = keys[1:] != keys[:-1]
+    out = np.column_stack(np.divmod(keys[first], n))
+    out.flags.writeable = False
+    return out
 
 
 class _EdgeOperator:

@@ -12,7 +12,8 @@ from qnskit.correlations import (CorrelationDims, NsCorrelation, build_quantum,
                                  build_tracial, cqns_report, ns_report,
                                  qns_report, reduce_cqns, reduce_ns)
 from qnskit.games import from_rule, homomorphism_game, perfect_strategy_check
-from qnskit.graphs import Graph, graph_subspace, kraus_channel_defect, lovasz_theta
+from qnskit.graphs import (Graph, graph_subspace, kraus_channel_defect, lovasz_theta,
+                           stahlke_residual)
 from qnskit.linalg import TOL_ALG, channel_defects, max_entangled
 from qnskit.stochastic import (StochasticOperatorMatrix, channel_choi, compose, dilate,
                                tensor, verify)
@@ -49,8 +50,9 @@ def test_verify_empty_stochastic_matrix(tmp_path, capsys, dims, marginal):
 
 
 def test_kraus_family_with_empty_input():
-    # input dimension 0: sum M* M is the empty identity
+    # input dimension 0: sum M* M is the empty identity, and there is nothing to map
     assert kraus_channel_defect(np.zeros((1, 2, 0))) == 0.0
+    assert stahlke_residual(np.zeros((1, 2, 0)), [], [np.eye(2)]) == 0.0
 
 def test_products_with_unit_factors(rng):
     e1 = qr.random_stochastic(rng, 1, 2, 2)

@@ -19,6 +19,7 @@ D2 = CorrelationDims(2, 2, 2, 2)
 
 def _colouring_rule(graph: Graph, a_dim: int) -> np.ndarray:
     n = graph.n
+    adj = graph.adjacency()
     rule = np.ones((n, n, a_dim, a_dim), dtype=int)
     for x in range(n):
         for y in range(n):
@@ -26,7 +27,7 @@ def _colouring_rule(graph: Graph, a_dim: int) -> np.ndarray:
                 for b in range(a_dim):
                     if x == y and a != b:
                         rule[x, y, a, b] = 0
-                    if graph.has_edge(x, y) and a == b:
+                    if adj[x, y] and a == b:
                         rule[x, y, a, b] = 0
     return rule
 

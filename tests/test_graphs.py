@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from qnskit.graphs import (Graph, SkewSymmetricSubspace, cycle5_umbrella,
                            orth_rep_to_colouring, proper_residuals,
                            realization_basis, realize_vector, stahlke_residual,
                            vertex_map_kraus)
-from qnskit.linalg import TOL_ALG, max_entangled_vector
+from qnskit.linalg import TOL_ALG, CheckError, max_entangled_vector
 
 
 def test_graph_validation():
@@ -21,13 +23,24 @@ def test_graph_validation():
         with pytest.raises(ValueError, match="pairs of integer vertices"):
             Graph.from_edges(3, [bad])
     g = Graph.from_edges(3, [(1, 0), (0, 1), (1, 2)])
-    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_independence_number():
     assert independence_number(Graph.complete(5)) == 1
     assert independence_number(Graph.empty(6)) == 6
     assert independence_number(Graph.cycle(5)) == 2
+
+
+def test_independence_number_matches_vertex_subsets(rng):
+    for _ in range(20):
+        n = int(rng.integers(1, 10))
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rng.random() < 0.5])
+        adj = g.adjacency()
+        alpha = max(len(s) for k in range(n + 1) for s in itertools.combinations(range(n), k)
+                    if not adj[np.ix_(s, s)].any())
+        assert independence_number(g) == alpha
 
 
 def test_graph_subspace_empty_and_k2():
@@ -200,6 +213,14 @@ def test_orth_rep_validates_against_graph(rng):
     v /= np.linalg.norm(v)
     with pytest.raises(ValueError):
         orth_rep_to_colouring([v, v], Graph.complete(2))
+
+
+def test_orth_rep_names_the_first_failing_edge():
+    # on K4 the edges (0, 2) and (0, 3) both fail; (0, 2) comes first in edge order
+    e0, e1, e2 = np.eye(3)
+    vectors = [e0, e1, (e0 + e2) / np.sqrt(2), (e0 - e2) / np.sqrt(2)]
+    with pytest.raises(CheckError, match=r"vectors on edge \(0,2\) are not orthogonal"):
+        orth_rep_to_colouring(vectors, Graph.complete(4))
 
 
 def test_kd2_invariants():

@@ -212,6 +212,11 @@ def test_dump_json_matches_json_dumps_on_payloads(rng):
         assert io.dump_json(obj) == _oracle(obj)
 
 
+def test_graph_tree_holds_plain_lists():
+    g = Graph.from_edges(4, np.array([[3, 0], [0, 3], [2, 1]], dtype=np.int32))
+    assert json.dumps(io.graph_to_json(g)) == '{"n": 4, "edges": [[0, 3], [1, 2]]}'
+
+
 def test_cli_payloads_and_reports_are_json_dumps_bytes(tmp_path, capsys, rng):
     e = io.stochastic_to_json(qr.random_stochastic(rng, 2, 2, 2))
     f = io.stochastic_to_json(qr.random_stochastic(rng, 2, 2, 2))

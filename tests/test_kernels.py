@@ -11,6 +11,7 @@ import importlib.util
 import itertools
 import json
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -702,6 +703,59 @@ def _random_graph(rng, n, p=0.5):
     return Graph.from_edges(n, pairs)
 
 
+def _set_edge_pairs(n, edges):
+    """The edge gate through a Python set of (min, max) tuples, then sorted."""
+    pairs = np.asarray(list(edges) or np.zeros((0, 2), dtype=int))
+    if pairs.dtype.kind not in "iu" or pairs.shape[1:] != (2,):
+        raise ValueError(f"edges must be pairs of integer vertices, got an array "
+                         f"of dtype {pairs.dtype} and shape {pairs.shape}")
+    bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        i, j = pairs[np.argmax(bad)].tolist()
+        raise ValueError(f"edge {(i, j)} is a loop or leaves the vertices 0..{n - 1}")
+    unique = sorted({(min(i, j), max(i, j)) for i, j in pairs.tolist()})
+    return np.array(unique, dtype=int).reshape(-1, 2)
+
+
+def test_edge_gate_matches_the_set_oracle(rng):
+    cases = [(3, []), (0, []), (4, np.zeros((0, 2), dtype=np.int32))]
+    for n in (2, 5, 13, 40):
+        for p in (0.0, 0.3, 1.0):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            noisy = pairs + [(j, i) for i, j in pairs if rng.random() < 0.5]
+            noisy += [noisy[k] for k in rng.integers(0, len(noisy), len(noisy) // 3)]
+            noisy = [noisy[k] for k in rng.permutation(len(noisy))]
+            cases += [(n, noisy)] + [(n, np.array(noisy, dtype=t).reshape(-1, 2))
+                                     for t in (np.int32, np.uint8)]
+    graph = _random_graph(rng, 9)
+    cases.append((graph.n, graph.edges))
+    for n, edges in cases:
+        out = theta.edge_pairs(n, edges)
+        assert out.dtype == np.int64 and out.flags.c_contiguous and not out.flags.writeable
+        assert np.array_equal(out, _set_edge_pairs(n, edges)), (n, edges)
+    # both directions of every edge, in the order a sorted list of tuples has
+    both = [e for i, j in graph.edges.tolist() for e in ((i, j), (j, i))]
+    assert graph.ordered_edges().tolist() == [list(e) for e in sorted(both)]
+    assert len(Graph.cycle(100_000).edges) == 100_000  # nothing of size n x n
+
+
+@pytest.mark.parametrize("edges", [[(1, 1)], [(0, 1), (3, 0)], [(0, -1)], [(0, 1.5)],
+                                   [(0, 1, 2)], np.array([0, 1]),
+                                   np.array([[0, 1], [2, 2]], dtype=np.uint8)])
+def test_edge_gate_refusals_keep_their_messages(edges):
+    with pytest.raises(ValueError) as old:
+        _set_edge_pairs(3, edges)
+    with pytest.raises(ValueError, match=re.escape(str(old.value))):
+        theta.edge_pairs(3, edges)
+
+
+def test_edge_gate_refuses_edge_keys_beyond_int64():
+    assert len(theta.edge_pairs(3037000499, [(3037000497, 3037000498)])) == 1
+    with pytest.raises(ValueError, match="too many"):
+        theta.edge_pairs(2**32, [(0, 1)])
+    assert Graph.empty(2**32).edges.shape == (0, 2)
+
+
 def _loop_kraus_to_choi(kraus):
     dout, din = kraus[0].shape
     choi = np.zeros((din * dout, din * dout), dtype=complex)
@@ -775,6 +829,7 @@ def test_proper_residuals_match_loop(n, a, s):
         loop[(x, y)] = abs(float(np.real(val))) + abs(float(np.imag(val)))
     out = proper_residuals(corr, graph)
     assert list(out) == list(loop)
+    assert all(type(v) is int for e in out for v in e)
     assert all(abs(out[e] - loop[e]) <= 1e-15 for e in loop)
 
 
@@ -1018,16 +1073,17 @@ def test_solve_theta_matches_dense_constraints(rng):
 #: Constructions that were loops over entries, basis vectors, question pairs or
 #: Kraus pairs; each is now an index assignment or a contraction.
 REWRITTEN = {
-    "graphs.py": {"Graph.adjacency", "graph_subspace", "stahlke_residual", "vertex_map_kraus",
-                  "kraus_to_choi", "proper_residuals", "kd2_colouring", "kd2_explicit_states"},
+    "graphs.py": {"Graph.ordered_edges", "Graph.adjacency", "graph_subspace", "stahlke_residual",
+                  "vertex_map_kraus", "kraus_to_choi", "proper_residuals", "kd2_colouring",
+                  "kd2_explicit_states"},
     "symmetry.py": {"fair_state_residual", "_fair_constraint_matrix",
                     "_classical_fair_constraint", "classical_fair_residual", "fair_residual"},
     "games.py": {"from_rule", "colouring_game", "_apply_strategy", "_intersect"},
     "stochastic.py": {"from_povms"},
     "correlations.py": {"_compose_witness"},
     "io.py": {"matrix_to_json", "vector_to_json"},
-    "theta.py": {"_EdgeOperator.apply", "_EdgeOperator.adjoint", "_EdgeOperator.schur",
-                 "_CirculantOperator.apply", "_CirculantOperator.adjoint",
+    "theta.py": {"edge_pairs", "_EdgeOperator.apply", "_EdgeOperator.adjoint",
+                 "_EdgeOperator.schur", "_CirculantOperator.apply", "_CirculantOperator.adjoint",
                  "_CirculantOperator.schur", "_CirculantOperator.x_matrix"},
 }
 
