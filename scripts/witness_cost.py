@@ -14,10 +14,15 @@ usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d
   share the one tracial contraction of the colouring's witness;
 - `build_local` of a seeded mixture of two product channels on
   (X, Y, A, B) = (2, 2, 2, 2) followed by `qns_report`, whose witness
-  re-check reads the Choi matrix the build made.
+  re-check reads the Choi matrix the build made;
+- `compose_correlations` of a seeded local correlation on (4, 4, 4, 4), a
+  mixture of two product channels, with a product channel (4, 4) -> (2, 2):
+  one `choi_compose` of the Choi matrices and one over the stacks of terms.
+  Its value is the `witness_residual` of the composition.
 
-Each line gives the median over the repeats in milliseconds and the value
-the call returned, so two source trees can be compared on the same seed.
+Each line gives the median over the repeats in milliseconds, the tracemalloc
+peak in MB of one more call, and the value the call returned, so two source
+trees can be compared on the same seed.
 Set OPENBLAS_NUM_THREADS=1 for figures that do not depend on the machine's
 other load.
 """
@@ -25,12 +30,13 @@ other load.
 import argparse
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
 from qnskit import rand as qr
-from qnskit.correlations import (CorrelationDims, build_local, cqns_report, qns_report,
-                                 witness_residual)
+from qnskit.correlations import (CorrelationDims, build_local, compose_correlations,
+                                 cqns_report, qns_report, witness_residual)
 from qnskit.games import colouring_game, perfect_strategy_check
 from qnskit.graphs import Graph, kd2_colouring
 from qnskit.stochastic import (StochasticOperatorMatrix, max_commutator,
@@ -46,6 +52,19 @@ def median_ms(fn, repeat: int):
         value = fn()
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times), value
+
+
+def row(label: str, fn, repeat: int, show=repr) -> None:
+    """Print the median milliseconds of ``fn``, the tracemalloc peak of one more
+    call in MB, and ``show`` of the value it returned."""
+    ms, value = median_ms(fn, repeat)
+    tracemalloc.start()
+    try:
+        fn()
+        mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    print(f"{label:>38} {ms:>10.2f} {mb:>8.2f}  {show(value)}")
 
 
 def lifts(rng, dims):
@@ -66,30 +85,33 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
-    print(f"{'operation':>38} {'median ms':>10}  value")
+    print(f"{'operation':>38} {'median ms':>10} {'peak MB':>8}  value")
     for spec in args.lifts:
         dims = tuple(int(n) for n in spec.split(","))
         for label, (e, f) in zip(("lift", "rotated lift"), lifts(rng, dims)):
-            ms, value = median_ms(lambda: max_commutator(e, f), args.repeat)
-            print(f"{f'max_commutator {label} {dims}':>38} {ms:>10.2f}  {value!r}")
+            row(f"max_commutator {label} {dims}", lambda: max_commutator(e, f), args.repeat)
     for d in args.d:
         corr, graph = kd2_colouring(d), Graph.complete(d * d)
-        ms, report = median_ms(lambda: perfect_strategy_check(colouring_game(graph, d), corr),
-                               args.repeat)
-        print(f"{f'game + strategy check kd2 d={d}':>38} {ms:>10.2f}  {report.max_residual!r}")
-        ms, value = median_ms(lambda: fair_residual(corr), args.repeat)
-        print(f"{f'fair_residual kd2 d={d}':>38} {ms:>10.2f}  {value!r}")
+        row(f"game + strategy check kd2 d={d}",
+            lambda: perfect_strategy_check(colouring_game(graph, d), corr), args.repeat,
+            lambda report: repr(report.max_residual))
+        row(f"fair_residual kd2 d={d}", lambda: fair_residual(corr), args.repeat)
 
         def kd2_certified(d=d):
             corr = kd2_colouring(d)
             return cqns_report(corr).ok, witness_residual(corr)
-        ms, value = median_ms(kd2_certified, args.repeat)
-        print(f"{f'kd2 + cqns_report + residual d={d}':>38} {ms:>10.2f}  {value!r}")
+        row(f"kd2 + cqns_report + residual d={d}", kd2_certified, args.repeat)
     chois = [qr.random_channel_choi(rng, 2, 2) for _ in range(4)]
-    ms, report = median_ms(lambda: qns_report(build_local(
-        [0.4, 0.6], chois[:2], chois[2:], CorrelationDims(2, 2, 2, 2))), args.repeat)
-    print(f"{'build_local + qns_report':>38} {ms:>10.2f}  {report.witness_residual!r}")
-
+    row("build_local + qns_report", lambda: qns_report(build_local(
+        [0.4, 0.6], chois[:2], chois[2:], CorrelationDims(2, 2, 2, 2))), args.repeat,
+        lambda report: repr(report.witness_residual))
+    inner = build_local([0.3, 0.7], [qr.random_channel_choi(rng, 4, 4) for _ in range(2)],
+                        [qr.random_channel_choi(rng, 4, 4) for _ in range(2)],
+                        CorrelationDims(4, 4, 4, 4))
+    outer = build_local([1.0], [qr.random_channel_choi(rng, 4, 2)],
+                        [qr.random_channel_choi(rng, 4, 2)], CorrelationDims(4, 4, 2, 2))
+    row("compose local (4,4,4,4) -> (2,2)", lambda: compose_correlations(outer, inner),
+        args.repeat, lambda corr: repr(witness_residual(corr)))
 
 if __name__ == "__main__":
     main()

@@ -426,9 +426,11 @@ def _compose_witness(w2: Witness | None, w1: Witness | None) -> Witness | None:
         d1, d2 = w1.dims, w2.dims
         # term (s, t) is term t of w2 after term s of w1, s-major
         weights = np.outer(w1.weights, w2.weights).reshape(-1)
-        alice = _compose_terms(w2.alice, w1.alice, d1.x, d1.a, d2.a)
-        bob = _compose_terms(w2.bob, w1.bob, d1.y, d1.b, d2.b)
-        return LocalWitness(weights, alice, bob, CorrelationDims(d1.x, d1.y, d2.a, d2.b))
+        alice = choi_compose(np.array(w2.alice), (d2.x, d2.a), np.array(w1.alice)[:, None],
+                             (d1.x, d1.a))
+        bob = choi_compose(np.array(w2.bob), (d2.y, d2.b), np.array(w1.bob)[:, None], (d1.y, d1.b))
+        return LocalWitness(weights, np.concatenate(alice), np.concatenate(bob),
+                            CorrelationDims(d1.x, d1.y, d2.a, d2.b))
     if isinstance(w1, QuantumWitness) and isinstance(w2, QuantumWitness) \
             and w1.kind == w2.kind:
         e = stochastic.compose(w2.e, w1.e)
@@ -445,14 +447,6 @@ def _compose_witness(w2: Witness | None, w1: Witness | None) -> Witness | None:
     if isinstance(w1, TracialWitness) and isinstance(w2, TracialWitness):
         return TracialWitness(compose_alg(w2.matrix, w1.matrix))
     return None
-
-
-def _compose_terms(second, first, d_in: int, d_mid: int, d_out: int) -> np.ndarray:
-    """``choi_compose(second[t], first[s])`` for every pair (s, t), s-major, in one contraction."""
-    c1 = np.asarray(first, dtype=complex).reshape(-1, d_in, d_mid, d_in, d_mid)
-    c2 = np.asarray(second, dtype=complex).reshape(-1, d_mid, d_out, d_mid, d_out)
-    out = np.einsum("siajb,takbl->stikjl", c1, c2)
-    return out.reshape(-1, d_in * d_out, d_in * d_out)
 
 
 def compose_correlations(gamma2: QnsCorrelation, gamma1: QnsCorrelation) -> QnsCorrelation:

@@ -253,6 +253,15 @@ def max_entangled(dim: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _choi4(choi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """A Choi matrix, or a stack ``(..., n, n)`` of them, with indices (..., in, out, in, out)."""
+    choi = _stack(choi)
+    din, dout = int(dims[0]), int(dims[1])
+    if choi.shape[-2:] != (din * dout, din * dout):
+        raise ValueError(f"Choi shape {choi.shape[-2:]} does not match dims {(din, dout)}")
+    return choi.reshape(*choi.shape[:-2], din, dout, din, dout)
+
+
 def apply_choi(choi: np.ndarray, dims: tuple[int, int], rho: np.ndarray) -> np.ndarray:
     """Apply the map with the given Choi matrix to ``rho``, or to every matrix
     of a stack ``(..., din, din)``.
@@ -260,39 +269,31 @@ def apply_choi(choi: np.ndarray, dims: tuple[int, int], rho: np.ndarray) -> np.n
     ``dims`` is the (input, output) dimension pair; the Choi matrix carries
     composite row index (in, out).
     """
-    choi = asmatrix(choi)
-    din, dout = int(dims[0]), int(dims[1])
-    if choi.shape != (din * dout, din * dout):
-        raise ValueError(f"Choi shape {choi.shape} does not match dims {(din, dout)}")
+    c4 = _choi4(asmatrix(choi), dims)
     rho = _stack(rho)
-    if rho.shape[-2:] != (din, din):
-        raise ValueError(f"input state shape {rho.shape} does not match input dim {din}")
-    c4 = choi.reshape(din, dout, din, dout)
+    if rho.shape[-2:] != c4.shape[::2]:
+        raise ValueError(f"input state shape {rho.shape} does not match input dim {len(c4)}")
     return np.einsum("...ij,ikjl->...kl", rho, c4)
 
 
 def choi_compose(choi2: np.ndarray, dims2: tuple[int, int],
                  choi1: np.ndarray, dims1: tuple[int, int]) -> np.ndarray:
-    """Choi matrix of the composition map2 after map1."""
-    d_in, d_mid = int(dims1[0]), int(dims1[1])
-    d_mid2, d_out = int(dims2[0]), int(dims2[1])
+    """Choi matrix of map2 after map1, or of each pair of two broadcast stacks ``(..., n, n)``."""
+    (d_in, d_mid), (d_mid2, d_out) = map(int, dims1), map(int, dims2)
     if d_mid != d_mid2:
         raise ValueError(f"inner dimensions differ: {d_mid} vs {d_mid2}")
-    c1 = asmatrix(choi1).reshape(d_in, d_mid, d_in, d_mid)
-    c2 = asmatrix(choi2).reshape(d_mid, d_out, d_mid, d_out)
-    out = np.einsum("iajb,akbl->ikjl", c1, c2)
-    return out.reshape(d_in * d_out, d_in * d_out)
+    c1 = _choi4(choi1, dims1).swapaxes(-3, -2)  # (..., i, j, a, b)
+    c2 = _choi4(choi2, dims2).swapaxes(-3, -2)  # (..., a, b, k, l)
+    out = (c1.reshape(*c1.shape[:-4], d_in ** 2, d_mid ** 2)
+           @ c2.reshape(*c2.shape[:-4], d_mid ** 2, d_out ** 2))
+    out = out.reshape(*out.shape[:-2], d_in, d_in, d_out, d_out).swapaxes(-3, -2)
+    return out.reshape(*out.shape[:-4], d_in * d_out, d_in * d_out)
 
 
 def tp_residual(choi: np.ndarray, dims: tuple[int, int]) -> float:
     """Largest entry of Tr_out(C) - I over the Choi matrices of a stack: zero when
     every one is trace preserving."""
-    choi = _stack(choi)
-    din, dout = int(dims[0]), int(dims[1])
-    if choi.shape[-2:] != (din * dout, din * dout):
-        raise ValueError(f"Choi shape {choi.shape[-2:]} does not match dims {(din, dout)}")
-    marg = np.einsum("...iaja->...ij", choi.reshape(*choi.shape[:-2], din, dout, din, dout))
-    return worst(marg - np.eye(din))
+    return worst(np.einsum("...iaja->...ij", _choi4(choi, dims)) - np.eye(int(dims[0])))
 
 
 def channel_defects(choi: np.ndarray, dims: tuple[int, int]) -> tuple[float, float]:

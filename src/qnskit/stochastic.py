@@ -173,27 +173,32 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
 
     Since |C|_F / sqrt(d) <= |C|_2 <= |C|_F on H = C^d, only the commutators
     whose Frobenius norm reaches the largest one over sqrt(d) can hold the
-    largest operator norm, and only those are decomposed.  Each singular value
-    decomposition is that of its own matrix, so the value is the one a
-    decomposition of every commutator gives.
+    largest operator norm, and only those are decomposed, each on its own, so
+    the value is the one a decomposition of every commutator gives.  They are formed in
+    tiles of 16k E blocks (about 1 MB), which round every entry as one product over E.
     """
     if e.dim_h != f.dim_h:
         raise ValueError("operands act on different spaces")
     d = e.dim_h
-    eb = e.blocks().reshape(-1, d, d)
-    fb = f.blocks().reshape(-1, d, d)
-    with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: NaN, which reads as inf below
-        comm = np.einsum("imn,jnk->ijmk", eb, fb, optimize=True)
-        comm -= np.einsum("jmn,ink->ijmk", fb, eb, optimize=True)
-    frob = np.sqrt(np.einsum("ijmk,ijmk->ij", comm.real, comm.real)
-                   + np.einsum("ijmk,ijmk->ij", comm.imag, comm.imag))
-    top = worst(frob)
-    if not np.isfinite(top):
-        return float("inf")
+    eb, fb = (m.blocks().reshape(-1, d, d) for m in (e, f))
+    step = 16 * max(1, 2 ** 16 // (16 * max(1, len(fb) * d * d)))
+    scale = (1 - PRUNE_MARGIN) / np.sqrt(d)
+    top, kept = 0.0, []
+    for tile in np.split(eb, range(step, len(eb), step)):
+        with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: NaN, which reads as inf
+            comm = np.einsum("imn,jnk->ijmk", tile, fb, optimize=True)
+            comm -= np.einsum("jmn,ink->ijmk", fb, tile, optimize=True)
+        frob = np.sqrt(np.einsum("ijmk,ijmk->ij", comm.real, comm.real)
+                       + np.einsum("ijmk,ijmk->ij", comm.imag, comm.imag))
+        top = worst(top, frob)
+        if not np.isfinite(top):
+            return float("inf")
+        keep = (frob >= top * scale) & (frob > 0.0)  # zero reaches no threshold of a top > 0
+        kept.append((frob[keep], comm[keep]))
     if top == 0.0:
         return 0.0
-    candidates = comm[frob >= top / np.sqrt(d) * (1 - PRUNE_MARGIN)]
-    return worst(np.linalg.norm(candidates, ord=2, axis=(1, 2)))
+    frob, comm = map(np.concatenate, zip(*kept))
+    return worst(np.linalg.norm(comm[frob >= top * scale], ord=2, axis=(1, 2)))
 
 
 def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix):

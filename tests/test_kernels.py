@@ -454,6 +454,25 @@ def test_max_commutator_of_a_non_finite_block_fails_the_gate(rng, bad):
         require(value, TOL_COMM, "blocks do not commute")
 
 
+@pytest.mark.parametrize("de, df", [((4, 4, 2), (4, 4, 2)), ((5, 3, 2), (4, 4, 2))])
+def test_max_commutator_over_many_tiles_matches_full_svd(de, df):
+    # 256 and 225 E blocks against 256 F blocks on C^4: 16 tiles, the last one
+    # ragged in the second case
+    rng = np.random.default_rng(20)
+    e, f = qr.random_stochastic(rng, *de), qr.random_stochastic(rng, *df)
+    lifted = (with_ancilla_right(e, df[2]), with_ancilla_left(f, de[2]))
+    w = qr.random_unitary(rng, de[2] * df[2])
+    pairs = [lifted, tuple(_rotated(m, w) for m in lifted),  # exact, then near commuting
+             (lifted[0], qr.random_stochastic(rng, df[0], df[1], de[2] * df[2]))]
+    for a, b in pairs:
+        assert max_commutator(a, b) == _full_svd_max_commutator(a, b)
+    for bad in (np.nan, np.inf):
+        for a, b in pairs:
+            mat = a.mat.copy()
+            mat[-1, -1] = bad  # in the last block of E, so in the last tile
+            assert max_commutator(StochasticOperatorMatrix(*a.dims, mat), b) == np.inf
+
+
 def _loop_strategy_residuals(game, strategy):
     """The per-constraint check the batched pass replaced."""
     dout = game.out_dims[0] * game.out_dims[1]
@@ -571,6 +590,14 @@ def test_build_quantum_peak_memory(rng):
     e, f = qr.random_stochastic(rng, 4, 4, 4), qr.random_stochastic(rng, 4, 4, 4)
     sigma = qr.random_state(rng, 16)
     assert _peak_mb(lambda: qns_report(build_quantum(e, f, sigma))) < 32
+
+
+def test_build_commuting_peak_memory(rng):
+    # the commutator gate holds tiles of its (256, 256, 4, 4) stacks, never the 16.8 MB whole
+    e, f = qr.random_stochastic(rng, 4, 4, 2), qr.random_stochastic(rng, 4, 4, 2)
+    e, f = with_ancilla_right(e, 2), with_ancilla_left(f, 2)
+    sigma = qr.random_state(rng, 4)
+    assert _peak_mb(lambda: qns_report(build_commuting(e, f, sigma))) < 8
 
 
 def test_kd2_witness_residual_peak_memory():
@@ -929,6 +956,30 @@ def test_from_povms_matches_loop(dh, dx, s):
             op = np.asarray(op, dtype=complex)
             t[x, a, :, x, a, :] = (op + dagger(op)) / 2
     assert _bitwise(from_povms(povms).mat, t.reshape((dx * da * dh,) * 2))
+
+
+def _einsum_choi_compose(choi2, dims2, choi1, dims1):
+    """The contraction ``choi_compose`` replaced, one pair of Choi matrices at a time."""
+    (d_in, d_mid), d_out = dims1, dims2[1]
+    c1 = np.asarray(choi1, dtype=complex).reshape(d_in, d_mid, d_in, d_mid)
+    c2 = np.asarray(choi2, dtype=complex).reshape(d_mid, d_out, d_mid, d_out)
+    return np.einsum("iajb,akbl->ikjl", c1, c2).reshape(d_in * d_out, d_in * d_out)
+
+
+@kernel_settings
+@given(dim, dim, dim, st.integers(1, 3), st.integers(1, 3), seed)
+def test_choi_compose_matches_einsum(d_in, d_mid, d_out, k1, k2, s):
+    rng = np.random.default_rng(s)
+    dims1, dims2 = (d_in, d_mid), (d_mid, d_out)
+    first = np.array([qr.random_channel_choi(rng, *dims1) for _ in range(k1)])
+    second = np.array([qr.random_channel_choi(rng, *dims2) for _ in range(k2)])
+    stacked = choi_compose(second[None, :], dims2, first[:, None], dims1)
+    assert stacked.shape == (k1, k2, d_in * d_out, d_in * d_out)
+    for i, j in itertools.product(range(k1), range(k2)):
+        oracle = _einsum_choi_compose(second[j], dims2, first[i], dims1)
+        tol = 1e-14 * max(1.0, np.max(np.abs(oracle)))
+        assert np.max(np.abs(choi_compose(second[j], dims2, first[i], dims1) - oracle)) <= tol
+        assert np.max(np.abs(stacked[i, j] - oracle)) <= tol
 
 
 @kernel_settings

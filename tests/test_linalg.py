@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnskit.linalg import (TOL_ALG, CheckError, Report, apply_choi, herm_sqrt,
+from qnskit.linalg import (TOL_ALG, CheckError, Report, apply_choi, choi_compose, herm_sqrt,
                            kron, max_entangled, max_entangled_vector, nullspace,
                            partial_trace, permute_systems, psd_defect, worst)
 
@@ -151,6 +151,14 @@ def test_apply_choi_on_basis_units():
         for j in range(d):
             unit = np.zeros((d, d)); unit[i, j] = 1.0
             assert np.allclose(apply_choi(om, (d, d), unit), unit)
+
+
+def test_choi_compose_names_a_misshapen_operand():
+    for choi2, choi1 in ((np.eye(4), np.eye(9)), (np.eye(9), np.eye(4))):
+        with pytest.raises(ValueError, match=r"Choi shape \(9, 9\) does not match dims \(2, 2\)"):
+            choi_compose(choi2, (2, 2), choi1, (2, 2))
+    with pytest.raises(ValueError, match="inner dimensions differ: 2 vs 3"):
+        choi_compose(np.eye(9), (3, 3), np.eye(4), (2, 2))
 
 
 def test_nullspace():
