@@ -2,6 +2,7 @@
 
 usage: PYTHONPATH=src python3 scripts/theta_cost.py [--seed 301] [--repeat 5]
                                                     [--paley 61 101]
+                                                    [--cycles 1001 4001]
 
 The graphs are the theta catalogue of perfbench (Paley(13, 17, 29), C5 ... C15,
 co-C9 ... co-C15 and two seeded G(16, 1/2) with their complements, drawn from
@@ -10,11 +11,17 @@ co-C9 ... co-C15 and two seeded G(16, 1/2) with their complements, drawn from
 graph is circulant, and by the interior-point loop with the edge operator
 forced, which is the path every graph took before the circulant operator
 existed.  Each line gives, per path, the median milliseconds over the
-repeats, the iteration count and the constraint count, and the distance
-between the two values.  A graph with more than EDGE_PATH_MAX_M edge
-constraints skips the edge path (its m x m Schur matrix alone would pass
-128 MB) and prints "-" there.  The last line sums one benchmark round (the
-repeated graphs counted as often as a round solves them).
+repeats, the iteration count, the milliseconds per iteration and the
+constraint count, and the distance between the two values.  A graph with
+more than EDGE_PATH_MAX_M edge constraints skips the edge path (its m x m
+Schur matrix alone would pass 128 MB) and prints "-" there.  The next line
+sums one benchmark round (the repeated graphs counted as often as a round
+solves them).
+
+Then, for each ``--cycles`` n, the large sparse circulant C_n: the median
+milliseconds and the tracemalloc peak in MB of the circulance test
+`theta._shifts` alone and of the whole `solve_theta`, with its iteration
+count.
 
 Set OPENBLAS_NUM_THREADS=1 for figures that do not depend on the machine's
 other load; the benchmark runs with it.
@@ -24,6 +31,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from qnskit import theta
@@ -45,6 +53,16 @@ def median_ms(fn, repeat: int):
     return 1e3 * statistics.median(times), value
 
 
+def peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of ``fn``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def edge_path(n: int, edges) -> theta.ThetaResult:
     op = theta._EdgeOperator(n, tuple(theta.edge_pairs(n, edges).T))
     return theta._solve(op, theta.GAP_TOL, theta.MAX_ITER)
@@ -55,13 +73,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=301)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--paley", type=int, nargs="*", default=[61, 101])
+    parser.add_argument("--cycles", type=int, nargs="*", default=[1001, 4001])
     args = parser.parse_args()
 
     catalogue = inputs.theta_catalogue(args.seed)
     extra = [{"name": f"Paley({q})", "n": q, "edges": inputs.paley_edges(q)}
              for q in args.paley]
-    print(f"{'graph':>16} {'n':>4} | {'solve_theta':>11} {'iters':>5} {'m':>5} | "
-          f"{'edge path':>11} {'iters':>5} {'m':>5} | {'|dtheta|':>8}")
+    print(f"{'graph':>16} {'n':>4} | {'solve_theta':>11} {'iters':>5} {'ms/it':>6} {'m':>5} | "
+          f"{'edge path':>11} {'iters':>5} {'ms/it':>6} {'m':>5} | {'|dtheta|':>8}")
     timed = {}
     for g in catalogue + extra:
         name, n, edges = g["name"], g["n"], g["edges"]
@@ -74,16 +93,31 @@ def main() -> None:
         ms, ours = median_ms(lambda: theta.solve_theta(n, edges), args.repeat)
         if m_edge <= EDGE_PATH_MAX_M:
             ms_edge, edge = median_ms(lambda: edge_path(n, edges), args.repeat)
-            cols = (f"{ms_edge:>8.2f} ms {edge.iterations:>5} {m_edge:>5} | "
+            cols = (f"{ms_edge:>8.2f} ms {edge.iterations:>5} "
+                    f"{ms_edge / edge.iterations:>6.3f} {m_edge:>5} | "
                     f"{abs(ours.value - edge.value):>8.1e}")
         else:
-            ms_edge, cols = float("nan"), f"{'-':>11} {'-':>5} {m_edge:>5} | {'-':>8}"
+            ms_edge = float("nan")
+            cols = f"{'-':>11} {'-':>5} {'-':>6} {m_edge:>5} | {'-':>8}"
         timed[name] = ms, ms_edge
-        print(f"{name:>16} {n:>4} | {ms:>8.2f} ms {ours.iterations:>5} {m_circ:>5} | {cols}")
+        print(f"{name:>16} {n:>4} | {ms:>8.2f} ms {ours.iterations:>5} "
+              f"{ms / ours.iterations:>6.3f} {m_circ:>5} | {cols}")
     ours, edge = (sum(timed[g["name"]][k] for g in catalogue) for k in (0, 1))
     print(f"one benchmark round ({len(catalogue)} solves): solve_theta {ours:.1f} ms, "
           f"edge path {edge:.1f} ms")
 
+    if args.cycles:
+        print(f"\n{'graph':>16} | {'_shifts':>11} {'peak':>9} | "
+              f"{'solve_theta':>11} {'peak':>9} {'iters':>5}")
+    for n in args.cycles:
+        edges = inputs.cycle_edges(n)
+        pairs = tuple(theta.edge_pairs(n, edges).T)
+        ms_shifts, _ = median_ms(lambda: theta._shifts(n, pairs), args.repeat)
+        ms, result = median_ms(lambda: theta.solve_theta(n, edges), args.repeat)
+        peak_shifts = peak_mb(lambda: theta._shifts(n, pairs))
+        peak_solve = peak_mb(lambda: theta.solve_theta(n, edges))
+        print(f"{f'C{n}':>16} | {ms_shifts:>8.2f} ms {peak_shifts:>6.2f} MB | "
+              f"{ms:>8.2f} ms {peak_solve:>6.1f} MB {result.iterations:>5}")
 
 if __name__ == "__main__":
     main()

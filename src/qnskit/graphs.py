@@ -340,8 +340,8 @@ def xi_qc_lower_bound(graph: Graph, theta: float | None = None,
     ``dual_bound`` (the default); the primal value is a lower bound on theta(G)
     and would overstate the bound.
     """
-    if theta is None:
-        theta = solve_theta(graph.n, graph.edges, tol=tol).dual_bound
     if graph.n == 0:
         return 0.0
+    if theta is None:
+        theta = solve_theta(graph.n, graph.edges, tol=tol).dual_bound
     return float(np.sqrt(graph.n / theta))

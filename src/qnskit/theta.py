@@ -21,10 +21,15 @@ with its adjoint and Schur complement.  There are two:
   connection set (Schrijver 1979; the 1 x 1-block case of de Klerk,
   Pasechnik and Schrijver 2007).
 
-`solve_theta` takes the circulant operator exactly when the adjacency matrix
-equals its own cyclic shift; a relabelled circulant takes the edge operator.
+`solve_theta` takes the circulant operator exactly when the edge set equals
+its own cyclic shift, which `_shifts` decides on the sorted edge keys in
+O(|E|) with no n x n array; a relabelled circulant takes the edge operator.
 Problem data is real symmetric, so the iteration runs over real symmetric
-matrices; results are deterministic.  A norm-form certificate derived from
+matrices; results are deterministic.  Each iteration inverts Z once and
+factors X and Z once, and both step lengths of the predictor-corrector share
+those factors.  On 1 x 1 blocks, the whole circulant path, the inverse, the
+Cholesky factor and the eigenvalues are elementwise closed forms, the values
+LAPACK computes bit for bit, without one LAPACK call per kernel.  A norm-form certificate derived from
 the primal optimum cross-validates the value: rescaling X by its diagonal
 yields a feasible point of max{||I + S|| : S zero on edges and diagonal,
 I + S psd}, whose norm matches theta at the optimum.
@@ -191,21 +196,69 @@ class _CirculantOperator:
 
 
 def _shifts(n: int, edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
-    """The connection set {s <= n/2 : 0 ~ s} when v -> v + 1 maps edges to edges."""
-    adj = np.zeros((n, n), dtype=bool)
-    adj[edges] = adj[edges[::-1]] = True
-    if not np.array_equal(adj, np.roll(adj, (1, 1), axis=(0, 1))):
+    """The connection set {s <= n/2 : 0 ~ s} when v -> v + 1 maps edges to edges.
+
+    ``edges`` are the rows (i, j) of `edge_pairs`, sorted by key i n + j.  The
+    shift sends a row with j < n - 1 to key + n + 1 and a row (i, n - 1) to
+    (0, i + 1), of key i + 1 < n; so the shifted keys, those rows first, are
+    sorted as they come, and the edge set is invariant exactly when they equal
+    the keys.  Nothing of size n x n is built.
+    """
+    i, j = edges
+    keys = i * n + j
+    wrap = j == n - 1
+    if not np.array_equal(np.concatenate((i[wrap] + 1, keys[~wrap] + n + 1)), keys):
         return None
-    return np.flatnonzero(adj[0, :n // 2 + 1])
+    return j[(i == 0) & (j <= n // 2)]
 
 
-def _max_steps(w: np.ndarray, psd: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """For each p, the largest damped alpha <= 1 keeping every block of
-    psd[p] + alpha * step[p] positive definite (1 when the step keeps it psd)."""
+def _blockwise(a: np.ndarray, scalar, lapack):
+    """``lapack(a)`` on a stack ``a`` of symmetric blocks, or ``scalar(a)`` when the
+    blocks are 1 x 1: the elementwise form of the same values, bit for bit, without
+    the per-call cost of numpy's LAPACK wrappers."""
+    return scalar(a) if a.shape[-1] == 1 else lapack(a)
+
+
+def _scalar_inv(a: np.ndarray) -> np.ndarray:
+    """1 / a, refusing a zero as LAPACK's LU refuses a zero pivot."""
+    if not a.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return 1 / a
+
+
+def _scalar_inv_cholesky(a: np.ndarray) -> np.ndarray:
+    """1 / sqrt(a), refusing a <= 0 as numpy's Cholesky does (a NaN passes through)."""
+    if (a <= 0).any():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return 1 / np.sqrt(a)
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """The inverse of each symmetric block."""
+    return _blockwise(a, _scalar_inv, lambda a: _sym(np.linalg.inv(a)))
+
+
+def _min_eig(a: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each symmetric block."""
+    return _blockwise(a, lambda a: a[..., 0, 0], lambda a: np.linalg.eigvalsh(_sym(a))[..., 0])
+
+
+def _inv_factors(w: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Inverses of the Cholesky factors of the blocks of X and Z, each shifted by
+    a jitter of 1e-14 max(1, Tr) of its matrix, stacked as (2, K, s, s)."""
+    psd = np.stack([x, z])
     jitter = 1e-14 * np.maximum(1.0, np.trace(psd, axis1=-2, axis2=-1) @ w)
-    chol = np.linalg.cholesky(psd + jitter[:, None, None, None] * np.eye(psd.shape[-1]))
-    inv = np.linalg.inv(chol)
-    lam = np.linalg.eigvalsh(_sym(inv @ step @ inv.swapaxes(-1, -2)))[..., 0].min(axis=-1)
+    return _blockwise(psd + jitter[:, None, None, None] * np.eye(psd.shape[-1]),
+                      _scalar_inv_cholesky, lambda a: np.linalg.inv(np.linalg.cholesky(a)))
+
+
+def _max_steps(inv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """The largest damped alphas <= 1 keeping every block of X + alpha dX and of
+    Z + alpha dZ positive definite (1 when the step keeps it psd), from the
+    `_inv_factors` L^-1 of X and Z: the least eigenvalue of L^-1 d L^-T."""
+    step = np.stack([dx, dz])
+    lam = _min_eig(_blockwise(inv, lambda f: (f * step) * f,
+                              lambda f: f @ step @ f.swapaxes(-1, -2))).min(axis=-1)
     return np.minimum(1.0, -0.98 / np.minimum(lam, -1e-14))
 
 
@@ -236,7 +289,7 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
             if gap <= tol and worst(rp, rd) <= FEAS_TOL:
                 break
 
-            zinv = _sym(np.linalg.inv(z))
+            zinv = _inv(z)
             schur = op.schur(zinv, x)
 
             rhs_base = rp + op.apply(x) + op.apply(_sym(zinv @ rd @ x))
@@ -254,7 +307,8 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
 
             # predictor (affine scaling)
             dx_a, _, dz_a = direction(np.zeros_like(x))
-            ap, ad = _max_steps(w, np.stack([x, z]), np.stack([dx_a, dz_a]))
+            inv = _inv_factors(w, x, z)  # one factorisation serves both step lengths
+            ap, ad = _max_steps(inv, dx_a, dz_a)
             gap_aff = _inner(w, x + ap * dx_a, z + ad * dz_a)
             sigma = min(1.0, max(gap_aff / gap, 0.0) ** 3)
 
@@ -262,7 +316,7 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
             mu = gap / n
             target = sigma * mu * eye - dz_a @ dx_a
             dx, dy, dz = direction(target)
-            ap, ad = _max_steps(w, np.stack([x, z]), np.stack([dx, dz]))
+            ap, ad = _max_steps(inv, dx, dz)
 
             x = _sym(x + ap * dx)
             z = _sym(z + ad * dz)
@@ -279,7 +333,7 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
     # feasible X', hence theta <= -y_1 - min(0, lambda_min(Z)); the blocks of Z
     # hold its spectrum.
     z_exact = op.c - op.adjoint(y)
-    slack = min(0.0, float(np.min(np.linalg.eigvalsh(_sym(z_exact))[:, 0])))
+    slack = min(0.0, float(np.min(_min_eig(z_exact))))
     dual_bound = float(-y[0]) - slack
     return ThetaResult(float(np.sum(x_matrix)), x_matrix, gap, iterations,
                        op.certificate_norm(x), dual_bound)
@@ -293,6 +347,7 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL,
     through Delsarte's LP in its DFT eigenvalues; any other in edge coordinates.
     """
     (n,) = dimensions((n,), "vertex count")
+    (max_iter,) = dimensions((max_iter,), "iteration cap")
     if not 0 < tol < float("inf"):  # NaN fails
         raise ValueError("tolerance must be positive and finite")
     edges = tuple(edge_pairs(n, edges).T)

@@ -7,6 +7,7 @@ constraint matrices they replaced.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -1103,13 +1104,19 @@ def test_circulant_kernels_match_the_edge_operator_on_expanded_matrices(n, s):
     _assert_close(np.linalg.eigvalsh(x_full[0]), expected)
 
 
+def _repo_module(name, relative):
+    """The module at ``relative`` under the repository root, loaded as ``name``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_solve_theta_matches_dense_constraints(rng):
     # the edge operator drives every graph here, circulant ones (K3, K9, E7, C5, C7)
     # included, so the circulant path is never compared with itself
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "theta_table.py"
-    spec = importlib.util.spec_from_file_location("theta_table", path)
-    table = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(table)
+    table = _repo_module("theta_table", "scripts/theta_table.py")
     graphs = [(g.n, g.edges) for _, g in table.catalogue(7)]
     graphs += [(n, _random_graph(rng, n, p).edges) for n, p in
                zip(rng.integers(1, 15, size=50), itertools.cycle([0.2, 0.5, 0.8]))]
@@ -1119,6 +1126,170 @@ def test_solve_theta_matches_dense_constraints(rng):
         dense = theta._solve(_DenseEdgeOperator(n, edges), theta.GAP_TOL, theta.MAX_ITER)
         assert ours.iterations == dense.iterations, (n, e)
         assert abs(ours.value - dense.value) <= theta.GAP_TOL, (n, e)
+
+
+def _lapack_max_steps(w, psd, step):
+    """The step lengths with one LAPACK call per kernel, factoring psd at every call."""
+    jitter = 1e-14 * np.maximum(1.0, np.trace(psd, axis1=-2, axis2=-1) @ w)
+    chol = np.linalg.cholesky(psd + jitter[:, None, None, None] * np.eye(psd.shape[-1]))
+    inv = np.linalg.inv(chol)
+    lam = np.linalg.eigvalsh(theta._sym(inv @ step @ inv.swapaxes(-1, -2)))[..., 0].min(axis=-1)
+    return np.minimum(1.0, -0.98 / np.minimum(lam, -1e-14))
+
+
+def _lapack_kernels(monkeypatch):
+    """Make the solver call LAPACK on every block size and factor X and Z once per
+    step length, as it did before its 1 x 1 closed forms and shared factors."""
+    monkeypatch.setattr(theta, "_inv", lambda z: theta._sym(np.linalg.inv(z)))
+    monkeypatch.setattr(theta, "_inv_factors", lambda w, x, z: (w, np.stack([x, z])))
+    monkeypatch.setattr(theta, "_max_steps",
+                        lambda factors, dx, dz: _lapack_max_steps(*factors, np.stack([dx, dz])))
+    monkeypatch.setattr(theta, "_min_eig",
+                        lambda a: np.linalg.eigvalsh(theta._sym(a))[..., 0])
+
+
+def _theta_outcome(n, edges, tol):
+    """Every field of the solve, or the text of its SolverError."""
+    try:
+        result = theta.solve_theta(n, edges, tol=tol)
+    except theta.SolverError as exc:
+        return str(exc)
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+
+
+def _assert_same_outcome(lean, lapack, graph):
+    assert type(lean) is type(lapack), graph
+    if isinstance(lean, str):
+        assert lean == lapack, graph
+        return
+    assert lean.keys() == lapack.keys()
+    for key, value in lean.items():
+        if key == "x_matrix":
+            assert np.array_equal(value, lapack[key]) and value.dtype == lapack[key].dtype, graph
+        else:
+            assert value == lapack[key] and type(value) is type(lapack[key]), (graph, key)
+
+
+def _theta_oracle_graphs(rng):
+    """(n, edges, tol): the theta table and perfbench catalogues, 150 seeded
+    G(n, p), Paley(61), and tolerances tight enough to break some solves down."""
+    table = _repo_module("theta_table", "scripts/theta_table.py")
+    inputs = _repo_module("perfbench_inputs", "perfbench/inputs.py")
+    graphs = [(g.n, g.edges, theta.GAP_TOL) for _, g in table.catalogue(7)]
+    named = {g["name"]: g for seed in (1, 2, 3) for g in inputs.theta_catalogue(seed)}
+    graphs += [(g["n"], g["edges"], theta.GAP_TOL) for g in named.values()]
+    graphs += [(int(n), _random_graph(rng, int(n), p).edges, theta.GAP_TOL) for n, p in
+               zip(rng.integers(1, 21, size=150), itertools.cycle([0.2, 0.5, 0.8]))]
+    graphs.append((61, inputs.paley_edges(61), theta.GAP_TOL))
+    breakdown = [(g["n"], g["edges"]) for g in named.values() if g["n"] <= 17]
+    coins = np.random.default_rng(3)  # the G(12, 1/2) of the CLI breakdown test
+    breakdown.append((12, [e for e in itertools.combinations(range(12), 2)
+                           if coins.random() < 0.5]))
+    graphs += [(n, e, tol) for n, e in breakdown for tol in (1e-12, 1e-30)]
+    return graphs
+
+
+def test_lean_theta_is_bit_identical_to_per_call_lapack(rng, monkeypatch):
+    # the 1 x 1 closed forms are what LAPACK computes, and one factorisation of
+    # (X, Z) serves both step lengths: every field, and every breakdown, must
+    # match the solver that called LAPACK for each kernel and each step length
+    graphs = _theta_oracle_graphs(rng)
+    assert len(graphs) >= 200
+    lean = [_theta_outcome(n, e, tol) for n, e, tol in graphs]
+    _lapack_kernels(monkeypatch)
+    for (n, e, tol), ours in zip(graphs, lean):
+        _assert_same_outcome(ours, _theta_outcome(n, e, tol), (n, len(e), tol))
+    assert any(isinstance(o, str) for o in lean)  # the breakdown path ran
+
+
+@pytest.mark.parametrize("values", [
+    [[2.0, 0.5], [1e-300, 3e300]], [[5e-324, 1.0], [7.0, 0.25]], [[0.0, 1.0], [2.0, 3.0]],
+    [[-1.0, 1.0], [2.0, 3.0]], [[np.nan, 1.0], [2.0, 3.0]], [[np.inf, 1.0], [2.0, 3.0]],
+    [[-0.0, 1.0], [2.0, 3.0]]])
+def test_scalar_block_kernels_match_lapack(values):
+    # the closed forms return what LAPACK returns on 1 x 1 blocks and refuse what it refuses
+    a = np.array(values)[..., None, None]
+
+    def outcome(fn):
+        # neither form may flag a division by zero or an invalid operation; a
+        # reciprocal that overflows to inf is flagged by numpy, where LAPACK is silent
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="ignore"):
+                return fn()
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+
+    pairs = [(lambda: theta._scalar_inv(a), lambda: np.linalg.inv(a)),
+             (lambda: theta._scalar_inv_cholesky(a),
+              lambda: np.linalg.inv(np.linalg.cholesky(a)))]
+    for scalar, lapack in pairs:
+        ours, ref = outcome(scalar), outcome(lapack)
+        if isinstance(ref, str):
+            assert ours == ref
+        else:
+            assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(theta._min_eig(a), np.linalg.eigvalsh(a)[..., 0], equal_nan=True)
+    step = np.array([[-3.0, 0.5], [1e-20, -2.0]])[..., None, None]
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.array_equal(theta._blockwise(a, lambda f: (f * step) * f, None),
+                              a @ step @ a.swapaxes(-1, -2), equal_nan=True)
+
+
+def _dense_shifts(n, edges):
+    """Circulance on the n x n adjacency and its cyclic shift."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges] = adj[edges[::-1]] = True
+    if not np.array_equal(adj, np.roll(adj, (1, 1), axis=(0, 1))):
+        return None
+    return np.flatnonzero(adj[0, :n // 2 + 1])
+
+
+def _circulance_cases(rng):
+    """3000 graphs on n < 30: half circulant, some of those with one edge removed or
+    added, the rest G(n, p), and n = 1 and 2, edgeless and complete graphs."""
+    cases = [(n, []) for n in range(1, 30)]
+    cases += [(n, list(itertools.combinations(range(n), 2))) for n in range(1, 30)]
+    while len(cases) < 3000:
+        n = int(rng.integers(1, 30))
+        if rng.random() < 0.5:
+            cases.append((n, _random_graph(rng, n, rng.random()).edges))
+            continue
+        shifts = np.flatnonzero(rng.random(n // 2 + 1) < rng.random())
+        edges = [(v, (v + s) % n) for s in shifts[shifts > 0] for v in range(n)]
+        edges = theta.edge_pairs(n, edges).tolist()
+        change = rng.random()
+        if change < 0.2 and edges:
+            edges.pop(int(rng.integers(len(edges))))
+        elif change < 0.4 and n > 1:
+            edges.append(sorted(rng.choice(n, 2, replace=False).tolist()))
+        cases.append((n, edges))
+    return cases
+
+
+def test_circulance_in_edges_matches_the_adjacency_test(rng):
+    cases = _circulance_cases(rng)
+    found = 0
+    for n, e in cases:
+        edges = tuple(theta.edge_pairs(n, e).T)
+        ours, dense = theta._shifts(n, edges), _dense_shifts(n, edges)
+        assert (ours is None) == (dense is None), (n, e)
+        if dense is not None:
+            found += 1
+            assert np.array_equal(ours, dense) and ours.dtype == dense.dtype, (n, e)
+    assert len(cases) == 3000 and 1000 <= found <= 2500
+
+
+def test_circulance_of_a_sparse_cycle_allocates_no_square():
+    n = 4001
+    edges = tuple(theta.edge_pairs(n, Graph.cycle(n).edges).T)
+    tracemalloc.start()
+    try:
+        shifts = theta._shifts(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shifts.tolist() == [1]
+    assert peak < 1 << 20, peak
 
 
 #: Constructions that were loops over entries, basis vectors, question pairs or
@@ -1133,9 +1304,10 @@ REWRITTEN = {
     "stochastic.py": {"from_povms"},
     "correlations.py": {"_compose_witness"},
     "io.py": {"matrix_to_json", "vector_to_json"},
-    "theta.py": {"edge_pairs", "_EdgeOperator.apply", "_EdgeOperator.adjoint",
-                 "_EdgeOperator.schur", "_CirculantOperator.apply", "_CirculantOperator.adjoint",
-                 "_CirculantOperator.schur", "_CirculantOperator.x_matrix"},
+    "theta.py": {"edge_pairs", "_shifts", "_blockwise", "_EdgeOperator.apply",
+                 "_EdgeOperator.adjoint", "_EdgeOperator.schur", "_CirculantOperator.apply",
+                 "_CirculantOperator.adjoint", "_CirculantOperator.schur",
+                 "_CirculantOperator.x_matrix"},
 }
 
 

@@ -109,6 +109,9 @@ def test_solver_rejects_bad_input():
         solve_theta(0, [])
     with pytest.raises(ValueError):
         solve_theta(3, [], tol=-1.0)
+    for max_iter in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="iteration cap"):
+            solve_theta(5, Graph.cycle(5).edges, max_iter=max_iter)
 
 
 def test_iteration_cap_raises():
@@ -121,6 +124,12 @@ def test_xi_bounds():
     assert xi_qc_lower_bound(Graph.empty(7)) == pytest.approx(1.0, abs=1e-6)
     c5 = xi_qc_lower_bound(Graph.cycle(5))
     assert c5 == pytest.approx(5 ** 0.25, abs=1e-4)
+
+
+def test_xi_bound_of_the_empty_graph_needs_no_solve():
+    # solve_theta refuses 0 vertices, so the n = 0 case must return before it
+    assert xi_qc_lower_bound(Graph.empty(0)) == 0.0
+    assert xi_qc_lower_bound(Graph.empty(0), theta=1.0) == 0.0
 
 
 def test_runtime_midsize():
