@@ -2,7 +2,7 @@
 
 usage: PYTHONPATH=src python3 scripts/theta_cost.py [--seed 301] [--repeat 5]
                                                     [--paley 61 101]
-                                                    [--cycles 1001 4001]
+                                                    [--cycles 1001 4001 100001]
 
 The graphs are the theta catalogue of perfbench (Paley(13, 17, 29), C5 ... C15,
 co-C9 ... co-C15 and two seeded G(16, 1/2) with their complements, drawn from
@@ -10,18 +10,19 @@ co-C9 ... co-C15 and two seeded G(16, 1/2) with their complements, drawn from
 `solve_theta`, which takes the circulant operator (Delsarte's LP) when the
 graph is circulant, and by the interior-point loop with the edge operator
 forced, which is the path every graph took before the circulant operator
-existed.  Each line gives, per path, the median milliseconds over the
-repeats, the iteration count, the milliseconds per iteration and the
-constraint count, and the distance between the two values.  A graph with
-more than EDGE_PATH_MAX_M edge constraints skips the edge path (its m x m
-Schur matrix alone would pass 128 MB) and prints "-" there.  The next line
-sums one benchmark round (the repeated graphs counted as often as a round
-solves them).
+existed.  Every timing follows one untimed warm-up call.  Each line gives,
+per path, the median and the minimum milliseconds over the repeats, the
+iteration count, the median milliseconds per iteration and the constraint
+count, and the distance between the two values.  A graph with more than
+EDGE_PATH_MAX_M edge constraints skips the edge path (its m x m Schur matrix
+alone would pass 128 MB) and prints "-" there.  The next line sums one
+benchmark round (the repeated graphs counted as often as a round solves
+them), by medians and by minima.
 
 Then, for each ``--cycles`` n, the large sparse circulant C_n: the median
-milliseconds and the tracemalloc peak in MB of the circulance test
-`theta._shifts` alone and of the whole `solve_theta`, with its iteration
-count.
+and the minimum milliseconds and the tracemalloc peak in MB of the
+circulance test `theta._shifts` alone and of the whole `solve_theta`, with
+its iteration count.
 
 Set OPENBLAS_NUM_THREADS=1 for figures that do not depend on the machine's
 other load; the benchmark runs with it.
@@ -43,14 +44,16 @@ import inputs  # noqa: E402  (perfbench's numpy-only input generator)
 EDGE_PATH_MAX_M = 4000
 
 
-def median_ms(fn, repeat: int):
-    """Median milliseconds of ``repeat`` calls of ``fn`` and the last value it returned."""
+def timed_ms(fn, repeat: int):
+    """Median and minimum milliseconds of ``repeat`` calls of ``fn`` after one
+    untimed warm-up call, and the value that call returned."""
+    value = fn()
     times = []
     for _ in range(repeat):
         start = time.perf_counter()
-        value = fn()
+        fn()
         times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times), value
+    return 1e3 * statistics.median(times), 1e3 * min(times), value
 
 
 def peak_mb(fn) -> float:
@@ -73,14 +76,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=301)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--paley", type=int, nargs="*", default=[61, 101])
-    parser.add_argument("--cycles", type=int, nargs="*", default=[1001, 4001])
+    parser.add_argument("--cycles", type=int, nargs="*", default=[1001, 4001, 100001])
     args = parser.parse_args()
 
     catalogue = inputs.theta_catalogue(args.seed)
     extra = [{"name": f"Paley({q})", "n": q, "edges": inputs.paley_edges(q)}
              for q in args.paley]
-    print(f"{'graph':>16} {'n':>4} | {'solve_theta':>11} {'iters':>5} {'ms/it':>6} {'m':>5} | "
-          f"{'edge path':>11} {'iters':>5} {'ms/it':>6} {'m':>5} | {'|dtheta|':>8}")
+    print(f"{'graph':>16} {'n':>4} | {'solve_theta':>11} {'min':>8} {'iters':>5} {'ms/it':>6} "
+          f"{'m':>5} | {'edge path':>11} {'min':>8} {'iters':>5} {'ms/it':>6} {'m':>5} | "
+          f"{'|dtheta|':>8}")
     timed = {}
     for g in catalogue + extra:
         name, n, edges = g["name"], g["n"], g["edges"]
@@ -90,34 +94,35 @@ def main() -> None:
         shifts = theta._shifts(n, pairs)
         m_circ = "-" if shifts is None else 1 + len(shifts)
         m_edge = 1 + len(pairs[0])
-        ms, ours = median_ms(lambda: theta.solve_theta(n, edges), args.repeat)
+        ms, ms_min, ours = timed_ms(lambda: theta.solve_theta(n, edges), args.repeat)
         if m_edge <= EDGE_PATH_MAX_M:
-            ms_edge, edge = median_ms(lambda: edge_path(n, edges), args.repeat)
-            cols = (f"{ms_edge:>8.2f} ms {edge.iterations:>5} "
+            ms_edge, ms_edge_min, edge = timed_ms(lambda: edge_path(n, edges), args.repeat)
+            cols = (f"{ms_edge:>8.2f} ms {ms_edge_min:>8.2f} {edge.iterations:>5} "
                     f"{ms_edge / edge.iterations:>6.3f} {m_edge:>5} | "
                     f"{abs(ours.value - edge.value):>8.1e}")
         else:
-            ms_edge = float("nan")
-            cols = f"{'-':>11} {'-':>5} {'-':>6} {m_edge:>5} | {'-':>8}"
-        timed[name] = ms, ms_edge
-        print(f"{name:>16} {n:>4} | {ms:>8.2f} ms {ours.iterations:>5} "
+            ms_edge = ms_edge_min = float("nan")
+            cols = f"{'-':>11} {'-':>8} {'-':>5} {'-':>6} {m_edge:>5} | {'-':>8}"
+        timed[name] = ms, ms_min, ms_edge, ms_edge_min
+        print(f"{name:>16} {n:>4} | {ms:>8.2f} ms {ms_min:>8.2f} {ours.iterations:>5} "
               f"{ms / ours.iterations:>6.3f} {m_circ:>5} | {cols}")
-    ours, edge = (sum(timed[g["name"]][k] for g in catalogue) for k in (0, 1))
-    print(f"one benchmark round ({len(catalogue)} solves): solve_theta {ours:.1f} ms, "
-          f"edge path {edge:.1f} ms")
+    ours, ours_min, edge, edge_min = (sum(timed[g["name"]][k] for g in catalogue)
+                                      for k in range(4))
+    print(f"one benchmark round ({len(catalogue)} solves): solve_theta {ours:.1f} ms "
+          f"(min {ours_min:.1f}), edge path {edge:.1f} ms (min {edge_min:.1f})")
 
     if args.cycles:
-        print(f"\n{'graph':>16} | {'_shifts':>11} {'peak':>9} | "
-              f"{'solve_theta':>11} {'peak':>9} {'iters':>5}")
+        print(f"\n{'graph':>16} | {'_shifts':>11} {'min':>8} {'peak':>9} | "
+              f"{'solve_theta':>11} {'min':>8} {'peak':>9} {'iters':>5}")
     for n in args.cycles:
         edges = inputs.cycle_edges(n)
         pairs = tuple(theta.edge_pairs(n, edges).T)
-        ms_shifts, _ = median_ms(lambda: theta._shifts(n, pairs), args.repeat)
-        ms, result = median_ms(lambda: theta.solve_theta(n, edges), args.repeat)
+        ms_shifts, min_shifts, _ = timed_ms(lambda: theta._shifts(n, pairs), args.repeat)
+        ms, ms_min, result = timed_ms(lambda: theta.solve_theta(n, edges), args.repeat)
         peak_shifts = peak_mb(lambda: theta._shifts(n, pairs))
         peak_solve = peak_mb(lambda: theta.solve_theta(n, edges))
-        print(f"{f'C{n}':>16} | {ms_shifts:>8.2f} ms {peak_shifts:>6.2f} MB | "
-              f"{ms:>8.2f} ms {peak_solve:>6.1f} MB {result.iterations:>5}")
+        print(f"{f'C{n}':>16} | {ms_shifts:>8.2f} ms {min_shifts:>8.2f} {peak_shifts:>6.2f} MB | "
+              f"{ms:>8.2f} ms {ms_min:>8.2f} {peak_solve:>6.1f} MB {result.iterations:>5}")
 
 if __name__ == "__main__":
     main()

@@ -208,8 +208,7 @@ def _cmd_theta(args) -> int:
         report = Report({"gap": float("inf")}, args.tol, {"solver_error": str(exc)}).as_dict()
     else:
         report = Report({"gap": result.gap}, args.tol, {
-            "theta": result.value, "iterations": result.iterations,
-            "certificate_norm": result.certificate_norm, "dual_bound": result.dual_bound,
+            "theta": result.value, "iterations": result.iterations, "dual_bound": result.dual_bound,
             "xi_qc_lower_bound": xi_qc_lower_bound(graph, result.dual_bound)}).as_dict()
         if args.format == "text":
             print(f"{result.value:.6f}")

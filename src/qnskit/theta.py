@@ -29,15 +29,16 @@ matrices; results are deterministic.  Each iteration inverts Z once and
 factors X and Z once, and both step lengths of the predictor-corrector share
 those factors.  On 1 x 1 blocks, the whole circulant path, the inverse, the
 Cholesky factor and the eigenvalues are elementwise closed forms, the values
-LAPACK computes bit for bit, without one LAPACK call per kernel.  A norm-form certificate derived from
-the primal optimum cross-validates the value: rescaling X by its diagonal
-yields a feasible point of max{||I + S|| : S zero on edges and diagonal,
-I + S psd}, whose norm matches theta at the optimum.
+LAPACK computes bit for bit, without one LAPACK call per kernel.
+
+Results are read off the blocks: the value is <J, X> = -<C, X>, and the n x n
+X is expanded from the blocks only when `ThetaResult.x_matrix` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,13 +60,27 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThetaResult:
+    """A converged solve, with the primal optimum X kept in its operator's blocks."""
+
+    #: <J, X> at the primal optimum X
     value: float
-    x_matrix: np.ndarray
+    #: duality gap <X, Z> at the stop
     gap: float
+    #: interior-point iterations run
     iterations: int
-    certificate_norm: float
     #: certified upper bound from the dual slack (weak duality)
     dual_bound: float
+    #: the read-only (K, s, s) blocks of X
+    blocks: np.ndarray
+    #: the constraint operator whose ``x_matrix`` expands ``blocks`` into X
+    op: _EdgeOperator | _CirculantOperator
+
+    @cached_property
+    def x_matrix(self) -> np.ndarray:
+        """The n x n primal optimum X, read-only, expanded on first read."""
+        x = self.op.x_matrix(self.blocks)
+        x.flags.writeable = False
+        return x
 
 
 def _sym(w: np.ndarray) -> np.ndarray:
@@ -142,18 +157,6 @@ class _EdgeOperator:
     def x_matrix(self, x: np.ndarray) -> np.ndarray:
         return x[0]
 
-    def certificate_norm(self, x: np.ndarray) -> float:
-        """Norm of the diagonal-rescaled optimum, feasible for the max-norm form."""
-        x = x[0]
-        d = np.diag(x).copy()
-        support = d > 1e-8 * max(float(d.max()), 1e-30)
-        if not np.any(support):
-            return 0.0
-        xs = x[np.ix_(support, support)]
-        scale = np.sqrt(d[support])
-        bmat = xs / np.outer(scale, scale)
-        return float(np.linalg.eigvalsh(_sym(bmat))[-1])
-
 
 class _CirculantOperator:
     """Delsarte's LP: 1 x 1 blocks lambda_k, k = 0..n//2, of multiplicity w_k.
@@ -166,10 +169,10 @@ class _CirculantOperator:
         k = np.arange(n // 2 + 1)
         self.n = n
         self.w = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
-        # cos(2 pi k d / n) for every block k and difference d = 0..n-1; k d is
-        # reduced mod n in integers first, so the angle stays below 2 pi
-        self.cos = np.cos((2 * np.pi / n) * (np.outer(k, np.arange(n)) % n))
-        self.rows = np.vstack([np.ones(len(k)), self.cos[:, shifts].T])
+        # row d is cos(2 pi k d / n) over the blocks k, for d = 0 (the trace row,
+        # as cos 0 = 1) and each shift; k d is reduced mod n in integers first, so
+        # the angle stays below 2 pi
+        self.rows = np.cos((2 * np.pi / n) * (np.outer(np.r_[0, shifts], k) % n))
         self.m = len(self.rows)
         self.c = np.zeros((len(k), 1, 1))
         self.c[0] = -n  # <C, X> = -n lambda_0 = -<J, X>
@@ -186,13 +189,10 @@ class _CirculantOperator:
 
     def x_matrix(self, x: np.ndarray) -> np.ndarray:
         """The n x n circulant with spectrum lambda: entry [u, v] depends on v - u."""
-        first = (self.w * x[:, 0, 0]) @ self.cos / self.n
-        d = np.arange(self.n)
+        k, d = np.arange(len(self.w)), np.arange(self.n)
+        cos = np.cos((2 * np.pi / self.n) * (np.outer(k, d) % self.n))  # as in the rows
+        first = (self.w * x[:, 0, 0]) @ cos / self.n
         return first[(d - d[:, None]) % self.n]
-
-    def certificate_norm(self, x: np.ndarray) -> float:
-        """The diagonal of X is Tr X / n = 1 / n, so the rescaled norm is n max lambda."""
-        return self.n * float(np.max(x))
 
 
 def _shifts(n: int, edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
@@ -328,15 +328,14 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
         # an iterate that lost definiteness: fail closed, never return it
         raise SolverError(f"iteration {iterations} failed at gap {gap:.3e}: {exc}") from exc
 
-    x_matrix = op.x_matrix(x)
     # Weak duality: Z = C - A*(y) gives <J, X'> = -y_1 - <Z, X'> for every
     # feasible X', hence theta <= -y_1 - min(0, lambda_min(Z)); the blocks of Z
     # hold its spectrum.
     z_exact = op.c - op.adjoint(y)
     slack = min(0.0, float(np.min(_min_eig(z_exact))))
     dual_bound = float(-y[0]) - slack
-    return ThetaResult(float(np.sum(x_matrix)), x_matrix, gap, iterations,
-                       op.certificate_norm(x), dual_bound)
+    x.flags.writeable = False
+    return ThetaResult(-_inner(w, op.c, x), gap, iterations, dual_bound, x, op)
 
 
 def solve_theta(n: int, edges, tol: float = GAP_TOL,

@@ -276,6 +276,8 @@ def test_cli_theta_json(tmp_path, capsys):
     assert run(["theta", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["theta"] == pytest.approx(np.sqrt(5), abs=1e-4)
+    assert set(report) == {"dual_bound", "gap", "iterations", "pass", "theta", "tol",
+                           "xi_qc_lower_bound"}
 
 
 def test_cli_theta_and_alg_verify_report_tol_and_checks(tmp_path, capsys, rng):

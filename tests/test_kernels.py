@@ -1149,12 +1149,14 @@ def _lapack_kernels(monkeypatch):
 
 
 def _theta_outcome(n, edges, tol):
-    """Every field of the solve, or the text of its SolverError."""
+    """Every field of the solve (its operator by class) and the expanded
+    x_matrix, or the text of its SolverError."""
     try:
         result = theta.solve_theta(n, edges, tol=tol)
     except theta.SolverError as exc:
         return str(exc)
-    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    outcome = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    return {**outcome, "op": type(result.op), "x_matrix": result.x_matrix}
 
 
 def _assert_same_outcome(lean, lapack, graph):
@@ -1164,7 +1166,7 @@ def _assert_same_outcome(lean, lapack, graph):
         return
     assert lean.keys() == lapack.keys()
     for key, value in lean.items():
-        if key == "x_matrix":
+        if key in ("blocks", "x_matrix"):
             assert np.array_equal(value, lapack[key]) and value.dtype == lapack[key].dtype, graph
         else:
             assert value == lapack[key] and type(value) is type(lapack[key]), (graph, key)
