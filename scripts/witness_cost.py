@@ -6,7 +6,8 @@ usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d
 - `max_commutator` on a commuting lift (E (x) I, I (x) F) of two seeded
   stochastic operator matrices with dims (dim_x, dim_a, dim_h), and on the
   same pair with every block conjugated by one seeded unitary, so that the
-  commutators are rounding-sized rather than exactly zero;
+  commutators are rounding-sized rather than exactly zero, and on the lifted E
+  against a seeded F on the same H, which does not commute with it;
 - `colouring_game` of K_{d^2} with d colours followed by
   `perfect_strategy_check` of the kd2 colouring against it;
 - `fair_residual` of the kd2 colouring;
@@ -64,16 +65,17 @@ def row(label: str, fn, repeat: int, show=repr) -> None:
         mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    print(f"{label:>38} {ms:>10.2f} {mb:>8.2f}  {show(value)}")
+    print(f"{label:>42} {ms:>10.2f} {mb:>8.2f}  {show(value)}")
 
 
-def lifts(rng, dims):
-    """A commuting lift of two seeded matrices and its blockwise rotation by a unitary."""
+def lifts(rng, spare, dims):
+    """A commuting lift of two seeded matrices, its blockwise rotation by a unitary,
+    and its E against a matrix drawn from ``spare``."""
     e, f = qr.random_stochastic(rng, *dims), qr.random_stochastic(rng, *dims)
     pair = (with_ancilla_right(e, dims[2]), with_ancilla_left(f, dims[2]))
     big = np.kron(np.eye(dims[0] * dims[1]), qr.random_unitary(rng, dims[2] ** 2))
     rotated = tuple(StochasticOperatorMatrix(*m.dims, big @ m.mat @ big.conj().T) for m in pair)
-    return pair, rotated
+    return pair, rotated, (pair[0], qr.random_stochastic(spare, *pair[0].dims))
 
 
 def main() -> None:
@@ -85,10 +87,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
-    print(f"{'operation':>38} {'median ms':>10} {'peak MB':>8}  value")
+    # a child stream for the random F: every other row draws what it drew without it
+    [spare] = rng.spawn(1)
+    print(f"{'operation':>42} {'median ms':>10} {'peak MB':>8}  value")
     for spec in args.lifts:
         dims = tuple(int(n) for n in spec.split(","))
-        for label, (e, f) in zip(("lift", "rotated lift"), lifts(rng, dims)):
+        for label, (e, f) in zip(("lift", "rotated lift", "lift vs random F"),
+                                 lifts(rng, spare, dims)):
             row(f"max_commutator {label} {dims}", lambda: max_commutator(e, f), args.repeat)
     for d in args.d:
         corr, graph = kd2_colouring(d), Graph.complete(d * d)

@@ -221,8 +221,6 @@ def _properness(corr, graph: Graph) -> float:
 
 
 def _cmd_kd2(args) -> int:
-    if args.d is None or args.d < 2:
-        raise CliError("--d must be an integer >= 2")
     corr = kd2_colouring(args.d)
     return _emit_correlation(corr, args, properness_residual=_properness(
         corr, Graph.complete(args.d * args.d)))

@@ -208,7 +208,12 @@ def hom_residual(phi_choi: np.ndarray, u: SkewSymmetricSubspace,
 
 def vertex_map_kraus(f, dim_in: int, dim_out: int) -> list[np.ndarray]:
     """Kraus family of the channel induced by a vertex map: M_x = e_f(x) e_x*."""
-    image = [int(f(x)) if callable(f) else int(f[x]) for x in range(dim_in)]
+    image = [f(x) for x in range(dim_in)] if callable(f) else list(f)
+    bad = [x for x, v in enumerate(image)
+           if isinstance(v, bool) or not hasattr(v, "__index__") or not 0 <= v < dim_out]
+    if bad or len(image) != dim_in:
+        got = f"vertex {bad[0]} maps to {image[bad[0]]!r}" if bad else f"{len(image)} images"
+        raise ValueError(f"vertex map needs {dim_in} integers in 0..{dim_out - 1}, got {got}")
     x = np.arange(dim_in)
     kraus = np.zeros((dim_in, dim_out, dim_in), dtype=complex)
     kraus[x, image, x] = 1.0
@@ -281,7 +286,7 @@ def kd2_colouring(d: int) -> CqnsCorrelation:
     semi-classical family E[x, z, z'] = zeta^((z'-z) b') |z-a'><z'-a'| over
     the d x d matrix algebra with normalised trace, x = (a', b').
     """
-    if d < 2:
+    if dimensions((d,), "d", least=-np.inf)[0] < 2:  # the type; d < 2 has its own message
         raise ValueError("d must be at least 2")
     zeta = np.exp(2j * np.pi / d)
     n = d * d

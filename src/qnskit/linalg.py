@@ -37,8 +37,8 @@ NEG_CLAMP = -1e-12
 #: Floor for vectors and states that come from outside the program.
 TOL_INPUT = 1e-7
 
-#: Relative slack on a norm inequality used to prune candidates, so that
-#: rounding in either norm cannot drop the true maximiser.
+#: Relative slack on the norm bounds by which ``max_commutator`` skips a commutator,
+#: so that rounding in either norm cannot skip the one with the largest 2-norm.
 PRUNE_MARGIN = 1e-9
 
 

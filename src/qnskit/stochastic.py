@@ -171,19 +171,17 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
     """Largest operator norm of a commutator between blocks of E and F; inf when a
     commutator is not finite.
 
-    Since |C|_F / sqrt(d) <= |C|_2 <= |C|_F on H = C^d, only the commutators
-    whose Frobenius norm reaches the largest one over sqrt(d) can hold the
-    largest operator norm, and only those are decomposed, each on its own, so
-    the value is the one a decomposition of every commutator gives.  They are formed in
-    tiles of 16k E blocks (about 1 MB), which round every entry as one product over E.
+    One tile of 16k E blocks (about 1 MB, rounding as one product over E) is held at a
+    time; across tiles only the largest Frobenius norm ``top`` and operator norm ``best``
+    so far are kept.  As |C|_F / sqrt(d) <= |C|_2 <= |C|_F on H = C^d, decomposing only
+    the C with |C|_F >= max(best, top / sqrt(d)), each on its own, gives the exact value.
     """
     if e.dim_h != f.dim_h:
         raise ValueError("operands act on different spaces")
     d = e.dim_h
     eb, fb = (m.blocks().reshape(-1, d, d) for m in (e, f))
     step = 16 * max(1, 2 ** 16 // (16 * max(1, len(fb) * d * d)))
-    scale = (1 - PRUNE_MARGIN) / np.sqrt(d)
-    top, kept = 0.0, []
+    top = best = 0.0
     for tile in np.split(eb, range(step, len(eb), step)):
         with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: NaN, which reads as inf
             comm = np.einsum("imn,jnk->ijmk", tile, fb, optimize=True)
@@ -193,12 +191,10 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
         top = worst(top, frob)
         if not np.isfinite(top):
             return float("inf")
-        keep = (frob >= top * scale) & (frob > 0.0)  # zero reaches no threshold of a top > 0
-        kept.append((frob[keep], comm[keep]))
-    if top == 0.0:
-        return 0.0
-    frob, comm = map(np.concatenate, zip(*kept))
-    return worst(np.linalg.norm(comm[frob >= top * scale], ord=2, axis=(1, 2)))
+        keep = (frob > 0.0) & (frob >= (1 - PRUNE_MARGIN) * max(best, top / np.sqrt(d)))
+        if keep.any():  # no SVD call, not even on an empty stack, for a commuting tile
+            best = worst(best, np.linalg.norm(comm[keep], ord=2, axis=(1, 2)))
+    return best
 
 
 def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix):

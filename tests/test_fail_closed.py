@@ -251,6 +251,13 @@ def test_kd2_self_check_failure_exits_2(monkeypatch, capsys):
     assert "colouring self-check failed" in capsys.readouterr().err
 
 
+def test_kd2_below_two_colours_exits_2(capsys):
+    # kd2_colouring is the one gate on d, so the CLI reports its message
+    for d in ("1", "-3"):
+        assert run(["kd2", "--d", d]) == 2
+        assert capsys.readouterr().err == "error: d must be at least 2\n"
+
+
 def test_broken_witness_reports_its_error(rng, tmp_path, capsys):
     e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
     corr = build_quantum(e, f, qr.random_state(rng, 4))

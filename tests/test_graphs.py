@@ -113,6 +113,16 @@ def test_stahlke_vertex_map_homomorphism():
     assert stahlke_residual(kraus, realization_basis(u), realization_basis(v)) <= TOL_ALG
 
 
+@pytest.mark.parametrize("f, dim_in, match", [
+    ([0, -1, 1], 3, r"needs 3 integers in 0\.\.1, got vertex 1 maps to -1$"),  # no wrap
+    (lambda x: 1.7, 2, r"got vertex 0 maps to 1\.7$"),  # no truncation to 1
+    ([0, 1, 1], 2, "needs 2 integers in 0..1, got 3 images$"),  # no silent cut
+    ([0, True], 2, "got vertex 1 maps to True$")])
+def test_vertex_map_refuses_images_outside_the_target(f, dim_in, match):
+    with pytest.raises(ValueError, match=match):
+        vertex_map_kraus(f, dim_in, 2)
+
+
 def test_stahlke_fails_without_homomorphism():
     u = graph_subspace(Graph.complete(2))
     v = graph_subspace(Graph.complete(1))  # no edges: empty target
@@ -234,6 +244,15 @@ def test_kd2_invariants():
         s = corr.states.reshape(d * d, d * d, d, d, d, d)
         tr_a = s.trace(axis1=2, axis2=4)
         assert np.max(np.abs(tr_a - np.eye(d) / d)) <= 1e-12
+
+
+def test_kd2_refuses_a_d_that_is_not_an_integer_at_least_2():
+    for d in (2.0, "3", True):
+        with pytest.raises(ValueError, match=rf"^d must be integers, got {d!r}$"):
+            kd2_colouring(d)
+    for d in (1, -3):
+        with pytest.raises(ValueError, match="^d must be at least 2$"):
+            kd2_colouring(d)
 
 
 def test_kd2_two_path_identity():

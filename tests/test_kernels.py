@@ -474,6 +474,45 @@ def test_max_commutator_over_many_tiles_matches_full_svd(de, df):
             assert max_commutator(StochasticOperatorMatrix(*a.dims, mat), b) == np.inf
 
 
+def _lift(rng, dims):
+    """The commuting lift (E (x) I, I (x) F) of two seeded matrices with these dims."""
+    e, f = qr.random_stochastic(rng, *dims), qr.random_stochastic(rng, *dims)
+    return with_ancilla_right(e, dims[2]), with_ancilla_left(f, dims[2])
+
+
+@pytest.mark.parametrize("dims, kind, limit_mb", [((5, 5, 2), "random F", 8.0),
+                                                  ((3, 3, 3), "rotated", 5.0)])
+def test_max_commutator_holds_one_tile_at_a_time(dims, kind, limit_mb):
+    # non-commuting and near-commuting pairs keep most of their commutators
+    # above the pruning bound, so a candidate list across tiles would grow
+    # towards the full (|E|, |F|, d, d) stack
+    rng = np.random.default_rng(1)
+    e, f = _lift(rng, dims)
+    if kind == "random F":
+        f = qr.random_stochastic(rng, dims[0], dims[1], dims[2] ** 2)
+    else:
+        w = qr.random_unitary(rng, dims[2] ** 2)
+        e, f = _rotated(e, w), _rotated(f, w)
+    value = max_commutator(e, f)
+    assert 0.0 < value < np.inf
+    assert _peak_mb(lambda: max_commutator(e, f)) < limit_mb
+
+
+def test_max_commutator_of_an_exact_lift_decomposes_nothing(monkeypatch):
+    rng = np.random.default_rng(2)
+    e, f = _lift(rng, (4, 4, 2))  # 256 E blocks: 16 tiles, every commutator 0.0
+    norm, orders = np.linalg.norm, []
+
+    def counting(*args, **kw):
+        orders.append(kw.get("ord"))
+        return norm(*args, **kw)
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    assert max_commutator(e, f) == 0.0
+    assert orders == []
+    w = qr.random_unitary(rng, 4)  # the rotated lift does decompose, through the patch
+    assert max_commutator(_rotated(e, w), _rotated(f, w)) > 0.0 and set(orders) == {2}
+
+
 def _loop_strategy_residuals(game, strategy):
     """The per-constraint check the batched pass replaced."""
     dout = game.out_dims[0] * game.out_dims[1]
