@@ -31,23 +31,11 @@ class CliError(Exception):
 
 
 def _render_text(obj, prefix="") -> list[str]:
-    lines = []
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            value = obj[key]
-            if isinstance(value, (dict, list)):
-                lines.extend(_render_text(value, f"{prefix}{key}."))
-            else:
-                lines.append(f"{prefix}{key}: {value!r}")
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            if isinstance(value, (dict, list)):
-                lines.extend(_render_text(value, f"{prefix}{i}."))
-            else:
-                lines.append(f"{prefix}{i}: {value!r}")
-    else:
-        lines.append(f"{prefix.rstrip('.')}: {obj!r}")
-    return lines
+    """The ``key.key: value`` lines of a dict or list tree, dict keys sorted."""
+    items = sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj)
+    return [line for key, value in items for line in (
+        _render_text(value, f"{prefix}{key}.") if isinstance(value, (dict, list))
+        else [f"{prefix}{key}: {value!r}"])]
 
 
 def _jsonable(obj):
@@ -95,80 +83,72 @@ def _emit_payload(payload: dict, report: dict, args) -> int:
 _DECODE_ERRORS = (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError)
 
 
-def _load_payload(path: str, decode=io.detect_payload):
-    """``decode`` of the JSON in ``path``; a file that cannot be read or decoded is a CliError."""
+def _load_payload(path: str, types=object, what: str = "", decode=io.detect_payload):
+    """``decode`` of the JSON in ``path``; a file that cannot be read or decoded, or
+    whose payload is not one of ``types``, is a CliError (the latter saying ``what``)."""
     try:
-        return decode(io.load(path))
+        payload = decode(io.load(path))
     except _DECODE_ERRORS as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(payload, types):
+        raise CliError(what)
+    return payload
 
 
-#: Correlation type -> (report kind, report function).
-_CORRELATIONS = {QnsCorrelation: ("qns", qns_report), CqnsCorrelation: ("cqns", cqns_report),
-                 NsCorrelation: ("ns", ns_report)}
+#: Payload type -> (report kind, report function of the payload and a tolerance).
+_REPORTS = {QnsCorrelation: ("qns", qns_report), CqnsCorrelation: ("cqns", cqns_report),
+            NsCorrelation: ("ns", ns_report),
+            StochasticOperatorMatrix: ("stochastic", verify_stochastic),
+            AlgStochasticMatrix: ("alg-stochastic", AlgStochasticMatrix.verification_report)}
+_CORRELATION_TYPES = (QnsCorrelation, CqnsCorrelation, NsCorrelation)
 
 
-def _correlation_report(corr, tol: float, **checks) -> dict:
-    """The correlation's report, tagged with its kind; ``checks`` are added to it."""
-    if type(corr) not in _CORRELATIONS:
-        raise CliError("file does not contain a correlation")
-    kind, check = _CORRELATIONS[type(corr)]
-    report = check(corr, tol=tol)
+def _report(payload, tol: float, **checks) -> dict:
+    """The payload's report, tagged with its kind; ``checks`` are added to it."""
+    kind, check = _REPORTS[type(payload)]
+    report = check(payload, tol)
     return Report({**report.checks, **checks}, tol, {**report.info, "kind": kind}).as_dict()
 
 
 def _emit_correlation(corr, args, **checks) -> int:
     """Emit a produced correlation with its report; ``checks`` are added to the report."""
-    report = _correlation_report(corr, args.tol, **checks)
+    report = _report(corr, args.tol, **checks)
     return _emit_payload(io.correlation_to_json(corr), report, args)
 
 
 def _cmd_verify(args) -> int:
-    payload = _load_payload(args.file)
-    if isinstance(payload, tuple(_CORRELATIONS)):
-        report = _correlation_report(payload, args.tol)
-    elif isinstance(payload, StochasticOperatorMatrix):
-        report = {**verify_stochastic(payload, args.tol).as_dict(), "kind": "stochastic"}
-    elif isinstance(payload, AlgStochasticMatrix):
-        report = {**payload.verification_report(args.tol).as_dict(), "kind": "alg-stochastic"}
-    else:
-        raise CliError("verify expects a correlation or stochastic matrix file")
-    return _emit_report(report, args.format, sys.stdout)
+    payload = _load_payload(args.file, tuple(_REPORTS),
+                            "verify expects a correlation or stochastic matrix file")
+    return _emit_report(_report(payload, args.tol), args.format, sys.stdout)
 
 
 #: ``build`` kind -> witness class; the other kinds build classical-input data.
-_WITNESS_CLASSES = {"local": "local", "quantum": "quantum", "qc": "commuting",
-                    "tracial": "tracial"}
+_WITNESS_CLASSES = {"local": "local", "quantum": "quantum", "qc": "commuting", "tracial": "tracial"}
 _BUILDERS = (*_WITNESS_CLASSES, "cqns-tracial", "ns-tracial")
 
 
 def _cmd_build(args) -> int:
     if args.kind in _WITNESS_CLASSES:
-        corr = build_from_witness(_load_payload(args.witness, lambda obj: io.witness_from_json(
-            {**obj, "class": _WITNESS_CLASSES[args.kind]})))
+        corr = build_from_witness(_load_payload(args.witness, decode=lambda obj: (
+            io.witness_from_json({**obj, "class": _WITNESS_CLASSES[args.kind]}))))
     else:
         build = build_tracial_cqns if args.kind == "cqns-tracial" else build_tracial_ns
-        corr = build(_load_payload(args.witness, io.alg_stochastic_from_json))
+        corr = build(_load_payload(args.witness, decode=io.alg_stochastic_from_json))
     return _emit_correlation(corr, args)
 
 
 def _cmd_reduce(args) -> int:
-    corr = _load_payload(args.file)
     if args.map == "E":
-        if not isinstance(corr, QnsCorrelation):
-            raise CliError("reduce E expects a qns correlation")
-        out = reduce_cqns(corr)
+        out = reduce_cqns(_load_payload(args.file, QnsCorrelation,
+                                        "reduce E expects a qns correlation"))
     else:
-        if not isinstance(corr, (QnsCorrelation, CqnsCorrelation)):
-            raise CliError("reduce N expects a qns or cqns correlation")
-        out = reduce_ns(corr)
+        out = reduce_ns(_load_payload(args.file, (QnsCorrelation, CqnsCorrelation),
+                                      "reduce N expects a qns or cqns correlation"))
     return _emit_correlation(out, args)
 
 
 def _cmd_lift(args) -> int:
-    corr = _load_payload(args.file)
-    if not isinstance(corr, CqnsCorrelation):
-        raise CliError("lift expects a cqns correlation")
+    corr = _load_payload(args.file, CqnsCorrelation, "lift expects a cqns correlation")
     return _emit_correlation(lift_cqns(corr), args)
 
 
@@ -188,20 +168,15 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_check_game(args) -> int:
-    game = _load_payload(args.game)
-    if not isinstance(game, ConstraintGame):
-        raise CliError("first argument must be a game file")
-    strategy = _load_payload(args.strategy)
-    if not isinstance(strategy, tuple(_CORRELATIONS)):
-        raise CliError("second argument must be a correlation file")
+    game = _load_payload(args.game, ConstraintGame, "first argument must be a game file")
+    strategy = _load_payload(args.strategy, _CORRELATION_TYPES,
+                             "second argument must be a correlation file")
     report = perfect_strategy_check(game, strategy, args.tol).as_dict()
     return _emit_report(report, args.format, sys.stdout)
 
 
 def _cmd_theta(args) -> int:
-    graph = _load_payload(args.graph)
-    if not isinstance(graph, Graph):
-        raise CliError("theta expects a graph file")
+    graph = _load_payload(args.graph, Graph, "theta expects a graph file")
     try:
         result = solve_theta(graph.n, graph.edges, tol=args.tol)
     except SolverError as exc:
@@ -227,19 +202,15 @@ def _cmd_kd2(args) -> int:
 
 
 def _cmd_orthrep(args) -> int:
-    graph = _load_payload(args.graph)
-    if not isinstance(graph, Graph):
-        raise CliError("orthrep expects a graph file first")
-    vectors = _load_payload(args.vectors,
-                            lambda obj: [io.vector_from_json(v) for v in obj["vectors"]])
+    graph = _load_payload(args.graph, Graph, "orthrep expects a graph file first")
+    vectors = _load_payload(args.vectors, decode=lambda obj: [
+        io.vector_from_json(v) for v in obj["vectors"]])
     corr = orth_rep_to_colouring(vectors, graph)
     return _emit_correlation(corr, args, properness_residual=_properness(corr, graph))
 
 
 def _cmd_fair(args) -> int:
-    corr = _load_payload(args.file)
-    if not isinstance(corr, tuple(_CORRELATIONS)):
-        raise CliError("fair expects a correlation file")
+    corr = _load_payload(args.file, _CORRELATION_TYPES, "fair expects a correlation file")
     report = Report({"fair_residual": fair_residual(corr)}, args.tol).as_dict()
     return _emit_report(report, args.format, sys.stdout)
 
@@ -251,80 +222,59 @@ def _positive_float(text: str) -> float:
     return value
 
 
+#: The flags every command takes; the commands that produce a payload add --out.
+_TOL = {"type": _positive_float, "default": TOL_ALG, "help": "override the check tolerance"}
+_FORMAT = {"choices": ("json", "text"), "default": "json"}
+_FLAGS = {"--tol": _TOL, "--format": _FORMAT}
+_PAYLOAD_FLAGS = {"--tol": _TOL, "--out": {"default": None,
+                                           "help": "write the produced payload here"},
+                  "--format": _FORMAT}
+
+#: Subcommand -> (handler, help, add_argument keywords of each argument in order).
+_COMMANDS = {
+    "verify": (_cmd_verify, "verify a correlation or stochastic matrix file",
+               {"file": {}, **_FLAGS}),
+    "build": (_cmd_build, "build a correlation from a witness file",
+              {"kind": {"choices": _BUILDERS}, "witness": {}, **_PAYLOAD_FLAGS}),
+    "reduce": (_cmd_reduce, "classical reduction of a correlation",
+               {"map": {"choices": ("E", "N")}, "file": {}, **_PAYLOAD_FLAGS}),
+    "lift": (_cmd_lift, "lift a cqns correlation to a qns correlation",
+             {"file": {}, **_PAYLOAD_FLAGS}),
+    "compose": (_cmd_compose, "compose two correlations or two games",
+                {"second": {"help": "outer correlation/game (applied last)"},
+                 "first": {"help": "inner correlation/game (applied first)"}, **_PAYLOAD_FLAGS}),
+    "check-game": (_cmd_check_game, "check a strategy against a game",
+                   {"game": {}, "strategy": {}, **_FLAGS}),
+    "theta": (_cmd_theta, "Lovasz theta of a graph",
+              {"graph": {}, "--tol": {**_TOL, "default": GAP_TOL}, "--format": _FORMAT}),
+    "kd2": (_cmd_kd2, "explicit colouring of the complete graph on d^2 vertices",
+            {"--d": {"type": int, "required": True}, **_PAYLOAD_FLAGS}),
+    "orthrep": (_cmd_orthrep, "colouring from an orthogonal representation",
+                {"graph": {}, "vectors": {}, **_PAYLOAD_FLAGS}),
+    "fair": (_cmd_fair, "fairness check of a correlation", {"file": {}, **_FLAGS}),
+}
+
+
+def _add_command(sub, name: str, func, text: str, arguments: dict) -> None:
+    p = sub.add_parser(name, help=text)
+    for argument, keywords in arguments.items():
+        p.add_argument(argument, **keywords)
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnskit",
         description="Build, verify and compose no-signalling correlations and "
                     "quantum non-local games.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, tol=TOL_ALG):
-        p.add_argument("--tol", type=_positive_float, default=tol,
-                       help="override the check tolerance")
-        p.add_argument("--out", default=None, help="write the produced payload here")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p = sub.add_parser("verify", help="verify a correlation or stochastic matrix file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("build", help="build a correlation from a witness file")
-    p.add_argument("kind", choices=_BUILDERS)
-    p.add_argument("witness")
-    common(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("reduce", help="classical reduction of a correlation")
-    p.add_argument("map", choices=("E", "N"))
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("lift", help="lift a cqns correlation to a qns correlation")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("compose", help="compose two correlations or two games")
-    p.add_argument("second", help="outer correlation/game (applied last)")
-    p.add_argument("first", help="inner correlation/game (applied first)")
-    common(p)
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("check-game", help="check a strategy against a game")
-    p.add_argument("game")
-    p.add_argument("strategy")
-    common(p)
-    p.set_defaults(func=_cmd_check_game)
-
-    p = sub.add_parser("theta", help="Lovasz theta of a graph")
-    p.add_argument("graph")
-    common(p, tol=GAP_TOL)
-    p.set_defaults(func=_cmd_theta)
-
-    p = sub.add_parser("kd2", help="explicit colouring of the complete graph on d^2 vertices")
-    p.add_argument("--d", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_kd2)
-
-    p = sub.add_parser("orthrep", help="colouring from an orthogonal representation")
-    p.add_argument("graph")
-    p.add_argument("vectors")
-    common(p)
-    p.set_defaults(func=_cmd_orthrep)
-
-    p = sub.add_parser("fair", help="fairness check of a correlation")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_fair)
-
+    for name, (func, text, arguments) in _COMMANDS.items():
+        _add_command(sub, name, func, text, arguments)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, OSError, ValueError) as exc:

@@ -405,13 +405,16 @@ def rebuild_from_witness(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation)
 
 
 def witness_residual(corr) -> float:
-    """Max deviation between stored data and the witness reconstruction."""
+    """Max deviation between stored data and the witness reconstruction; a witness
+    over other dims, even of data of the same shape, is a ValueError."""
     data = rebuild_from_witness(corr)
     stored = corr.choi if isinstance(corr, QnsCorrelation) else \
         corr.states if isinstance(corr, CqnsCorrelation) else corr.table
     if data.shape != stored.shape:
         raise ValueError(f"witness rebuilds data of shape {data.shape}, "
                          f"stored data has shape {stored.shape}")
+    if corr.witness.dims != corr.dims:
+        raise ValueError(f"witness over {corr.witness.dims}, correlation over {corr.dims}")
     return worst(data - stored)
 
 

@@ -199,7 +199,10 @@ def correlation_from_json(obj: Any):
                            for row in obj["states"]])
         return CqnsCorrelation(dims, states, witness)
     if kind == "ns":
-        return NsCorrelation(dims, np.asarray(obj["table"], dtype=float), witness)
+        table = np.asarray(obj["table"])
+        if table.dtype.kind not in "biuf":
+            raise FormatError("ns table entries must be numbers")
+        return NsCorrelation(dims, table, witness)
     raise FormatError(f"unknown correlation kind {kind!r}")
 
 
@@ -270,7 +273,7 @@ def detect_payload(obj: Any):
         return stochastic_from_json(obj)
     if "algebra" in obj:
         return alg_stochastic_from_json(obj)
-    if "constraints" in obj or ("rule" in obj and "inDims" not in obj and "kind" not in obj):
+    if "constraints" in obj or ("rule" in obj and "inDims" not in obj):
         return game_from_json(obj)
     if "edges" in obj and "n" in obj:
         return graph_from_json(obj)

@@ -380,6 +380,25 @@ def test_reports_refuse_a_witness_of_other_dims(rng, kind):
     assert f"shape {stored}" in result.info["witness_error"]
 
 
+def test_cli_refuses_a_quantum_witness_over_swapped_dims(tmp_path, capsys):
+    """Constant channels over (X, Y) = (3, 2) give a Choi matrix that also reads as a
+    QNS correlation over (2, 3); the witness certifies only the dims it is over."""
+    e = StochasticOperatorMatrix(3, 2, 1, np.kron(np.eye(3), np.diag([0.7, 0.3])))
+    f = StochasticOperatorMatrix(2, 2, 1, np.kron(np.eye(2), np.diag([0.4, 0.6])))
+    corr = build_quantum(e, f, np.eye(1))
+    swapped = QnsCorrelation(CorrelationDims(2, 3, 2, 2), corr.choi, corr.witness)
+    assert qns_report(swapped, check_witness=False).ok
+    payload = io.correlation_to_json(corr)
+    payload["dims"] = {"X": 2, "Y": 3, "A": 2, "B": 2}
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(plain(payload)))
+    assert run(["verify", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False and report["witness_residual"] == "inf"
+    assert report["witness_error"] == "witness over CorrelationDims(x=3, y=2, a=2, b=2), " \
+                                      "correlation over CorrelationDims(x=2, y=3, a=2, b=2)"
+
+
 # ---------------------------------------------------------------------------
 # Tolerances must be positive and finite
 

@@ -13,7 +13,7 @@ from qnskit import io
 from qnskit import rand as qr
 from qnskit.algebra import abelian_algebra
 from qnskit.cli import run
-from qnskit.correlations import (CorrelationDims, NsCorrelation,
+from qnskit.correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
                                  QnsCorrelation, build_local, build_quantum,
                                  build_tracial, from_classical)
 from qnskit.games import colouring_game
@@ -464,6 +464,7 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
     # flags and weights of another JSON type, which bool() and float() would read
     alg_weights = {**two_blocks["algebra"], "weights": ["0.5", "0.5"]}
     local_witness = {**local["witness"], "dims": local["dims"]}
+    ns_dims = {"X": 1, "Y": 1, "A": 2, "B": 1}  # tables of this shape, entries not numbers
     cases = [
         ["verify", {"rows": 1, "cols": 1, "data": [[None, 0]]}],
         ["verify", {"rows": 1, "cols": 1, "data": [["1", "0"]]}],
@@ -481,6 +482,8 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
         ["build", "local", {**local_witness, "weights": ["1.0"]}],
         ["build", "local", {**local_witness, "weights": [True]}],
         ["verify", {**local, "witness": {**local["witness"], "weights": ["1.0"]}}],
+        ["verify", {"kind": "ns", "dims": ns_dims, "table": [[[["0.5"], ["0.5"]]]]}],
+        ["verify", {"kind": "ns", "dims": ns_dims, "table": [[[[None], [0.5]]]]}],
     ]
     capsys.readouterr()
     for i, (*argv, obj) in enumerate(cases):
@@ -553,6 +556,61 @@ def test_cli_refuses_malformed_vector_entries(tmp_path, capsys, vector):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {path}: ") and \
         "vector entries must be [re, im] number pairs" in err, err
+
+
+def _wrong_payloads(tmp_path) -> dict:
+    """Files of every payload type the refusals below hand to the wrong command."""
+    d1 = CorrelationDims(1, 1, 1, 1)
+    return {"qns": _write(tmp_path, "qns.json", io.correlation_to_json(
+                QnsCorrelation(d1, np.eye(1)))),
+            "cqns": _write(tmp_path, "cqns.json", io.correlation_to_json(
+                CqnsCorrelation(d1, np.ones((1, 1, 1, 1))))),
+            "ns": _write(tmp_path, "ns.json", io.correlation_to_json(
+                NsCorrelation(d1, np.ones((1, 1, 1, 1))))),
+            "graph": _write(tmp_path, "graph.json", io.graph_to_json(Graph.cycle(5))),
+            "game": _write(tmp_path, "game.json", io.game_to_json(
+                colouring_game(Graph.complete(4), 2))),
+            "vectors": _write(tmp_path, "vectors.json", {
+                "vectors": [io.vector_to_json(v) for v in cycle5_umbrella()]}),
+            "missing": str(tmp_path / "missing.json")}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "graph"], "verify expects a correlation or stochastic matrix file"),
+    (["verify", "game"], "verify expects a correlation or stochastic matrix file"),
+    (["reduce", "E", "cqns"], "reduce E expects a qns correlation"),
+    (["reduce", "N", "ns"], "reduce N expects a qns or cqns correlation"),
+    (["lift", "qns"], "lift expects a cqns correlation"),
+    (["compose", "qns", "ns"], "compose expects two games, two qns or two ns correlations"),
+    (["compose", "cqns", "cqns"], "compose expects two games, two qns or two ns correlations"),
+    (["theta", "qns"], "theta expects a graph file"),
+    (["orthrep", "qns", "vectors"], "orthrep expects a graph file first"),
+    (["orthrep", "qns", "missing"], "orthrep expects a graph file first"),
+    (["fair", "graph"], "fair expects a correlation file"),
+    (["check-game", "qns", "qns"], "first argument must be a game file"),
+    (["check-game", "qns", "missing"], "first argument must be a game file"),
+    (["check-game", "game", "graph"], "second argument must be a correlation file"),
+])
+def test_cli_refuses_a_payload_of_the_wrong_type(tmp_path, capsys, argv, message):
+    """Each command names what it expects; the first argument is checked before the
+    second is read."""
+    files = _wrong_payloads(tmp_path)
+    assert run([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "qns"], ["check-game", "game", "qns"],
+                                  ["theta", "graph"], ["fair", "qns"]])
+def test_cli_report_commands_refuse_out(tmp_path, capsys, argv):
+    """Only the commands that produce a payload take --out."""
+    files = _wrong_payloads(tmp_path)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run([*(files.get(arg, arg) for arg in argv), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_check_game_refuses_vectors_of_the_wrong_length(tmp_path, capsys):

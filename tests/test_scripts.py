@@ -31,3 +31,11 @@ def test_readme_example_runs():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_block_documents_every_command():
+    from qnskit.cli import _COMMANDS
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("qnskit ")}
+    assert set(_COMMANDS) <= documented, set(_COMMANDS) - documented
