@@ -3,6 +3,7 @@
 usage: PYTHONPATH=src python3 scripts/theta_cost.py [--seed 301] [--repeat 5]
                                                     [--paley 61 101]
                                                     [--cycles 1001 4001 100001]
+                                                    [--gnp 40:0.8 60:0.5 40:0.2]
 
 The graphs are the theta catalogue of perfbench (Paley(13, 17, 29), C5 ... C15,
 co-C9 ... co-C15 and two seeded G(16, 1/2) with their complements, drawn from
@@ -24,6 +25,13 @@ and the minimum milliseconds and the tracemalloc peak in MB of the
 circulance test `theta._shifts` alone and of the whole `solve_theta`, with
 its iteration count.
 
+Then, for each ``--gnp`` n:p, a G(n, p) drawn in the order given from one
+generator seeded with ``--seed`` and solved on the edge path: the median and
+the minimum milliseconds, the iteration count, the median milliseconds per
+iteration, the constraint count m and the tracemalloc peak in MB of one solve.
+At these sizes the edge path does far more work per iteration than on the
+benchmark's G(16, 1/2), so a change to the edge operator shows there.
+
 Set OPENBLAS_NUM_THREADS=1 for figures that do not depend on the machine's
 other load; the benchmark runs with it.
 """
@@ -34,6 +42,8 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 from qnskit import theta
 
@@ -71,12 +81,25 @@ def edge_path(n: int, edges) -> theta.ThetaResult:
     return theta._solve(op, theta.GAP_TOL, theta.MAX_ITER)
 
 
+def gnp_spec(text: str) -> tuple[int, float]:
+    """``n:p`` as (n, p)."""
+    n, p = text.split(":")
+    return int(n), float(p)
+
+
+def gnp_edges(rng, n: int, p: float) -> np.ndarray:
+    """Each pair i < j of 0..n-1 an edge with probability p."""
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    return pairs[rng.random(len(pairs)) < p]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=301)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--paley", type=int, nargs="*", default=[61, 101])
     parser.add_argument("--cycles", type=int, nargs="*", default=[1001, 4001, 100001])
+    parser.add_argument("--gnp", type=gnp_spec, nargs="*", default=[], metavar="N:P")
     args = parser.parse_args()
 
     catalogue = inputs.theta_catalogue(args.seed)
@@ -123,6 +146,18 @@ def main() -> None:
         peak_solve = peak_mb(lambda: theta.solve_theta(n, edges))
         print(f"{f'C{n}':>16} | {ms_shifts:>8.2f} ms {min_shifts:>8.2f} {peak_shifts:>6.2f} MB | "
               f"{ms:>8.2f} ms {ms_min:>8.2f} {peak_solve:>6.1f} MB {result.iterations:>5}")
+
+    if args.gnp:
+        print(f"\n{'graph':>16} | {'edge path':>11} {'min':>8} {'iters':>5} {'ms/it':>6} "
+              f"{'m':>5} {'peak':>9}")
+    rng = np.random.default_rng(args.seed)
+    for n, p in args.gnp:
+        edges = gnp_edges(rng, n, p)
+        ms, ms_min, result = timed_ms(lambda: edge_path(n, edges), args.repeat)
+        peak = peak_mb(lambda: edge_path(n, edges))
+        print(f"{f'G({n}, {p:g})':>16} | {ms:>8.2f} ms {ms_min:>8.2f} {result.iterations:>5} "
+              f"{ms / result.iterations:>6.3f} {1 + len(edges):>5} {peak:>6.1f} MB")
+
 
 if __name__ == "__main__":
     main()

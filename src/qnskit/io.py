@@ -58,15 +58,15 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def _complex(data: Any, shape: tuple, message: str) -> np.ndarray:
     """``data``, [re, im] number pairs in lists or a pair array, as a complex array of ``shape``.
 
-    One numpy conversion reads it all; a string or null entry, a pair of
-    another arity or nesting of another shape raises ``FormatError(message)``.
+    One numpy conversion reads it all; a string, null or boolean entry, a pair
+    of another arity or nesting of another shape raises ``FormatError(message)``.
     """
     try:
         pairs = np.asarray(data)
     except ValueError as exc:  # ragged nesting
         raise FormatError(message) from exc
     empty = pairs.size == 0 == math.prod(shape)
-    if pairs.dtype.kind not in "biuf" or pairs.shape != (*shape, 2) and not empty:
+    if pairs.dtype.kind not in "iuf" or pairs.shape != (*shape, 2) and not empty:
         raise FormatError(message)
     pairs = np.ascontiguousarray(pairs.reshape(*shape, 2), dtype=float)
     return pairs.view(complex).reshape(shape)
@@ -200,7 +200,7 @@ def correlation_from_json(obj: Any):
         return CqnsCorrelation(dims, states, witness)
     if kind == "ns":
         table = np.asarray(obj["table"])
-        if table.dtype.kind not in "biuf":
+        if table.dtype.kind not in "iuf":
             raise FormatError("ns table entries must be numbers")
         return NsCorrelation(dims, table, witness)
     raise FormatError(f"unknown correlation kind {kind!r}")

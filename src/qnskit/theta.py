@@ -10,7 +10,12 @@ with its adjoint and Schur complement.  There are two:
 
 * The edge operator is one n x n block.  Its constraints are the trace and
   the entries on the edges, held as two index arrays (i, j), and its Schur
-  complement is assembled in closed form from those arrays.
+  complement is assembled in closed form from those arrays: the rows of
+  Z^-1 and X at the edge ends are gathered once, each term takes its columns
+  from them, and the terms are summed in place into one m x m array, with no
+  (m-1)^2 index arrays.  Every iterate X and Z is a sum of exactly symmetric
+  blocks, so it is exactly symmetric itself, and so is that Schur matrix; the
+  loop symmetrises none of them, nor any 1 x 1 block.
 * The circulant operator serves graphs whose edge set is invariant under
   v -> v + 1 mod n: Paley graphs, cycles and their complements.  The SDP is
   invariant under that shift, so averaging an optimum over it gives a
@@ -84,7 +89,8 @@ class ThetaResult:
 
 
 def _sym(w: np.ndarray) -> np.ndarray:
-    return (w + w.swapaxes(-1, -2)) / 2
+    """(W + W^T) / 2 blockwise; 1 x 1 blocks are returned as they are, (a + a) / 2 = a."""
+    return w if w.shape[-1] == 1 else (w + w.swapaxes(-1, -2)) / 2
 
 
 def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -126,13 +132,17 @@ class _EdgeOperator:
 
     def __init__(self, n: int, edges: tuple[np.ndarray, np.ndarray]):
         self.edges = edges
+        self.keys = edges[0] * n + edges[1]  # the flat index of X[i, j] per edge
         self.w = np.ones(1)
         self.c = -np.ones((1, n, n))  # minimise <-J, X>, maximising <J, X>
         self.m = 1 + len(edges[0])
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """[Tr W, <A_k, W>] for symmetric W, where A_k = e_i e_j^T + e_j e_i^T."""
-        return np.concatenate(([np.trace(w[0])], 2 * w[0][self.edges]))
+        out = np.empty(self.m)
+        out[0] = np.trace(w[0])
+        np.multiply(2, w[0].take(self.keys), out=out[1:])
+        return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """y_0 I + sum_k y_k A_k."""
@@ -141,18 +151,31 @@ class _EdgeOperator:
         return out[None]
 
     def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The Schur matrix <A_k, Z^-1 A_l X> of the HKM direction, symmetrised."""
+        """The Schur matrix <A_k, Z^-1 A_l X> of the HKM direction; exactly
+        symmetric when Z^-1 and X are."""
         zinv, x = zinv[0], x[0]
         zx = zinv @ x
-        row = (zx + zx.T)[self.edges]
+        out = np.empty((self.m, self.m))
+        out[0, 0] = np.trace(zx)
+        out[0, 1:] = out[1:, 0] = (zx + zx.T)[self.edges]
         # A_k sums e_p e_q^T over both orders (p, q) of edge k, so <A_k, Z^-1 A_l X>
         # sums Z^-1[q, a] X[b, p] over those and the orders (a, b) of edge l; as
-        # Z^-1 and X are symmetric, two of the four terms are transposes
+        # Z^-1 and X are symmetric, two of the four terms are transposes.  The
+        # rows of both at each edge end are gathered once; each term takes its
+        # columns from them
         i, j = self.edges
-        t1 = zinv[np.ix_(j, i)] * x[np.ix_(i, j)]
-        block = t1 + t1.T + zinv[np.ix_(j, j)] * x[np.ix_(i, i)] \
-            + zinv[np.ix_(i, i)] * x[np.ix_(j, j)]
-        return _sym(np.block([[np.trace(zx), row], [row[:, None], block]]))
+        zi, zj, xi, xj = zinv[i], zinv[j], x[i], x[j]
+        block = out[1:, 1:]
+        t = zj[:, i]
+        t *= xi[:, j]
+        np.add(t, t.T, out=block)
+        t = zj[:, j]
+        t *= xi[:, i]
+        block += t
+        t = zi[:, i]
+        t *= xj[:, j]
+        block += t
+        return out
 
     def x_matrix(self, x: np.ndarray) -> np.ndarray:
         return x[0]
@@ -318,8 +341,9 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
             dx, dy, dz = direction(target)
             ap, ad = _max_steps(inv, dx, dz)
 
-            x = _sym(x + ap * dx)
-            z = _sym(z + ad * dz)
+            # sums of exactly symmetric blocks, so exactly symmetric themselves
+            x = x + ap * dx
+            z = z + ad * dz
             y = y + ad * dy
         else:
             raise SolverError(
@@ -347,8 +371,9 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL,
     """
     (n,) = dimensions((n,), "vertex count")
     (max_iter,) = dimensions((max_iter,), "iteration cap")
-    if not 0 < tol < float("inf"):  # NaN fails
-        raise ValueError("tolerance must be positive and finite")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) \
+            or not 0 < tol < float("inf"):  # NaN fails
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     edges = tuple(edge_pairs(n, edges).T)
     shifts = _shifts(n, edges)
     op = _EdgeOperator(n, edges) if shifts is None else _CirculantOperator(n, shifts)

@@ -409,6 +409,23 @@ def test_solve_theta_rejects_bad_tolerance(tol):
         solve_theta(5, [(i, (i + 1) % 5) for i in range(5)], tol=tol)
 
 
+@pytest.mark.parametrize("tol", [True, False, np.True_, "1e-7", None, 1e-7 + 0j, [1e-7]])
+def test_theta_tolerance_must_be_a_real_number(tol):
+    # True passed 0 < tol < inf and solved C5 to 1.875 < sqrt(5); the others
+    # raised TypeError from the comparison
+    c5 = Graph.cycle(5)
+    solves = (lambda: solve_theta(5, c5.edges, tol=tol), lambda: graphs.lovasz_theta(c5, tol),
+              lambda: graphs.xi_qc_lower_bound(c5, tol=tol))
+    for solve in solves:
+        with pytest.raises(ValueError, match=f"positive and finite, got {re.escape(repr(tol))}$"):
+            solve()
+
+
+@pytest.mark.parametrize("tol", [1e-7, np.float64(1e-7), np.float32(1e-7), 1, np.int64(1)])
+def test_theta_tolerance_takes_python_and_numpy_reals(tol):
+    assert 0 <= solve_theta(5, Graph.cycle(5).edges, tol=tol).gap <= tol
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0"])
 def test_cli_rejects_non_finite_tolerance(tmp_path, capsys, tol):
     graph = tmp_path / "c5.json"

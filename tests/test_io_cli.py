@@ -445,6 +445,20 @@ def test_cli_theta_solver_breakdown_fails_the_report(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_boolean_payload_entries_are_refused(tmp_path, capsys):
+    # numpy reads JSON true / false as dtype kind "b", which passed as 1 / 0
+    with pytest.raises(io.FormatError, match=r"^matrix data must be \[re, im\] number pairs$"):
+        io.matrix_from_json({"rows": 1, "cols": 1, "data": [[True, False]]})
+    table = {"kind": "ns", "dims": {"X": 1, "Y": 1, "A": 2, "B": 1},
+             "table": [[[[True], [False]]]]}
+    with pytest.raises(io.FormatError, match="^ns table entries must be numbers$"):
+        io.correlation_from_json(table)
+    capsys.readouterr()
+    assert run(["verify", _write(tmp_path, "bool.json", table)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("ns table entries must be numbers\n"), err
+
+
 def test_cli_malformed_input(tmp_path, capsys, rng):
     path = _write(tmp_path, "junk.json", {"who": "knows"})
     assert run(["verify", path]) == 2

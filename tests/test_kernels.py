@@ -1243,6 +1243,73 @@ def test_lean_theta_is_bit_identical_to_per_call_lapack(rng, monkeypatch):
     assert any(isinstance(o, str) for o in lean)  # the breakdown path ran
 
 
+def _index_schur(op, zinv, x):
+    """The edge Schur matrix through np.ix_ gathers, np.block and a final
+    symmetrisation, as it was assembled before its row-then-column gathers."""
+    zinv, x = zinv[0], x[0]
+    zx = zinv @ x
+    row = (zx + zx.T)[op.edges]
+    i, j = op.edges
+    t1 = zinv[np.ix_(j, i)] * x[np.ix_(i, j)]
+    block = t1 + t1.T + zinv[np.ix_(j, j)] * x[np.ix_(i, i)] \
+        + zinv[np.ix_(i, i)] * x[np.ix_(j, j)]
+    full = np.block([[np.trace(zx), row], [row[:, None], block]])
+    return (full + full.T) / 2
+
+
+def _concatenate_apply(op, w):
+    """[Tr W, 2 W[i, j] per edge (i, j)] through a pair gather and np.concatenate."""
+    return np.concatenate(([np.trace(w[0])], 2 * w[0][op.edges]))
+
+
+def _exactly_symmetric(rng, n):
+    a = rng.standard_normal((1, n, n))
+    return a + a.swapaxes(-1, -2)
+
+
+def test_edge_kernels_match_their_index_oracles(rng):
+    # the gathers reach the same entries and sum them in the same order, so on
+    # exactly symmetric Z^-1 and X both kernels equal the oracles bit for bit,
+    # and the Schur matrix is its own transpose without a final symmetrisation
+    graphs = [(2, [(0, 1)]), (9, [(3, 7)]), (4, [])]
+    graphs += [(int(n), _random_graph(rng, int(n), p).edges) for n, p in
+               zip(rng.integers(1, 41, size=60), itertools.cycle([0.2, 0.5, 0.8]))]
+    graphs.append((40, _random_graph(rng, 40, 0.8).edges))
+    for n, e in graphs:
+        op = theta._EdgeOperator(n, tuple(theta.edge_pairs(n, e).T))
+        zinv, x, w = (_exactly_symmetric(rng, n) for _ in range(3))
+        schur = op.schur(zinv, x)
+        assert np.array_equal(schur, _index_schur(op, zinv, x)), (n, len(e))
+        assert np.array_equal(schur, schur.T), (n, len(e))
+        assert np.array_equal(op.apply(w), _concatenate_apply(op, w)), (n, len(e))
+
+
+def test_theta_solves_equal_the_index_oracle_solver(rng, monkeypatch):
+    # every iterate X and Z is exactly symmetric, which makes the symmetrisations
+    # the solver leaves out no-ops: with the np.ix_ Schur matrix, the concatenated
+    # constraint map and a symmetrisation of every block size put back, every
+    # field and every breakdown must be the same
+    graphs = _theta_oracle_graphs(rng)
+    factors = theta._inv_factors
+
+    def symmetric_factors(w, x, z):
+        assert np.array_equal(x, x.swapaxes(-1, -2)) and np.array_equal(z, z.swapaxes(-1, -2))
+        return factors(w, x, z)
+
+    monkeypatch.setattr(theta, "_inv_factors", symmetric_factors)
+    ours = [_theta_outcome(n, e, tol) for n, e, tol in graphs]
+    for outcome in ours:
+        if not isinstance(outcome, str):
+            blocks = outcome["blocks"]
+            assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+    monkeypatch.setattr(theta._EdgeOperator, "schur", _index_schur)
+    monkeypatch.setattr(theta._EdgeOperator, "apply", _concatenate_apply)
+    monkeypatch.setattr(theta, "_sym", lambda w: (w + w.swapaxes(-1, -2)) / 2)
+    for (n, e, tol), outcome in zip(graphs, ours):
+        _assert_same_outcome(outcome, _theta_outcome(n, e, tol), (n, len(e), tol))
+    assert any(isinstance(o, str) for o in ours)  # the breakdown path ran
+
+
 @pytest.mark.parametrize("values", [
     [[2.0, 0.5], [1e-300, 3e300]], [[5e-324, 1.0], [7.0, 0.25]], [[0.0, 1.0], [2.0, 3.0]],
     [[-1.0, 1.0], [2.0, 3.0]], [[np.nan, 1.0], [2.0, 3.0]], [[np.inf, 1.0], [2.0, 3.0]],

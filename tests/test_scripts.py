@@ -15,7 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
                                   ["cli_cost.py", "--d", "2", "--repeat", "1"],
                                   ["witness_cost.py", "--lifts", "2,2,2", "--d", "2",
                                    "--repeat", "1"],
-                                  ["theta_cost.py", "--repeat", "1", "--paley", "37"]])
+                                  ["theta_cost.py", "--repeat", "1", "--paley", "37"],
+                                  ["theta_cost.py", "--repeat", "1", "--paley", "--cycles",
+                                   "--gnp", "12:0.5", "9:0.2"]])
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
