@@ -19,7 +19,7 @@ from .linalg import (TOL_ALG, TOL_INPUT, check_channel, dagger, dimensions,
                      permute_systems, require, worst)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
-from .theta import GAP_TOL, edge_pairs, solve_theta
+from .theta import GAP_TOL, _positive, edge_pairs, solve_theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,8 +343,12 @@ def xi_qc_lower_bound(graph: Graph, theta: float | None = None,
 
     ``theta`` must be an upper bound on theta(G), such as the solver's certified
     ``dual_bound`` (the default); the primal value is a lower bound on theta(G)
-    and would overstate the bound.
+    and would overstate the bound.  A ``tol`` or ``theta`` that is not a positive
+    finite real is refused, whether or not the solver runs.
     """
+    _positive(tol, "tolerance")
+    if theta is not None:
+        _positive(theta, "theta")
     if graph.n == 0:
         return 0.0
     if theta is None:

@@ -212,7 +212,13 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(obj: Any) -> Graph:
     try:
-        return Graph.from_edges(_typed(obj["n"], "n"), obj["edges"])
+        n, edges = _typed(obj["n"], "n"), obj["edges"]
+        # numpy reads a JSON boolean as the vertex 0 or 1
+        bad = next((e for e in edges if isinstance(e, (list, tuple))
+                    and any(isinstance(v, bool) for v in e)), None)
+        if bad is not None:
+            raise FormatError(f"edges must be pairs of integer vertices, got {json.dumps(bad)}")
+        return Graph.from_edges(n, edges)
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"not a graph object: {exc}") from exc
 

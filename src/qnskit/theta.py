@@ -2,42 +2,30 @@
 
 theta(G) = max <J, X> subject to Tr X = 1, X[x, y] = 0 for edges xy, X psd.
 
-The solver is one feasible-start HKM predictor-corrector loop over a stack of
-symmetric blocks with multiplicities: the iterates X and Z are (K, s, s)
-arrays, block k counts w_k times, and <X, Z> = sum_k w_k tr(X_k Z_k).  A
-constraint operator supplies the blocks, the cost C, and the constraint map
-with its adjoint and Schur complement.  There are two:
+One feasible-start HKM predictor-corrector loop (Helmberg, Rendl, Vanderbei
+and Wolkowicz 1996) calls the kernels of a constraint operator, which holds
+X, Z and C: <X, Z>, product, symmetrisation, inverse, inverse Cholesky
+factors, least eigenvalue and step lengths, besides the constraint map A, its
+adjoint and its Schur complement.  There are two:
 
-* The edge operator is one n x n block.  Its constraints are the trace and
-  the entries on the edges, held as two index arrays (i, j), and its Schur
-  complement is assembled in closed form from those arrays: the rows of
-  Z^-1 and X at the edge ends are gathered once, each term takes its columns
-  from them, and the terms are summed in place into one m x m array, with no
-  (m-1)^2 index arrays.  Every iterate X and Z is a sum of exactly symmetric
-  blocks, so it is exactly symmetric itself, and so is that Schur matrix; the
-  loop symmetrises none of them, nor any 1 x 1 block.
-* The circulant operator serves graphs whose edge set is invariant under
-  v -> v + 1 mod n: Paley graphs, cycles and their complements.  The SDP is
-  invariant under that shift, so averaging an optimum over it gives a
-  circulant optimum X = (1/n) sum_k lambda_k f_k f_k^* with DFT vectors f_k.
-  Folding lambda_k = lambda_{n-k} leaves Delsarte's LP in the floor(n/2) + 1
-  eigenvalues: 1 x 1 blocks of multiplicity 1 (k = 0 and k = n/2) or 2, the
-  trace row, and one row cos(2 pi k s / n) for each s <= n/2 of the
-  connection set (Schrijver 1979; the 1 x 1-block case of de Klerk,
-  Pasechnik and Schrijver 2007).
+* The edge operator holds one n x n block; its kernels are LAPACK calls, each
+  eigensolve after a symmetrisation.  Its rows are the trace and the edge
+  entries (i, j); its Schur matrix is summed in place from the rows of Z^-1
+  and X at the edge ends.  Every iterate, and that matrix, is exactly
+  symmetric as a sum of exactly symmetric terms, so the loop symmetrises none.
+* The circulant operator serves edge sets invariant under v -> v + 1 mod n
+  (Paley graphs, cycles, their complements), which have a circulant optimum
+  X = (1/n) sum_k lambda_k f_k f_k^*.  Folding lambda_k = lambda_{n-k} leaves
+  Delsarte's LP (Schrijver 1979), run on (K,) eigenvalue vectors, K =
+  floor(n/2) + 1: the product is elementwise, the symmetrisation the identity,
+  and the other kernels the closed forms of LAPACK's on 1 x 1 blocks, bit for
+  bit, so its only LAPACK calls are the two Schur solves.
 
-`solve_theta` takes the circulant operator exactly when the edge set equals
-its own cyclic shift, which `_shifts` decides on the sorted edge keys in
-O(|E|) with no n x n array; a relabelled circulant takes the edge operator.
-Problem data is real symmetric, so the iteration runs over real symmetric
-matrices; results are deterministic.  Each iteration inverts Z once and
-factors X and Z once, and both step lengths of the predictor-corrector share
-those factors.  On 1 x 1 blocks, the whole circulant path, the inverse, the
-Cholesky factor and the eigenvalues are elementwise closed forms, the values
-LAPACK computes bit for bit, without one LAPACK call per kernel.
-
-Results are read off the blocks: the value is <J, X> = -<C, X>, and the n x n
-X is expanded from the blocks only when `ThetaResult.x_matrix` is read.
+`_shifts` decides circulance on the sorted edge keys in O(|E|).  Each
+iteration applies A to X once, inverts Z once and factors X and Z once; the
+predictor's zero target costs nothing.  Results are deterministic.  The value
+is <J, X> = -<C, X>; `ThetaResult.blocks` is X as a read-only (K, s, s) stack
+(for the LP a (K, 1, 1) view), expanded to n x n when `x_matrix` is read.
 """
 
 from __future__ import annotations
@@ -88,16 +76,6 @@ class ThetaResult:
         return x
 
 
-def _sym(w: np.ndarray) -> np.ndarray:
-    """(W + W^T) / 2 blockwise; 1 x 1 blocks are returned as they are, (a + a) / 2 = a."""
-    return w if w.shape[-1] == 1 else (w + w.swapaxes(-1, -2)) / 2
-
-
-def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """sum_k w_k tr(a_k b_k) for stacks of symmetric blocks."""
-    return float(np.vdot(w[:, None, None] * a, b))
-
-
 def edge_pairs(n: int, edges) -> np.ndarray:
     """The edges of a graph on 0..n-1 as a read-only int64 array of rows (i, j),
     i < j, de-duplicated and in lexicographic order.
@@ -127,15 +105,53 @@ def edge_pairs(n: int, edges) -> np.ndarray:
     return out
 
 
-class _EdgeOperator:
-    """One n x n block; the rows are Tr X and <A_k, X> = 2 X[i, j] per edge (i, j)."""
+class _Operator:
+    """The step-length rule, the same on every operator's blocks."""
+
+    def max_steps(self, inv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """The largest damped alphas <= 1 keeping X + alpha dX and Z + alpha dZ positive
+        definite, from the `inv_factors` L^-1 of X and Z: the least eigenvalue of L^-1 d L^-T."""
+        lam = self.min_eig(self.congruence(inv, np.array([dx, dz]))).min(axis=-1)
+        return np.minimum(1.0, -0.98 / np.minimum(lam, -1e-14))
+
+
+class _EdgeOperator(_Operator):
+    """One n x n block, iterated as a (1, n, n) stack through LAPACK; the rows are
+    Tr X and <A_k, X> = 2 X[i, j] per edge (i, j)."""
+
+    mul = staticmethod(np.matmul)
 
     def __init__(self, n: int, edges: tuple[np.ndarray, np.ndarray]):
+        self.n = n
         self.edges = edges
         self.keys = edges[0] * n + edges[1]  # the flat index of X[i, j] per edge
-        self.w = np.ones(1)
-        self.c = -np.ones((1, n, n))  # minimise <-J, X>, maximising <J, X>
+        self.shape = (1, n, n)
+        self.eye = np.eye(n)[None]
+        self.c = -np.ones(self.shape)  # minimise <-J, X>, maximising <J, X>
         self.m = 1 + len(edges[0])
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.vdot(a, b))
+
+    def sym(self, a: np.ndarray) -> np.ndarray:
+        """(A + A^T) / 2 blockwise."""
+        return (a + a.swapaxes(-1, -2)) / 2
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        return self.sym(np.linalg.inv(a))
+
+    def inv_factors(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Inverses of the Cholesky factors of X and Z, each shifted by a jitter of
+        1e-14 max(1, Tr) of its matrix, stacked as (2, 1, n, n)."""
+        psd = np.array([x, z])
+        jitter = 1e-14 * np.maximum(1.0, np.trace(psd, axis1=-2, axis2=-1)[:, 0])
+        return np.linalg.inv(np.linalg.cholesky(psd + jitter[:, None, None, None] * self.eye))
+
+    def congruence(self, f: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return f @ a @ f.swapaxes(-1, -2)
+
+    def min_eig(self, a: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(self.sym(a))[..., 0]
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """[Tr W, <A_k, W>] for symmetric W, where A_k = e_i e_j^T + e_j e_i^T."""
@@ -146,7 +162,7 @@ class _EdgeOperator:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """y_0 I + sum_k y_k A_k."""
-        out = y[0] * np.eye(self.c.shape[-1])
+        out = y[0] * self.eye[0]
         out[self.edges] = out[self.edges[::-1]] = y[1:]
         return out[None]
 
@@ -181,12 +197,16 @@ class _EdgeOperator:
         return x[0]
 
 
-class _CirculantOperator:
-    """Delsarte's LP: 1 x 1 blocks lambda_k, k = 0..n//2, of multiplicity w_k.
+class _CirculantOperator(_Operator):
+    """Delsarte's LP in the (K,) vector of eigenvalues lambda_k, k = 0..n//2, of
+    multiplicity w_k; each kernel is the closed form of LAPACK's on 1 x 1 blocks.
 
     The rows are the trace sum_k w_k lambda_k and, for each shift s of the
     folded connection set, sum_k w_k lambda_k cos(2 pi k s / n) = n X[0, s].
     """
+
+    mul = staticmethod(np.multiply)
+    sym = min_eig = staticmethod(lambda a: a)  # a 1 x 1 block: symmetric, its own eigenvalue
 
     def __init__(self, n: int, shifts: np.ndarray):
         k = np.arange(n // 2 + 1)
@@ -197,18 +217,44 @@ class _CirculantOperator:
         # the angle stays below 2 pi
         self.rows = np.cos((2 * np.pi / n) * (np.outer(np.r_[0, shifts], k) % n))
         self.m = len(self.rows)
-        self.c = np.zeros((len(k), 1, 1))
+        self.shape = (len(k), 1, 1)
+        self.eye = np.ones(len(k))
+        self.c = np.zeros(len(k))
         self.c[0] = -n  # <C, X> = -n lambda_0 = -<J, X>
 
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.vdot(self.w * a, b))
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """1 / a, refusing a zero as LAPACK's LU refuses a zero pivot."""
+        if not a.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return 1 / a
+
+    def inv_factors(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """`inv_cholesky` of X and Z, each shifted by a jitter of 1e-14 max(1, Tr)."""
+        psd = np.array([x, z])
+        return self.inv_cholesky(psd + (1e-14 * np.maximum(1.0, psd @ self.w))[:, None])
+
+    @staticmethod
+    def inv_cholesky(a: np.ndarray) -> np.ndarray:
+        """1 / sqrt(a), refusing a <= 0 as numpy's Cholesky does (a NaN passes through)."""
+        if (a <= 0).any():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return 1 / np.sqrt(a)
+
+    def congruence(self, f: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return (f * a) * f
+
     def apply(self, w: np.ndarray) -> np.ndarray:
-        return self.rows @ (self.w * w[:, 0, 0])
+        return self.rows @ (self.w * w)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return (y @ self.rows)[:, None, None]
+        return y @ self.rows
 
     def schur(self, zinv: np.ndarray, x: np.ndarray) -> np.ndarray:
         """sum_b w_b a_kb a_lb x_b / z_b for the diagonal X and Z of the LP."""
-        return (self.rows * (self.w * zinv[:, 0, 0] * x[:, 0, 0])) @ self.rows.T
+        return (self.rows * (self.w * zinv * x)) @ self.rows.T
 
     def x_matrix(self, x: np.ndarray) -> np.ndarray:
         """The n x n circulant with spectrum lambda: entry [u, v] depends on v - u."""
@@ -235,76 +281,25 @@ def _shifts(n: int, edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
     return j[(i == 0) & (j <= n // 2)]
 
 
-def _blockwise(a: np.ndarray, scalar, lapack):
-    """``lapack(a)`` on a stack ``a`` of symmetric blocks, or ``scalar(a)`` when the
-    blocks are 1 x 1: the elementwise form of the same values, bit for bit, without
-    the per-call cost of numpy's LAPACK wrappers."""
-    return scalar(a) if a.shape[-1] == 1 else lapack(a)
-
-
-def _scalar_inv(a: np.ndarray) -> np.ndarray:
-    """1 / a, refusing a zero as LAPACK's LU refuses a zero pivot."""
-    if not a.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    return 1 / a
-
-
-def _scalar_inv_cholesky(a: np.ndarray) -> np.ndarray:
-    """1 / sqrt(a), refusing a <= 0 as numpy's Cholesky does (a NaN passes through)."""
-    if (a <= 0).any():
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    return 1 / np.sqrt(a)
-
-
-def _inv(a: np.ndarray) -> np.ndarray:
-    """The inverse of each symmetric block."""
-    return _blockwise(a, _scalar_inv, lambda a: _sym(np.linalg.inv(a)))
-
-
-def _min_eig(a: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue of each symmetric block."""
-    return _blockwise(a, lambda a: a[..., 0, 0], lambda a: np.linalg.eigvalsh(_sym(a))[..., 0])
-
-
-def _inv_factors(w: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Inverses of the Cholesky factors of the blocks of X and Z, each shifted by
-    a jitter of 1e-14 max(1, Tr) of its matrix, stacked as (2, K, s, s)."""
-    psd = np.stack([x, z])
-    jitter = 1e-14 * np.maximum(1.0, np.trace(psd, axis1=-2, axis2=-1) @ w)
-    return _blockwise(psd + jitter[:, None, None, None] * np.eye(psd.shape[-1]),
-                      _scalar_inv_cholesky, lambda a: np.linalg.inv(np.linalg.cholesky(a)))
-
-
-def _max_steps(inv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """The largest damped alphas <= 1 keeping every block of X + alpha dX and of
-    Z + alpha dZ positive definite (1 when the step keeps it psd), from the
-    `_inv_factors` L^-1 of X and Z: the least eigenvalue of L^-1 d L^-T."""
-    step = np.stack([dx, dz])
-    lam = _min_eig(_blockwise(inv, lambda f: (f * step) * f,
-                              lambda f: f @ step @ f.swapaxes(-1, -2))).min(axis=-1)
-    return np.minimum(1.0, -0.98 / np.minimum(lam, -1e-14))
-
-
 def _solve(op, tol: float, max_iter: int) -> ThetaResult:
-    """The HKM predictor-corrector loop on the blocks of constraint operator ``op``."""
-    w = op.w
-    eye = np.eye(op.c.shape[-1])
-    n = float(w.sum()) * len(eye)                  # the size of the expanded matrix
+    """The HKM predictor-corrector loop on the iterates of constraint operator ``op``."""
+    n = float(op.n)                                # the size of the expanded matrix
     b = np.zeros(op.m)
     b[0] = 1.0
 
-    x = np.broadcast_to(eye, op.c.shape) / n       # I / n, strictly feasible primal
+    x = op.eye / n                                 # I / n, strictly feasible primal
     y = np.zeros(op.m)
     y[0] = -(n + 1.0)
     z = op.c - op.adjoint(y)                       # (n+1) I - J, strictly psd
 
-    gap = _inner(w, x, z)
+    gap = op.inner(x, z)
     iterations = 0
     try:
         for iterations in range(1, max_iter + 1):
-            rp = b - op.apply(x)
+            ax = op.apply(x)
+            rp = b - ax
             rd = op.c - z - op.adjoint(y)
-            gap = _inner(w, x, z)
+            gap = op.inner(x, z)
             if gap < 0:
                 # <X, Z> >= 0 on the cone, so these iterates have left it
                 raise SolverError(f"iteration {iterations} has a negative duality gap "
@@ -312,34 +307,35 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
             if gap <= tol and worst(rp, rd) <= FEAS_TOL:
                 break
 
-            zinv = _inv(z)
+            zinv = op.inv(z)
             schur = op.schur(zinv, x)
+            rhs_base = rp + ax + op.apply(op.sym(op.mul(op.mul(zinv, rd), x)))
 
-            rhs_base = rp + op.apply(x) + op.apply(_sym(zinv @ rd @ x))
-
-            def direction(target: np.ndarray):
-                """Solve the reduced system for complementarity target matrix."""
-                rhs = rhs_base - op.apply(_sym(zinv @ target))
+            def direction(target: np.ndarray | None):
+                """Solve the reduced system for a complementarity target, or None for 0."""
+                if target is None:
+                    rhs, dx = rhs_base, 0.0 - x  # not -X: a zero of X stays +0
+                else:
+                    zt = op.mul(zinv, target)
+                    rhs, dx = rhs_base - op.apply(op.sym(zt)), zt - x
                 try:
                     dy = np.linalg.solve(schur, rhs)
                 except np.linalg.LinAlgError:
                     dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
                 dz = rd - op.adjoint(dy)
-                dx = _sym(zinv @ target - x - zinv @ dz @ x)
-                return dx, dy, dz
+                return op.sym(dx - op.mul(op.mul(zinv, dz), x)), dy, dz
 
             # predictor (affine scaling)
-            dx_a, _, dz_a = direction(np.zeros_like(x))
-            inv = _inv_factors(w, x, z)  # one factorisation serves both step lengths
-            ap, ad = _max_steps(inv, dx_a, dz_a)
-            gap_aff = _inner(w, x + ap * dx_a, z + ad * dz_a)
+            dx_a, _, dz_a = direction(None)
+            inv = op.inv_factors(x, z)  # one factorisation serves both step lengths
+            ap, ad = op.max_steps(inv, dx_a, dz_a)
+            gap_aff = op.inner(x + ap * dx_a, z + ad * dz_a)
             sigma = min(1.0, max(gap_aff / gap, 0.0) ** 3)
 
             # corrector
             mu = gap / n
-            target = sigma * mu * eye - dz_a @ dx_a
-            dx, dy, dz = direction(target)
-            ap, ad = _max_steps(inv, dx, dz)
+            dx, dy, dz = direction(sigma * mu * op.eye - op.mul(dz_a, dx_a))
+            ap, ad = op.max_steps(inv, dx, dz)
 
             # sums of exactly symmetric blocks, so exactly symmetric themselves
             x = x + ap * dx
@@ -355,11 +351,17 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
     # Weak duality: Z = C - A*(y) gives <J, X'> = -y_1 - <Z, X'> for every
     # feasible X', hence theta <= -y_1 - min(0, lambda_min(Z)); the blocks of Z
     # hold its spectrum.
-    z_exact = op.c - op.adjoint(y)
-    slack = min(0.0, float(np.min(_min_eig(z_exact))))
+    slack = min(0.0, float(np.min(op.min_eig(op.c - op.adjoint(y)))))
     dual_bound = float(-y[0]) - slack
     x.flags.writeable = False
-    return ThetaResult(-_inner(w, op.c, x), gap, iterations, dual_bound, x, op)
+    return ThetaResult(-op.inner(op.c, x), gap, iterations, dual_bound, x.reshape(op.shape), op)
+
+
+def _positive(value, what: str) -> None:
+    """Refuse ``value`` unless it is a positive finite real; a bool or a NaN is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not 0 < value < float("inf"):  # NaN fails
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
 
 
 def solve_theta(n: int, edges, tol: float = GAP_TOL,
@@ -371,9 +373,7 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL,
     """
     (n,) = dimensions((n,), "vertex count")
     (max_iter,) = dimensions((max_iter,), "iteration cap")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) \
-            or not 0 < tol < float("inf"):  # NaN fails
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    _positive(tol, "tolerance")
     edges = tuple(edge_pairs(n, edges).T)
     shifts = _shifts(n, edges)
     op = _EdgeOperator(n, edges) if shifts is None else _CirculantOperator(n, shifts)

@@ -409,13 +409,18 @@ def test_solve_theta_rejects_bad_tolerance(tol):
         solve_theta(5, [(i, (i + 1) % 5) for i in range(5)], tol=tol)
 
 
-@pytest.mark.parametrize("tol", [True, False, np.True_, "1e-7", None, 1e-7 + 0j, [1e-7]])
+@pytest.mark.parametrize("tol", [True, False, np.True_, "1e-7", None, 1e-7 + 0j, [1e-7],
+                                 0, -1, np.nan])
 def test_theta_tolerance_must_be_a_real_number(tol):
     # True passed 0 < tol < inf and solved C5 to 1.875 < sqrt(5); the others
-    # raised TypeError from the comparison
+    # raised TypeError from the comparison.  xi_qc_lower_bound gates tol before
+    # its n = 0 shortcut, and gates a given theta (0 divided by zero, -1 gave NaN)
     c5 = Graph.cycle(5)
-    solves = (lambda: solve_theta(5, c5.edges, tol=tol), lambda: graphs.lovasz_theta(c5, tol),
-              lambda: graphs.xi_qc_lower_bound(c5, tol=tol))
+    solves = [lambda: solve_theta(5, c5.edges, tol=tol), lambda: graphs.lovasz_theta(c5, tol),
+              lambda: graphs.xi_qc_lower_bound(c5, tol=tol),
+              lambda: graphs.xi_qc_lower_bound(Graph.empty(0), tol=tol)]
+    if tol is not None:  # theta=None asks for the solve
+        solves.append(lambda: graphs.xi_qc_lower_bound(c5, theta=tol))
     for solve in solves:
         with pytest.raises(ValueError, match=f"positive and finite, got {re.escape(repr(tol))}$"):
             solve()

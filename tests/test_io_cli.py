@@ -508,6 +508,17 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
         io.alg_stochastic_from_json(extra)
 
 
+@pytest.mark.parametrize("edges, pair", [([[0, True]], "[0, true]"),
+                                         ([[0, 2], [False, 1]], "[false, 1]")])
+def test_theta_refuses_a_boolean_vertex(tmp_path, capsys, edges, pair):
+    # numpy read [0, true] as the edge (0, 1), so theta exited 0 with theta = 2
+    capsys.readouterr()
+    assert run(["theta", _write(tmp_path, "g.json", {"n": 3, "edges": edges})]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: "), err
+    assert err.rstrip().endswith(f"edges must be pairs of integer vertices, got {pair}"), err
+
+
 _UNIT = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
 
 

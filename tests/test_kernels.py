@@ -7,12 +7,15 @@ constraint matrices they replaced.
 """
 
 import ast
+import collections
 import dataclasses
 import importlib.util
+import inspect
 import itertools
 import json
 import pathlib
 import re
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -1058,6 +1061,11 @@ def test_json_encoders_match_entrywise_loop():
         assert json.dumps(plain(io.vector_to_json(m))) == json.dumps(loop)
 
 
+def _sym(a):
+    """(A + A^T) / 2 on a stack of blocks; 1 x 1 blocks are returned as they are."""
+    return a if a.shape[-1] == 1 else (a + a.swapaxes(-1, -2)) / 2
+
+
 def _dense_constraints(edges, n):
     """The theta constraints as dense matrices: I, then e_i e_j^T + e_j e_i^T per edge."""
     mats = [np.eye(n)]
@@ -1085,8 +1093,8 @@ class _DenseEdgeOperator(theta._EdgeOperator):
     def schur(self, zinv, x):
         zinv, x = zinv[0], x[0]
         mats = _dense_constraints(self.edges, len(x))
-        images = [theta._sym(zinv @ a @ x) for a in mats]
-        return theta._sym(np.array([[np.tensordot(a, img) for a in mats] for img in images]).T)
+        images = [_sym(zinv @ a @ x) for a in mats]
+        return _sym(np.array([[np.tensordot(a, img) for a in mats] for img in images]).T)
 
 
 def _spd(rng, n):
@@ -1105,7 +1113,7 @@ def test_theta_kernels_match_dense_constraints(n, p, s):
     rng = np.random.default_rng(s)
     edges = tuple(theta.edge_pairs(n, _random_graph(rng, n, p).edges).T)
     fast, dense = theta._EdgeOperator(n, edges), _DenseEdgeOperator(n, edges)
-    w, zinv, x = (theta._sym(rng.standard_normal((1, n, n))), _spd(rng, n)[None],
+    w, zinv, x = (_sym(rng.standard_normal((1, n, n))), _spd(rng, n)[None],
                   _spd(rng, n)[None])
     y = rng.standard_normal(fast.m)
     _assert_close(fast.apply(w), dense.apply(w))
@@ -1132,14 +1140,15 @@ def test_circulant_kernels_match_the_edge_operator_on_expanded_matrices(n, s):
     m = np.zeros((edge.m, circ.m))
     m[0, 0] = 1.0
     m[1 + np.arange(len(orbit)), 1 + cols] = n / (2 * np.bincount(cols)[cols])
-    lam, zinv = rng.random((2, n // 2 + 1, 1, 1)) + 0.1
+    lam, zinv = rng.random((2, n // 2 + 1)) + 0.1  # the LP's iterates: eigenvalue vectors
     y = rng.standard_normal(circ.m)
-    x_full = circ.x_matrix(lam)[None]
+    x_full = circ.x_matrix(lam[:, None, None])[None]
     _assert_close(circ.apply(lam), m.T @ edge.apply(x_full))
-    _assert_close(circ.x_matrix(circ.adjoint(y)), edge.adjoint(m @ y)[0])
-    _assert_close(circ.schur(zinv, lam), m.T @ edge.schur(circ.x_matrix(zinv)[None], x_full) @ m)
+    _assert_close(circ.x_matrix(circ.adjoint(y)[:, None, None]), edge.adjoint(m @ y)[0])
+    _assert_close(circ.schur(zinv, lam),
+                  m.T @ edge.schur(circ.x_matrix(zinv[:, None, None])[None], x_full) @ m)
     # the expanded X is the circulant whose spectrum is lambda, each k with multiplicity w_k
-    expected = np.sort(np.repeat(lam.ravel(), circ.w.astype(int)))
+    expected = np.sort(np.repeat(lam, circ.w.astype(int)))
     _assert_close(np.linalg.eigvalsh(x_full[0]), expected)
 
 
@@ -1167,24 +1176,72 @@ def test_solve_theta_matches_dense_constraints(rng):
         assert abs(ours.value - dense.value) <= theta.GAP_TOL, (n, e)
 
 
-def _lapack_max_steps(w, psd, step):
-    """The step lengths with one LAPACK call per kernel, factoring psd at every call."""
+def _lapack_factors(psd, w):
+    """Inverse Cholesky factors of the (..., K, s, s) blocks ``psd``, each matrix
+    shifted by 1e-14 max(1, sum_k w_k Tr), with one LAPACK call per kernel."""
     jitter = 1e-14 * np.maximum(1.0, np.trace(psd, axis1=-2, axis2=-1) @ w)
     chol = np.linalg.cholesky(psd + jitter[:, None, None, None] * np.eye(psd.shape[-1]))
-    inv = np.linalg.inv(chol)
-    lam = np.linalg.eigvalsh(theta._sym(inv @ step @ inv.swapaxes(-1, -2)))[..., 0].min(axis=-1)
-    return np.minimum(1.0, -0.98 / np.minimum(lam, -1e-14))
+    return np.linalg.inv(chol)
+
+
+class _LapackKernels:
+    """The loop's kernels through numpy's matmul and LAPACK on the (K, s, s) blocks
+    of every block size, 1 x 1 ones included, with X and Z factored again for each
+    step length: the solver as it was before its closed forms and shared factors."""
+
+    def _blocks(self, a):
+        """An iterate, or a stack of them, as its (..., K, s, s) blocks."""
+        return a.reshape(a.shape[:a.ndim - self.c.ndim] + self.shape)
+
+    def inner(self, a, b):
+        return float(np.vdot(self.w[:, None, None] * self._blocks(a), self._blocks(b)))
+
+    def mul(self, a, b):
+        return (self._blocks(a) @ self._blocks(b)).reshape(a.shape)
+
+    def sym(self, a):
+        return _sym(self._blocks(a)).reshape(a.shape)
+
+    def inv(self, a):
+        return _sym(np.linalg.inv(self._blocks(a))).reshape(a.shape)
+
+    def min_eig(self, a):
+        return np.linalg.eigvalsh(_sym(self._blocks(a)))[..., 0]
+
+    def inv_factors(self, x, z):
+        return np.stack([x, z])  # max_steps factors them at each call
+
+    def max_steps(self, psd, dx, dz):
+        inv = _lapack_factors(self._blocks(psd), self.w)
+        step = self._blocks(np.stack([dx, dz]))
+        lam = np.linalg.eigvalsh(_sym(inv @ step @ inv.swapaxes(-1, -2)))[..., 0].min(axis=-1)
+        return np.minimum(1.0, -0.98 / np.minimum(lam, -1e-14))
+
+
+class _LapackEdge(_LapackKernels, theta._EdgeOperator):
+    w = np.ones(1)  # the weight of the one block
+
+
+class _LapackCirculant(_LapackKernels, theta._CirculantOperator):
+    pass
+
+
+def _explicit_zero_solve():
+    """`theta._solve` with the predictor's target put back as the zeros_like(X) of
+    the full formula (Z^-1 0 and A(0) computed) in place of its None shortcut."""
+    source = textwrap.dedent(inspect.getsource(theta._solve))
+    assert source.count("direction(None)") == 1
+    namespace = dict(vars(theta))
+    exec(source.replace("direction(None)", "direction(np.zeros_like(x))"), namespace)
+    return namespace["_solve"]
 
 
 def _lapack_kernels(monkeypatch):
-    """Make the solver call LAPACK on every block size and factor X and Z once per
-    step length, as it did before its 1 x 1 closed forms and shared factors."""
-    monkeypatch.setattr(theta, "_inv", lambda z: theta._sym(np.linalg.inv(z)))
-    monkeypatch.setattr(theta, "_inv_factors", lambda w, x, z: (w, np.stack([x, z])))
-    monkeypatch.setattr(theta, "_max_steps",
-                        lambda factors, dx, dz: _lapack_max_steps(*factors, np.stack([dx, dz])))
-    monkeypatch.setattr(theta, "_min_eig",
-                        lambda a: np.linalg.eigvalsh(theta._sym(a))[..., 0])
+    """Make solve_theta run both operators through `_LapackKernels`, and the
+    predictor on an explicit zero target."""
+    monkeypatch.setattr(theta, "_EdgeOperator", _LapackEdge)
+    monkeypatch.setattr(theta, "_CirculantOperator", _LapackCirculant)
+    monkeypatch.setattr(theta, "_solve", _explicit_zero_solve())
 
 
 def _theta_outcome(n, edges, tol):
@@ -1195,7 +1252,8 @@ def _theta_outcome(n, edges, tol):
     except theta.SolverError as exc:
         return str(exc)
     outcome = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-    return {**outcome, "op": type(result.op), "x_matrix": result.x_matrix}
+    op = next(c for c in type(result.op).__mro__ if c.__module__ == theta.__name__)
+    return {**outcome, "op": op, "x_matrix": result.x_matrix}
 
 
 def _assert_same_outcome(lean, lapack, graph):
@@ -1231,9 +1289,11 @@ def _theta_oracle_graphs(rng):
 
 
 def test_lean_theta_is_bit_identical_to_per_call_lapack(rng, monkeypatch):
-    # the 1 x 1 closed forms are what LAPACK computes, and one factorisation of
-    # (X, Z) serves both step lengths: every field, and every breakdown, must
-    # match the solver that called LAPACK for each kernel and each step length
+    # the LP's elementwise kernels on eigenvalue vectors are what matmul and LAPACK
+    # compute on 1 x 1 blocks, one factorisation of (X, Z) serves both step
+    # lengths, and the predictor's None target is the zero target: every field,
+    # and every breakdown, must match the solver that called them on the blocks
+    # for each kernel and each step length and solved for Z^-1 0 and A(0)
     graphs = _theta_oracle_graphs(rng)
     assert len(graphs) >= 200
     lean = [_theta_outcome(n, e, tol) for n, e, tol in graphs]
@@ -1289,14 +1349,15 @@ def test_theta_solves_equal_the_index_oracle_solver(rng, monkeypatch):
     # the solver leaves out no-ops: with the np.ix_ Schur matrix, the concatenated
     # constraint map and a symmetrisation of every block size put back, every
     # field and every breakdown must be the same
+    # (the LP's iterates are vectors of 1 x 1 blocks, symmetric as they stand)
     graphs = _theta_oracle_graphs(rng)
-    factors = theta._inv_factors
+    factors = theta._EdgeOperator.inv_factors
 
-    def symmetric_factors(w, x, z):
+    def symmetric_factors(op, x, z):
         assert np.array_equal(x, x.swapaxes(-1, -2)) and np.array_equal(z, z.swapaxes(-1, -2))
-        return factors(w, x, z)
+        return factors(op, x, z)
 
-    monkeypatch.setattr(theta, "_inv_factors", symmetric_factors)
+    monkeypatch.setattr(theta._EdgeOperator, "inv_factors", symmetric_factors)
     ours = [_theta_outcome(n, e, tol) for n, e, tol in graphs]
     for outcome in ours:
         if not isinstance(outcome, str):
@@ -1304,7 +1365,7 @@ def test_theta_solves_equal_the_index_oracle_solver(rng, monkeypatch):
             assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
     monkeypatch.setattr(theta._EdgeOperator, "schur", _index_schur)
     monkeypatch.setattr(theta._EdgeOperator, "apply", _concatenate_apply)
-    monkeypatch.setattr(theta, "_sym", lambda w: (w + w.swapaxes(-1, -2)) / 2)
+    monkeypatch.setattr(theta._CirculantOperator, "sym", lambda op, a: (a + a) / 2)
     for (n, e, tol), outcome in zip(graphs, ours):
         _assert_same_outcome(outcome, _theta_outcome(n, e, tol), (n, len(e), tol))
     assert any(isinstance(o, str) for o in ours)  # the breakdown path ran
@@ -1313,10 +1374,15 @@ def test_theta_solves_equal_the_index_oracle_solver(rng, monkeypatch):
 @pytest.mark.parametrize("values", [
     [[2.0, 0.5], [1e-300, 3e300]], [[5e-324, 1.0], [7.0, 0.25]], [[0.0, 1.0], [2.0, 3.0]],
     [[-1.0, 1.0], [2.0, 3.0]], [[np.nan, 1.0], [2.0, 3.0]], [[np.inf, 1.0], [2.0, 3.0]],
-    [[-0.0, 1.0], [2.0, 3.0]]])
+    [[-0.0, 1.0], [2.0, 3.0]], [[-1e-14, 0.25], [2.0, 3.0]], [[2.0, 3.0], [0.25, -1e-14]]])
 def test_scalar_block_kernels_match_lapack(values):
-    # the closed forms return what LAPACK returns on 1 x 1 blocks and refuse what it refuses
-    a = np.array(values)[..., None, None]
+    # the LP operator's kernels on its eigenvalue vectors (here X and Z with K = 2)
+    # return what LAPACK returns on the (K, 1, 1) blocks and refuse what it refuses:
+    # the bare inverse Cholesky factor on each value, and `inv_factors` after the
+    # jitter, which is 1e-14 in the last two rows and takes their -1e-14 to +0.0
+    op = theta._CirculantOperator(3, np.array([1]))
+    a = np.array(values)
+    blocks = a[..., None, None]
 
     def outcome(fn):
         # neither form may flag a division by zero or an invalid operation; a
@@ -1327,20 +1393,68 @@ def test_scalar_block_kernels_match_lapack(values):
         except np.linalg.LinAlgError as exc:
             return str(exc)
 
-    pairs = [(lambda: theta._scalar_inv(a), lambda: np.linalg.inv(a)),
-             (lambda: theta._scalar_inv_cholesky(a),
-              lambda: np.linalg.inv(np.linalg.cholesky(a)))]
-    for scalar, lapack in pairs:
-        ours, ref = outcome(scalar), outcome(lapack)
+    pairs = [(lambda: op.inv(a), lambda: np.linalg.inv(blocks)[..., 0, 0]),
+             (lambda: op.inv_cholesky(a),
+              lambda: np.linalg.inv(np.linalg.cholesky(blocks))[..., 0, 0]),
+             (lambda: op.inv_factors(*a), lambda: _lapack_factors(blocks, op.w)[..., 0, 0])]
+    for ours, ref in pairs:
+        ours, ref = outcome(ours), outcome(ref)
         if isinstance(ref, str):
             assert ours == ref
         else:
             assert np.array_equal(ours, ref, equal_nan=True)
-    assert np.array_equal(theta._min_eig(a), np.linalg.eigvalsh(a)[..., 0], equal_nan=True)
-    step = np.array([[-3.0, 0.5], [1e-20, -2.0]])[..., None, None]
+    assert np.array_equal(op.min_eig(a), np.linalg.eigvalsh(blocks)[..., 0], equal_nan=True)
+    step = np.array([[-3.0, 0.5], [1e-20, -2.0]])
     with np.errstate(over="ignore", under="ignore"):
-        assert np.array_equal(theta._blockwise(a, lambda f: (f * step) * f, None),
-                              a @ step @ a.swapaxes(-1, -2), equal_nan=True)
+        congruence = blocks @ step[..., None, None] @ blocks.swapaxes(-1, -2)
+        lam = np.linalg.eigvalsh(congruence)[..., 0].min(axis=-1)
+        assert np.array_equal(op.congruence(a, step), congruence[..., 0, 0], equal_nan=True)
+        assert np.array_equal(op.max_steps(a, *step),
+                              np.minimum(1.0, -0.98 / np.minimum(lam, -1e-14)), equal_nan=True)
+
+
+def _counted(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_theta_iterations_keep_their_lapack_call_budget(rng, monkeypatch):
+    # per iteration that takes a step (all but the last): the LP only solves its
+    # Schur system, for the predictor and the corrector; the edge path also
+    # inverts Z and the Cholesky factors of (X, Z), factors (X, Z) once and takes
+    # one eigensolve per step length, and one more eigensolve for dual_bound.
+    # lstsq runs only after solve raises
+    calls = collections.Counter()
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, _counted(calls, name, fn))
+
+    def check(g, fallback):
+        """Solve ``g`` and compare its np.linalg calls with the budget; True on the LP."""
+        calls.clear()
+        result = theta.solve_theta(g.n, g.edges)
+        steps = result.iterations - 1
+        expected = {"solve": 2 * steps, **({"lstsq": 2 * steps} if fallback else {})}
+        lp = isinstance(result.op, theta._CirculantOperator)
+        if not lp:
+            expected.update(inv=2 * steps, cholesky=steps, eigvalsh=2 * steps + 1)
+        assert dict(calls) == expected, (g.n, len(g.edges), fallback)
+        return lp
+
+    graphs = [Graph.cycle(5), Graph.cycle(101), Graph.empty(1), Graph.complete(9),
+              Graph.from_edges(13, [(v, (v + s) % 13) for s in (1, 3, 4) for v in range(13)]),
+              _random_graph(rng, 10, 0.3), _random_graph(rng, 16), _random_graph(rng, 40, 0.8)]
+    assert {check(g, fallback=False) for g in graphs} == {True, False}
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", _counted(calls, "solve", singular))
+    assert {check(g, fallback=True) for g in (graphs[0], graphs[5])} == {True, False}
 
 
 def _dense_shifts(n, edges):
@@ -1412,7 +1526,8 @@ REWRITTEN = {
     "stochastic.py": {"from_povms"},
     "correlations.py": {"_compose_witness"},
     "io.py": {"matrix_to_json", "vector_to_json"},
-    "theta.py": {"edge_pairs", "_shifts", "_blockwise", "_EdgeOperator.apply",
+    "theta.py": {"edge_pairs", "_shifts", "_Operator.max_steps", "_EdgeOperator.inv_factors",
+                 "_CirculantOperator.inv_factors", "_CirculantOperator.inv_cholesky", "_EdgeOperator.apply",
                  "_EdgeOperator.adjoint", "_EdgeOperator.schur", "_CirculantOperator.apply",
                  "_CirculantOperator.adjoint", "_CirculantOperator.schur",
                  "_CirculantOperator.x_matrix"},

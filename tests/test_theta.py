@@ -243,7 +243,7 @@ def test_circulant_path_meets_closed_forms(name, n, shifts, closed):
     op = _Recorder(n, theta._shifts(n, edges))
     assert theta._solve(op, theta.GAP_TOL, theta.MAX_ITER).value == result.value
     # the expanded primal and dual slack are psd as full n x n matrices
-    x, z = result.x_matrix, op.x_matrix(op.c - op.adjoint(op.y))
+    x, z = result.x_matrix, op.x_matrix((op.c - op.adjoint(op.y))[:, None, None])
     assert np.linalg.eigvalsh(x)[0] >= -theta.FEAS_TOL
     assert np.linalg.eigvalsh(z)[0] >= -theta.FEAS_TOL
     assert abs(np.trace(x) - 1) <= theta.FEAS_TOL
