@@ -1,7 +1,7 @@
 """Median wall time of the three stacked certificates on seeded inputs.
 
 usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d 3 4]
-                                                      [--repeat 7] [--seed 1]
+                                                      [--repeat 7] [--seed 1] [--psd]
 
 - `max_commutator` on a commuting lift (E (x) I, I (x) F) of two seeded
   stochastic operator matrices with dims (dim_x, dim_a, dim_h), and on the
@@ -21,6 +21,12 @@ usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d
   one `choi_compose` of the Choi matrices and one over the stacks of terms.
   Its value is the `witness_residual` of the composition.
 
+With ``--psd`` it times only `hermiticity_and_psd_defect`, the PSD kernel of
+every certificate, on three seeded 256 x 256 matrices: the Choi matrix of a
+quantum witness on (4,4,4,4), which is positive definite; a local Choi matrix
+of rank 8 (two product terms of Kraus rank 2 x 2), whose factorisation fails
+and falls back to the eigensolve; and an indefinite Hermitian matrix.
+
 Each line gives the median over the repeats in milliseconds, the tracemalloc
 peak in MB of one more call, and the value the call returned, so two source
 trees can be compared on the same seed.
@@ -36,10 +42,12 @@ import tracemalloc
 import numpy as np
 
 from qnskit import rand as qr
-from qnskit.correlations import (CorrelationDims, build_local, compose_correlations,
-                                 cqns_report, qns_report, witness_residual)
+from qnskit.correlations import (CorrelationDims, build_local, build_quantum,
+                                 compose_correlations, cqns_report, qns_report,
+                                 witness_residual)
 from qnskit.games import colouring_game, perfect_strategy_check
 from qnskit.graphs import Graph, kd2_colouring
+from qnskit.linalg import hermiticity_and_psd_defect
 from qnskit.stochastic import (StochasticOperatorMatrix, max_commutator,
                                with_ancilla_left, with_ancilla_right)
 from qnskit.symmetry import fair_residual
@@ -78,6 +86,19 @@ def lifts(rng, spare, dims):
     return pair, rotated, (pair[0], qr.random_stochastic(spare, *pair[0].dims))
 
 
+def psd_rows(rng, repeat: int) -> None:
+    """Time the PSD kernel on a positive definite, a rank-8 and an indefinite 256 x 256 matrix."""
+    stochastic = [qr.random_stochastic(rng, 4, 4, 4) for _ in range(2)]
+    quantum = build_quantum(*stochastic, qr.random_state(rng, 16)).choi
+    local = build_local([0.5, 0.5], [qr.random_channel_choi(rng, 4, 4, kraus=2) for _ in range(2)],
+                        [qr.random_channel_choi(rng, 4, 4, kraus=2) for _ in range(2)],
+                        CorrelationDims(4, 4, 4, 4)).choi
+    g = qr.complex_gaussian(rng, 256, 256)
+    for label, m in (("quantum witness Choi (PD)", quantum), ("local Choi (rank 8)", local),
+                     ("indefinite", g + g.conj().T)):
+        row(f"psd {label}", lambda m=m: hermiticity_and_psd_defect(m), repeat)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--lifts", nargs="+", default=["3,3,2", "4,4,2"],
@@ -85,11 +106,16 @@ def main() -> None:
     parser.add_argument("--d", type=int, nargs="+", default=[3, 4])
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--psd", action="store_true",
+                        help="time only the PSD kernel on three 256 x 256 matrices")
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
+    print(f"{'operation':>42} {'median ms':>10} {'peak MB':>8}  value")
+    if args.psd:
+        psd_rows(rng, args.repeat)
+        return
     # a child stream for the random F: every other row draws what it drew without it
     [spare] = rng.spawn(1)
-    print(f"{'operation':>42} {'median ms':>10} {'peak MB':>8}  value")
     for spec in args.lifts:
         dims = tuple(int(n) for n in spec.split(","))
         for label, (e, f) in zip(("lift", "rotated lift", "lift vs random F"),

@@ -190,8 +190,11 @@ def correlation_from_json(obj: Any):
         dims = dims_from_json(obj["dims"])
     except (TypeError, KeyError) as exc:
         raise FormatError(f"not a correlation object: {exc}") from exc
-    witness = witness_from_json({**obj["witness"], "dims": obj["dims"]}) \
-        if "witness" in obj else None
+    witness = None
+    if "witness" in obj:
+        if not isinstance(obj["witness"], dict):
+            raise FormatError(f"witness must be an object, got {json.dumps(obj['witness'])[:40]}")
+        witness = witness_from_json({**obj["witness"], "dims": obj["dims"]})
     if kind == "qns":
         return QnsCorrelation(dims, matrix_from_json(obj["choi"]), witness)
     if kind == "cqns":
@@ -242,10 +245,22 @@ def _columns(vectors, n: int, where: str) -> np.ndarray:
     return orthonormal_columns(_complex(vectors, (len(vectors), n), message).T)
 
 
+def _rule_table(rule: Any) -> np.ndarray:
+    """The JSON ``rule`` as an array, unless it holds a boolean, which numpy reads as 0 or 1."""
+    items = [rule]
+    while items:
+        item = items.pop()
+        if isinstance(item, bool):
+            raise FormatError(f"rule entries must be 0 or 1, got {json.dumps(item)}")
+        if isinstance(item, list):
+            items.extend(item)
+    return np.asarray(rule)
+
+
 def game_from_json(obj: Any) -> ConstraintGame:
     try:
         if "rule" in obj and "constraints" not in obj:
-            return from_rule(np.asarray(obj["rule"]))
+            return from_rule(_rule_table(obj["rule"]))
         in_dims = tuple(_typed(d, "inDims") for d in obj["inDims"])
         out_dims = tuple(_typed(d, "outDims") for d in obj["outDims"])
         din = in_dims[0] * in_dims[1]
@@ -253,7 +268,7 @@ def game_from_json(obj: Any) -> ConstraintGame:
         constraints = tuple((_columns(c["U"], din, f"constraint {k}: U"),
                              _columns(c["V"], dout, f"constraint {k}: V"))
                             for k, c in enumerate(obj["constraints"]))
-        rule = RuleFunction(np.asarray(obj["rule"])) if "rule" in obj else None
+        rule = RuleFunction(_rule_table(obj["rule"])) if "rule" in obj else None
         classical = _typed(obj["classicalInput"], "classicalInput", "true or false")
         return ConstraintGame(in_dims, out_dims, classical, constraints, rule)
     except (TypeError, KeyError, ValueError) as exc:

@@ -41,6 +41,15 @@ TOL_INPUT = 1e-7
 #: so that rounding in either norm cannot skip the one with the largest 2-norm.
 PRUNE_MARGIN = 1e-9
 
+#: Not a tolerance: ``psd_defect`` reads its value off ``eigvalsh`` and only skips
+#: that eigensolve when a Cholesky factorisation proves it would read no negative
+#: eigenvalue.  The proof holds when each n x n block is shifted down by
+#: ``CHOLESKY_MARGIN * (n + 1) * (eps * sum|h_ii| + n * tiny)``, which lies above
+#: the rounding error of both LAPACK calls (derived at ``hermiticity_and_psd_defect``).
+CHOLESKY_MARGIN = 4.0
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
 
 class CheckError(ValueError):
     """An input gate failed: its residual is above its tolerance, or not a number."""
@@ -204,13 +213,68 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return worst(diff)
 
 
+def _cholesky_proves_psd(h: np.ndarray) -> bool:
+    """True when every block of the Hermitian stack ``h`` minus its margin has a
+    Cholesky factor, so that ``eigvalsh(h)`` would read no negative eigenvalue.
+
+    ``h`` is shifted in place and restored bit for bit before this returns.
+    """
+    n = h.shape[-1]
+    diagonal = np.einsum("...ii->...i", h)  # a writable view
+    saved = diagonal.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed h reads inf or NaN here
+        margin = CHOLESKY_MARGIN * (n + 1) * (_EPS * np.sum(np.abs(saved.real), axis=-1)
+                                              + n * _TINY)
+        shifted = saved.real - margin[..., None]
+    if not (shifted > 0).all():  # a diagonal pivot <= 0 (or NaN) fails the factorisation
+        return False
+    diagonal[...] = shifted
+    try:
+        factor = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        diagonal[...] = saved
+    # LAPACK may carry a NaN pivot through instead of failing; a non-finite h gives one
+    return bool(np.isfinite(np.einsum("...ii->...i", factor)).all())
+
+
 def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
-    """``(hermiticity_defect(m), psd_defect(m))`` with the Hermiticity defect taken once."""
+    """``(hermiticity_defect(m), psd_defect(m))`` with the Hermiticity defect taken once.
+
+    The PSD defect is ``worst(herm, min(lam, 0))`` for the smallest eigenvalue
+    ``lam`` that ``eigvalsh`` computes of each Hermitian part H = (m + m*)/2.
+    When a floating-point Cholesky factorisation of every block of H - sI runs
+    to completion, that value is ``herm`` exactly and the eigensolve is skipped.
+    With u = eps/2 and d = sum|h_ii| of an n x n block, s = 4 (n + 1)(eps d + n tiny)
+    = 8 (n + 1) u d + ... covers:
+
+    - the factorisation: a completed complex Cholesky factor R of A = fl(H - sI)
+      has R*R = A + E with |E| <= 2 (n + 1) u |R*||R| plus, under gradual
+      underflow, 2 (n + 1) tiny per entry (Demmel; Higham, *Accuracy and
+      Stability of Numerical Algorithms*, Thm 10.5 and section 3.6; Rump, BIT
+      46, 2006), so ||E||_2 <= 2 (n + 1)(u d + n tiny) to first order;
+    - the rounded shift: at most u (d + s) on the diagonal;
+    - the eigensolver: ``eigvalsh`` returns the eigenvalues of H + F with
+      ||F||_2 <= p(n) u ||H||_2 (LAPACK Users' Guide, section 4.7), and
+      ||H||_2 <= tr H <= d once H is shown PSD.
+
+    Hence the computed smallest eigenvalue is at least (5 (n + 1) - p(n)) u d,
+    which is >= 0 for any p(n) <= 5 (n + 1).  A stack falls back to one
+    batched ``eigvalsh`` of the same H as a whole when any block fails, or has
+    a shifted diagonal entry <= 0 (then no factorisation runs).
+    """
     m = _stack(m)
-    herm = hermiticity_defect(m)
+    conj = dagger(m)
+    with np.errstate(invalid="ignore"):  # inf - inf on a diagonal: NaN, which fails
+        herm = worst(m - conj)
     if not np.isfinite(m).all():
         return herm, float("inf")
-    lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., :1]
+    h = np.add(m, conj, out=conj)  # H takes over the conjugate copy
+    h /= 2
+    if _cholesky_proves_psd(h):
+        return herm, herm
+    lam = np.linalg.eigvalsh(h)[..., :1]
     return herm, worst(herm, np.minimum(lam, 0.0))
 
 
@@ -218,9 +282,11 @@ def psd_defect(m: np.ndarray) -> float:
     """How far the worst block of a stack ``(..., d, d)`` is from positive semidefinite.
 
     The larger of the Hermiticity defect and the depth below zero of the
-    spectra of the Hermitian parts, all from one batched ``eigvalsh``;
-    non-finite input anywhere reads as infinitely far.  Never raises, so
-    every check built on it fails closed.
+    spectra of the Hermitian parts, as one batched ``eigvalsh`` reads them;
+    that eigensolve is skipped when one Cholesky factorisation of the
+    Hermitian parts, shifted down by a margin above rounding, proves it would
+    read no negative eigenvalue.  Non-finite input anywhere reads as
+    infinitely far.  Never raises, so every check built on it fails closed.
     """
     return hermiticity_and_psd_defect(m)[1]
 

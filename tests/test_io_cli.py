@@ -522,6 +522,27 @@ def test_theta_refuses_a_boolean_vertex(tmp_path, capsys, edges, pair):
 _UNIT = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
 
 
+def test_null_witness_is_refused_by_name(tmp_path, capsys):
+    # {**None} raised "'NoneType' object is not a mapping", which named no field
+    payload = {"kind": "qns", "dims": {"X": 1, "Y": 1, "A": 1, "B": 1},
+               "choi": _UNIT, "witness": None}
+    with pytest.raises(io.FormatError, match="witness must be an object, got null"):
+        io.correlation_from_json(payload)
+    capsys.readouterr()
+    assert run(["verify", _write(tmp_path, "c.json", payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "witness" in err, err
+
+
+@pytest.mark.parametrize("rule", [[[[[True]]]], [[[[0, 1], [True, 0]]]]])
+def test_rule_game_refuses_a_boolean_entry(rule):
+    # numpy read true as 1, so {"rule": [[[[true]]]]} decoded as a rule game
+    game = io.game_to_json(colouring_game(Graph.complete(2), 2))
+    for payload in ({"rule": rule}, {**game, "rule": rule}):
+        with pytest.raises(io.FormatError, match="rule entries must be 0 or 1, got true"):
+            io.game_from_json(payload)
+
+
 @pytest.mark.parametrize("value", [1.9, "1", True])
 @pytest.mark.parametrize("command, files, payload, path", [
     ("verify", 1, {"kind": "qns", "dims": {"X": 1, "Y": 1, "A": 1, "B": 1}, "choi": _UNIT},

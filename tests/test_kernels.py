@@ -41,12 +41,12 @@ from qnskit.graphs import (Graph, channel_sharp, graph_subspace, hom_residual,
                            kd2_colouring, kd2_explicit_states, kraus_to_choi,
                            proper_residuals, realization_basis,
                            stahlke_residual, vertex_map_kraus)
-from qnskit.linalg import (TOL_ALG, TOL_COMM, CheckError, channel_defects,
-                           check_channel, check_state, choi_compose, dagger,
-                           hermiticity_and_psd_defect, hermiticity_defect, kron,
+from qnskit.linalg import (CHOLESKY_MARGIN, TOL_ALG, TOL_COMM, CheckError, _stack,
+                           channel_defects, check_channel, check_state, choi_compose,
+                           dagger, hermiticity_and_psd_defect, hermiticity_defect, kron,
                            max_entangled, orthonormal_columns,
                            orthonormality_defect, permute_systems, pinch,
-                           psd_defect, require, state_defect)
+                           psd_defect, require, state_defect, worst)
 from qnskit.stochastic import (StochasticOperatorMatrix, channel_choi,
                                classical_defect, from_povms, max_commutator,
                                semiclassical_defect, tensor, to_classical,
@@ -390,6 +390,94 @@ def test_combined_hermiticity_and_psd_defect_is_both_residuals(rng):
     for stack in stacks:
         np.testing.assert_equal(hermiticity_and_psd_defect(stack),
                                 (hermiticity_defect(stack), psd_defect(stack)))
+
+
+def _psd_oracle(m: np.ndarray) -> tuple[float, float]:
+    """``hermiticity_and_psd_defect`` as one batched eigensolve decided it."""
+    m = _stack(m)
+    herm = hermiticity_defect(m)
+    if not np.isfinite(m).all():
+        return herm, float("inf")
+    lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., :1]
+    return herm, worst(herm, np.minimum(lam, 0.0))
+
+
+def _psd_cases(rng, n: int, k: int) -> dict:
+    """Named matrices (k = 0) or stacks of k blocks, n x n, on both sides of every
+    branch of the PSD decision."""
+    shape = (k, n, n) if k else (n, n)
+    g = qr.complex_gaussian(rng, *shape)
+    pd = g @ dagger(g)
+    rank = max(1, n // 3)
+    low = g[..., :rank] @ dagger(g[..., :rank])
+    w, v = np.linalg.eigh(pd)
+    diagonal = np.einsum("...ii->...i", pd)
+    margin = CHOLESKY_MARGIN * (n + 1) * np.finfo(float).eps * np.sum(diagonal.real, axis=-1)
+    cases = {"pd": pd, "rank-deficient": low, "indefinite": g + dagger(g),
+             "non-hermitian": pd + 1e-9 * qr.complex_gaussian(rng, *shape),
+             "pd x 1e-300": pd * 1e-300, "pd x 1e300": pd * 1e300,
+             "rank-deficient x 1e300": low * 1e300, "subnormal": low * 1e-312,
+             "empty": np.zeros((k, 0, 0) if k else (0, 0)),
+             # lambda_min = -5e-324 in subnormal steps, which a factorisation passes
+             # unless the margin covers its underflow
+             "subnormal rank one": np.array([[603, -312 - 536j, 211 - 670j],
+                                             [-312 + 536j, 638, 488 + 536j],
+                                             [211 + 670j, 488 - 536j, 822]]) * 5e-324}
+    for factor in (0.1, 1.0, 3.0, 10.0, 1000.0):
+        lam = w - w[..., :1] + factor * np.asarray(margin)[..., None]
+        near = (v * lam[..., None, :]) @ dagger(v)
+        cases[f"near-singular {factor}"] = near
+        cases[f"near-singular {factor} x 1e-300"] = near * 1e-300
+    if k > 1:
+        cases["one failing block"] = np.concatenate([pd[:-1], low[-1:]])
+        cases["one indefinite block"] = np.concatenate([pd[:1], -pd[1:2], pd[2:]])
+    spots = tuple(rng.integers(n, size=(2, 2)))
+    block = (rng.integers(k),) if k else ()
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("complex nan", complex(0, np.nan))):
+        cases[name] = pd.copy()
+        cases[name][(*block, *spots[0])] = bad
+    cases["1e308 off-diagonal"] = pd.copy()  # m - m* overflows
+    cases["1e308 off-diagonal"][(*block, *spots[0])] = 1e308
+    cases["1e308 off-diagonal"][(*block, *spots[0][::-1])] = -1e308
+    cases["1e308 pair"] = pd.copy()  # m + m* overflows off the diagonal
+    cases["1e308 pair"][(*block, *spots[0])] = 1e308
+    cases["1e308 pair"][(*block, *spots[0][::-1])] = 1e308
+    cases["1e308 diagonal"] = pd.copy()  # m - m* and m + m* overflow
+    cases["1e308 diagonal"][(*block, spots[1][0], spots[1][0])] = 1e308 + 1e308j
+    return cases
+
+
+def _psd_outcome(fn, m):
+    """The bits of ``fn(m)``, or the error it raises (an eigensolve of an overflowed H)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array(fn(m)).view(np.int64).tolist()
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.sampled_from([0, 1, 3]), seed)
+def test_psd_decision_matches_the_eigensolve_oracle_bit_for_bit(n, k, s):
+    for name, m in _psd_cases(np.random.default_rng(s), n, k).items():
+        ours = _psd_outcome(hermiticity_and_psd_defect, m)
+        assert ours == _psd_outcome(_psd_oracle, m), name
+
+
+def test_psd_decision_keeps_its_lapack_call_budget(rng, monkeypatch):
+    calls = collections.Counter()
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _counted(calls, name, getattr(np.linalg, name)))
+    g = qr.complex_gaussian(rng, 3, 6, 6)
+    pd, low = g @ dagger(g), g[..., :2] @ dagger(g[..., :2])
+    broken = pd.copy()
+    broken[1, 2, 3] = np.nan
+    states = kd2_colouring(3).states  # every block has a zero diagonal entry
+    for stack, budget in ((pd, {"cholesky": 1}), (low, {"cholesky": 1, "eigvalsh": 1}),
+                          (states, {"eigvalsh": 1}), (broken, {})):
+        calls.clear()
+        hermiticity_and_psd_defect(stack)
+        assert dict(calls) == budget, budget
 
 
 def test_orthonormality_defect_takes_stacks(rng):

@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
                                    "--repeat", "1"],
                                   ["theta_cost.py", "--repeat", "1", "--paley", "37"],
                                   ["theta_cost.py", "--repeat", "1", "--paley", "--cycles",
-                                   "--gnp", "12:0.5", "9:0.2"]])
+                                   "--gnp", "12:0.5", "9:0.2"],
+                                  ["witness_cost.py", "--psd", "--repeat", "1"]])
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
