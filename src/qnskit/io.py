@@ -3,14 +3,13 @@
 Matrices are stored as {"rows": n, "cols": m, "data": [[re, im], ...]} with
 row-major data; every other payload is built from this block plus plain
 dimension fields.  In the trees of the ``*_to_json`` functions each list of
-[re, im] pairs is a read-only (n, 2) float array, which ``write_json`` and
-``dump_json`` stream in chunks as ``json.dumps(obj, sort_keys=True, indent=2,
-allow_nan=False)`` would write its list.
+[re, im] pairs is a read-only (n, 2) float array.  ``json`` lays out every
+payload and report as ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``
+would, and the writer streams only the pair arrays, in chunks of the same bytes.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from io import StringIO
@@ -307,50 +306,35 @@ def detect_payload(obj: Any):
 _CHUNK = 4096
 
 
-def _key(key: Any) -> str:
-    """``key`` as json writes a dict key: a number, bool or None as its JSON text, quoted."""
-    if key is None or isinstance(key, (int, float)):
-        key = json.dumps(key, indent=2, allow_nan=False)
-    elif not isinstance(key, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return json.dumps(key)
-
-
-def _pieces(obj: Any, level: int):
-    """The JSON text of ``obj`` at nesting ``level``, in pieces: strings, and a
-    (pairs, level) tuple for each (n, 2) pair array, checked but not yet formatted."""
-    indent = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict) and obj:
-        opener = "{"
-        for key, value in sorted(obj.items()):
-            yield f"{opener}{indent}{_key(key)}: "
-            yield from _pieces(value, level + 1)
-            opener = ","
-        yield "\n" + "  " * level + "}"
-    elif isinstance(obj, np.ndarray):
-        if not np.isfinite(obj).all():  # json's own error, which names the value
-            json.dumps(obj.tolist(), indent=2, allow_nan=False)
-        yield (obj, level) if obj.size else "[]"
-    elif isinstance(obj, (list, tuple)) and obj:
-        opener = "["
-        for value in obj:
-            yield opener + indent
-            yield from _pieces(value, level + 1)
-            opener = ","
-        yield "\n" + "  " * level + "]"
-    else:  # scalars, {} and []
-        yield json.dumps(obj, indent=2, allow_nan=False)
-
-
 def json_pieces(obj: Any) -> list:
     """The text of ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` as
-    pieces for ``write_pieces``: strings, and the pair arrays still to format.
+    pieces for ``write_pieces``: strings, and a (pairs, level) tuple for each (n, 2)
+    pair array at nesting ``level``, checked but not yet formatted.
 
-    The whole tree is checked here, so whatever ``json.dumps`` raises on it (a
+    ``json`` lays out the whole tree, so whatever ``json.dumps`` raises on it (a
     non-finite float, an object JSON cannot hold) is raised before a byte is written.
     """
-    runs = itertools.groupby(_pieces(obj, 0), key=lambda piece: type(piece) is str)
-    return [piece for text, run in runs for piece in (["".join(run)] if text else run)]
+    pieces, text, arrays = [], [], []
+
+    def pairs(a):
+        if not isinstance(a, np.ndarray):
+            return json.JSONEncoder.default(encoder, a)  # json's own TypeError
+        if not a.size or not np.isfinite(a).all():
+            return a.tolist()  # [], or json's own error, which names the value
+        arrays.append(a)
+        return None
+
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, default=pairs)
+    # Without ``_one_shot`` ``iterencode`` runs json's pure-Python encoder, which
+    # yields what ``default`` returns as its next chunk: here the placeholder null.
+    for chunk in encoder.iterencode(obj):
+        if not arrays:
+            text.append(chunk)
+            continue
+        line = next((c for c in reversed(text) if "\n" in c), "")  # indents the array
+        pieces += ["".join(text), (arrays.pop(), len(line.rpartition("\n")[2]) // 2)]
+        text.clear()
+    return pieces + ["".join(text)]
 
 
 def _write_pairs(fh, pairs: np.ndarray, level: int) -> None:

@@ -222,7 +222,7 @@ def _cholesky_proves_psd(h: np.ndarray) -> bool:
     n = h.shape[-1]
     diagonal = np.einsum("...ii->...i", h)  # a writable view
     saved = diagonal.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed h reads inf or NaN here
+    with np.errstate(over="ignore"):  # a diagonal summing past the largest float reads inf
         margin = CHOLESKY_MARGIN * (n + 1) * (_EPS * np.sum(np.abs(saved.real), axis=-1)
                                               + n * _TINY)
         shifted = saved.real - margin[..., None]
@@ -266,12 +266,13 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
     """
     m = _stack(m)
     conj = dagger(m)
-    with np.errstate(invalid="ignore"):  # inf - inf on a diagonal: NaN, which fails
+    # inf - inf on a diagonal is NaN, which fails; an overflowed or non-finite H reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
         herm = worst(m - conj)
-    if not np.isfinite(m).all():
+        h = np.add(m, conj, out=conj)  # H takes over the conjugate copy
+        h /= 2
+    if not np.isfinite(h).all():
         return herm, float("inf")
-    h = np.add(m, conj, out=conj)  # H takes over the conjugate copy
-    h /= 2
     if _cholesky_proves_psd(h):
         return herm, herm
     lam = np.linalg.eigvalsh(h)[..., :1]
@@ -285,8 +286,9 @@ def psd_defect(m: np.ndarray) -> float:
     spectra of the Hermitian parts, as one batched ``eigvalsh`` reads them;
     that eigensolve is skipped when one Cholesky factorisation of the
     Hermitian parts, shifted down by a margin above rounding, proves it would
-    read no negative eigenvalue.  Non-finite input anywhere reads as
-    infinitely far.  Never raises, so every check built on it fails closed.
+    read no negative eigenvalue.  Non-finite input anywhere, or a Hermitian
+    part that overflows, reads as infinitely far.  Never raises, so every check
+    built on it fails closed.
     """
     return hermiticity_and_psd_defect(m)[1]
 

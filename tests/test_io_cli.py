@@ -156,10 +156,17 @@ _MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
     lambda shape: st.lists(_FLOATS, min_size=2 * shape[0] * shape[1],
                            max_size=2 * shape[0] * shape[1]).map(
         lambda xs: io.matrix_to_json(np.array(xs, dtype=float).view(complex).reshape(shape))))
+_PAIRS = st.lists(st.tuples(_FLOATS, _FLOATS), max_size=4).map(
+    lambda xs: np.array(xs, dtype=float).reshape(-1, 2))
 _LEAVES = (st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
-           | st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=4) | _MATRICES)
+           | st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=4) | _MATRICES
+           | _PAIRS)
+# one key type per dict: json cannot sort mixed keys
+_KEYS = st.sampled_from([st.text(), st.integers(), _FLOATS, st.booleans(), st.none()])
 _TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
-                      | st.dictionaries(st.text(), kids, max_size=4), max_leaves=25)
+                      | st.lists(kids, max_size=4).map(tuple)
+                      | _KEYS.flatmap(lambda keys: st.dictionaries(keys, kids, max_size=4)),
+                      max_leaves=25)
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,6 +195,19 @@ def test_write_json_refuses_non_finite_floats_before_writing(tree, bad, where):
         io.write_json(obj, text)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+    assert text.getvalue() == ""
+
+
+@pytest.mark.parametrize("leaf", [{1, 2}, np.int64(1)], ids=["set", "int64"])
+def test_write_json_refuses_what_json_cannot_encode_before_writing(leaf):
+    obj = {"a": io.matrix_to_json(np.eye(2)), "b": [1.5, leaf]}
+    with pytest.raises(TypeError) as want:
+        _oracle(obj)
+    text = StringIO()
+    with pytest.raises(TypeError) as got:
+        io.write_json(obj, text)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(" is not JSON serializable")
     assert text.getvalue() == ""
 
 

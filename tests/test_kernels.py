@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from qnskit import games, io, symmetry, theta
 from qnskit import rand as qr
 from qnskit.algebra import tracial_choi, tracial_states, tracial_table
+from qnskit.cli import run
 from qnskit.correlations import (CorrelationDims, CqnsCorrelation,
                                  LocalWitness, NsCorrelation, QnsCorrelation,
                                  QuantumWitness, TracialWitness,
@@ -461,7 +462,26 @@ def _psd_outcome(fn, m):
 def test_psd_decision_matches_the_eigensolve_oracle_bit_for_bit(n, k, s):
     for name, m in _psd_cases(np.random.default_rng(s), n, k).items():
         ours = _psd_outcome(hermiticity_and_psd_defect, m)
-        assert ours == _psd_outcome(_psd_oracle, m), name
+        with np.errstate(over="ignore"):
+            overflows = np.isfinite(m).all() and not np.isfinite(m + dagger(m)).all()
+        if overflows:  # H overflows (the 1e308 rows): inf, where eigvalsh reads NaN or raises
+            assert ours == _psd_outcome(lambda m: (hermiticity_defect(m), np.inf), m), name
+        else:
+            assert ours == _psd_outcome(_psd_oracle, m), name
+
+
+def test_an_overflowing_hermitian_part_reads_inf(tmp_path, capsys):
+    for n in range(1, 9):
+        assert psd_defect(np.diag([1e308 + 1e308j] + [1] * (n - 1))) == np.inf
+    m = np.eye(3)
+    m[0, 2] = m[2, 0] = 1e308
+    assert hermiticity_and_psd_defect(m) == (0.0, np.inf)
+    path = tmp_path / "choi.json"
+    path.write_text(json.dumps({"kind": "qns", "dims": {"X": 1, "Y": 1, "A": 1, "B": 1},
+                                "choi": {"rows": 1, "cols": 1, "data": [[1e308, 1e308]]}}))
+    assert run(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["psd_defect"] == "inf" and err == ""
 
 
 def test_psd_decision_keeps_its_lapack_call_budget(rng, monkeypatch):
