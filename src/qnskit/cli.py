@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success / check passed, 1 check failed, 2 malformed input or
-IO error.  Reports are JSON objects (the default) or an equivalent plain
-text rendering; produced payloads go to --out when given, otherwise to
-stdout with the report on stderr so that commands compose through pipes.
+Exit codes: 0 success / check passed, 1 check failed, 2 malformed input (also
+JSON nested too deep, or a size numpy cannot allocate) or IO error.  Reports are
+JSON objects (the default) or an equivalent plain text rendering; produced payloads
+go to --out when given, else to stdout with the report on stderr, so commands pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import io
 from .algebra import AlgStochasticMatrix
@@ -78,9 +79,8 @@ def _emit_payload(payload: dict, report: dict, args) -> int:
     return _emit_report(report, args.format, stream)
 
 
-#: What reading a file and decoding its JSON raise on malformed input: a JSON
-#: tree of the wrong shape fails a lookup, an unpacking or a conversion.
-_DECODE_ERRORS = (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError)
+#: What reading and decoding a malformed file raise (RecursionError: nesting too deep).
+_DECODE_ERRORS = (OSError, ValueError, RecursionError)
 
 
 def _load_payload(path: str, types=object, what: str = "", decode=io.detect_payload):
@@ -122,19 +122,16 @@ def _cmd_verify(args) -> int:
     return _emit_report(_report(payload, args.tol), args.format, sys.stdout)
 
 
-#: ``build`` kind -> witness class; the other kinds build classical-input data.
-_WITNESS_CLASSES = {"local": "local", "quantum": "quantum", "qc": "commuting", "tracial": "tracial"}
-_BUILDERS = (*_WITNESS_CLASSES, "cqns-tracial", "ns-tracial")
+#: ``build`` kind -> (builder, decoder of the witness file): a witness class, or classical inputs.
+_BUILDERS = {kind: (build_from_witness, partial(io.witness_from_json, kind=cls)) for kind, cls in (
+    ("local", "local"), ("quantum", "quantum"), ("qc", "commuting"), ("tracial", "tracial"))}
+_BUILDERS.update({"cqns-tracial": (build_tracial_cqns, io.alg_stochastic_from_json),
+                  "ns-tracial": (build_tracial_ns, io.alg_stochastic_from_json)})
 
 
 def _cmd_build(args) -> int:
-    if args.kind in _WITNESS_CLASSES:
-        corr = build_from_witness(_load_payload(args.witness, decode=lambda obj: (
-            io.witness_from_json({**obj, "class": _WITNESS_CLASSES[args.kind]}))))
-    else:
-        build = build_tracial_cqns if args.kind == "cqns-tracial" else build_tracial_ns
-        corr = build(_load_payload(args.witness, decode=io.alg_stochastic_from_json))
-    return _emit_correlation(corr, args)
+    build, decode = _BUILDERS[args.kind]
+    return _emit_correlation(build(_load_payload(args.witness, decode=decode)), args)
 
 
 def _cmd_reduce(args) -> int:
@@ -203,8 +200,7 @@ def _cmd_kd2(args) -> int:
 
 def _cmd_orthrep(args) -> int:
     graph = _load_payload(args.graph, Graph, "orthrep expects a graph file first")
-    vectors = _load_payload(args.vectors, decode=lambda obj: [
-        io.vector_from_json(v) for v in obj["vectors"]])
+    vectors = _load_payload(args.vectors, decode=io.vectors_from_json)
     corr = orth_rep_to_colouring(vectors, graph)
     return _emit_correlation(corr, args, properness_residual=_properness(corr, graph))
 
@@ -277,7 +273,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError, MemoryError) as exc:  # MemoryError: a size numpy refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,7 +70,8 @@ class LocalWitness:
     @cached_property
     def choi(self) -> np.ndarray:
         if not len(self.weights) == len(self.alice) == len(self.bob):
-            raise ValueError("need one weight per channel pair")
+            raise ValueError(f"need one weight per channel pair, got {len(self.weights)} weights, "
+                             f"{len(self.alice)} alice and {len(self.bob)} bob channels")
         weights = check_weights(self.weights)
         d = self.dims
         alice = _channel_terms("alice", self.alice, (d.x, d.a))

@@ -32,7 +32,7 @@ class RuleFunction:
         if table.ndim != 4:
             raise ValueError("rule tensor must have four axes (x, y, a, b)")
         if not np.isin(table, (0, 1)).all():
-            raise ValueError("rule tensor entries must be 0 or 1")
+            raise ValueError("rule entries must be 0 or 1")
         object.__setattr__(self, "table", table.astype(np.int8))
 
     @property

@@ -6,12 +6,18 @@ dimension fields.  In the trees of the ``*_to_json`` functions each list of
 [re, im] pairs is a read-only (n, 2) float array.  ``json`` lays out every
 payload and report as ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``
 would, and the writer streams only the pair arrays, in chunks of the same bytes.
+
+Every decoder reads every field through ``_get`` / ``_each`` as one of ``_KINDS``
+or a nested decoder, number tables through ``_entries``, pair data through
+``_complex``; it raises only a ``FormatError`` naming the field or array at
+fault, or the ``ValueError`` of a model's own gate.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from io import StringIO
 from typing import Any
 
@@ -31,16 +37,57 @@ class FormatError(ValueError):
     """Malformed JSON payload."""
 
 
-#: The types ``json.load`` gives for each kind of value a field may hold.
-_KINDS = {"an integer": (int,), "a number": (int, float), "true or false": (bool,)}
+#: The types ``json.load`` gives each kind of field (a list may also be a pair array).
+_KINDS = {"an integer": (int,), "a number": (int, float), "true or false": (bool,),
+          "a string": (str,), "an object": (dict,), "a list": (list, np.ndarray)}
+_NAMES = {type(None): "null", dict: "an object", list: "a list", np.ndarray: "an array"}
 
 
-def _typed(value: Any, field: str, kind: str = "an integer") -> Any:
-    """``value`` if ``json.load`` gives it as ``kind``; anything else in ``field`` (a
-    string, a float for an integer, a bool for a number) is refused."""
+def _typed(value: Any, kind, field: str) -> Any:
+    """``value`` of ``field`` read as ``kind``: one of ``_KINDS``, which refuses any other
+    type (a string, a float for an integer, a boolean for a number), or a nested decoder."""
+    if callable(kind):
+        return kind(value, field)
     if type(value) not in _KINDS[kind]:
-        raise FormatError(f"{field} must be {kind}, got {value!r}")
+        raise FormatError(f"{field} must be {kind}, got {_NAMES.get(type(value)) or repr(value)}")
     return value
+
+
+def _get(obj: Any, key: str, kind, where: str, default: Any = ...) -> Any:
+    """The field ``key`` of the object ``where`` read as ``kind``, or ``default`` if absent."""
+    if key not in _typed(obj, "an object", where):
+        if default is ...:
+            raise FormatError(f"{where} has no {key!r} field")
+        return default
+    return _typed(obj[key], kind, key)
+
+
+def _each(obj: Any, key: str, kind, where: str) -> list:
+    """The list field ``key`` of the object ``where``, each item read as ``kind``."""
+    return [_typed(item, kind, key) for item in _get(obj, key, "a list", where)]
+
+
+#: The error of each number table field: ``{entry}`` is the bad leaf, ``{row}`` its list.
+_TABLES = {"table": "ns table entries must be numbers",
+           "rule": "rule entries must be 0 or 1, got {entry:.80}",
+           "edges": "edges must be pairs of integer vertices, got {row:.80}"}
+
+
+def _entries(tree: Any, field: str) -> np.ndarray:
+    """The number table ``field`` as one array, ``[]`` as it is; any other leaf (a boolean
+    too, which numpy reads as 0 or 1) or ragged nesting raises its ``_TABLES`` message."""
+    message, rows = _TABLES[field], [_typed(tree, "a list", field)]
+    while rows:
+        row = rows.pop()
+        for entry in row:
+            if type(entry) is list:
+                rows.append(entry)
+            elif type(entry) not in _KINDS["a number"]:
+                raise FormatError(message.format(entry=json.dumps(entry), row=json.dumps(row)))
+    try:
+        return np.asarray(tree) if len(tree) else tree
+    except ValueError:  # ragged nesting
+        raise FormatError(message.format(entry="ragged nesting", row="ragged nesting")) from None
 
 
 def vector_to_json(v: np.ndarray) -> np.ndarray:
@@ -71,12 +118,9 @@ def _complex(data: Any, shape: tuple, message: str) -> np.ndarray:
     return pairs.view(complex).reshape(shape)
 
 
-def matrix_from_json(obj: Any) -> np.ndarray:
-    try:
-        rows, cols = _typed(obj["rows"], "rows"), _typed(obj["cols"], "cols")
-        data = obj["data"]
-    except (TypeError, KeyError) as exc:
-        raise FormatError(f"not a matrix object: {exc}") from exc
+def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
+    rows, cols = (_get(obj, key, "an integer", where) for key in ("rows", "cols"))
+    data = _get(obj, "data", "a list", where)
     if len(data) != rows * cols:
         raise FormatError(f"matrix data length {len(data)} != {rows}x{cols}")
     flat = _complex(data, (len(data),), "matrix data must be [re, im] number pairs")
@@ -87,26 +131,27 @@ def vector_from_json(obj: Any) -> np.ndarray:
     return _complex(obj, (len(obj),), "vector entries must be [re, im] number pairs")
 
 
+def vectors_from_json(obj: Any) -> list:
+    return [vector_from_json(v) for v in _each(obj, "vectors", "a list", "vectors file")]
+
+
 def stochastic_to_json(e: StochasticOperatorMatrix) -> dict:
     return {"dimX": e.dim_x, "dimA": e.dim_a, "dimH": e.dim_h,
             "matrix": matrix_to_json(e.mat)}
 
 
-def stochastic_from_json(obj: Any) -> StochasticOperatorMatrix:
-    try:
-        return StochasticOperatorMatrix(*(_typed(obj[k], k) for k in ("dimX", "dimA", "dimH")),
-                                        matrix_from_json(obj["matrix"]))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise FormatError(f"not a stochastic operator matrix: {exc}") from exc
+def stochastic_from_json(obj: Any, where: str = "stochastic matrix") -> StochasticOperatorMatrix:
+    dims = [_get(obj, key, "an integer", where) for key in ("dimX", "dimA", "dimH")]
+    return StochasticOperatorMatrix(*dims, _get(obj, "matrix", matrix_from_json, where))
 
 
 def algebra_to_json(alg: TracialAlgebra) -> dict:
     return {"blocks": list(alg.block_dims), "weights": list(alg.weights)}
 
 
-def algebra_from_json(obj: Any) -> TracialAlgebra:
-    return TracialAlgebra(tuple(_typed(d, "algebra blocks") for d in obj["blocks"]),
-                          tuple(_typed(w, "algebra weights", "a number") for w in obj["weights"]))
+def algebra_from_json(obj: Any, where: str = "algebra") -> TracialAlgebra:
+    return TracialAlgebra(tuple(_each(obj, "blocks", "an integer", where)),
+                          tuple(_each(obj, "weights", "a number", where)))
 
 
 def alg_stochastic_to_json(e: AlgStochasticMatrix) -> dict:
@@ -114,17 +159,14 @@ def alg_stochastic_to_json(e: AlgStochasticMatrix) -> dict:
             "blocks": [matrix_to_json(b.mat) for b in e.blocks]}
 
 
-def alg_stochastic_from_json(obj: Any) -> AlgStochasticMatrix:
-    try:
-        alg = algebra_from_json(obj["algebra"])
-        dx, da = _typed(obj["dimX"], "dimX"), _typed(obj["dimA"], "dimA")
-        if len(obj["blocks"]) != alg.n_blocks:
-            raise FormatError(f"{len(obj['blocks'])} blocks for an algebra of {alg.n_blocks}")
-        blocks = tuple(StochasticOperatorMatrix(dx, da, d, matrix_from_json(m))
-                       for d, m in zip(alg.block_dims, obj["blocks"]))
-        return AlgStochasticMatrix(alg, blocks)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise FormatError(f"not a stochastic algebra matrix: {exc}") from exc
+def alg_stochastic_from_json(obj: Any, where: str = "stochastic algebra matrix"):
+    alg = _get(obj, "algebra", algebra_from_json, where)
+    dx, da = (_get(obj, key, "an integer", where) for key in ("dimX", "dimA"))
+    blocks = _each(obj, "blocks", matrix_from_json, where)
+    if len(blocks) != alg.n_blocks:
+        raise FormatError(f"{len(blocks)} blocks for an algebra of {alg.n_blocks}")
+    return AlgStochasticMatrix(alg, tuple(StochasticOperatorMatrix(dx, da, d, m)
+                                          for d, m in zip(alg.block_dims, blocks)))
 
 
 def witness_to_json(w) -> dict:
@@ -140,20 +182,18 @@ def witness_to_json(w) -> dict:
     raise FormatError(f"unknown witness type {type(w)!r}")
 
 
-def witness_from_json(obj: Any):
-    """The witness ``obj`` encodes; a local one reads its correlation's ``dims`` too."""
-    kind = obj.get("class")
+def witness_from_json(obj: Any, where: str = "witness", kind: str = "", dims=None):
+    """The witness ``obj``, of class ``kind`` or its own; a local one of ``dims`` or its own."""
+    kind = kind or _get(obj, "class", "a string", where)
     if kind == "local":
-        return LocalWitness(tuple(_typed(w, "weights", "a number") for w in obj["weights"]),
-                            tuple(matrix_from_json(m) for m in obj["alice"]),
-                            tuple(matrix_from_json(m) for m in obj["bob"]),
-                            dims_from_json(obj["dims"]))
+        weights, alice, bob = (tuple(_each(obj, key, read, where)) for key, read in (
+            ("weights", "a number"), ("alice", matrix_from_json), ("bob", matrix_from_json)))
+        return LocalWitness(weights, alice, bob, dims or _get(obj, "dims", dims_from_json, where))
     if kind in ("quantum", "commuting"):
-        return QuantumWitness(kind, stochastic_from_json(obj["E"]),
-                              stochastic_from_json(obj["F"]),
-                              matrix_from_json(obj["sigma"]))
+        e, f = (_get(obj, key, stochastic_from_json, where) for key in "EF")
+        return QuantumWitness(kind, e, f, _get(obj, "sigma", matrix_from_json, where))
     if kind == "tracial":
-        return TracialWitness(alg_stochastic_from_json(obj))
+        return TracialWitness(alg_stochastic_from_json(obj, where))
     raise FormatError(f"unknown witness class {kind!r}")
 
 
@@ -161,8 +201,8 @@ def _dims_obj(d: CorrelationDims) -> dict:
     return {"X": d.x, "Y": d.y, "A": d.a, "B": d.b}
 
 
-def dims_from_json(obj: Any) -> CorrelationDims:
-    return CorrelationDims(*(_typed(obj[k], k) for k in "XYAB"))
+def dims_from_json(obj: Any, where: str = "dims") -> CorrelationDims:
+    return CorrelationDims(*(_get(obj, key, "an integer", where) for key in "XYAB"))
 
 
 def correlation_to_json(corr) -> dict:
@@ -184,27 +224,17 @@ def correlation_to_json(corr) -> dict:
 
 
 def correlation_from_json(obj: Any):
-    try:
-        kind = obj["kind"]
-        dims = dims_from_json(obj["dims"])
-    except (TypeError, KeyError) as exc:
-        raise FormatError(f"not a correlation object: {exc}") from exc
-    witness = None
-    if "witness" in obj:
-        if not isinstance(obj["witness"], dict):
-            raise FormatError(f"witness must be an object, got {json.dumps(obj['witness'])[:40]}")
-        witness = witness_from_json({**obj["witness"], "dims": obj["dims"]})
+    kind = _get(obj, "kind", "a string", "correlation")
+    dims = _get(obj, "dims", dims_from_json, "correlation")
+    witness = _get(obj, "witness", partial(witness_from_json, dims=dims), "correlation", None)
     if kind == "qns":
-        return QnsCorrelation(dims, matrix_from_json(obj["choi"]), witness)
+        return QnsCorrelation(dims, _get(obj, "choi", matrix_from_json, "correlation"), witness)
     if kind == "cqns":
-        states = np.stack([np.stack([matrix_from_json(m) for m in row])
-                           for row in obj["states"]])
+        states = [[matrix_from_json(m, "states") for m in row]
+                  for row in _each(obj, "states", "a list", "correlation")]
         return CqnsCorrelation(dims, states, witness)
     if kind == "ns":
-        table = np.asarray(obj["table"])
-        if table.dtype.kind not in "iuf":
-            raise FormatError("ns table entries must be numbers")
-        return NsCorrelation(dims, table, witness)
+        return NsCorrelation(dims, _get(obj, "table", _entries, "correlation"), witness)
     raise FormatError(f"unknown correlation kind {kind!r}")
 
 
@@ -213,16 +243,7 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: Any) -> Graph:
-    try:
-        n, edges = _typed(obj["n"], "n"), obj["edges"]
-        # numpy reads a JSON boolean as the vertex 0 or 1
-        bad = next((e for e in edges if isinstance(e, (list, tuple))
-                    and any(isinstance(v, bool) for v in e)), None)
-        if bad is not None:
-            raise FormatError(f"edges must be pairs of integer vertices, got {json.dumps(bad)}")
-        return Graph.from_edges(n, edges)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise FormatError(f"not a graph object: {exc}") from exc
+    return Graph(_get(obj, "n", "an integer", "graph"), _get(obj, "edges", _entries, "graph"))
 
 
 def game_to_json(g: ConstraintGame) -> dict:
@@ -244,34 +265,19 @@ def _columns(vectors, n: int, where: str) -> np.ndarray:
     return orthonormal_columns(_complex(vectors, (len(vectors), n), message).T)
 
 
-def _rule_table(rule: Any) -> np.ndarray:
-    """The JSON ``rule`` as an array, unless it holds a boolean, which numpy reads as 0 or 1."""
-    items = [rule]
-    while items:
-        item = items.pop()
-        if isinstance(item, bool):
-            raise FormatError(f"rule entries must be 0 or 1, got {json.dumps(item)}")
-        if isinstance(item, list):
-            items.extend(item)
-    return np.asarray(rule)
-
-
 def game_from_json(obj: Any) -> ConstraintGame:
-    try:
-        if "rule" in obj and "constraints" not in obj:
-            return from_rule(_rule_table(obj["rule"]))
-        in_dims = tuple(_typed(d, "inDims") for d in obj["inDims"])
-        out_dims = tuple(_typed(d, "outDims") for d in obj["outDims"])
-        din = in_dims[0] * in_dims[1]
-        dout = out_dims[0] * out_dims[1]
-        constraints = tuple((_columns(c["U"], din, f"constraint {k}: U"),
-                             _columns(c["V"], dout, f"constraint {k}: V"))
-                            for k, c in enumerate(obj["constraints"]))
-        rule = RuleFunction(_rule_table(obj["rule"])) if "rule" in obj else None
-        classical = _typed(obj["classicalInput"], "classicalInput", "true or false")
-        return ConstraintGame(in_dims, out_dims, classical, constraints, rule)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise FormatError(f"not a game object: {exc}") from exc
+    """A constraint game, or with a "rule" but no "constraints" or "inDims", the rule's game."""
+    rule = _get(obj, "rule", _entries, "game", None)
+    if rule is not None and "constraints" not in obj and "inDims" not in obj:
+        return from_rule(rule)
+    dims = [tuple(_each(obj, key, "an integer", "game")) for key in ("inDims", "outDims")]
+    if [len(d) for d in dims] != [2, 2]:
+        raise FormatError(f"inDims and outDims must be integer pairs, got {dims}")
+    constraints = tuple(tuple(_columns(_get(c, key, "a list", "constraints"), math.prod(d),
+                                       f"constraint {k}: {key}") for key, d in zip("UV", dims))
+                        for k, c in enumerate(_get(obj, "constraints", "a list", "game")))
+    return ConstraintGame(*dims, _get(obj, "classicalInput", "true or false", "game"),
+                          constraints, None if rule is None else RuleFunction(rule))
 
 
 def load(path_or_obj) -> Any:
@@ -283,23 +289,20 @@ def load(path_or_obj) -> Any:
         return json.load(fh)
 
 
+#: Marker fields -> the decoder of a payload that holds them all, in the order tried.
+_DECODERS = (("kind", correlation_from_json), ("dimH+matrix", stochastic_from_json),
+             ("algebra", alg_stochastic_from_json), ("constraints", game_from_json),
+             ("rule", game_from_json), ("edges+n", graph_from_json),
+             ("rows+data", matrix_from_json))
+
+
 def detect_payload(obj: Any):
-    """Instantiate whichever payload type the JSON object encodes."""
-    if not isinstance(obj, dict):
-        raise FormatError("top-level JSON payload must be an object")
-    if "kind" in obj:
-        return correlation_from_json(obj)
-    if "dimH" in obj and "matrix" in obj:
-        return stochastic_from_json(obj)
-    if "algebra" in obj:
-        return alg_stochastic_from_json(obj)
-    if "constraints" in obj or ("rule" in obj and "inDims" not in obj):
-        return game_from_json(obj)
-    if "edges" in obj and "n" in obj:
-        return graph_from_json(obj)
-    if "rows" in obj and "data" in obj:
-        return matrix_from_json(obj)
-    raise FormatError("unrecognised payload")
+    """Decode the JSON object ``obj`` by the first marker fields it holds."""
+    _typed(obj, "an object", "top-level JSON payload")
+    for markers, decode in _DECODERS:
+        if all(key in obj for key in markers.split("+")):
+            return decode(obj)
+    raise FormatError("unrecognised payload, with none of " + ", ".join(m for m, _ in _DECODERS))
 
 
 #: Pairs formatted per write of a streamed pair list.

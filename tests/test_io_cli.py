@@ -697,6 +697,37 @@ def test_cli_build_local_ragged_terms_exit_2(tmp_path, capsys, rng):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, payload, message", [
+    (["theta"], {"n": 3, "edges": {}}, "edges must be a list, got an object"),
+    (["check-game", "game.json"], {**plain(io.game_to_json(colouring_game(Graph.complete(2), 2))),
+                                   "constraints": {}}, "constraints must be a list, got an object"),
+])
+def test_cli_refuses_an_object_where_a_list_belongs(tmp_path, capsys, argv, payload, message):
+    # the edge walk and the constraint loop read {} as an empty list, so theta exited 0
+    # with theta = 3 and check-game passed a game of no constraints
+    path = _write(tmp_path, "game.json", payload)
+    assert run([argv[0], path, *[path] * (len(argv) - 1)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: {message}\n"
+
+
+def test_cli_refuses_json_nested_too_deep(tmp_path, capsys):
+    # json.load raised RecursionError, which escaped as a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert run(["theta", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: maximum recursion depth") \
+        and err.count("\n") == 1, err
+
+
+def test_cli_refuses_a_size_numpy_cannot_allocate(capsys):
+    # kd2 at d = 100 asks for a (10^8, 10^8) complex matrix, 142 PiB, which numpy refuses
+    # before it allocates anything; the MemoryError escaped as a traceback and exit 1
+    assert run(["kd2", "--d", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+
+
 def test_cli_rejects_bad_tolerance(tmp_path):
     path = _write(tmp_path, "k2.json", io.graph_to_json(Graph.complete(2)))
     with pytest.raises(SystemExit):
