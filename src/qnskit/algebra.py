@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_ALG, Report, dimensions, require, worst
+from .linalg import TOL_ALG, Report, dimensions, reading, require, worst
 from .stochastic import (StochasticOperatorMatrix, classical_defect,
                          compose as compose_som, semiclassical_defect)
 
@@ -112,42 +112,30 @@ def check_alg_stochastic(e: AlgStochasticMatrix):
     e.verification_report().require("stochastic algebra matrix fails verification")
 
 
-def _tau(e: AlgStochasticMatrix, spec: str) -> np.ndarray:
-    """Verify ``e``, then sum (w_i / d_i) einsum(spec, E_i, E_i) over its blocks.
-
-    ``spec`` contracts two ``tensor6`` views of a block, the trace over H
-    included, so each term is the normalised block trace of a product of
-    entries; a subscript repeated within an operand takes its diagonal.
-    """
+def _tau(e: AlgStochasticMatrix, name: str) -> np.ndarray:
+    """Verify ``e``, then sum over its blocks E_i (w_i / d_i) times the reading ``name``
+    (``linalg.READINGS``) of two ``tensor6`` views of E_i contracted with the trace over
+    H, so each term is the normalised block trace of a product of entries."""
     check_alg_stochastic(e)
-    return sum((w / d) * np.einsum(spec, b.tensor6(), b.tensor6(), optimize=True)
+    return sum((w / d) * reading(name, "xahXAk,YBkybh", b.tensor6(), b.tensor6())
                for w, d, b in zip(e.alg.weights, e.alg.block_dims, e.blocks))
 
 
 def tracial_choi(e: AlgStochasticMatrix) -> np.ndarray:
-    """Choi matrix with entries tau(g[x,x',a,a'] g[y',y,b',b]).
-
-    Rows are indexed (x, y, a, b), columns (x', y', a', b'); the result is
-    the Choi matrix of a quantum no-signalling correlation on (X, X, A, A).
-    """
-    n = (e.dim_x * e.dim_a) ** 2
-    return _tau(e, "xahXAk,YBkybh->xyabXYAB").reshape(n, n)
+    """Choi matrix with entries tau(g[x,x',a,a'] g[y',y,b',b]) of a quantum no-signalling
+    correlation on (X, X, A, A)."""
+    return _tau(e, "choi")
 
 
 def tracial_states(e: AlgStochasticMatrix) -> np.ndarray:
-    """State family sigma[x, y] with entries tau(g[x,a,a'] g[y,b',b]).
-
-    Reads only the input-diagonal entries, so a semi-classical matrix gives
-    the states of its correlation; returns shape (dx, dx, da*da, da*da)
-    with sigma[x, y] indexed by rows (a, b) and columns (a', b').
-    """
-    dx, da = e.dim_x, e.dim_a
-    return _tau(e, "xahxAk,yBkybh->xyabAB").reshape(dx, dx, da * da, da * da)
+    """State family sigma[x, y] with entries tau(g[x,a,a'] g[y,b',b]), read off the
+    input-diagonal entries, so a semi-classical matrix gives its correlation's states."""
+    return _tau(e, "states")
 
 
 def tracial_table(e: AlgStochasticMatrix) -> np.ndarray:
     """Probability table p(a, b | x, y) = tau(g[x,a] g[y,b]) of a classical matrix."""
-    return np.real(_tau(e, "xahxak,ybkybh->xyab"))
+    return _tau(e, "table")
 
 
 def compose_alg(f: AlgStochasticMatrix, e: AlgStochasticMatrix) -> AlgStochasticMatrix:

@@ -21,7 +21,7 @@ from .correlations import (CqnsCorrelation, NsCorrelation, QnsCorrelation,
 from .games import ConstraintGame, compose_games, perfect_strategy_check
 from .graphs import (Graph, kd2_colouring, orth_rep_to_colouring,
                      proper_residuals, xi_qc_lower_bound)
-from .linalg import TOL_ALG, Report, worst
+from .linalg import TOL_ALG, Report, positive, worst
 from .stochastic import StochasticOperatorMatrix, verify as verify_stochastic
 from .symmetry import build_tracial_cqns, build_tracial_ns, fair_residual
 from .theta import GAP_TOL, SolverError, solve_theta
@@ -212,9 +212,10 @@ def _cmd_fair(args) -> int:
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < float("inf"):  # NaN fails
-        raise argparse.ArgumentTypeError("tolerance must be positive and finite")
+    try:
+        positive(value := float(text), "tolerance")
+    except ValueError:
+        raise argparse.ArgumentTypeError("tolerance must be positive and finite") from None
     return value
 
 

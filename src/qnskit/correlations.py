@@ -3,10 +3,12 @@
 A QNS correlation is a channel M_{XY} -> M_{AB} stored through its Choi
 matrix (rows (x, y, a, b), columns (x', y', a', b')).  Class membership is
 certificate based: constructors attach witnesses, each of which carries its
-``dims`` and makes its read-only ``choi`` (a tracial one also ``states`` and
-``table``) once, through its class's gates, so a re-check reads what the build
-made; :func:`qns_report` checks the defining no-signalling conditions of the
-Choi matrix itself.
+``dims`` and one gated contraction in Choi subscripts.  ``linalg.READINGS`` says
+what CQNS data (the reduction E, on classical inputs) and NS data (N, on classical
+outputs too) read of a Choi matrix: a witness's read-only ``choi``, ``states`` and
+``table`` are readings of its contraction, each made once, the reductions read
+the stored data, and a re-check reads the witness as its correlation's type.
+:func:`qns_report` checks the defining no-signalling conditions of the Choi matrix.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import stochastic
-from .algebra import (AlgStochasticMatrix, compose_alg, tracial_choi,
-                      tracial_states, tracial_table)
-from .linalg import (TOL_ALG, NEG_CLAMP, Report, apply_choi, asmatrix, check_channel,
-                     check_weights, choi_compose, dimensions, hermiticity_and_psd_defect, kron,
-                     pinch, readonly, state_defect, tp_residual, worst)
+from . import algebra, stochastic
+from .algebra import AlgStochasticMatrix, compose_alg
+from .linalg import (TOL_ALG, NEG_CLAMP, READINGS, Report, apply_choi, asmatrix,
+                     check_channel, check_weights, choi_compose, dimensions,
+                     hermiticity_and_psd_defect, kron, pinch, reading, readonly, state_defect,
+                     tp_residual, worst)
 from .stochastic import StochasticOperatorMatrix
 
 
@@ -52,10 +54,24 @@ class CorrelationDims:
         return self.in_size * self.out_size
 
 
+class _Witness:
+    """Base of the witnesses: ``choi``, ``states`` and ``table`` are the readings of
+    ``_read``, each made once and kept read-only; ``_read`` reads the cached gated
+    ``_contraction``, a ``(spec, *operands)`` in Choi subscripts (``linalg.READINGS``)."""
+
+    def _read(self, name: str) -> np.ndarray:
+        return reading(name, *self._contraction)
+
+    choi = cached_property(lambda self: readonly(self._read("choi")))
+    states = cached_property(lambda self: readonly(self._read("states")))
+    # the real part of a read-only complex copy is a read-only real view
+    table = cached_property(lambda self: np.real(readonly(self._read("table"))))
+
+
 @dataclass(frozen=True)
-class LocalWitness:
+class LocalWitness(_Witness):
     """Convex combination of product channels, stored through read-only copies of
-    their Choi matrices; ``choi`` is made, through the weight and channel gates, once."""
+    their Choi matrices, one weight per pair; the weight and channel gates run once."""
 
     weights: tuple[float, ...]
     alice: tuple[np.ndarray, ...]
@@ -66,30 +82,25 @@ class LocalWitness:
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         object.__setattr__(self, "alice", tuple(map(readonly, self.alice)))
         object.__setattr__(self, "bob", tuple(map(readonly, self.bob)))
-
-    @cached_property
-    def choi(self) -> np.ndarray:
         if not len(self.weights) == len(self.alice) == len(self.bob):
             raise ValueError(f"need one weight per channel pair, got {len(self.weights)} weights, "
                              f"{len(self.alice)} alice and {len(self.bob)} bob channels")
-        weights = check_weights(self.weights)
-        d = self.dims
-        alice = _channel_terms("alice", self.alice, (d.x, d.a))
-        bob = _channel_terms("bob", self.bob, (d.y, d.b))
-        # sum_t w_t Phi_t (x) Psi_t in one contraction, rows (x, y, a, b)
-        a5 = alice.reshape(-1, d.x, d.a, d.x, d.a)
-        b5 = bob.reshape(-1, d.y, d.b, d.y, d.b)
-        choi = np.einsum("t,txaXA,tybYB->xyabXYAB", weights, a5, b5, optimize=True)
-        return readonly(choi.reshape(d.choi_size, d.choi_size))
+
+    @cached_property
+    def _contraction(self) -> tuple:
+        """sum_t w_t Phi_t (x) Psi_t, with the weights and the channel stacks gated."""
+        d, weights = self.dims, check_weights(self.weights)
+        return ("t,txaXA,tybYB", weights, _channel_terms("alice", self.alice, (d.x, d.a)),
+                _channel_terms("bob", self.bob, (d.y, d.b)))
 
 
 @dataclass(frozen=True)
-class QuantumWitness:
+class QuantumWitness(_Witness):
     """Stochastic operator matrix pair with a shared state.
 
     ``kind`` is "quantum" for a tensor-product pair on H_A (x) H_B and
     "commuting" for a commuting pair on a single H.  ``sigma`` is a read-only
-    copy, and ``choi`` is made, through the gated contraction of ``kind``, once.
+    copy; the gated contraction of ``kind`` comes from ``stochastic``, once.
     """
 
     kind: str
@@ -107,15 +118,16 @@ class QuantumWitness:
         return CorrelationDims(self.e.dim_x, self.f.dim_x, self.e.dim_a, self.f.dim_a)
 
     @cached_property
-    def choi(self) -> np.ndarray:
-        contract = stochastic.tensor_choi if self.kind == "quantum" else stochastic.commuting_choi
-        return readonly(contract(self.e, self.f, self.sigma))
+    def _contraction(self) -> tuple:
+        contract = stochastic.tensor_contraction if self.kind == "quantum" \
+            else stochastic.commuting_contraction
+        return contract(self.e, self.f, self.sigma)
 
 
 @dataclass(frozen=True)
-class TracialWitness:
-    """Stochastic algebra matrix generating the correlation through its trace;
-    ``choi``, ``states`` and ``table`` are each made, by a gated contraction, once."""
+class TracialWitness(_Witness):
+    """Stochastic algebra matrix generating the correlation through its trace; each
+    reading is the matching gated ``algebra.tracial_*`` contraction."""
 
     matrix: AlgStochasticMatrix
 
@@ -124,19 +136,8 @@ class TracialWitness:
         m = self.matrix
         return CorrelationDims(m.dim_x, m.dim_x, m.dim_a, m.dim_a)
 
-    @cached_property
-    def choi(self) -> np.ndarray:
-        return readonly(tracial_choi(self.matrix))
-
-    @cached_property
-    def states(self) -> np.ndarray:
-        return readonly(tracial_states(self.matrix))
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        table = tracial_table(self.matrix)
-        table.flags.writeable = False
-        return table
+    def _read(self, name: str) -> np.ndarray:
+        return getattr(algebra, f"tracial_{name}")(self.matrix)
 
 
 Witness = Union[LocalWitness, QuantumWitness, TracialWitness]
@@ -157,10 +158,6 @@ class QnsCorrelation:
         if choi.shape != (n, n):
             raise ValueError(f"Choi shape {choi.shape} does not match dims {self.dims}")
         object.__setattr__(self, "choi", readonly(choi))
-
-    def choi8(self) -> np.ndarray:
-        d = self.dims
-        return self.choi.reshape(d.x, d.y, d.a, d.b, d.x, d.y, d.a, d.b)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return apply_choi(self.choi, (self.dims.in_size, self.dims.out_size), rho)
@@ -200,6 +197,18 @@ class NsCorrelation:
         object.__setattr__(self, "table", table)
 
 
+#: The reading each correlation type stores, under the reading's name.
+_STORED = {QnsCorrelation: "choi", CqnsCorrelation: "states", NsCorrelation: "table"}
+
+
+def _subscripted(corr) -> tuple[str, np.ndarray]:
+    """The subscripts of the reading ``corr`` stores, and its data with one axis for each."""
+    d, stored = corr.dims, _STORED[type(corr)]
+    letters = "".join(READINGS[stored][0])
+    size = dict(zip("xyabXYAB", (d.x, d.y, d.a, d.b) * 2))
+    return letters, getattr(corr, stored).reshape([size[s] for s in letters])
+
+
 def qns_report(corr: QnsCorrelation, tol: float = TOL_ALG,
                check_witness: bool = True) -> Report:
     """Check PSD, trace preservation and both marginal conditions.
@@ -209,7 +218,7 @@ def qns_report(corr: QnsCorrelation, tol: float = TOL_ALG,
     (c) is the mirror statement for B and Y.
     """
     choi, d = corr.choi, corr.dims
-    c8 = corr.choi8()
+    _, c8 = _subscripted(corr)
     herm, psd = hermiticity_and_psd_defect(choi)
     tp_res = tp_residual(choi, (d.in_size, d.out_size))
 
@@ -257,8 +266,7 @@ def _marginal_residual(t: np.ndarray, n: int) -> float:
 def cqns_report(corr: CqnsCorrelation, tol: float = TOL_ALG,
                 check_witness: bool = True) -> Report:
     """Check that every state is a state and that both marginals are no-signalling."""
-    d = corr.dims
-    s4 = corr.states.reshape(d.x, d.y, d.a, d.b, d.a, d.b)
+    _, s4 = _subscripted(corr)
     tr_a = s4.trace(axis1=2, axis2=4)  # -> [x, y, b, b']
     tr_b = s4.trace(axis1=3, axis2=5)  # -> [x, y, a, a']
     res = worst(_spread(tr_a, 0), _spread(tr_b, 1))
@@ -315,20 +323,14 @@ def _pinch_witness(w: Witness | None, classical: bool) -> Witness | None:
 
 def reduce_cqns(gamma: QnsCorrelation) -> CqnsCorrelation:
     """Restrict to classical inputs: sigma[x, y] = Gamma(e_x e_x* (x) e_y e_y*)."""
-    d = gamma.dims
-    c8 = gamma.choi8()
-    states = np.einsum("xyabxyAB->xyabAB", c8).reshape(d.x, d.y, d.out_size, d.out_size)
-    return CqnsCorrelation(d, states, witness=_pinch_witness(gamma.witness, False))
+    return CqnsCorrelation(gamma.dims, reading("states", *_subscripted(gamma)),
+                           witness=_pinch_witness(gamma.witness, False))
 
 
 def reduce_ns(corr: QnsCorrelation | CqnsCorrelation) -> NsCorrelation:
     """Full classical reduction: pinch outputs and read the diagonal."""
-    d = corr.dims
-    if isinstance(corr, QnsCorrelation):
-        corr = reduce_cqns(corr)
-    s4 = corr.states.reshape(d.x, d.y, d.a, d.b, d.a, d.b)
-    table = np.real(np.einsum("xyabab->xyab", s4))
-    return NsCorrelation(d, table, witness=_pinch_witness(corr.witness, True))
+    return NsCorrelation(corr.dims, reading("table", *_subscripted(corr)),
+                         witness=_pinch_witness(corr.witness, True))
 
 
 def lift_cqns(e: CqnsCorrelation) -> QnsCorrelation:
@@ -348,7 +350,8 @@ def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
 
 
 def _channel_terms(field: str, terms: Sequence[np.ndarray], dims: tuple[int, int]) -> np.ndarray:
-    """The local terms of ``field`` as a stack of channel Choi matrices on ``dims``.
+    """The local terms of ``field``, channel Choi matrices on ``dims``, as a stack with
+    indices (term, in, out, in', out').
 
     Shapes are checked term by term first, so a misshapen term is named.
     """
@@ -356,7 +359,7 @@ def _channel_terms(field: str, terms: Sequence[np.ndarray], dims: tuple[int, int
     for i, choi in enumerate(terms):
         if np.shape(choi) != (n, n):
             raise ValueError(f"{field} term {i} has shape {np.shape(choi)}, expected {(n, n)}")
-    return check_channel(np.array(terms, dtype=complex), dims)
+    return check_channel(np.array(terms, dtype=complex), dims).reshape(-1, *dims, *dims)
 
 
 def build_quantum(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
@@ -386,31 +389,18 @@ def build_from_witness(w: Witness) -> QnsCorrelation:
 
 
 def rebuild_from_witness(corr: QnsCorrelation | CqnsCorrelation | NsCorrelation) -> np.ndarray:
-    """Recompute the correlation data from its attached witness.
-
-    The witness makes its data, through every check of its class, once.  A
-    tracial witness of classical-input data makes only the input-diagonal
-    blocks of its Choi matrix; a local or quantum one lifts and reduces.
-    """
-    w = corr.witness
-    if w is None:
+    """Recompute the correlation data from its attached witness: the witness's reading
+    of the correlation's type, made through every check of the witness's class once."""
+    if corr.witness is None:
         raise ValueError("correlation carries no witness")
-    if isinstance(corr, QnsCorrelation):
-        return w.choi
-    if isinstance(w, TracialWitness):
-        return w.states if isinstance(corr, CqnsCorrelation) else w.table
-    lifted = QnsCorrelation(corr.dims, w.choi)
-    if isinstance(corr, CqnsCorrelation):
-        return reduce_cqns(lifted).states
-    return reduce_ns(lifted).table
+    return getattr(corr.witness, _STORED[type(corr)])
 
 
 def witness_residual(corr) -> float:
     """Max deviation between stored data and the witness reconstruction; a witness
     over other dims, even of data of the same shape, is a ValueError."""
     data = rebuild_from_witness(corr)
-    stored = corr.choi if isinstance(corr, QnsCorrelation) else \
-        corr.states if isinstance(corr, CqnsCorrelation) else corr.table
+    stored = getattr(corr, _STORED[type(corr)])
     if data.shape != stored.shape:
         raise ValueError(f"witness rebuilds data of shape {data.shape}, "
                          f"stored data has shape {stored.shape}")

@@ -16,10 +16,10 @@ from .algebra import AlgStochasticMatrix, matrix_algebra, scalar_algebra
 from .correlations import CqnsCorrelation
 from .linalg import (TOL_ALG, TOL_INPUT, check_channel, dagger, dimensions,
                      max_entangled_vector, orthonormal_columns, orthonormality_defect,
-                     permute_systems, require, worst)
+                     permute_systems, positive, require, worst)
 from .stochastic import StochasticOperatorMatrix
 from .symmetry import build_tracial_cqns, channel_sharp
-from .theta import GAP_TOL, _positive, edge_pairs, solve_theta
+from .theta import GAP_TOL, edge_pairs, solve_theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,9 +346,9 @@ def xi_qc_lower_bound(graph: Graph, theta: float | None = None,
     and would overstate the bound.  A ``tol`` or ``theta`` that is not a positive
     finite real is refused, whether or not the solver runs.
     """
-    _positive(tol, "tolerance")
+    positive(tol, "tolerance")
     if theta is not None:
-        _positive(theta, "theta")
+        positive(theta, "theta")
     if graph.n == 0:
         return 0.0
     if theta is None:

@@ -69,6 +69,13 @@ def require(residual: float, tol: float, what: str) -> None:
         raise CheckError(what, float(residual), tol)
 
 
+def positive(value, what: str) -> None:
+    """Refuse ``value`` unless it is a positive finite real (not a bool, string or NaN)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not 0 < value < float("inf"):  # NaN fails
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+
+
 def worst(*residuals) -> float:
     """Largest absolute entry over ``residuals``, any mix of arrays and numbers.
 
@@ -92,6 +99,9 @@ class Report:
     checks: dict[str, float]
     tol: float = TOL_ALG
     info: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        positive(self.tol, "tolerance")
 
     def __getattr__(self, name: str):
         checks = self.__dict__.get("checks", {})
@@ -319,6 +329,28 @@ def max_entangled(dim: int) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     v = max_entangled_vector(dim)
     return np.outer(v, v.conj())
+
+
+#: The readings of a correlation in the subscripts of its Choi matrix (rows x, y, a, b;
+#: columns X, Y, A, B): name -> (the result's axes, each a group of output subscripts;
+#: the column subscripts set to row ones).  QNS data is the whole Choi matrix, CQNS data
+#: its states on classical inputs, NS data its real table on classical inputs and outputs.
+READINGS = {"choi": (("xyab", "XYAB"), {}),
+            "states": (("x", "y", "ab", "AB"), {"X": "x", "Y": "y"}),
+            "table": (("x", "y", "a", "b"), {"X": "x", "Y": "y", "A": "a", "B": "b"})}
+
+
+def reading(name: str, spec: str, *operands) -> np.ndarray:
+    """The reading ``name`` (:data:`READINGS`) of ``operands`` contracted by ``spec``, input
+    subscripts in Choi letters: the Choi matrix (n, n), states (x, y, ab, ab) or table."""
+    axes, fixed = READINGS[name]
+    out = "".join(axes)
+    # einsum's path planning costs a single operand more than it saves
+    t = np.einsum(f"{spec.translate(str.maketrans(fixed))}->{out}", *operands,
+                  optimize=len(operands) > 1)
+    size = dict(zip(out, t.shape))
+    t = t.reshape([math.prod(size[s] for s in axis) for axis in axes])
+    return np.real(t) if name == "table" else t
 
 
 def _choi4(choi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

@@ -136,27 +136,22 @@ def _check_sigma(sigma: np.ndarray, dim_h: int) -> np.ndarray:
     return sigma
 
 
-def tensor_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                sigma: np.ndarray) -> np.ndarray:
-    """``channel_choi(tensor(e, f), sigma)`` without forming E (x) F; rows (x, y, a, b)."""
+def tensor_contraction(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
+                       sigma: np.ndarray) -> tuple:
+    """``(spec, *operands)`` of ``channel_choi(tensor(e, f), sigma)`` in the Choi
+    subscripts of ``linalg.READINGS``, gated, without forming E (x) F."""
     _require_verified(e, f)
     he, hf = e.dim_h, f.dim_h
     s4 = _check_sigma(sigma, he * hf).reshape(he, hf, he, hf)
-    choi = np.einsum("xahXAH,ybkYBK,HKhk->xyabXYAB", e.tensor6(), f.tensor6(), s4,
-                     optimize=True)
-    n = e.dim_x * f.dim_x * e.dim_a * f.dim_a
-    return choi.reshape(n, n)
+    return "xahXAH,ybkYBK,HKhk", e.tensor6(), f.tensor6(), s4
 
 
-def commuting_choi(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
-                   sigma: np.ndarray) -> np.ndarray:
-    """``channel_choi(commuting_product(e, f), sigma)`` without forming the product."""
+def commuting_contraction(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix,
+                          sigma: np.ndarray) -> tuple:
+    """``(spec, *operands)`` of ``channel_choi(commuting_product(e, f), sigma)``, gated,
+    without forming the product."""
     _require_commuting(e, f)
-    sigma = _check_sigma(sigma, e.dim_h)
-    choi = np.einsum("xahXAm,ybmYBk,kh->xyabXYAB", e.tensor6(), f.tensor6(), sigma,
-                     optimize=True)
-    n = e.dim_x * f.dim_x * e.dim_a * f.dim_a
-    return choi.reshape(n, n)
+    return "xahXAm,ybmYBk,kh", e.tensor6(), f.tensor6(), _check_sigma(sigma, e.dim_h)
 
 
 def tensor(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> StochasticOperatorMatrix:

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import dimensions, worst
+from .linalg import dimensions, positive, worst
 
 #: Duality-gap stopping tolerance.
 GAP_TOL = 1e-7
@@ -357,13 +357,6 @@ def _solve(op, tol: float, max_iter: int) -> ThetaResult:
     return ThetaResult(-op.inner(op.c, x), gap, iterations, dual_bound, x.reshape(op.shape), op)
 
 
-def _positive(value, what: str) -> None:
-    """Refuse ``value`` unless it is a positive finite real; a bool or a NaN is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not 0 < value < float("inf"):  # NaN fails
-        raise ValueError(f"{what} must be positive and finite, got {value!r}")
-
-
 def solve_theta(n: int, edges, tol: float = GAP_TOL,
                 max_iter: int = MAX_ITER) -> ThetaResult:
     """Solve the theta SDP for a graph given by vertex count and edge list.
@@ -373,7 +366,7 @@ def solve_theta(n: int, edges, tol: float = GAP_TOL,
     """
     (n,) = dimensions((n,), "vertex count")
     (max_iter,) = dimensions((max_iter,), "iteration cap")
-    _positive(tol, "tolerance")
+    positive(tol, "tolerance")
     edges = tuple(edge_pairs(n, edges).T)
     shifts = _shifts(n, edges)
     op = _EdgeOperator(n, edges) if shifts is None else _CirculantOperator(n, shifts)

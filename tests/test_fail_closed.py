@@ -445,6 +445,16 @@ def test_cli_rejects_non_finite_tolerance(tmp_path, capsys, tol):
         assert "positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0, -1, True, "1e-9"])
+def test_every_report_tolerance_is_positive_and_finite(tol):
+    # tol=inf passed every residual below it, a signalling Choi matrix included, and
+    # tol=True read as 1.0
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        Report({"r": np.inf}, tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        qns_report(QnsCorrelation(CorrelationDims(2, 2, 2, 2), np.eye(16)), tol=tol)
+
+
 def test_gates_raise_through_require():
     """No hand-written ``if ... tol ...: raise`` outside linalg and theta, and the
     retired exception classes stay gone."""

@@ -528,6 +528,21 @@ def test_cli_malformed_input(tmp_path, capsys, rng):
         io.alg_stochastic_from_json(extra)
 
 
+@pytest.mark.parametrize("field", ["alice", "bob", "weights"])
+def test_local_witness_without_one_weight_per_pair_is_malformed(tmp_path, capsys, rng, field):
+    # verify read such a witness and failed its re-check (exit 1); build refused it (exit 2)
+    local = io.correlation_to_json(build_local(
+        [1.0], [qr.random_channel_choi(rng, 2, 2)], [qr.random_channel_choi(rng, 2, 2)],
+        CorrelationDims(2, 2, 2, 2)))
+    witness = {**local["witness"], field: []}
+    capsys.readouterr()
+    for argv, obj in ((["verify"], {**local, "witness": witness}),
+                      (["build", "local"], {**witness, "dims": local["dims"]})):
+        assert run([*argv, _write(tmp_path, "w.json", obj)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "need one weight per channel pair" in err, err
+
+
 @pytest.mark.parametrize("edges, pair", [([[0, True]], "[0, true]"),
                                          ([[0, 2], [False, 1]], "[false, 1]")])
 def test_theta_refuses_a_boolean_vertex(tmp_path, capsys, edges, pair):
@@ -803,8 +818,8 @@ def test_default_tolerances_pinned():
     # builders and input gates compare at TOL_ALG, so a witness that builds re-checks
     for fn in (correlations.from_classical, correlations.build_local,
                correlations.build_quantum, correlations.build_commuting,
-               stochastic.dilate, stochastic.channel_choi, stochastic.tensor_choi,
-               stochastic.commuting_choi, stochastic.tensor, stochastic.commuting_product,
+               stochastic.dilate, stochastic.channel_choi, stochastic.tensor_contraction,
+               stochastic.commuting_contraction, stochastic.tensor, stochastic.commuting_product,
                stochastic.from_povms, symmetry.build_locally_tracial,
                symmetry.build_tracial_cqns, symmetry.build_tracial_ns,
                symmetry.reciprocal_from_state, algebra.check_alg_stochastic,

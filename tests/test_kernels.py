@@ -309,6 +309,64 @@ def test_rebuild_keeps_builder_checks(rng):
 
 
 # ---------------------------------------------------------------------------
+# Readings: a witness's states and table against reducing its whole Choi matrix
+
+
+def _one_einsum_choi(w):
+    """The Choi matrix of ``w`` by the one-einsum formula of its class, kept as the oracle."""
+    d = w.dims
+    if isinstance(w, LocalWitness):
+        a5 = np.array(w.alice).reshape(-1, d.x, d.a, d.x, d.a)
+        b5 = np.array(w.bob).reshape(-1, d.y, d.b, d.y, d.b)
+        choi = np.einsum("t,txaXA,tybYB->xyabXYAB", list(w.weights), a5, b5, optimize=True)
+    elif isinstance(w, TracialWitness):
+        choi = sum((wt / dim) * np.einsum("xahXAk,YBkybh->xyabXYAB", b.tensor6(), b.tensor6(),
+                                          optimize=True)
+                   for wt, dim, b in zip(w.matrix.alg.weights, w.matrix.alg.block_dims,
+                                         w.matrix.blocks))
+    elif w.kind == "quantum":
+        he, hf = w.e.dim_h, w.f.dim_h
+        choi = np.einsum("xahXAH,ybkYBK,HKhk->xyabXYAB", w.e.tensor6(), w.f.tensor6(),
+                         w.sigma.reshape(he, hf, he, hf), optimize=True)
+    else:
+        choi = np.einsum("xahXAm,ybmYBk,kh->xyabXYAB", w.e.tensor6(), w.f.tensor6(), w.sigma,
+                         optimize=True)
+    return choi.reshape(d.choi_size, d.choi_size)
+
+
+def _random_witness(rng, cls, kind, dx, dy, da, db):
+    """A seeded witness of class ``cls`` over (dx, dy, da, db), pinched to ``kind``."""
+    which = {"full": (), "semiclassical": 0, "classical": (0, 1)}[kind]
+    som = {"full": lambda m: m, "semiclassical": to_semiclassical, "classical": to_classical}[kind]
+    if cls == "local":
+        terms = int(rng.integers(1, 3))
+        weights = rng.random(terms) + 0.1
+        alice = [pinch(qr.random_channel_choi(rng, dx, da), (dx, da), which) for _ in weights]
+        bob = [pinch(qr.random_channel_choi(rng, dy, db), (dy, db), which) for _ in weights]
+        return LocalWitness(weights / weights.sum(), alice, bob, CorrelationDims(dx, dy, da, db))
+    if cls == "tracial":
+        return TracialWitness(qr.random_tracial_witness(rng, dx, da, kind=kind))
+    he, hf = (int(h) for h in rng.integers(1, 3, size=2))
+    e, f = som(qr.random_stochastic(rng, dx, da, he)), som(qr.random_stochastic(rng, dy, db, hf))
+    if cls == "quantum":
+        return QuantumWitness(cls, e, f, qr.random_state(rng, he * hf))
+    return QuantumWitness(cls, with_ancilla_right(e, hf), with_ancilla_left(f, he),
+                          qr.random_state(rng, he * hf))
+
+
+@kernel_settings
+@given(st.sampled_from(["local", "quantum", "commuting", "tracial"]),
+       st.sampled_from(["full", "semiclassical", "classical"]), st.tuples(dim, dim, dim, dim), seed)
+def test_witness_readings_match_reducing_the_choi_matrix(cls, kind, dims, s):
+    w = _random_witness(np.random.default_rng(s), cls, kind, *dims)
+    assert np.array_equal(w.choi, _one_einsum_choi(w))
+    full = QnsCorrelation(w.dims, w.choi)
+    assert _maxdiff(w.states, reduce_cqns(full).states) <= 1e-14
+    assert _maxdiff(w.table, reduce_ns(full).table) <= 1e-14
+    assert w.table.dtype == float and not (w.states.flags.writeable or w.table.flags.writeable)
+
+
+# ---------------------------------------------------------------------------
 # Stacked residuals: one call over a stack (..., d, d) is the worst block
 
 
@@ -749,6 +807,22 @@ def test_build_commuting_peak_memory(rng):
     e, f = with_ancilla_right(e, 2), with_ancilla_left(f, 2)
     sigma = qr.random_state(rng, 4)
     assert _peak_mb(lambda: qns_report(build_commuting(e, f, sigma))) < 8
+
+
+@pytest.mark.parametrize("cls", ["local", "quantum"])
+def test_reduced_witness_residual_leaves_the_choi_matrix_unbuilt(cls):
+    # E = F = (8, 4, 2): the witness's 1024 x 1024 Choi matrix alone would take 16 MiB
+    rng = np.random.default_rng(7)
+    if cls == "quantum":
+        e, f = qr.random_stochastic(rng, 8, 4, 2), qr.random_stochastic(rng, 8, 4, 2)
+        corr = build_quantum(e, f, qr.random_state(rng, 4))
+    else:
+        corr = build_local([1.0], [qr.random_channel_choi(rng, 8, 4)],
+                           [qr.random_channel_choi(rng, 8, 4)], CorrelationDims(8, 8, 4, 4))
+    for reduced in (reduce_cqns(corr), reduce_ns(corr)):
+        peak = _peak_mb(lambda: witness_residual(reduced))
+        assert witness_residual(reduced) <= TOL_ORDER
+        assert "choi" not in vars(reduced.witness) and peak < 2
 
 
 def test_kd2_witness_residual_peak_memory():

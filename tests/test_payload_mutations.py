@@ -136,11 +136,9 @@ _CONTAINER_VALUES = ({}, [], True, "x", None, 1.5, [[1, 2, 3]], [[]])
 #: [] in place of these keys leaves a valid payload: the edgeless graph, a game with
 #: no constraints, and a constraint on the zero subspace.
 _STILL_VALID = {"edges", "constraints", "U", "V"}
-#: Mutations the decoder reads and the command's own gate refuses: a local witness's
-#: terms are counted as its Choi matrix is built, an orthogonal representation's
-#: vectors as it is coloured.
-_GATED_LATER = {"local witness:alice=[]", "local witness:bob=[]", "local witness:weights=[]",
-                "orthrep vectors:vectors=[]", "orthrep vectors:vectors=[[]]"}
+#: Mutations the decoder reads and the command's own gate refuses: an orthogonal
+#: representation's vectors are counted as it is coloured.
+_GATED_LATER = {"orthrep vectors:vectors=[]", "orthrep vectors:vectors=[[]]"}
 #: The message of each pair array and number table, which an error about an entry names.
 _PAIRS = {"data": "matrix data must be [re, im] number pairs",
           "vectors": "vector entries must be [re, im] number pairs",
