@@ -22,10 +22,15 @@ usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d
   Its value is the `witness_residual` of the composition.
 
 With ``--psd`` it times only `hermiticity_and_psd_defect`, the PSD kernel of
-every certificate, on three seeded 256 x 256 matrices: the Choi matrix of a
-quantum witness on (4,4,4,4), which is positive definite; a local Choi matrix
-of rank 8 (two product terms of Kraus rank 2 x 2), whose factorisation fails
-and falls back to the eigensolve; and an indefinite Hermitian matrix.
+every certificate, on five seeded 256 x 256 matrices: the Choi matrix of a
+quantum witness on (4,4,4,4), which is positive definite and settled by one
+Cholesky factorisation; a local Choi matrix of rank 8 (two product terms of
+Kraus rank 2 x 2), whose leading 32 x 32 block fails to factor and whose
+pivoted factorisation proves it PSD; an indefinite Hermitian matrix, which goes
+to the eigensolve; and local Choi matrices of rank 80 (five product terms of
+Kraus rank 4 x 4), which the pivoted factorisation settles, and of rank 144
+(nine terms), past its cap of min(256^2 / PIVOT_RANK_DIVISOR, 256 / 2) = 128, which goes on to
+the eigensolve.  The crossover between the two is timed by these last rows.
 
 Each line gives the median over the repeats in milliseconds, the tracemalloc
 peak in MB of one more call, and the value the call returned, so two source
@@ -87,15 +92,23 @@ def lifts(rng, spare, dims):
 
 
 def psd_rows(rng, repeat: int) -> None:
-    """Time the PSD kernel on a positive definite, a rank-8 and an indefinite 256 x 256 matrix."""
+    """Time the PSD kernel on positive definite, rank-deficient and indefinite 256 x 256
+    matrices."""
     stochastic = [qr.random_stochastic(rng, 4, 4, 4) for _ in range(2)]
     quantum = build_quantum(*stochastic, qr.random_state(rng, 16)).choi
     local = build_local([0.5, 0.5], [qr.random_channel_choi(rng, 4, 4, kraus=2) for _ in range(2)],
                         [qr.random_channel_choi(rng, 4, 4, kraus=2) for _ in range(2)],
                         CorrelationDims(4, 4, 4, 4)).choi
     g = qr.complex_gaussian(rng, 256, 256)
+
+    def mixture(terms):  # equal weights, every channel of Kraus rank 4: rank 16 terms
+        return build_local([1 / terms] * terms,
+                           [qr.random_channel_choi(rng, 4, 4, kraus=4) for _ in range(terms)],
+                           [qr.random_channel_choi(rng, 4, 4, kraus=4) for _ in range(terms)],
+                           CorrelationDims(4, 4, 4, 4)).choi
     for label, m in (("quantum witness Choi (PD)", quantum), ("local Choi (rank 8)", local),
-                     ("indefinite", g + g.conj().T)):
+                     ("indefinite", g + g.conj().T), ("local Choi (rank 80)", mixture(5)),
+                     ("local Choi (rank 144, past the cap)", mixture(9))):
         row(f"psd {label}", lambda m=m: hermiticity_and_psd_defect(m), repeat)
 
 
@@ -107,7 +120,7 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--psd", action="store_true",
-                        help="time only the PSD kernel on three 256 x 256 matrices")
+                        help="time only the PSD kernel on five 256 x 256 matrices")
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
     print(f"{'operation':>42} {'median ms':>10} {'peak MB':>8}  value")

@@ -71,7 +71,9 @@ class _Witness:
 @dataclass(frozen=True)
 class LocalWitness(_Witness):
     """Convex combination of product channels, stored through read-only copies of
-    their Choi matrices, one weight per pair; the weight and channel gates run once."""
+    their Choi matrices, one weight per pair.  The counts and the term shapes are
+    checked when the witness is made; the weight and channel gates run once, when
+    its contraction is first made."""
 
     weights: tuple[float, ...]
     alice: tuple[np.ndarray, ...]
@@ -85,13 +87,19 @@ class LocalWitness(_Witness):
         if not len(self.weights) == len(self.alice) == len(self.bob):
             raise ValueError(f"need one weight per channel pair, got {len(self.weights)} weights, "
                              f"{len(self.alice)} alice and {len(self.bob)} bob channels")
+        d = self.dims
+        for field, terms, n in (("alice", self.alice, d.x * d.a), ("bob", self.bob, d.y * d.b)):
+            bad = [i for i, choi in enumerate(terms) if choi.shape != (n, n)]
+            if bad:
+                raise ValueError(f"{field} term {bad[0]} has shape {terms[bad[0]].shape}, "
+                                 f"expected {(n, n)}")
 
     @cached_property
     def _contraction(self) -> tuple:
         """sum_t w_t Phi_t (x) Psi_t, with the weights and the channel stacks gated."""
         d, weights = self.dims, check_weights(self.weights)
-        return ("t,txaXA,tybYB", weights, _channel_terms("alice", self.alice, (d.x, d.a)),
-                _channel_terms("bob", self.bob, (d.y, d.b)))
+        return ("t,txaXA,tybYB", weights, _channel_terms(self.alice, (d.x, d.a)),
+                _channel_terms(self.bob, (d.y, d.b)))
 
 
 @dataclass(frozen=True)
@@ -349,16 +357,9 @@ def build_local(weights: Sequence[float], alice: Sequence[np.ndarray],
     return build_from_witness(LocalWitness(weights, alice, bob, dims))
 
 
-def _channel_terms(field: str, terms: Sequence[np.ndarray], dims: tuple[int, int]) -> np.ndarray:
-    """The local terms of ``field``, channel Choi matrices on ``dims``, as a stack with
-    indices (term, in, out, in', out').
-
-    Shapes are checked term by term first, so a misshapen term is named.
-    """
-    n = dims[0] * dims[1]
-    for i, choi in enumerate(terms):
-        if np.shape(choi) != (n, n):
-            raise ValueError(f"{field} term {i} has shape {np.shape(choi)}, expected {(n, n)}")
+def _channel_terms(terms: Sequence[np.ndarray], dims: tuple[int, int]) -> np.ndarray:
+    """The local terms of a witness, channel Choi matrices on ``dims``, as a stack with
+    indices (term, in, out, in', out')."""
     return check_channel(np.array(terms, dtype=complex), dims).reshape(-1, *dims, *dims)
 
 

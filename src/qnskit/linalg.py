@@ -41,12 +41,29 @@ TOL_INPUT = 1e-7
 #: so that rounding in either norm cannot skip the one with the largest 2-norm.
 PRUNE_MARGIN = 1e-9
 
-#: Not a tolerance: ``psd_defect`` reads its value off ``eigvalsh`` and only skips
-#: that eigensolve when a Cholesky factorisation proves it would read no negative
-#: eigenvalue.  The proof holds when each n x n block is shifted down by
-#: ``CHOLESKY_MARGIN * (n + 1) * (eps * sum|h_ii| + n * tiny)``, which lies above
-#: the rounding error of both LAPACK calls (derived at ``hermiticity_and_psd_defect``).
+#: Not a tolerance: the margin by which ``psd_defect`` shifts each n x n block of a
+#: Hermitian part H down before one Cholesky factorisation,
+#: ``CHOLESKY_MARGIN * (n + 1) * (eps * sum|h_ii| + n * tiny)``.  A factorisation that
+#: completes proves that ``eigvalsh`` would read no negative eigenvalue, because s lies
+#: above the rounding error of both LAPACK calls; a rank-deficient block that fails it
+#: reads instead a proven bound on its depth below zero of at most s and ``TOL_ALG``
+#: (both derived at ``hermiticity_and_psd_defect``).
 CHOLESKY_MARGIN = 4.0
+#: Size of the leading principal block of H - (s/4) I that is factored before a block
+#: of n >= 4 LEAD_BLOCK rows: when it fails, the whole factorisation would fail too
+#: (derived at ``hermiticity_and_psd_defect``), so a rank-deficient block skips it.
+#: Measured on ``witness`` pairs: ops/s rose with it (``BENCH_pivoted_psd.json``).
+LEAD_BLOCK = 32
+#: Smallest block a failed factorisation sends to the pivoted factorisation rather than
+#: straight to ``eigvalsh``: below it the pivoting loop's per-pivot cost loses to the
+#: eigensolve (measured: 0.21 against 0.27 ms at n = 64, rank 8, and a loss from rank 16).
+PIVOT_MIN_SIZE = 128
+#: The pivoted factorisation of an n x n block gives up past rank
+#: min(n^2 / PIVOT_RANK_DIVISOR, n / 2) (``_rank_cap``: 32 at n = 128, 128 at n = 256,
+#: n / 2 from there), at most about two thirds of the measured rank at which it stops
+#: beating ``eigvalsh`` (about 45, 100, 175, 390 and 770 at n = 128, 192, 256, 512 and
+#: 1024), so a block it gives up on costs at most about 1.7 eigensolves.
+PIVOT_RANK_DIVISOR = 512
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
 
@@ -223,23 +240,46 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return worst(diff)
 
 
-def _cholesky_proves_psd(h: np.ndarray) -> bool:
-    """True when every block of the Hermitian stack ``h`` minus its margin has a
+def _margin(h: np.ndarray) -> np.ndarray:
+    """The margin ``CHOLESKY_MARGIN * (n + 1) * (eps * sum|h_ii| + n * tiny)`` of every
+    n x n block of ``h``."""
+    n = h.shape[-1]
+    with np.errstate(over="ignore"):  # a diagonal summing past the largest float reads inf
+        return CHOLESKY_MARGIN * (n + 1) * (
+            _EPS * np.sum(np.abs(np.einsum("...ii->...i", h).real), axis=-1) + n * _TINY)
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = eps / 2: the relative error of k roundings."""
+    return k * _EPS / (2 - k * _EPS)
+
+
+def _rank_cap(n: int) -> int:
+    """The rank past which the pivoted factorisation of an n x n block gives up."""
+    return min(n * n // PIVOT_RANK_DIVISOR, n // 2)
+
+
+def _cholesky_proves_psd(h: np.ndarray, margin: np.ndarray) -> bool:
+    """True when every block of the Hermitian stack ``h`` minus its ``margin`` has a
     Cholesky factor, so that ``eigvalsh(h)`` would read no negative eigenvalue.
 
+    A block of at least 4 ``LEAD_BLOCK`` rows first has its leading ``LEAD_BLOCK``
+    square block, shifted down by a quarter of the margin, factored: when that fails,
+    so would the whole factorisation (derived at ``hermiticity_and_psd_defect``), which
+    is then skipped.
     ``h`` is shifted in place and restored bit for bit before this returns.
     """
     n = h.shape[-1]
     diagonal = np.einsum("...ii->...i", h)  # a writable view
     saved = diagonal.copy()
-    with np.errstate(over="ignore"):  # a diagonal summing past the largest float reads inf
-        margin = CHOLESKY_MARGIN * (n + 1) * (_EPS * np.sum(np.abs(saved.real), axis=-1)
-                                              + n * _TINY)
-        shifted = saved.real - margin[..., None]
+    shifted = saved.real - margin[..., None]
     if not (shifted > 0).all():  # a diagonal pivot <= 0 (or NaN) fails the factorisation
         return False
-    diagonal[...] = shifted
     try:
+        if n >= 4 * LEAD_BLOCK:
+            lead = h[..., :LEAD_BLOCK, :LEAD_BLOCK]
+            np.linalg.cholesky(lead - (margin[..., None, None] / 4) * np.eye(LEAD_BLOCK))
+        diagonal[...] = shifted
         factor = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
@@ -249,30 +289,113 @@ def _cholesky_proves_psd(h: np.ndarray) -> bool:
     return bool(np.isfinite(np.einsum("...ii->...i", factor)).all())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a block too large to factor reads NaN or inf
+def _pivoted_bound(h: np.ndarray, margin: np.ndarray) -> float | None:
+    """A proven bound on how far below zero the spectrum of any block of the finite
+    Hermitian stack ``h`` reaches, from a rank-revealing Cholesky factorisation, or
+    ``None`` when that does not settle the stack below its ``margin``.
+
+    Each n x n block is factored by greedy diagonal pivoting, H ~ L L* with L of r
+    columns, all blocks at once in one loop over pivots, until no remaining diagonal
+    entry is above the block's margin s.  ``None`` sends the stack to ``eigvalsh``: when
+    a margin overflowed, when a remaining diagonal entry is below -s (indefinite), when
+    r would pass ``_rank_cap(n)``, or when a block's bound (derived at
+    ``hermiticity_and_psd_defect``) is above the smaller of its s and ``TOL_ALG``.  A
+    bound that is taken thus never fails a check at the default tolerance by itself.
+    Callers gate on n >= ``PIVOT_MIN_SIZE``, below which ``eigvalsh`` is the faster path.
+    """
+    n = h.shape[-1]
+    if not np.isfinite(margin).all():
+        return None
+    blocks = h.reshape(-1, n, n)
+    margin = margin.reshape(-1)
+    index = np.arange(len(blocks))
+    remaining = np.einsum("...ii->...i", blocks).real.copy()
+    factor = np.zeros((len(blocks), _rank_cap(n), n), dtype=complex)
+    rank = 0
+    while True:
+        pivot = remaining.argmax(axis=-1)
+        top = remaining[index, pivot]
+        live = top > margin
+        if not live.any():
+            break
+        if rank == factor.shape[1] or not (remaining >= -margin[:, None]).all():
+            return None
+        # the rows of ``factor`` are L's columns so far; column p of H is row p conjugated
+        column = blocks[index, pivot].conj() - (
+            factor[index, :rank, pivot].conj()[:, None, :] @ factor[:, :rank])[:, 0]
+        column *= (live / np.sqrt(np.where(live, top, 1.0)))[:, None]  # 0 once a block settles
+        factor[:, rank] = column
+        remaining -= (column * column.conj()).real
+        remaining[index, pivot] = np.where(live, 0.0, top)
+        rank += 1
+    done = factor[:, :rank]
+    residual = done.swapaxes(-1, -2) @ done.conj()
+    np.subtract(blocks, residual, out=residual)
+    size = np.abs(done)
+    spread = (size.sum(axis=-1)[:, None, :] @ size)[:, 0]  # column sums of |L||L*|
+    bound = ((1 + _gamma(n + rank + 8))
+             * (np.abs(residual).sum(axis=-2).max(axis=-1)
+                + 2 * _gamma(rank + 2) * spread.max(axis=-1))
+             + 4 * (n + 1) * rank * _TINY)
+    return float(bound.max()) if (bound <= np.minimum(margin, TOL_ALG)).all() else None
+
+
 def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
     """``(hermiticity_defect(m), psd_defect(m))`` with the Hermiticity defect taken once.
 
     The PSD defect is ``worst(herm, min(lam, 0))`` for the smallest eigenvalue
-    ``lam`` that ``eigvalsh`` computes of each Hermitian part H = (m + m*)/2.
-    When a floating-point Cholesky factorisation of every block of H - sI runs
-    to completion, that value is ``herm`` exactly and the eigensolve is skipped.
-    With u = eps/2 and d = sum|h_ii| of an n x n block, s = 4 (n + 1)(eps d + n tiny)
-    = 8 (n + 1) u d + ... covers:
+    ``lam`` that ``eigvalsh`` computes of each Hermitian part H = (m + m*)/2,
+    unless one of two factorisations settles it first.  With u = eps/2, d = sum|h_ii|
+    of an n x n block and s = 4 (n + 1)(eps d + n tiny) = 8 (n + 1) u d + ...:
 
-    - the factorisation: a completed complex Cholesky factor R of A = fl(H - sI)
-      has R*R = A + E with |E| <= 2 (n + 1) u |R*||R| plus, under gradual
-      underflow, 2 (n + 1) tiny per entry (Demmel; Higham, *Accuracy and
-      Stability of Numerical Algorithms*, Thm 10.5 and section 3.6; Rump, BIT
-      46, 2006), so ||E||_2 <= 2 (n + 1)(u d + n tiny) to first order;
-    - the rounded shift: at most u (d + s) on the diagonal;
-    - the eigensolver: ``eigvalsh`` returns the eigenvalues of H + F with
-      ||F||_2 <= p(n) u ||H||_2 (LAPACK Users' Guide, section 4.7), and
-      ||H||_2 <= tr H <= d once H is shown PSD.
+    1. When a floating-point Cholesky factorisation of every block of H - sI runs
+       to completion, the value is ``herm`` exactly and nothing else runs.  s covers
 
-    Hence the computed smallest eigenvalue is at least (5 (n + 1) - p(n)) u d,
-    which is >= 0 for any p(n) <= 5 (n + 1).  A stack falls back to one
-    batched ``eigvalsh`` of the same H as a whole when any block fails, or has
-    a shifted diagonal entry <= 0 (then no factorisation runs).
+       - the factorisation: a completed complex Cholesky factor R of A = fl(H - sI)
+         has R*R = A + E with |E| <= 2 (n + 1) u |R*||R| plus, under gradual
+         underflow, 2 (n + 1) tiny per entry (Demmel; Higham, *Accuracy and
+         Stability of Numerical Algorithms*, Thm 10.5 and section 3.6; Rump, BIT
+         46, 2006), so ||E||_2 <= 2 (n + 1)(u d + n tiny) <= s/2 to first order;
+       - the rounded shift: at most u (d + s) on the diagonal;
+       - the eigensolver: ``eigvalsh`` returns the eigenvalues of H + F with
+         ||F||_2 <= p(n) u ||H||_2 (LAPACK Users' Guide, section 4.7), and
+         ||H||_2 <= tr H <= d once H is shown PSD.
+
+       Hence the computed smallest eigenvalue is at least (5 (n + 1) - p(n)) u d,
+       which is >= 0 for any p(n) <= 5 (n + 1).
+
+       For n >= 4k, k = ``LEAD_BLOCK``, the leading k x k block of H - (s/4) I is
+       factored first.  If that fails, the same argument on k x k gives
+       lambda_min(H) <= s/4 + 2 (k + 1)(u d + k tiny) + u (d + s), by Cauchy
+       interlacing, while a completed factorisation of H - sI gives
+       lambda_min(H) >= s/2 - u (d + s).  The first is below the second once
+       2 (n + 1) > 2 (k + 2) + 2 s/d and (n + 1) n > 2 (k + 1) k, which n >= 4k
+       meets, so the whole factorisation would fail too and is skipped.  A block
+       it completes on still takes exactly one full factorisation.
+    2. When that fails and n >= ``PIVOT_MIN_SIZE``, ``_pivoted_bound`` factors each
+       block as H ~ L L*, L of r columns, and bounds the depth below zero.  L L* is
+       PSD whatever the rounding in L, so by Weyl's inequality lambda_min(H) >=
+       -||H - L L*||_2, and ||E||_2 <= ||E||_1 (the largest column sum of |E|) for the
+       Hermitian E = H - L L*; a 1-norm needs no squares, so it neither overflows nor
+       underflows where H is finite.  The computed G = fl(L L*) has
+       |G - L L*| <= 2 gamma_{r+2} |L||L*| plus 2 r tiny per entry (complex inner
+       products of length r, Higham section 3.6), and the computed residual
+       R = fl(H - G) has |H - G| <= |R| / (1 - u), so
+
+           ||H - L L*||_1 <= ||R||_1 / (1 - u) + 2 gamma_{r+2} || |L||L*| ||_1 + 2 n r tiny,
+
+       which the code evaluates with a factor 1 + gamma_{n+r+8} for the roundings of
+       the sums themselves and 4 (n + 1) r tiny for their underflow.  Its rounding
+       term grows as r u tr H, not with the depth, so the bound is taken only when it
+       is at most both s and ``TOL_ALG`` in every block; the value is then
+       ``worst(herm, bound)``, with no eigensolve.  It is at least the true depth of
+       lambda_min(H) below zero, where ``eigvalsh`` reads that depth only to within
+       p(n) u ||H||_2, and a check at ``TOL_ALG`` decides as on that reading.
+
+    A stack falls back to one batched ``eigvalsh`` of the same H as a whole when
+    neither settles every block, or when a shifted diagonal entry is <= 0 and
+    n < ``PIVOT_MIN_SIZE`` (then no factorisation runs).
     """
     m = _stack(m)
     conj = dagger(m)
@@ -283,8 +406,12 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
         h /= 2
     if not np.isfinite(h).all():
         return herm, float("inf")
-    if _cholesky_proves_psd(h):
+    margin = _margin(h)
+    if _cholesky_proves_psd(h, margin):
         return herm, herm
+    bound = _pivoted_bound(h, margin) if h.shape[-1] >= PIVOT_MIN_SIZE else None
+    if bound is not None:
+        return herm, worst(herm, bound)
     lam = np.linalg.eigvalsh(h)[..., :1]
     return herm, worst(herm, np.minimum(lam, 0.0))
 
@@ -292,13 +419,15 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
 def psd_defect(m: np.ndarray) -> float:
     """How far the worst block of a stack ``(..., d, d)`` is from positive semidefinite.
 
-    The larger of the Hermiticity defect and the depth below zero of the
-    spectra of the Hermitian parts, as one batched ``eigvalsh`` reads them;
-    that eigensolve is skipped when one Cholesky factorisation of the
-    Hermitian parts, shifted down by a margin above rounding, proves it would
-    read no negative eigenvalue.  Non-finite input anywhere, or a Hermitian
-    part that overflows, reads as infinitely far.  Never raises, so every check
-    built on it fails closed.
+    The larger of the Hermiticity defect and the depth below zero of the spectra
+    of the Hermitian parts H.  A positive definite H is proven so by one Cholesky
+    factorisation shifted down by a margin above rounding, and reads the
+    Hermiticity defect.  A rank-deficient H of at least ``PIVOT_MIN_SIZE`` rows
+    whose pivoted Cholesky factorisation stops at a low numerical rank reads a
+    proven bound on that depth, at most the margin and ``TOL_ALG``.  Anything else reads the
+    smallest eigenvalue that one batched ``eigvalsh`` computes.  Non-finite input
+    anywhere, or a Hermitian part that overflows, reads as infinitely far.
+    Never raises, so every check built on it fails closed.
     """
     return hermiticity_and_psd_defect(m)[1]
 

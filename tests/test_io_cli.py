@@ -13,7 +13,7 @@ from qnskit import io
 from qnskit import rand as qr
 from qnskit.algebra import abelian_algebra
 from qnskit.cli import run
-from qnskit.correlations import (CorrelationDims, CqnsCorrelation, NsCorrelation,
+from qnskit.correlations import (CorrelationDims, CqnsCorrelation, LocalWitness, NsCorrelation,
                                  QnsCorrelation, build_local, build_quantum,
                                  build_tracial, from_classical)
 from qnskit.games import colouring_game
@@ -710,6 +710,23 @@ def test_cli_build_local_ragged_terms_exit_2(tmp_path, capsys, rng):
         "alice": [choi, io.matrix_to_json(np.eye(2))], "bob": [choi, choi]})
     assert run(["build", "local", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_misshapen_local_term_is_refused_when_the_witness_is_made(tmp_path, capsys, rng):
+    corr = build_local([1.0], [qr.random_channel_choi(rng, 2, 2)],
+                       [qr.random_channel_choi(rng, 2, 2)], CorrelationDims(2, 2, 2, 2))
+    message = "alice term 0 has shape (1, 1), expected (4, 4)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LocalWitness((1.0,), (np.eye(1),), corr.witness.bob, corr.dims)
+    with pytest.raises(ValueError, match=re.escape("bob term 0 has shape (4,), expected")):
+        LocalWitness((1.0,), corr.witness.alice, (np.ones(4),), corr.dims)
+    payload = io.correlation_to_json(corr)
+    payload["witness"]["alice"][0] = io.matrix_to_json(np.eye(1))
+    for argv in (["verify", _write(tmp_path, "qns.json", payload)],
+                 ["build", "local", _write(tmp_path, "local.json",
+                                           {**payload["witness"], "dims": payload["dims"]})]):
+        assert run(argv) == 2  # verify exited 1 with a witness_error while terms were checked late
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, payload, message", [

@@ -42,7 +42,8 @@ from qnskit.graphs import (Graph, channel_sharp, graph_subspace, hom_residual,
                            kd2_colouring, kd2_explicit_states, kraus_to_choi,
                            proper_residuals, realization_basis,
                            stahlke_residual, vertex_map_kraus)
-from qnskit.linalg import (CHOLESKY_MARGIN, TOL_ALG, TOL_COMM, CheckError, _stack,
+from qnskit.linalg import (CHOLESKY_MARGIN, PIVOT_MIN_SIZE, TOL_ALG, TOL_COMM,
+                           CheckError, _margin, _pivoted_bound, _rank_cap, _stack,
                            channel_defects, check_channel, check_state, choi_compose,
                            dagger, hermiticity_and_psd_defect, hermiticity_defect, kron,
                            max_entangled, orthonormal_columns,
@@ -528,6 +529,60 @@ def test_psd_decision_matches_the_eigensolve_oracle_bit_for_bit(n, k, s):
             assert ours == _psd_outcome(_psd_oracle, m), name
 
 
+def _pivot_cases(rng, n: int, k: int) -> dict:
+    """Named n x n matrices (k = 0) or stacks of k blocks past ``PIVOT_MIN_SIZE``:
+    unit-trace PSD blocks of ranks up to and past the pivoting cap at three scales,
+    a subnormal, a zero-row and a large-trace block, indefinite blocks whose negative
+    eigenvalue is spread across the diagonal, and NaN and inf entries."""
+    lead = (k,) if k else ()
+    cap = _rank_cap(n)
+
+    def psd(rank, trace=1.0, zero_rows=0):
+        g = qr.complex_gaussian(rng, *lead, n, rank)
+        g[..., rng.choice(n, zero_rows, replace=False), :] = 0  # zero rows and columns
+        m = g @ dagger(g)
+        return m * (trace / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+
+    cases = {f"rank {rank} x {scale}": psd(rank) * scale
+             for rank in sorted({1, 8, n // 4, cap, cap + 1, n}) for scale in (1, 1e-300, 1e300)}
+    cases["subnormal rank 8"] = psd(8) * 1e-310
+    cases["zero rows"] = psd(8, zero_rows=n // 8)
+    # a trace of 2 n^2 puts the margin above TOL_ALG, and the bound's rounding term with it
+    cases["rank n/2, trace 2n^2"] = psd(n // 2, trace=2.0 * n * n)
+    base = psd(8)
+    v = np.exp(2j * np.pi * rng.random((*lead, n, 1))) / np.sqrt(n)  # |v_i|^2 = 1/n
+    margin = _margin((base + dagger(base)) / 2)[..., None, None]
+    for depth, name in ((0.1 * margin, "0.1 margin"), (10 * margin, "10 margins"),
+                        (1000 * margin, "1000 margins"), (10 * TOL_ALG, "10 tol")):
+        cases[f"negative eigenvalue {name} deep"] = base - depth * (v @ dagger(v))
+    for name, bad in (("nan", np.nan), ("inf", np.inf)):
+        cases[name] = base.copy()
+        cases[name][(*(0,) * len(lead), 3, 5)] = bad
+    return cases
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed)
+def test_pivoted_bound_decides_as_the_eigensolve_oracle(s):
+    rng = np.random.default_rng(s)
+    for n, k in ((128, 0), (256, 0), (128, 2)):
+        for name, m in _pivot_cases(rng, n, k).items():
+            ours, oracle = hermiticity_and_psd_defect(m), _psd_oracle(m)
+            assert _psd_outcome(lambda m: ours[:1], m) == _psd_outcome(lambda m: oracle[:1], m)
+            # a proven bound: never below LAPACK's reading, and a taken one is at most
+            # TOL_ALG, so a check at that tolerance decides as the eigensolve does
+            assert ours[1] >= oracle[1], name
+            assert (ours[1] <= TOL_ALG) == (oracle[1] <= TOL_ALG), name
+            if not np.isfinite(m).all():
+                continue
+            h = (m + dagger(m)) / 2
+            margin = _margin(h)
+            bound = _pivoted_bound(h, margin)
+            if bound is not None:
+                assert bound <= min(margin.max(), TOL_ALG), name
+                assert ours[1] in (worst(ours[0], bound), ours[0]), name
+
+
 def test_an_overflowing_hermitian_part_reads_inf(tmp_path, capsys):
     for n in range(1, 9):
         assert psd_defect(np.diag([1e308 + 1e308j] + [1] * (n - 1))) == np.inf
@@ -551,8 +606,17 @@ def test_psd_decision_keeps_its_lapack_call_budget(rng, monkeypatch):
     broken = pd.copy()
     broken[1, 2, 3] = np.nan
     states = kd2_colouring(3).states  # every block has a zero diagonal entry
+    n = 2 * PIVOT_MIN_SIZE
+    g = qr.complex_gaussian(rng, n, n)
+    rank8, past_cap = g[:, :8], g[:, :_rank_cap(n) + 1]
+    # past the gate a leading 32 x 32 block is factored first: the full factorisation
+    # runs only when that completes, and the pivoted one settles a low rank
     for stack, budget in ((pd, {"cholesky": 1}), (low, {"cholesky": 1, "eigvalsh": 1}),
-                          (states, {"eigvalsh": 1}), (broken, {})):
+                          (states, {"eigvalsh": 1}), (broken, {}),
+                          (g @ dagger(g), {"cholesky": 2}),
+                          (rank8 @ dagger(rank8), {"cholesky": 1}),
+                          (past_cap @ dagger(past_cap), {"cholesky": 2, "eigvalsh": 1}),
+                          (g + dagger(g), {"eigvalsh": 1})):
         calls.clear()
         hermiticity_and_psd_defect(stack)
         assert dict(calls) == budget, budget
