@@ -7,7 +7,10 @@ usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d
   stochastic operator matrices with dims (dim_x, dim_a, dim_h), and on the
   same pair with every block conjugated by one seeded unitary, so that the
   commutators are rounding-sized rather than exactly zero, and on the lifted E
-  against a seeded F on the same H, which does not commute with it;
+  against a seeded F on the same H, which does not commute with it; beside each,
+  the commuting gate on the same pair, which tries the span bound
+  `commutator_bound` first and runs `max_commutator` when that bound is above
+  TOL_COMM (its value is "pass" or the residual it refused);
 - `colouring_game` of K_{d^2} with d colours followed by
   `perfect_strategy_check` of the kd2 colouring against it;
 - `fair_residual` of the kd2 colouring;
@@ -52,8 +55,8 @@ from qnskit.correlations import (CorrelationDims, build_local, build_quantum,
                                  witness_residual)
 from qnskit.games import colouring_game, perfect_strategy_check
 from qnskit.graphs import Graph, kd2_colouring
-from qnskit.linalg import hermiticity_and_psd_defect
-from qnskit.stochastic import (StochasticOperatorMatrix, max_commutator,
+from qnskit.linalg import CheckError, hermiticity_and_psd_defect
+from qnskit.stochastic import (StochasticOperatorMatrix, _require_commuting, max_commutator,
                                with_ancilla_left, with_ancilla_right)
 from qnskit.symmetry import fair_residual
 
@@ -89,6 +92,15 @@ def lifts(rng, spare, dims):
     big = np.kron(np.eye(dims[0] * dims[1]), qr.random_unitary(rng, dims[2] ** 2))
     rotated = tuple(StochasticOperatorMatrix(*m.dims, big @ m.mat @ big.conj().T) for m in pair)
     return pair, rotated, (pair[0], qr.random_stochastic(spare, *pair[0].dims))
+
+
+def gate(e, f):
+    """The commuting gate's verdict on a pair: "pass" or the residual it refused."""
+    try:
+        _require_commuting(e, f)
+    except CheckError as err:
+        return err.residual
+    return "pass"
 
 
 def psd_rows(rng, repeat: int) -> None:
@@ -134,6 +146,7 @@ def main() -> None:
         for label, (e, f) in zip(("lift", "rotated lift", "lift vs random F"),
                                  lifts(rng, spare, dims)):
             row(f"max_commutator {label} {dims}", lambda: max_commutator(e, f), args.repeat)
+            row(f"commuting gate {label} {dims}", lambda: gate(e, f), args.repeat)
     for d in args.d:
         corr, graph = kd2_colouring(d), Graph.complete(d * d)
         row(f"game + strategy check kd2 d={d}",

@@ -38,7 +38,9 @@ NEG_CLAMP = -1e-12
 TOL_INPUT = 1e-7
 
 #: Relative slack on the norm bounds by which ``max_commutator`` skips a commutator,
-#: so that rounding in either norm cannot skip the one with the largest 2-norm.
+#: so that rounding in either norm cannot skip the one with the largest 2-norm.  The
+#: commuting gate runs that exact kernel only where ``stochastic.commutator_bound``
+#: cannot pass the pair, so it serves the failing path.
 PRUNE_MARGIN = 1e-9
 
 #: Not a tolerance: the margin by which ``psd_defect`` shifts each n x n block of a
@@ -398,7 +400,9 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
     n < ``PIVOT_MIN_SIZE`` (then no factorisation runs).
     """
     m = _stack(m)
-    conj = dagger(m)
+    # m* in one transposed pass into a C-ordered buffer, so that m - m*, m + m* and the
+    # halving below walk matching layouts
+    conj = np.conjugate(np.swapaxes(m, -1, -2), out=np.empty(m.shape, complex))
     # inf - inf on a diagonal is NaN, which fails; an overflowed or non-finite H reads inf
     with np.errstate(over="ignore", invalid="ignore"):
         herm = worst(m - conj)

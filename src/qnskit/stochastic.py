@@ -14,10 +14,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import (TOL_ALG, TOL_COMM, EIG_CLAMP, PRUNE_MARGIN, Report, asmatrix,
-                     check_state, dagger, dimensions, hermiticity_and_psd_defect,
-                     hermiticity_defect, partial_trace, pinch, psd_defect, readonly, require,
-                     worst)
+from .linalg import (TOL_ALG, TOL_COMM, EIG_CLAMP, PRUNE_MARGIN, Report, _EPS, _TINY,
+                     _gamma, asmatrix, check_state, dagger, dimensions,
+                     hermiticity_and_psd_defect, hermiticity_defect, partial_trace, pinch,
+                     psd_defect, readonly, require, worst)
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,122 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
     return best
 
 
+def _span(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(coef, basis, residual)`` with ``flat = coef @ basis + residual`` exactly, for the
+    finite (n, d^2) stack ``flat``: the thin SVD cut to its numerical rank r, the
+    singular values taken into the r basis rows, and the residual measured against
+    ``flat`` (so the cut changes only the cost of the bound, never its soundness)."""
+    u, s, vh = np.linalg.svd(flat, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * _EPS * max(flat.shape)))
+    coef, basis = u[:, :rank], s[:rank, None] * vh[:rank]
+    return coef, basis, flat - coef @ basis
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed norm reads inf, NaN reads inf
+def commutator_bound(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> float:
+    """A proven upper bound on the value ``max_commutator(e, f)`` computes, from a few
+    commutators of bases of the spans of the blocks, when that bound is within
+    ``TOL_COMM``; inf otherwise, and when a block is not finite.
+
+    Write |M|_1 for the sum of the moduli of the entries of M, so that
+    ||M||_2 <= |M|_1, |MN|_1 <= |M|_1 |N|_1, and no square is taken that could
+    overflow or underflow.  ``_span`` writes E_i = sum_k U_ik B_k + R_i over r_E basis
+    matrices B_k and F_j = sum_l W_jl C_l + S_j over r_F matrices C_l, with U, B, W, C
+    the stored floats and R, S the exact residuals.  Then, with K_kl = [B_k, C_l],
+
+        [E_i, F_j] = sum_kl U_ik W_jl K_kl + [R_i, F_j] + [E_i - R_i, S_j],
+        |[E_i, F_j]|_1 <= max|U| max|W| sum_kl |K_kl|_1
+                          + 2 (max|R_i|_1 max|F_j|_1 + (max|E_i|_1 + max|R_i|_1) max|S_j|_1).
+
+    With u = eps/2 and complex inner products of length k off by at most
+    2 gamma_{k+2} |x|^T|y| plus 2 k tiny under gradual underflow (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sections 3.1 and 3.6), and a rounded difference
+    fl(a - b) = (a - b)(1 + delta), |delta| <= u:
+
+    - the computed K^_kl = fl(fl(B_k C_l) - fl(C_l B_k)) gives
+      |K_kl|_1 <= |K^_kl|_1 / (1 - u) + 4 gamma_{d+2} |B_k|_1 |C_l|_1 + 4 d^3 tiny;
+    - the computed R^ = fl(E - fl(U B)) gives
+      |R_i|_1 <= |R^_i|_1 / (1 - u) + 2 gamma_{r+2} max|U| sum_k |B_k|_1 + 2 r d^2 tiny;
+    - ``max_commutator`` computes C^ = fl(fl(E_i F_j) - fl(F_j E_i)), with
+      |C^|_1 <= (1 + u)(|[E_i, F_j]|_1 + 4 gamma_{d+2} |E_i|_1 |F_j|_1 + 4 d^3 tiny), and
+      its ``np.linalg.norm(ord=2)`` of C^ is at most (1 + p(d) eps) ||C^||_2 (LAPACK
+      Users' Guide, section 4.9), taking p(d) <= 5 (d + 1) as at
+      ``linalg.hermiticity_and_psd_defect``.
+
+    Every term is a sum of products of non-negative computed numbers, along chains of
+    fewer than N + 20 roundings, N = (r_E + 2)(r_F + 2) d^2 (a modulus, one sum of at
+    most r_E r_F d^2 terms, in whatever order the tiles below take, and a few
+    products), so the computed value is at least 1 - gamma_{N+20} times the exact one.
+    It is scaled by 1 + gamma_c, c = 2N + 10 (d + 1) + 64, which covers that, the
+    (1 + u) and p(d) factors above and its own rounding.  Each norm and residual that
+    enters a product carries n tiny, n = 16 (r_E + 1)(r_F + 1)(d + 1)^3, above every
+    underflow term listed and the moduli and products that round to subnormals, so
+    that no loss is multiplied up, and 16 tiny covers the last products.
+
+    The K^_kl are formed in tiles of basis matrices B_k within ``max_commutator``'s
+    budget of 2^16 entries (one B_k a tile at least: r_F d^2 entries, no more than F's
+    block stack), and the partial sum only grows, so the bound is checked against
+    ``TOL_COMM`` before each tile: a pair whose bound cannot pass costs little more
+    than its two SVDs.
+    """
+    if e.dim_h != f.dim_h:
+        raise ValueError("operands act on different spaces")
+    d = e.dim_h
+    flats = [m.blocks().reshape((m.dim_x * m.dim_a) ** 2, d * d) for m in (e, f)]
+    if min(flat.size for flat in flats) == 0:
+        return 0.0
+    if not all(np.isfinite(flat).all() for flat in flats):
+        return float("inf")
+    try:
+        spans = [_span(flat) for flat in flats]
+    except np.linalg.LinAlgError:  # an SVD that does not converge proves nothing
+        return float("inf")
+    r_e, r_f = (len(basis) for _, basis, _ in spans)
+    dust = 16 * (r_e + 1) * (r_f + 1) * (d + 1) ** 3 * _TINY
+    u = _EPS / 2
+
+    def norms(flat, coef, basis, residual):  # max|E_i|_1, max|U|, sum_k |B_k|_1, max|R_i|_1
+        top, total = worst(coef), np.abs(basis).sum()
+        return (worst(np.abs(flat).sum(axis=1)) + dust, top, total,
+                worst(np.abs(residual).sum(axis=1)) / (1 - u)
+                + (top * total) * (2 * _gamma(len(basis) + 2)) + dust)
+    (size_e, top_e, total_e, rest_e), (size_f, top_f, total_f, rest_f) = (
+        norms(flat, *span) for flat, span in zip(flats, spans))
+    g = _gamma(d + 2)
+    rest = (2 * (rest_e * size_f + (size_e + rest_e) * rest_f)
+            + (size_e * size_f) * (4 * g) + dust)
+    scale = 1 + _gamma(2 * (r_e + 2) * (r_f + 2) * d * d + 10 * (d + 1) + 64)
+
+    def bound(mass):  # the bound, given the sum of the |K^_kl|_1
+        return ((top_e * top_f) * (mass / (1 - u) + (total_e * total_f) * (4 * g) + dust)
+                + rest) * scale + 16 * _TINY
+    # K^_kl tile by tile, entry (k, m, l, p) of B_k C_l - C_l B_k
+    b, c = (basis.reshape(-1, d, d) for _, basis, _ in spans)
+    c_rows, c_cols = c.reshape(-1, d), c.swapaxes(0, 1).reshape(d, -1)
+    step = max(1, 2 ** 16 // max(1, r_f * d * d))
+    mass = 0.0
+    for k in range(0, r_e, step):
+        if not bound(mass) <= TOL_COMM:
+            return float("inf")
+        tile = b[k:k + step]
+        comm = (tile.reshape(-1, d) @ c_cols).reshape(len(tile), d, r_f, d)
+        comm -= (c_rows @ tile.swapaxes(0, 1).reshape(d, -1)).reshape(
+            r_f, d, len(tile), d).transpose(2, 1, 0, 3)
+        mass += np.abs(comm).sum()
+    value = bound(mass)
+    return float(value) if value <= TOL_COMM else float("inf")
+
+
 def _require_commuting(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix):
+    """Refuse a pair whose blocks do not commute within ``TOL_COMM``.
+
+    A ``commutator_bound`` within ``TOL_COMM`` passes the pair; ``max_commutator``
+    decides every other pair, so each decision and each error text is that of
+    ``max_commutator`` alone.
+    """
     _require_verified(e, f)
+    if commutator_bound(e, f) <= TOL_COMM:
+        return
     require(max_commutator(e, f), TOL_COMM, "blocks do not commute: max commutator norm")
 
 

@@ -424,10 +424,12 @@ def _counting(monkeypatch, module, name, keep=lambda *args: True):
 def test_commuting_build_and_report_measure_the_commutator_once(rng, monkeypatch):
     e, f = qr.random_stochastic(rng, 2, 2, 2), qr.random_stochastic(rng, 2, 2, 2)
     e, f = with_ancilla_right(e, 2), with_ancilla_left(f, 2)
-    calls = _counting(monkeypatch, stochastic, "max_commutator")
+    bounds = _counting(monkeypatch, stochastic, "commutator_bound")
+    exact = _counting(monkeypatch, stochastic, "max_commutator")
     report = qns_report(build_commuting(e, f, qr.random_state(rng, 4)))
     assert report.ok and report.witness_residual == 0.0
-    assert len(calls) == 1
+    # the lift is proven commuting through its spans: the exact kernel never runs
+    assert len(bounds) == 1 and len(exact) == 0
 
 
 def test_kd2_build_report_and_recheck_verify_the_block_once(monkeypatch):

@@ -24,7 +24,7 @@ from conftest import plain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnskit import games, io, symmetry, theta
+from qnskit import games, io, stochastic, symmetry, theta
 from qnskit import rand as qr
 from qnskit.algebra import tracial_choi, tracial_states, tracial_table
 from qnskit.cli import run
@@ -50,9 +50,9 @@ from qnskit.linalg import (CHOLESKY_MARGIN, PIVOT_MIN_SIZE, TOL_ALG, TOL_COMM,
                            orthonormality_defect, permute_systems, pinch,
                            psd_defect, require, state_defect, worst)
 from qnskit.stochastic import (StochasticOperatorMatrix, channel_choi,
-                               classical_defect, from_povms, max_commutator,
-                               semiclassical_defect, tensor, to_classical,
-                               to_semiclassical, with_ancilla_left,
+                               classical_defect, commutator_bound, from_povms,
+                               max_commutator, semiclassical_defect, tensor,
+                               to_classical, to_semiclassical, with_ancilla_left,
                                with_ancilla_right)
 from qnskit.symmetry import (build_tracial_cqns, classical_fair_residual,
                              fair_residual, fair_state_residual)
@@ -744,6 +744,117 @@ def test_max_commutator_of_an_exact_lift_decomposes_nothing(monkeypatch):
     assert orders == []
     w = qr.random_unitary(rng, 4)  # the rotated lift does decompose, through the patch
     assert max_commutator(_rotated(e, w), _rotated(f, w)) > 0.0 and set(orders) == {2}
+
+
+def _gate(e, f):
+    """The commuting gate's verdict on a pair: None when it passes, else its error text."""
+    try:
+        stochastic._require_commuting(e, f)
+    except CheckError as err:
+        return str(err)
+    return None
+
+
+def _exact_gate(e, f):
+    """The verdict of the gate that ran ``max_commutator`` on every pair."""
+    value = max_commutator(e, f)
+    return None if value <= TOL_COMM else str(
+        CheckError("blocks do not commute: max commutator norm", value, TOL_COMM))
+
+
+def _commuting_cases(rng, de, df):
+    """A commuting lift, its rotation by one unitary, and its E against a random F."""
+    e, f = qr.random_stochastic(rng, *de), qr.random_stochastic(rng, *df)
+    lifted = (with_ancilla_right(e, df[2]), with_ancilla_left(f, de[2]))
+    w = qr.random_unitary(rng, de[2] * df[2])
+    return [lifted, tuple(_rotated(m, w) for m in lifted),
+            (lifted[0], qr.random_stochastic(rng, df[0], df[1], de[2] * df[2]))]
+
+
+@kernel_settings
+@given(triple, triple, seed)
+def test_commutator_bound_covers_max_commutator_and_keeps_the_gate(de, df, s):
+    for a, b in _commuting_cases(np.random.default_rng(s), de, df):
+        assert commutator_bound(a, b) >= max_commutator(a, b)
+        assert _gate(a, b) == _exact_gate(a, b)
+
+
+@pytest.mark.parametrize("de, df", [((3, 3, 2), (3, 3, 2)), ((5, 3, 2), (4, 4, 2))])
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e-315])
+def test_commutator_bound_on_scaled_and_non_finite_pairs(de, df, scale, monkeypatch):
+    # scaled pairs are no stochastic operator matrices; the commutation gate is what is
+    # tested, so verification is taken out of it
+    monkeypatch.setattr(stochastic, "_require_verified", lambda *es: None)
+    rng = np.random.default_rng(22)
+    for a, b in _commuting_cases(rng, de, df):
+        a, b = (StochasticOperatorMatrix(*m.dims, scale * m.mat) for m in (a, b))
+        pairs = [(a, b), (b, a)]
+        for bad in (np.nan, np.inf, complex(0, np.nan)):
+            mat = a.mat.copy()
+            mat[-1, -1] = bad  # in the last block of E, so in the last tile
+            pairs.append((StochasticOperatorMatrix(*a.dims, mat), b))
+        for x, y in pairs:
+            bound = commutator_bound(x, y)
+            assert bound >= max_commutator(x, y)
+            assert _gate(x, y) == _exact_gate(x, y)
+            assert np.isfinite(bound) == (bool(np.isfinite(x.mat).all())
+                                          and max_commutator(x, y) <= TOL_COMM)
+
+
+def test_commutator_bound_on_empty_blocks_and_different_spaces():
+    z = StochasticOperatorMatrix(1, 1, 2, np.diag([1.0, -1.0]))
+    for empty in (StochasticOperatorMatrix(0, 2, 2, np.zeros((0, 0))),
+                  StochasticOperatorMatrix(2, 0, 2, np.zeros((0, 0)))):
+        assert commutator_bound(empty, z) == commutator_bound(z, empty) == 0.0
+    nowhere = StochasticOperatorMatrix(2, 2, 0, np.zeros((0, 0)))  # blocks on C^0
+    assert commutator_bound(nowhere, nowhere) == 0.0
+    with pytest.raises(ValueError, match="^operands act on different spaces$"):
+        commutator_bound(z, StochasticOperatorMatrix(1, 1, 3, np.eye(3)))
+    rng = np.random.default_rng(23)
+    with pytest.raises(ValueError, match="^operands act on different spaces$"):
+        stochastic._require_commuting(qr.random_stochastic(rng, 4, 4, 2),
+                                      qr.random_stochastic(rng, 4, 4, 3))
+
+
+def _gate_calls(e, f, monkeypatch):
+    """``(bound calls, exact calls)`` of the commuting gate on a pair, and its verdict."""
+    calls = collections.Counter()
+    for name in ("commutator_bound", "max_commutator"):
+        monkeypatch.setattr(stochastic, name, _counted(calls, name, getattr(stochastic, name)))
+    verdict = _gate(e, f)
+    monkeypatch.undo()
+    return (calls["commutator_bound"], calls["max_commutator"]), verdict
+
+
+def test_commuting_gate_proves_a_lift_without_the_exact_kernel(monkeypatch):
+    e, f = _lift(np.random.default_rng(2), (4, 4, 2))  # 256 x 256 commutators on C^4
+    assert _gate_calls(e, f, monkeypatch) == ((1, 0), None)
+
+
+def test_commuting_gate_hands_a_high_rank_pair_to_the_exact_kernel(monkeypatch):
+    # random blocks span all d^2 matrices on both sides, so the spans cannot commute
+    rng = np.random.default_rng(5)
+    e, f = qr.random_stochastic(rng, 4, 4, 4), qr.random_stochastic(rng, 4, 4, 4)
+    assert _gate_calls(e, f, monkeypatch) == ((1, 1), _exact_gate(e, f))
+    assert _exact_gate(e, f) is not None
+
+
+def test_commutator_bound_holds_one_tile_of_basis_commutators(monkeypatch):
+    # (4,4,16)^2: ranks 241 on C^16, so the basis commutators would fill 240 MB at
+    # once; the bound forms them 65536 entries (1 MB) at a time and stops at the first
+    # tile that takes it above TOL_COMM
+    rng = np.random.default_rng(5)
+    e, f = qr.random_stochastic(rng, 4, 4, 16), qr.random_stochastic(rng, 4, 4, 16)
+    calls, modulus = collections.Counter(), np.abs
+    monkeypatch.setattr(np, "abs", _counted(calls, "abs", modulus))
+    assert commutator_bound(e, f) == np.inf
+    assert calls["abs"] < 16  # the norms and one tile of 241
+    monkeypatch.undo()
+    assert _peak_mb(lambda: commutator_bound(e, f)) < 16
+    # the (2,3,5)^2 lift: 25 basis matrices a side on C^25, four a tile, so a commuting
+    # pair sums seven tiles
+    e, f = _lift(rng, (2, 3, 5))
+    assert max_commutator(e, f) <= commutator_bound(e, f) <= TOL_COMM
 
 
 def _loop_strategy_residuals(game, strategy):
