@@ -25,15 +25,16 @@ usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d
   Its value is the `witness_residual` of the composition.
 
 With ``--psd`` it times only `hermiticity_and_psd_defect`, the PSD kernel of
-every certificate, on five seeded 256 x 256 matrices: the Choi matrix of a
-quantum witness on (4,4,4,4), which is positive definite and settled by one
-Cholesky factorisation; a local Choi matrix of rank 8 (two product terms of
-Kraus rank 2 x 2), whose leading 32 x 32 block fails to factor and whose
-pivoted factorisation proves it PSD; an indefinite Hermitian matrix, which goes
-to the eigensolve; and local Choi matrices of rank 80 (five product terms of
-Kraus rank 4 x 4), which the pivoted factorisation settles, and of rank 144
-(nine terms), past its cap of min(256^2 / PIVOT_RANK_DIVISOR, 256 / 2) = 128, which goes on to
-the eigensolve.  The crossover between the two is timed by these last rows.
+every certificate, on six seeded inputs, each labelled with the path that settles
+it: the Choi matrix of a quantum witness on (4,4,4,4), 256 x 256 and positive
+definite, which step 1 (one Cholesky factorisation shifted down by the margin)
+settles; a local Choi matrix of rank 8 (two product terms of Kraus rank 2 x 2),
+whose leading 32 x 32 block fails to factor; an indefinite Hermitian matrix,
+which goes to the eigensolve; local Choi matrices of rank 80 (five product
+terms of Kraus rank 4 x 4) and 144 (nine terms); and the states of the kd2
+colouring with d = 4, 256 blocks of 16 x 16, each with a zero diagonal entry.
+The rank-deficient ones fail step 1 and are settled by one factorisation
+shifted up by a quarter of the margin (the up-shift).
 
 Each line gives the median over the repeats in milliseconds, the tracemalloc
 peak in MB of one more call, and the value the call returned, so two source
@@ -105,7 +106,7 @@ def gate(e, f):
 
 def psd_rows(rng, repeat: int) -> None:
     """Time the PSD kernel on positive definite, rank-deficient and indefinite 256 x 256
-    matrices."""
+    matrices, and on the 256 states of the kd2 colouring with d = 4."""
     stochastic = [qr.random_stochastic(rng, 4, 4, 4) for _ in range(2)]
     quantum = build_quantum(*stochastic, qr.random_state(rng, 16)).choi
     local = build_local([0.5, 0.5], [qr.random_channel_choi(rng, 4, 4, kraus=2) for _ in range(2)],
@@ -118,9 +119,12 @@ def psd_rows(rng, repeat: int) -> None:
                            [qr.random_channel_choi(rng, 4, 4, kraus=4) for _ in range(terms)],
                            [qr.random_channel_choi(rng, 4, 4, kraus=4) for _ in range(terms)],
                            CorrelationDims(4, 4, 4, 4)).choi
-    for label, m in (("quantum witness Choi (PD)", quantum), ("local Choi (rank 8)", local),
-                     ("indefinite", g + g.conj().T), ("local Choi (rank 80)", mixture(5)),
-                     ("local Choi (rank 144, past the cap)", mixture(9))):
+    for label, m in (("quantum witness Choi (PD), step 1", quantum),
+                     ("local Choi (rank 8), up-shift", local),
+                     ("indefinite, eigensolve", g + g.conj().T),
+                     ("local Choi (rank 80), up-shift", mixture(5)),
+                     ("local Choi (rank 144), up-shift", mixture(9)),
+                     ("kd2 d=4 states (256 blocks), up-shift", kd2_colouring(4).states)):
         row(f"psd {label}", lambda m=m: hermiticity_and_psd_defect(m), repeat)
 
 
@@ -132,7 +136,7 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--psd", action="store_true",
-                        help="time only the PSD kernel on five 256 x 256 matrices")
+                        help="time only the PSD kernel on six seeded inputs")
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
     print(f"{'operation':>42} {'median ms':>10} {'peak MB':>8}  value")

@@ -47,25 +47,15 @@ PRUNE_MARGIN = 1e-9
 #: Hermitian part H down before one Cholesky factorisation,
 #: ``CHOLESKY_MARGIN * (n + 1) * (eps * sum|h_ii| + n * tiny)``.  A factorisation that
 #: completes proves that ``eigvalsh`` would read no negative eigenvalue, because s lies
-#: above the rounding error of both LAPACK calls; a rank-deficient block that fails it
-#: reads instead a proven bound on its depth below zero of at most s and ``TOL_ALG``
-#: (both derived at ``hermiticity_and_psd_defect``).
+#: above the rounding error of both LAPACK calls; a rank-deficient block that fails it,
+#: whose s is at most ``TOL_ALG`` and whose H + (s/4) I factors instead, is proven to
+#: reach at most s below zero and reads s (both derived at ``hermiticity_and_psd_defect``).
 CHOLESKY_MARGIN = 4.0
 #: Size of the leading principal block of H - (s/4) I that is factored before a block
-#: of n >= 4 LEAD_BLOCK rows: when it fails, the whole factorisation would fail too
-#: (derived at ``hermiticity_and_psd_defect``), so a rank-deficient block skips it.
+#: of n >= 4 LEAD_BLOCK rows is shifted down: when it fails, the whole factorisation would
+#: fail too (derived at ``hermiticity_and_psd_defect``), so a rank-deficient block skips it.
 #: Measured on ``witness`` pairs: ops/s rose with it (``BENCH_pivoted_psd.json``).
 LEAD_BLOCK = 32
-#: Smallest block a failed factorisation sends to the pivoted factorisation rather than
-#: straight to ``eigvalsh``: below it the pivoting loop's per-pivot cost loses to the
-#: eigensolve (measured: 0.21 against 0.27 ms at n = 64, rank 8, and a loss from rank 16).
-PIVOT_MIN_SIZE = 128
-#: The pivoted factorisation of an n x n block gives up past rank
-#: min(n^2 / PIVOT_RANK_DIVISOR, n / 2) (``_rank_cap``: 32 at n = 128, 128 at n = 256,
-#: n / 2 from there), at most about two thirds of the measured rank at which it stops
-#: beating ``eigvalsh`` (about 45, 100, 175, 390 and 770 at n = 128, 192, 256, 512 and
-#: 1024), so a block it gives up on costs at most about 1.7 eigensolves.
-PIVOT_RANK_DIVISOR = 512
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
 
@@ -256,31 +246,26 @@ def _gamma(k: int) -> float:
     return k * _EPS / (2 - k * _EPS)
 
 
-def _rank_cap(n: int) -> int:
-    """The rank past which the pivoted factorisation of an n x n block gives up."""
-    return min(n * n // PIVOT_RANK_DIVISOR, n // 2)
+def _cholesky_completes(h: np.ndarray, shift: np.ndarray) -> bool:
+    """True when every block of the Hermitian stack ``h`` plus its ``shift`` times I has a
+    Cholesky factor with a finite diagonal.
 
-
-def _cholesky_proves_psd(h: np.ndarray, margin: np.ndarray) -> bool:
-    """True when every block of the Hermitian stack ``h`` minus its ``margin`` has a
-    Cholesky factor, so that ``eigvalsh(h)`` would read no negative eigenvalue.
-
-    A block of at least 4 ``LEAD_BLOCK`` rows first has its leading ``LEAD_BLOCK``
-    square block, shifted down by a quarter of the margin, factored: when that fails,
-    so would the whole factorisation (derived at ``hermiticity_and_psd_defect``), which
-    is then skipped.
+    A block of at least 4 ``LEAD_BLOCK`` rows shifted down first has its leading
+    ``LEAD_BLOCK`` square block, shifted down by a quarter as far, factored: when that
+    fails, so would the whole factorisation (derived at ``hermiticity_and_psd_defect``),
+    which is then skipped.
     ``h`` is shifted in place and restored bit for bit before this returns.
     """
     n = h.shape[-1]
     diagonal = np.einsum("...ii->...i", h)  # a writable view
     saved = diagonal.copy()
-    shifted = saved.real - margin[..., None]
+    shifted = saved.real + shift[..., None]
     if not (shifted > 0).all():  # a diagonal pivot <= 0 (or NaN) fails the factorisation
         return False
     try:
-        if n >= 4 * LEAD_BLOCK:
+        if n >= 4 * LEAD_BLOCK and (shift < 0).all():
             lead = h[..., :LEAD_BLOCK, :LEAD_BLOCK]
-            np.linalg.cholesky(lead - (margin[..., None, None] / 4) * np.eye(LEAD_BLOCK))
+            np.linalg.cholesky(lead + (shift[..., None, None] / 4) * np.eye(LEAD_BLOCK))
         diagonal[...] = shifted
         factor = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -289,58 +274,6 @@ def _cholesky_proves_psd(h: np.ndarray, margin: np.ndarray) -> bool:
         diagonal[...] = saved
     # LAPACK may carry a NaN pivot through instead of failing; a non-finite h gives one
     return bool(np.isfinite(np.einsum("...ii->...i", factor)).all())
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a block too large to factor reads NaN or inf
-def _pivoted_bound(h: np.ndarray, margin: np.ndarray) -> float | None:
-    """A proven bound on how far below zero the spectrum of any block of the finite
-    Hermitian stack ``h`` reaches, from a rank-revealing Cholesky factorisation, or
-    ``None`` when that does not settle the stack below its ``margin``.
-
-    Each n x n block is factored by greedy diagonal pivoting, H ~ L L* with L of r
-    columns, all blocks at once in one loop over pivots, until no remaining diagonal
-    entry is above the block's margin s.  ``None`` sends the stack to ``eigvalsh``: when
-    a margin overflowed, when a remaining diagonal entry is below -s (indefinite), when
-    r would pass ``_rank_cap(n)``, or when a block's bound (derived at
-    ``hermiticity_and_psd_defect``) is above the smaller of its s and ``TOL_ALG``.  A
-    bound that is taken thus never fails a check at the default tolerance by itself.
-    Callers gate on n >= ``PIVOT_MIN_SIZE``, below which ``eigvalsh`` is the faster path.
-    """
-    n = h.shape[-1]
-    if not np.isfinite(margin).all():
-        return None
-    blocks = h.reshape(-1, n, n)
-    margin = margin.reshape(-1)
-    index = np.arange(len(blocks))
-    remaining = np.einsum("...ii->...i", blocks).real.copy()
-    factor = np.zeros((len(blocks), _rank_cap(n), n), dtype=complex)
-    rank = 0
-    while True:
-        pivot = remaining.argmax(axis=-1)
-        top = remaining[index, pivot]
-        live = top > margin
-        if not live.any():
-            break
-        if rank == factor.shape[1] or not (remaining >= -margin[:, None]).all():
-            return None
-        # the rows of ``factor`` are L's columns so far; column p of H is row p conjugated
-        column = blocks[index, pivot].conj() - (
-            factor[index, :rank, pivot].conj()[:, None, :] @ factor[:, :rank])[:, 0]
-        column *= (live / np.sqrt(np.where(live, top, 1.0)))[:, None]  # 0 once a block settles
-        factor[:, rank] = column
-        remaining -= (column * column.conj()).real
-        remaining[index, pivot] = np.where(live, 0.0, top)
-        rank += 1
-    done = factor[:, :rank]
-    residual = done.swapaxes(-1, -2) @ done.conj()
-    np.subtract(blocks, residual, out=residual)
-    size = np.abs(done)
-    spread = (size.sum(axis=-1)[:, None, :] @ size)[:, 0]  # column sums of |L||L*|
-    bound = ((1 + _gamma(n + rank + 8))
-             * (np.abs(residual).sum(axis=-2).max(axis=-1)
-                + 2 * _gamma(rank + 2) * spread.max(axis=-1))
-             + 4 * (n + 1) * rank * _TINY)
-    return float(bound.max()) if (bound <= np.minimum(margin, TOL_ALG)).all() else None
 
 
 def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
@@ -375,29 +308,23 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
        2 (n + 1) > 2 (k + 2) + 2 s/d and (n + 1) n > 2 (k + 1) k, which n >= 4k
        meets, so the whole factorisation would fail too and is skipped.  A block
        it completes on still takes exactly one full factorisation.
-    2. When that fails and n >= ``PIVOT_MIN_SIZE``, ``_pivoted_bound`` factors each
-       block as H ~ L L*, L of r columns, and bounds the depth below zero.  L L* is
-       PSD whatever the rounding in L, so by Weyl's inequality lambda_min(H) >=
-       -||H - L L*||_2, and ||E||_2 <= ||E||_1 (the largest column sum of |E|) for the
-       Hermitian E = H - L L*; a 1-norm needs no squares, so it neither overflows nor
-       underflows where H is finite.  The computed G = fl(L L*) has
-       |G - L L*| <= 2 gamma_{r+2} |L||L*| plus 2 r tiny per entry (complex inner
-       products of length r, Higham section 3.6), and the computed residual
-       R = fl(H - G) has |H - G| <= |R| / (1 - u), so
-
-           ||H - L L*||_1 <= ||R||_1 / (1 - u) + 2 gamma_{r+2} || |L||L*| ||_1 + 2 n r tiny,
-
-       which the code evaluates with a factor 1 + gamma_{n+r+8} for the roundings of
-       the sums themselves and 4 (n + 1) r tiny for their underflow.  Its rounding
-       term grows as r u tr H, not with the depth, so the bound is taken only when it
-       is at most both s and ``TOL_ALG`` in every block; the value is then
-       ``worst(herm, bound)``, with no eigensolve.  It is at least the true depth of
-       lambda_min(H) below zero, where ``eigvalsh`` reads that depth only to within
-       p(n) u ||H||_2, and a check at ``TOL_ALG`` decides as on that reading.
+    2. When that fails and every block has s <= ``TOL_ALG``, one factorisation of
+       every block of H + tI, t = s/4, is tried.  When it completes, the same argument
+       bounds the depth below zero (Rump's certificate): R*R = A + E for
+       A = fl(H + tI), with tr A <= d + n t in place of d, so
+       ||E||_2 <= 2 (n + 1)(u (d + n t) + n tiny) <= s/2 + eps n (n + 1) t to first
+       order, and the rounded shift is off by at most u (d + t) on the diagonal.  R*R is
+       PSD, so lambda_min(H) >= -(t + s/2 + eps n (n + 1) t + u (d + t)) >= -s, since
+       u d <= t / (2 (n + 1)) and eps n (n + 1) <= 1/4 for n < 3 * 10^7.  The value is
+       then ``worst(herm, s)``, with no eigensolve: at most ``TOL_ALG`` and at least
+       the true depth of lambda_min(H) below zero, where ``eigvalsh`` reads that depth
+       only to within p(n) u ||H||_2, so a check at ``TOL_ALG`` decides as on that
+       reading.
 
     A stack falls back to one batched ``eigvalsh`` of the same H as a whole when
-    neither settles every block, or when a shifted diagonal entry is <= 0 and
-    n < ``PIVOT_MIN_SIZE`` (then no factorisation runs).
+    neither settles every block: when a block's s is above ``TOL_ALG`` (its trace is
+    above about 1e-9 / (8 (n + 1) u)), or when H + tI has a diagonal entry <= 0 or does
+    not factor.
     """
     m = _stack(m)
     # m* in one transposed pass into a C-ordered buffer, so that m - m*, m + m* and the
@@ -411,11 +338,10 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
     if not np.isfinite(h).all():
         return herm, float("inf")
     margin = _margin(h)
-    if _cholesky_proves_psd(h, margin):
+    if _cholesky_completes(h, -margin):
         return herm, herm
-    bound = _pivoted_bound(h, margin) if h.shape[-1] >= PIVOT_MIN_SIZE else None
-    if bound is not None:
-        return herm, worst(herm, bound)
+    if (margin <= TOL_ALG).all() and _cholesky_completes(h, margin / 4):
+        return herm, worst(herm, margin)
     lam = np.linalg.eigvalsh(h)[..., :1]
     return herm, worst(herm, np.minimum(lam, 0.0))
 
@@ -426,10 +352,10 @@ def psd_defect(m: np.ndarray) -> float:
     The larger of the Hermiticity defect and the depth below zero of the spectra
     of the Hermitian parts H.  A positive definite H is proven so by one Cholesky
     factorisation shifted down by a margin above rounding, and reads the
-    Hermiticity defect.  A rank-deficient H of at least ``PIVOT_MIN_SIZE`` rows
-    whose pivoted Cholesky factorisation stops at a low numerical rank reads a
-    proven bound on that depth, at most the margin and ``TOL_ALG``.  Anything else reads the
-    smallest eigenvalue that one batched ``eigvalsh`` computes.  Non-finite input
+    Hermiticity defect.  A rank-deficient H whose margin is at most ``TOL_ALG``, and
+    which one Cholesky factorisation shifted up by a quarter of it proves to reach at
+    most the margin below zero, reads the margin.  Anything else reads the smallest
+    eigenvalue that one batched ``eigvalsh`` computes.  Non-finite input
     anywhere, or a Hermitian part that overflows, reads as infinitely far.
     Never raises, so every check built on it fails closed.
     """

@@ -174,6 +174,8 @@ def max_commutator(e: StochasticOperatorMatrix, f: StochasticOperatorMatrix) -> 
     if e.dim_h != f.dim_h:
         raise ValueError("operands act on different spaces")
     d = e.dim_h
+    if d == 0:  # blocks on C^0: nothing to commute, and reshape(-1, 0, 0) cannot count them
+        return 0.0
     eb, fb = (m.blocks().reshape(-1, d, d) for m in (e, f))
     step = 16 * max(1, 2 ** 16 // (16 * max(1, len(fb) * d * d)))
     top = best = 0.0

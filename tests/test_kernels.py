@@ -42,8 +42,8 @@ from qnskit.graphs import (Graph, channel_sharp, graph_subspace, hom_residual,
                            kd2_colouring, kd2_explicit_states, kraus_to_choi,
                            proper_residuals, realization_basis,
                            stahlke_residual, vertex_map_kraus)
-from qnskit.linalg import (CHOLESKY_MARGIN, PIVOT_MIN_SIZE, TOL_ALG, TOL_COMM,
-                           CheckError, _margin, _pivoted_bound, _rank_cap, _stack,
+from qnskit.linalg import (CHOLESKY_MARGIN, TOL_ALG, TOL_COMM, CheckError,
+                           _cholesky_completes, _margin, _stack,
                            channel_defects, check_channel, check_state, choi_compose,
                            dagger, hermiticity_and_psd_defect, hermiticity_defect, kron,
                            max_entangled, orthonormal_columns,
@@ -516,6 +516,25 @@ def _psd_outcome(fn, m):
         return repr(exc)
 
 
+def _assert_decides_as_the_oracle(name: str, m: np.ndarray) -> None:
+    """``hermiticity_and_psd_defect(m)`` against ``_psd_oracle``: the Hermiticity defect
+    bit for bit; the PSD defect never below the oracle's, passing at ``TOL_ALG`` exactly
+    when the oracle's does, and bit for bit the oracle's unless the up-shifted
+    factorisation certified a block that step 1 did not settle, when it reads exactly
+    ``worst(herm, max margin)`` <= ``TOL_ALG``."""
+    ours, oracle = hermiticity_and_psd_defect(m), _psd_oracle(m)
+    assert _psd_outcome(lambda m: ours[:1], m) == _psd_outcome(lambda m: oracle[:1], m), name
+    assert ours[1] >= oracle[1], name
+    assert (ours[1] <= TOL_ALG) == (oracle[1] <= TOL_ALG), name
+    if _psd_outcome(lambda m: ours, m) == _psd_outcome(lambda m: oracle, m):
+        return
+    assert np.isfinite(m).all(), name  # non-finite input reads inf, as the oracle does
+    h = (m + dagger(m)) / 2
+    margin = _margin(h)
+    assert not _cholesky_completes(h, -margin), name
+    assert ours[1] == worst(ours[0], margin.max()) <= TOL_ALG, name
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 24), st.sampled_from([0, 1, 3]), seed)
 def test_psd_decision_matches_the_eigensolve_oracle_bit_for_bit(n, k, s):
@@ -525,17 +544,18 @@ def test_psd_decision_matches_the_eigensolve_oracle_bit_for_bit(n, k, s):
             overflows = np.isfinite(m).all() and not np.isfinite(m + dagger(m)).all()
         if overflows:  # H overflows (the 1e308 rows): inf, where eigvalsh reads NaN or raises
             assert ours == _psd_outcome(lambda m: (hermiticity_defect(m), np.inf), m), name
-        else:
+        elif name.startswith(("rank-deficient", "subnormal", "near-singular", "one failing")):
+            _assert_decides_as_the_oracle(name, m)  # PSD blocks step 1 may leave
+        else:  # step 1 settles these, or they are indefinite or not finite
             assert ours == _psd_outcome(_psd_oracle, m), name
 
 
-def _pivot_cases(rng, n: int, k: int) -> dict:
-    """Named n x n matrices (k = 0) or stacks of k blocks past ``PIVOT_MIN_SIZE``:
-    unit-trace PSD blocks of ranks up to and past the pivoting cap at three scales,
-    a subnormal, a zero-row and a large-trace block, indefinite blocks whose negative
-    eigenvalue is spread across the diagonal, and NaN and inf entries."""
+def _low_rank_cases(rng, n: int, k: int) -> dict:
+    """Named n x n matrices (k = 0) or stacks of k blocks: unit-trace PSD blocks of ranks
+    1 through n at three scales, a subnormal, a zero-row and a large-trace block,
+    indefinite blocks whose negative eigenvalue is spread across the diagonal, and NaN
+    and inf entries."""
     lead = (k,) if k else ()
-    cap = _rank_cap(n)
 
     def psd(rank, trace=1.0, zero_rows=0):
         g = qr.complex_gaussian(rng, *lead, n, rank)
@@ -544,10 +564,11 @@ def _pivot_cases(rng, n: int, k: int) -> dict:
         return m * (trace / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
 
     cases = {f"rank {rank} x {scale}": psd(rank) * scale
-             for rank in sorted({1, 8, n // 4, cap, cap + 1, n}) for scale in (1, 1e-300, 1e300)}
+             for rank in sorted({1, 8, n // 4, n // 2, n - 1, n})
+             for scale in (1, 1e-300, 1e300)}
     cases["subnormal rank 8"] = psd(8) * 1e-310
     cases["zero rows"] = psd(8, zero_rows=n // 8)
-    # a trace of 2 n^2 puts the margin above TOL_ALG, and the bound's rounding term with it
+    # a trace of 2 n^2 puts the margin above TOL_ALG, so the eigensolve decides
     cases["rank n/2, trace 2n^2"] = psd(n // 2, trace=2.0 * n * n)
     base = psd(8)
     v = np.exp(2j * np.pi * rng.random((*lead, n, 1))) / np.sqrt(n)  # |v_i|^2 = 1/n
@@ -563,24 +584,11 @@ def _pivot_cases(rng, n: int, k: int) -> dict:
 
 @settings(max_examples=4, deadline=None)
 @given(seed)
-def test_pivoted_bound_decides_as_the_eigensolve_oracle(s):
+def test_up_shifted_certificate_decides_as_the_eigensolve_oracle(s):
     rng = np.random.default_rng(s)
-    for n, k in ((128, 0), (256, 0), (128, 2)):
-        for name, m in _pivot_cases(rng, n, k).items():
-            ours, oracle = hermiticity_and_psd_defect(m), _psd_oracle(m)
-            assert _psd_outcome(lambda m: ours[:1], m) == _psd_outcome(lambda m: oracle[:1], m)
-            # a proven bound: never below LAPACK's reading, and a taken one is at most
-            # TOL_ALG, so a check at that tolerance decides as the eigensolve does
-            assert ours[1] >= oracle[1], name
-            assert (ours[1] <= TOL_ALG) == (oracle[1] <= TOL_ALG), name
-            if not np.isfinite(m).all():
-                continue
-            h = (m + dagger(m)) / 2
-            margin = _margin(h)
-            bound = _pivoted_bound(h, margin)
-            if bound is not None:
-                assert bound <= min(margin.max(), TOL_ALG), name
-                assert ours[1] in (worst(ours[0], bound), ours[0]), name
+    for n, k in ((9, 0), (16, 0), (81, 0), (128, 0), (256, 0), (16, 3), (128, 2)):
+        for name, m in _low_rank_cases(rng, n, k).items():
+            _assert_decides_as_the_oracle(f"{name} (n = {n}, k = {k})", m)
 
 
 def test_an_overflowing_hermitian_part_reads_inf(tmp_path, capsys):
@@ -606,16 +614,17 @@ def test_psd_decision_keeps_its_lapack_call_budget(rng, monkeypatch):
     broken = pd.copy()
     broken[1, 2, 3] = np.nan
     states = kd2_colouring(3).states  # every block has a zero diagonal entry
-    n = 2 * PIVOT_MIN_SIZE
-    g = qr.complex_gaussian(rng, n, n)
-    rank8, past_cap = g[:, :8], g[:, :_rank_cap(n) + 1]
-    # past the gate a leading 32 x 32 block is factored first: the full factorisation
-    # runs only when that completes, and the pivoted one settles a low rank
-    for stack, budget in ((pd, {"cholesky": 1}), (low, {"cholesky": 1, "eigvalsh": 1}),
-                          (states, {"eigvalsh": 1}), (broken, {}),
-                          (g @ dagger(g), {"cholesky": 2}),
-                          (rank8 @ dagger(rank8), {"cholesky": 1}),
-                          (past_cap @ dagger(past_cap), {"cholesky": 2, "eigvalsh": 1}),
+    g = qr.complex_gaussian(rng, 256, 256)
+    # unit trace, as for the witnesses' Choi matrices: a trace of about 256 r would put
+    # the margin of rank 80 and 144 above TOL_ALG, and the block in the eigensolve
+    rank = {r: g[:, :r] @ dagger(g[:, :r]) / np.sum(np.abs(g[:, :r]) ** 2) for r in (8, 80, 144)}
+    # at n >= 128 a leading 32 x 32 block is factored before the full down-shifted
+    # factorisation, which runs only when that completes; a block that fails goes to
+    # one factorisation shifted up, and to the eigensolve only when that fails too
+    for stack, budget in ((pd, {"cholesky": 1}), (low, {"cholesky": 2}),
+                          (states, {"cholesky": 1}), (broken, {}),
+                          (g @ dagger(g), {"cholesky": 2}), (rank[8], {"cholesky": 2}),
+                          (rank[80], {"cholesky": 3}), (rank[144], {"cholesky": 3}),
                           (g + dagger(g), {"eigvalsh": 1})):
         calls.clear()
         hermiticity_and_psd_defect(stack)
@@ -674,6 +683,8 @@ def test_max_commutator_on_paulis_and_empty_blocks():
     empty = StochasticOperatorMatrix(0, 2, 2, np.zeros((0, 0)))
     assert max_commutator(empty, z) == _full_svd_max_commutator(empty, z) == 0.0
     assert max_commutator(z, empty) == 0.0
+    nowhere = StochasticOperatorMatrix(2, 2, 0, np.zeros((0, 0)))  # blocks on C^0
+    assert max_commutator(nowhere, nowhere) == commutator_bound(nowhere, nowhere) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
