@@ -25,16 +25,18 @@ usage: PYTHONPATH=src python3 scripts/witness_cost.py [--lifts 3,3,2 4,4,2] [--d
   Its value is the `witness_residual` of the composition.
 
 With ``--psd`` it times only `hermiticity_and_psd_defect`, the PSD kernel of
-every certificate, on six seeded inputs, each labelled with the path that settles
-it: the Choi matrix of a quantum witness on (4,4,4,4), 256 x 256 and positive
-definite, which step 1 (one Cholesky factorisation shifted down by the margin)
-settles; a local Choi matrix of rank 8 (two product terms of Kraus rank 2 x 2),
-whose leading 32 x 32 block fails to factor; an indefinite Hermitian matrix,
-which goes to the eigensolve; local Choi matrices of rank 80 (five product
-terms of Kraus rank 4 x 4) and 144 (nine terms); and the states of the kd2
-colouring with d = 4, 256 blocks of 16 x 16, each with a zero diagonal entry.
-The rank-deficient ones fail step 1 and are settled by one factorisation
-shifted up by a quarter of the margin (the up-shift).
+every certificate, on six seeded inputs, each labelled with the factorisation
+that decided it: the Choi matrix of a quantum witness on (4,4,4,4), 256 x 256
+and positive definite, on which the leading 32 x 32 and 96 x 96 blocks (the
+rungs of the ladder) and step 1 (one Cholesky factorisation shifted down by the
+margin) complete; a local Choi matrix of rank 8 (two product terms of Kraus rank
+2 x 2), whose leading 32 x 32 block fails to factor; an indefinite Hermitian
+matrix, which has a diagonal entry <= 0 and goes to the eigensolve; local Choi
+matrices of rank 80 (five product terms of Kraus rank 4 x 4), whose 96 x 96
+block fails, and 144 (nine terms), on which only the full factorisation fails;
+and the states of the kd2 colouring with d = 4, 256 blocks of 16 x 16, each
+with a zero diagonal entry. The rank-deficient ones are then settled by one
+factorisation shifted up by a quarter of the margin (the up-shift).
 
 Each line gives the median over the repeats in milliseconds, the tracemalloc
 peak in MB of one more call, and the value the call returned, so two source
@@ -82,7 +84,7 @@ def row(label: str, fn, repeat: int, show=repr) -> None:
         mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    print(f"{label:>42} {ms:>10.2f} {mb:>8.2f}  {show(value)}")
+    print(f"{label:>56} {ms:>10.2f} {mb:>8.2f}  {show(value)}")
 
 
 def lifts(rng, spare, dims):
@@ -119,12 +121,13 @@ def psd_rows(rng, repeat: int) -> None:
                            [qr.random_channel_choi(rng, 4, 4, kraus=4) for _ in range(terms)],
                            [qr.random_channel_choi(rng, 4, 4, kraus=4) for _ in range(terms)],
                            CorrelationDims(4, 4, 4, 4)).choi
-    for label, m in (("quantum witness Choi (PD), step 1", quantum),
-                     ("local Choi (rank 8), up-shift", local),
-                     ("indefinite, eigensolve", g + g.conj().T),
-                     ("local Choi (rank 80), up-shift", mixture(5)),
-                     ("local Choi (rank 144), up-shift", mixture(9)),
-                     ("kd2 d=4 states (256 blocks), up-shift", kd2_colouring(4).states)):
+    for label, m in (("quantum witness Choi (PD): lead 32, 96, full pass", quantum),
+                     ("local Choi (rank 8): lead 32 fails -> up-shift", local),
+                     ("indefinite: pivot <= 0 -> eigensolve", g + g.conj().T),
+                     ("local Choi (rank 80): lead 96 fails -> up-shift", mixture(5)),
+                     ("local Choi (rank 144): full fails -> up-shift", mixture(9)),
+                     ("kd2 d=4 states (256 blocks): pivot <= 0 -> up-shift",
+                      kd2_colouring(4).states)):
         row(f"psd {label}", lambda m=m: hermiticity_and_psd_defect(m), repeat)
 
 
@@ -139,7 +142,7 @@ def main() -> None:
                         help="time only the PSD kernel on six seeded inputs")
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
-    print(f"{'operation':>42} {'median ms':>10} {'peak MB':>8}  value")
+    print(f"{'operation':>56} {'median ms':>10} {'peak MB':>8}  value")
     if args.psd:
         psd_rows(rng, args.repeat)
         return

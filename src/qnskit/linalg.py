@@ -51,10 +51,11 @@ PRUNE_MARGIN = 1e-9
 #: whose s is at most ``TOL_ALG`` and whose H + (s/4) I factors instead, is proven to
 #: reach at most s below zero and reads s (both derived at ``hermiticity_and_psd_defect``).
 CHOLESKY_MARGIN = 4.0
-#: Size of the leading principal block of H - (s/4) I that is factored before a block
-#: of n >= 4 LEAD_BLOCK rows is shifted down: when it fails, the whole factorisation would
-#: fail too (derived at ``hermiticity_and_psd_defect``), so a rank-deficient block skips it.
-#: Measured on ``witness`` pairs: ops/s rose with it (``BENCH_pivoted_psd.json``).
+#: Size of the first rung of the ladder of leading principal blocks of H - (s/4) I, of
+#: k = LEAD_BLOCK * 3**j rows while k <= n/2, that is factored before an n x n block is
+#: shifted down: when a rung fails, the whole factorisation would fail too (derived at
+#: ``hermiticity_and_psd_defect``), so a rank-deficient block skips it.  Measured on
+#: ``witness`` pairs: ops/s rose with it (``BENCH_pivoted_psd.json``, ``BENCH_psd_ladder.json``).
 LEAD_BLOCK = 32
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
@@ -92,7 +93,14 @@ def worst(*residuals) -> float:
     reads 0.0, and a NaN anywhere reads NaN, so ``worst(...) <= tol`` fails
     closed; inf stays inf.
     """
-    return float(np.max([np.max(np.abs(r), initial=0.0) for r in residuals], initial=0.0))
+    out = 0.0
+    for r in residuals:
+        a = abs(r) if type(r) is float else float(np.abs(r).max(initial=0.0))
+        if a > out:
+            out = a
+        elif a != a:  # NaN
+            return a
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,10 +258,10 @@ def _cholesky_completes(h: np.ndarray, shift: np.ndarray) -> bool:
     """True when every block of the Hermitian stack ``h`` plus its ``shift`` times I has a
     Cholesky factor with a finite diagonal.
 
-    A block of at least 4 ``LEAD_BLOCK`` rows shifted down first has its leading
-    ``LEAD_BLOCK`` square block, shifted down by a quarter as far, factored: when that
-    fails, so would the whole factorisation (derived at ``hermiticity_and_psd_defect``),
-    which is then skipped.
+    A block shifted down first has its leading k x k blocks, k = ``LEAD_BLOCK`` * 3**j
+    <= n/2, shifted down by a quarter as far, factored in turn: when one fails, so would
+    the whole factorisation (derived at ``hermiticity_and_psd_defect``), which is then
+    skipped.
     ``h`` is shifted in place and restored bit for bit before this returns.
     """
     n = h.shape[-1]
@@ -263,9 +271,12 @@ def _cholesky_completes(h: np.ndarray, shift: np.ndarray) -> bool:
     if not (shifted > 0).all():  # a diagonal pivot <= 0 (or NaN) fails the factorisation
         return False
     try:
-        if n >= 4 * LEAD_BLOCK and (shift < 0).all():
-            lead = h[..., :LEAD_BLOCK, :LEAD_BLOCK]
-            np.linalg.cholesky(lead + (shift[..., None, None] / 4) * np.eye(LEAD_BLOCK))
+        if (shift < 0).all() and 2 * LEAD_BLOCK <= n:
+            diagonal[...] = saved.real + shift[..., None] / 4
+            k = LEAD_BLOCK
+            while 2 * k <= n:
+                np.linalg.cholesky(h[..., :k, :k])
+                k *= 3
         diagonal[...] = shifted
         factor = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -300,14 +311,17 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
        Hence the computed smallest eigenvalue is at least (5 (n + 1) - p(n)) u d,
        which is >= 0 for any p(n) <= 5 (n + 1).
 
-       For n >= 4k, k = ``LEAD_BLOCK``, the leading k x k block of H - (s/4) I is
-       factored first.  If that fails, the same argument on k x k gives
-       lambda_min(H) <= s/4 + 2 (k + 1)(u d + k tiny) + u (d + s), by Cauchy
-       interlacing, while a completed factorisation of H - sI gives
-       lambda_min(H) >= s/2 - u (d + s).  The first is below the second once
-       2 (n + 1) > 2 (k + 2) + 2 s/d and (n + 1) n > 2 (k + 1) k, which n >= 4k
-       meets, so the whole factorisation would fail too and is skipped.  A block
-       it completes on still takes exactly one full factorisation.
+       The leading k x k blocks of H - (s/4) I, k = ``LEAD_BLOCK`` * 3**j <= n/2 (the
+       rungs: 32 and 96 at n = 256), are factored first, in turn.  If one fails, the
+       same argument on k x k gives lambda_min(H) <= s/4 + 2 (k + 1)(u d + k tiny) +
+       u (d + s), by Cauchy interlacing, while a completed factorisation of H - sI
+       gives lambda_min(H) >= s/2 - u (d + s).  With s/4 = 2 (n + 1) u d +
+       (n + 1) n tiny and u s = 8 (n + 1) u (u d) + 4 (n + 1) n u tiny, the first is
+       below the second once n + 1 > k + 2 + 8 (n + 1) u and
+       (n + 1) n (1 - 8 u) > 2 (k + 1) k, which every k <= n/2 meets, so the whole
+       factorisation would fail too and is skipped.  Each rung is the leading block
+       of the next, so the ladder stops at the first that fails.  A block every rung
+       completes on still takes exactly one full factorisation.
     2. When that fails and every block has s <= ``TOL_ALG``, one factorisation of
        every block of H + tI, t = s/4, is tried.  When it completes, the same argument
        bounds the depth below zero (Rump's certificate): R*R = A + E for
@@ -334,7 +348,8 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         herm = worst(m - conj)
         h = np.add(m, conj, out=conj)  # H takes over the conjugate copy
-        h /= 2
+        halves = h.view(float)  # real halving: complex division is slower
+        halves /= 2
     if not np.isfinite(h).all():
         return herm, float("inf")
     margin = _margin(h)
@@ -342,7 +357,9 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
         return herm, herm
     if (margin <= TOL_ALG).all() and _cholesky_completes(h, margin / 4):
         return herm, worst(herm, margin)
-    lam = np.linalg.eigvalsh(h)[..., :1]
+    # H formed again: the real halving differs from the complex one in the sign of zero
+    # entries, which no factorisation reads but the eigensolve can
+    lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., :1]
     return herm, worst(herm, np.minimum(lam, 0.0))
 
 
@@ -465,7 +482,8 @@ def state_defect(rho: np.ndarray) -> float:
     """Max of PSD defect and |tr - 1| over the blocks of a stack ``(..., d, d)``."""
     rho = _stack(rho)
     trace = np.trace(rho, axis1=-2, axis2=-1)
-    # a non-finite trace needs a non-finite entry, so the first term is then inf
+    # max, not worst: a non-finite trace needs a non-finite entry, so the first term is
+    # then inf, and non-finite input reads inf here even when the trace is NaN
     return max(psd_defect(rho), worst(trace - 1.0))
 
 

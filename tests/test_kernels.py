@@ -42,7 +42,7 @@ from qnskit.graphs import (Graph, channel_sharp, graph_subspace, hom_residual,
                            kd2_colouring, kd2_explicit_states, kraus_to_choi,
                            proper_residuals, realization_basis,
                            stahlke_residual, vertex_map_kraus)
-from qnskit.linalg import (CHOLESKY_MARGIN, TOL_ALG, TOL_COMM, CheckError,
+from qnskit.linalg import (CHOLESKY_MARGIN, LEAD_BLOCK, TOL_ALG, TOL_COMM, CheckError,
                            _cholesky_completes, _margin, _stack,
                            channel_defects, check_channel, check_state, choi_compose,
                            dagger, hermiticity_and_psd_defect, hermiticity_defect, kron,
@@ -550,22 +550,39 @@ def test_psd_decision_matches_the_eigensolve_oracle_bit_for_bit(n, k, s):
             assert ours == _psd_outcome(_psd_oracle, m), name
 
 
+def _psd_of_rank(rng, lead: tuple, n: int, rank: int, trace=1.0, zero_rows=0) -> np.ndarray:
+    """A seeded PSD n x n block of ``rank`` and ``trace``, or a stack of shape ``lead``;
+    ``zero_rows`` of its rows and columns are zero."""
+    g = qr.complex_gaussian(rng, *lead, n, rank)
+    g[..., rng.choice(n, zero_rows, replace=False), :] = 0
+    m = g @ dagger(g)
+    return m * (trace / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+
+
+def _rung_ranks(n: int) -> list[int]:
+    """r - 1, r and r + 1 for each rung r of the ladder at n: a leading r x r block fails
+    to factor below rank r, so each rung is seen failing and completing."""
+    ranks, rung = [], LEAD_BLOCK
+    while 2 * rung <= n:
+        ranks += [rung - 1, rung, rung + 1]
+        rung *= 3
+    return ranks
+
+
 def _low_rank_cases(rng, n: int, k: int) -> dict:
     """Named n x n matrices (k = 0) or stacks of k blocks: unit-trace PSD blocks of ranks
-    1 through n at three scales, a subnormal, a zero-row and a large-trace block,
-    indefinite blocks whose negative eigenvalue is spread across the diagonal, and NaN
-    and inf entries."""
+    1 through n at three scales and on both sides of each rung of the ladder, a
+    subnormal, a zero-row and a large-trace block, indefinite blocks whose negative
+    eigenvalue is spread across the diagonal, and NaN and inf entries."""
     lead = (k,) if k else ()
 
     def psd(rank, trace=1.0, zero_rows=0):
-        g = qr.complex_gaussian(rng, *lead, n, rank)
-        g[..., rng.choice(n, zero_rows, replace=False), :] = 0  # zero rows and columns
-        m = g @ dagger(g)
-        return m * (trace / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+        return _psd_of_rank(rng, lead, n, rank, trace, zero_rows)
 
     cases = {f"rank {rank} x {scale}": psd(rank) * scale
              for rank in sorted({1, 8, n // 4, n // 2, n - 1, n})
              for scale in (1, 1e-300, 1e300)}
+    cases.update({f"rank {rank} around a rung": psd(rank) for rank in _rung_ranks(n)})
     cases["subnormal rank 8"] = psd(8) * 1e-310
     cases["zero rows"] = psd(8, zero_rows=n // 8)
     # a trace of 2 n^2 puts the margin above TOL_ALG, so the eigensolve decides
@@ -589,6 +606,8 @@ def test_up_shifted_certificate_decides_as_the_eigensolve_oracle(s):
     for n, k in ((9, 0), (16, 0), (81, 0), (128, 0), (256, 0), (16, 3), (128, 2)):
         for name, m in _low_rank_cases(rng, n, k).items():
             _assert_decides_as_the_oracle(f"{name} (n = {n}, k = {k})", m)
+    for rank in _rung_ranks(576):  # three rungs: 32, 96 and 288
+        _assert_decides_as_the_oracle(f"rank {rank} (n = 576)", _psd_of_rank(rng, (), 576, rank))
 
 
 def test_an_overflowing_hermitian_part_reads_inf(tmp_path, capsys):
@@ -606,9 +625,21 @@ def test_an_overflowing_hermitian_part_reads_inf(tmp_path, capsys):
 
 
 def test_psd_decision_keeps_its_lapack_call_budget(rng, monkeypatch):
-    calls = collections.Counter()
+    calls = []
+
+    def recorded(name, fn):
+        """``fn`` recording each call as its name and matrix size, and "fails" if it raised."""
+        def call(a, *args, **kwargs):
+            try:
+                out = fn(a, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls.append(f"{name} {a.shape[-1]} fails")
+                raise
+            calls.append(f"{name} {a.shape[-1]}")
+            return out
+        return call
     for name in ("cholesky", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, _counted(calls, name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
     g = qr.complex_gaussian(rng, 3, 6, 6)
     pd, low = g @ dagger(g), g[..., :2] @ dagger(g[..., :2])
     broken = pd.copy()
@@ -618,17 +649,20 @@ def test_psd_decision_keeps_its_lapack_call_budget(rng, monkeypatch):
     # unit trace, as for the witnesses' Choi matrices: a trace of about 256 r would put
     # the margin of rank 80 and 144 above TOL_ALG, and the block in the eigensolve
     rank = {r: g[:, :r] @ dagger(g[:, :r]) / np.sum(np.abs(g[:, :r]) ** 2) for r in (8, 80, 144)}
-    # at n >= 128 a leading 32 x 32 block is factored before the full down-shifted
-    # factorisation, which runs only when that completes; a block that fails goes to
-    # one factorisation shifted up, and to the eigensolve only when that fails too
-    for stack, budget in ((pd, {"cholesky": 1}), (low, {"cholesky": 2}),
-                          (states, {"cholesky": 1}), (broken, {}),
-                          (g @ dagger(g), {"cholesky": 2}), (rank[8], {"cholesky": 2}),
-                          (rank[80], {"cholesky": 3}), (rank[144], {"cholesky": 3}),
-                          (g + dagger(g), {"eigvalsh": 1})):
+    # at n = 256 the leading 32 and 96 square blocks are factored before the full
+    # down-shifted factorisation, which runs only when both complete; a block that fails
+    # goes to one factorisation shifted up, and to the eigensolve only when that fails too
+    for stack, budget in ((pd, ["cholesky 6"]), (low, ["cholesky 6 fails", "cholesky 6"]),
+                          (states, ["cholesky 9"]), (broken, []),
+                          (g @ dagger(g), ["cholesky 32", "cholesky 96", "cholesky 256"]),
+                          (rank[8], ["cholesky 32 fails", "cholesky 256"]),
+                          (rank[80], ["cholesky 32", "cholesky 96 fails", "cholesky 256"]),
+                          (rank[144], ["cholesky 32", "cholesky 96", "cholesky 256 fails",
+                                       "cholesky 256"]),
+                          (g + dagger(g), ["eigvalsh 256"])):
         calls.clear()
         hermiticity_and_psd_defect(stack)
-        assert dict(calls) == budget, budget
+        assert calls == budget, budget
 
 
 def test_orthonormality_defect_takes_stacks(rng):

@@ -189,4 +189,15 @@ def test_worst_policy():
                   (np.array([complex(np.nan, 0.0)]),)):
         assert np.isnan(worst(*parts))
     assert worst(1.0, np.array([-np.inf])) == np.inf
-    assert type(worst(np.float32(1.0))) is float
+    # a Python float NaN first, in the middle or last among arrays and numbers
+    others = [np.array([2.0, -7.0]), np.inf, np.zeros((2, 0))]
+    for at in range(len(others) + 1):
+        value = worst(*others[:at], float("nan"), *others[at:])
+        assert type(value) is float and np.isnan(value), at
+    for parts, expected in (((), 0.0), ((-0.0,), 0.0), ((np.float64(-2.5),), 2.5),
+                            ((True,), 1.0), ((-3,), 3.0), ((3 - 4j,), 5.0),
+                            ((np.array(-1.5),), 1.5), ((np.float32(1.0),), 1.0),
+                            ((-0.0, np.array([-0.0])), 0.0), ((np.nan,), np.nan)):
+        value = worst(*parts)
+        assert type(value) is float, parts
+        np.testing.assert_equal(value, expected, err_msg=repr(parts))  # +0.0 for -0.0
