@@ -155,8 +155,8 @@ def _cmd_compose(args) -> int:
     if isinstance(second, ConstraintGame) and isinstance(first, ConstraintGame):
         out = compose_games(second, first)
         # no condition certifies a composed game, so its report only describes it
-        report = {"kind": "game", "n_constraints": out.n_constraints, "pass": True}
-        return _emit_payload(io.game_to_json(out), report, args)
+        report = Report({}, args.tol, {"kind": "game", "n_constraints": out.n_constraints})
+        return _emit_payload(io.game_to_json(out), report.as_dict(), args)
     if isinstance(second, QnsCorrelation) and isinstance(first, QnsCorrelation):
         return _emit_correlation(compose_correlations(second, first), args)
     if isinstance(second, NsCorrelation) and isinstance(first, NsCorrelation):

@@ -523,21 +523,21 @@ def check_weights(weights) -> list[float]:
     return weights
 
 
-def nullspace(mat: np.ndarray, tol: float = EIG_CLAMP) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel; singular values < tol are zero."""
+def nullspace(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel; singular values < EIG_CLAMP are zero."""
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
         return np.eye(mat.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(mat)
-    rank = int(np.sum(s >= tol))
+    rank = int(np.sum(s >= EIG_CLAMP))
     return dagger(vh)[:, rank:]
 
 
-def orthonormal_columns(vectors: np.ndarray, tol: float = EIG_CLAMP) -> np.ndarray:
+def orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of ``vectors``."""
     vectors = np.asarray(vectors, dtype=complex)
     if vectors.ndim != 2 or vectors.shape[1] == 0:
         return vectors.reshape(vectors.shape[0], 0)
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    rank = int(np.sum(s >= tol * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s >= EIG_CLAMP * max(1.0, s[0] if s.size else 1.0)))
     return u[:, :rank]

@@ -18,7 +18,7 @@ from qnskit.correlations import (CorrelationDims, CqnsCorrelation, LocalWitness,
                                  build_tracial, from_classical)
 from qnskit.games import colouring_game
 from qnskit.graphs import Graph, cycle5_umbrella
-from qnskit.linalg import max_entangled
+from qnskit.linalg import TOL_ALG, max_entangled
 from qnskit.symmetry import build_tracial_cqns, build_tracial_ns
 
 
@@ -420,7 +420,9 @@ def test_cli_compose_tables_and_games(tmp_path, capsys, rng):
     g_path = _write(tmp_path, "g.json", io.game_to_json(from_rule(rule)))
     gg_path = str(tmp_path / "gg.json")
     assert run(["compose", g_path, g_path, "--out", gg_path]) == 0
-    capsys.readouterr()
+    # a composed game has no check, so its report describes it against the default tol
+    assert json.loads(capsys.readouterr().out) == {"kind": "game", "n_constraints": 4,
+                                                   "pass": True, "tol": TOL_ALG}
     assert run(["check-game", gg_path, p_path]) == 0
 
 
