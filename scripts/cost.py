@@ -20,7 +20,7 @@ usage: PYTHONPATH=src python3 scripts/cost.py SECTION [options], where SECTION i
   other inputs are drawn as without it); the kd2 colouring's game check,
   fairness and CQNS certificate; a local build with its report; a composition.
 - psd: `hermiticity_and_psd_defect`, the PSD kernel of every certificate, on
-  six seeded inputs, each labelled with the factorisation that decides it.
+  eight seeded inputs, each labelled with the factorisation that decides it.
 - cli: `qnskit kd2 --d D --out FILE`, each run in a fresh process.
 
 An in-process row gives the median and the minimum milliseconds of ``--repeat``
@@ -235,13 +235,15 @@ def psd_section(args) -> None:
                            [qr.random_channel_choi(rng, 4, 4, kraus=4) for _ in range(terms)],
                            [qr.random_channel_choi(rng, 4, 4, kraus=4) for _ in range(terms)],
                            CorrelationDims(4, 4, 4, 4)).choi
-    for label, m in (("quantum witness Choi (PD): lead 32, 96, full pass", quantum),
-                     ("local Choi (rank 8): lead 32 fails -> up-shift", local),
+    rank80, rank144 = mixture(5), mixture(9)
+    for label, m in (("quantum witness Choi (PD): up-shift passes", quantum),
+                     ("local Choi (rank 8): up-shift passes", local),
                      ("indefinite: pivot <= 0 -> eigensolve", g + g.conj().T),
-                     ("local Choi (rank 80): lead 96 fails -> up-shift", mixture(5)),
-                     ("local Choi (rank 144): full fails -> up-shift", mixture(9)),
-                     ("kd2 d=4 states (256 blocks): pivot <= 0 -> up-shift",
-                      kd2_colouring(4).states)):
+                     ("local Choi (rank 80): up-shift passes", rank80),
+                     ("local Choi (rank 144): up-shift passes", rank144),
+                     ("kd2 d=4 states (256 blocks): up-shift passes", kd2_colouring(4).states),
+                     ("g g* (PD, s > TOL_ALG): down-shift passes", g @ g.conj().T),
+                     ("rank-80 Choi x 1e4: down-shift fails -> eigensolve", rank80 * 1e4)):
         row(f"psd {label}", lambda: hermiticity_and_psd_defect(m), args.repeat)
 
 

@@ -43,20 +43,15 @@ TOL_INPUT = 1e-7
 #: cannot pass the pair, so it serves the failing path.
 PRUNE_MARGIN = 1e-9
 
-#: Not a tolerance: the margin by which ``psd_defect`` shifts each n x n block of a
-#: Hermitian part H down before one Cholesky factorisation,
-#: ``CHOLESKY_MARGIN * (n + 1) * (eps * sum|h_ii| + n * tiny)``.  A factorisation that
-#: completes proves that ``eigvalsh`` would read no negative eigenvalue, because s lies
-#: above the rounding error of both LAPACK calls; a rank-deficient block that fails it,
-#: whose s is at most ``TOL_ALG`` and whose H + (s/4) I factors instead, is proven to
-#: reach at most s below zero and reads s (both derived at ``hermiticity_and_psd_defect``).
+#: Not a tolerance: the margin s by which ``psd_defect`` shifts each n x n block of a
+#: Hermitian part H before one Cholesky factorisation,
+#: ``CHOLESKY_MARGIN * (n + 1) * (eps * sum|h_ii| + n * tiny)``.  When every block's s is
+#: at most ``TOL_ALG``, a factorisation of H + (s/4) I that completes proves that H
+#: reaches at most s below zero, and the block reads s; otherwise a factorisation of
+#: H - s I that completes proves that ``eigvalsh`` would read no negative eigenvalue,
+#: because s lies above the rounding error of both LAPACK calls (both derived at
+#: ``hermiticity_and_psd_defect``).
 CHOLESKY_MARGIN = 4.0
-#: Size of the first rung of the ladder of leading principal blocks of H - (s/4) I, of
-#: k = LEAD_BLOCK * 3**j rows while k <= n/2, that is factored before an n x n block is
-#: shifted down: when a rung fails, the whole factorisation would fail too (derived at
-#: ``hermiticity_and_psd_defect``), so a rank-deficient block skips it.  Measured on
-#: ``witness`` pairs: ops/s rose with it (``BENCH_pivoted_psd.json``, ``BENCH_psd_ladder.json``).
-LEAD_BLOCK = 32
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
 
@@ -235,7 +230,8 @@ def _stack(m) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entry of m - m* over every block of a stack ``(..., d, d)``; NaN stays NaN."""
     m = _stack(m)
-    with np.errstate(invalid="ignore"):  # inf - inf on a diagonal: NaN, which fails
+    # inf - inf on a diagonal is NaN, which fails; a finite m - m* that overflows reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
         diff = m - dagger(m)
     return worst(diff)
 
@@ -258,25 +254,14 @@ def _cholesky_completes(h: np.ndarray, shift: np.ndarray) -> bool:
     """True when every block of the Hermitian stack ``h`` plus its ``shift`` times I has a
     Cholesky factor with a finite diagonal.
 
-    A block shifted down first has its leading k x k blocks, k = ``LEAD_BLOCK`` * 3**j
-    <= n/2, shifted down by a quarter as far, factored in turn: when one fails, so would
-    the whole factorisation (derived at ``hermiticity_and_psd_defect``), which is then
-    skipped.
     ``h`` is shifted in place and restored bit for bit before this returns.
     """
-    n = h.shape[-1]
     diagonal = np.einsum("...ii->...i", h)  # a writable view
     saved = diagonal.copy()
     shifted = saved.real + shift[..., None]
     if not (shifted > 0).all():  # a diagonal pivot <= 0 (or NaN) fails the factorisation
         return False
     try:
-        if (shift < 0).all() and 2 * LEAD_BLOCK <= n:
-            diagonal[...] = saved.real + shift[..., None] / 4
-            k = LEAD_BLOCK
-            while 2 * k <= n:
-                np.linalg.cholesky(h[..., :k, :k])
-                k *= 3
         diagonal[...] = shifted
         factor = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -292,40 +277,17 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
 
     The PSD defect is ``worst(herm, min(lam, 0))`` for the smallest eigenvalue
     ``lam`` that ``eigvalsh`` computes of each Hermitian part H = (m + m*)/2,
-    unless one of two factorisations settles it first.  With u = eps/2, d = sum|h_ii|
-    of an n x n block and s = 4 (n + 1)(eps d + n tiny) = 8 (n + 1) u d + ...:
+    unless one Cholesky factorisation of every block settles it first.  With u = eps/2,
+    d = sum|h_ii| of an n x n block and s = 4 (n + 1)(eps d + n tiny) =
+    8 (n + 1) u d + ..., a completed complex Cholesky factor R of A = fl(H + cI), for a
+    shift c, has R*R = A + E with |E| <= 2 (n + 1) u |R*||R| plus, under gradual
+    underflow, 2 (n + 1) tiny per entry (Demmel; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 10.5 and section 3.6; Rump, BIT 46, 2006), so
+    ||E||_2 <= 2 (n + 1)(u tr A + n tiny) to first order.
 
-    1. When a floating-point Cholesky factorisation of every block of H - sI runs
-       to completion, the value is ``herm`` exactly and nothing else runs.  s covers
-
-       - the factorisation: a completed complex Cholesky factor R of A = fl(H - sI)
-         has R*R = A + E with |E| <= 2 (n + 1) u |R*||R| plus, under gradual
-         underflow, 2 (n + 1) tiny per entry (Demmel; Higham, *Accuracy and
-         Stability of Numerical Algorithms*, Thm 10.5 and section 3.6; Rump, BIT
-         46, 2006), so ||E||_2 <= 2 (n + 1)(u d + n tiny) <= s/2 to first order;
-       - the rounded shift: at most u (d + s) on the diagonal;
-       - the eigensolver: ``eigvalsh`` returns the eigenvalues of H + F with
-         ||F||_2 <= p(n) u ||H||_2 (LAPACK Users' Guide, section 4.7), and
-         ||H||_2 <= tr H <= d once H is shown PSD.
-
-       Hence the computed smallest eigenvalue is at least (5 (n + 1) - p(n)) u d,
-       which is >= 0 for any p(n) <= 5 (n + 1).
-
-       The leading k x k blocks of H - (s/4) I, k = ``LEAD_BLOCK`` * 3**j <= n/2 (the
-       rungs: 32 and 96 at n = 256), are factored first, in turn.  If one fails, the
-       same argument on k x k gives lambda_min(H) <= s/4 + 2 (k + 1)(u d + k tiny) +
-       u (d + s), by Cauchy interlacing, while a completed factorisation of H - sI
-       gives lambda_min(H) >= s/2 - u (d + s).  With s/4 = 2 (n + 1) u d +
-       (n + 1) n tiny and u s = 8 (n + 1) u (u d) + 4 (n + 1) n u tiny, the first is
-       below the second once n + 1 > k + 2 + 8 (n + 1) u and
-       (n + 1) n (1 - 8 u) > 2 (k + 1) k, which every k <= n/2 meets, so the whole
-       factorisation would fail too and is skipped.  Each rung is the leading block
-       of the next, so the ladder stops at the first that fails.  A block every rung
-       completes on still takes exactly one full factorisation.
-    2. When that fails and every block has s <= ``TOL_ALG``, one factorisation of
-       every block of H + tI, t = s/4, is tried.  When it completes, the same argument
-       bounds the depth below zero (Rump's certificate): R*R = A + E for
-       A = fl(H + tI), with tr A <= d + n t in place of d, so
+    1. When every block has s <= ``TOL_ALG``, one factorisation of every block of
+       H + tI, t = s/4, is tried.  When it completes, it bounds the depth below zero
+       (Rump's certificate): tr A <= d + n t, so
        ||E||_2 <= 2 (n + 1)(u (d + n t) + n tiny) <= s/2 + eps n (n + 1) t to first
        order, and the rounded shift is off by at most u (d + t) on the diagonal.  R*R is
        PSD, so lambda_min(H) >= -(t + s/2 + eps n (n + 1) t + u (d + t)) >= -s, since
@@ -334,11 +296,23 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
        the true depth of lambda_min(H) below zero, where ``eigvalsh`` reads that depth
        only to within p(n) u ||H||_2, so a check at ``TOL_ALG`` decides as on that
        reading.
+    2. When some block has s above ``TOL_ALG`` (its trace is above about
+       1e-9 / (8 (n + 1) u)), so that the value s could not pass a check at
+       ``TOL_ALG``, one factorisation of every block of H - sI is tried instead.  When
+       it completes, the value is ``herm`` exactly.  s covers
 
-    A stack falls back to one batched ``eigvalsh`` of the same H as a whole when
-    neither settles every block: when a block's s is above ``TOL_ALG`` (its trace is
-    above about 1e-9 / (8 (n + 1) u)), or when H + tI has a diagonal entry <= 0 or does
-    not factor.
+       - the factorisation: tr A <= d, so ||E||_2 <= 2 (n + 1)(u d + n tiny) <= s/2
+         to first order;
+       - the rounded shift: at most u (d + s) on the diagonal;
+       - the eigensolver: ``eigvalsh`` returns the eigenvalues of H + F with
+         ||F||_2 <= p(n) u ||H||_2 (LAPACK Users' Guide, section 4.7), and
+         ||H||_2 <= tr H <= d once H is shown PSD.
+
+       Hence the computed smallest eigenvalue is at least (5 (n + 1) - p(n)) u d,
+       which is >= 0 for any p(n) <= 5 (n + 1).
+
+    A stack falls back to one batched ``eigvalsh`` of the same H as a whole when the
+    one factorisation it tries has a shifted diagonal entry <= 0 or does not factor.
     """
     m = _stack(m)
     # m* in one transposed pass into a C-ordered buffer, so that m - m*, m + m* and the
@@ -353,10 +327,11 @@ def hermiticity_and_psd_defect(m: np.ndarray) -> tuple[float, float]:
     if not np.isfinite(h).all():
         return herm, float("inf")
     margin = _margin(h)
-    if _cholesky_completes(h, -margin):
+    if (margin <= TOL_ALG).all():
+        if _cholesky_completes(h, margin / 4):
+            return herm, worst(herm, margin)
+    elif _cholesky_completes(h, -margin):
         return herm, herm
-    if (margin <= TOL_ALG).all() and _cholesky_completes(h, margin / 4):
-        return herm, worst(herm, margin)
     # H formed again: the real halving differs from the complex one in the sign of zero
     # entries, which no factorisation reads but the eigensolve can
     lam = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., :1]
@@ -367,12 +342,12 @@ def psd_defect(m: np.ndarray) -> float:
     """How far the worst block of a stack ``(..., d, d)`` is from positive semidefinite.
 
     The larger of the Hermiticity defect and the depth below zero of the spectra
-    of the Hermitian parts H.  A positive definite H is proven so by one Cholesky
-    factorisation shifted down by a margin above rounding, and reads the
-    Hermiticity defect.  A rank-deficient H whose margin is at most ``TOL_ALG``, and
-    which one Cholesky factorisation shifted up by a quarter of it proves to reach at
-    most the margin below zero, reads the margin.  Anything else reads the smallest
-    eigenvalue that one batched ``eigvalsh`` computes.  Non-finite input
+    of the Hermitian parts H.  When every block's margin above rounding is at most
+    ``TOL_ALG``, one Cholesky factorisation of H shifted up by a quarter of it proves
+    each block to reach at most its margin below zero, and the depth reads the largest
+    margin.  Otherwise one factorisation of H shifted down by the margin proves every
+    block positive definite, and the depth reads zero.  Anything else reads the
+    smallest eigenvalue that one batched ``eigvalsh`` computes.  Non-finite input
     anywhere, or a Hermitian part that overflows, reads as infinitely far.
     Never raises, so every check built on it fails closed.
     """
@@ -481,9 +456,10 @@ def channel_defects(choi: np.ndarray, dims: tuple[int, int]) -> tuple[float, flo
 def state_defect(rho: np.ndarray) -> float:
     """Max of PSD defect and |tr - 1| over the blocks of a stack ``(..., d, d)``."""
     rho = _stack(rho)
-    trace = np.trace(rho, axis1=-2, axis2=-1)
-    # max, not worst: a non-finite trace needs a non-finite entry, so the first term is
-    # then inf, and non-finite input reads inf here even when the trace is NaN
+    with np.errstate(over="ignore"):  # a trace summing past the largest float reads inf
+        trace = np.trace(rho, axis1=-2, axis2=-1)
+    # max, not worst: a NaN trace needs a non-finite entry, so the first term is then
+    # inf, and non-finite input reads inf here even when the trace is NaN
     return max(psd_defect(rho), worst(trace - 1.0))
 
 

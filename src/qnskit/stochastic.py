@@ -384,9 +384,11 @@ def from_povms(povms: Sequence[Sequence[np.ndarray]]) -> StochasticOperatorMatri
     if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
         raise ValueError(f"POVM elements must be square matrices of one size, got {ops.shape}")
     dh = ops.shape[2]
-    require(worst(ops.sum(axis=1) - np.eye(dh)), TOL_ALG,
-            "POVM does not sum to the identity within tolerance")
-    bad = ~(np.max(np.abs(ops - dagger(ops)), axis=(2, 3), initial=0.0) <= TOL_ALG)
+    # an overflowed sum or m - m* reads inf, and inf - inf reads NaN: both fail the gates
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = ops.sum(axis=1) - np.eye(dh)
+        bad = ~(np.max(np.abs(ops - dagger(ops)), axis=(2, 3), initial=0.0) <= TOL_ALG)
+    require(worst(total), TOL_ALG, "POVM does not sum to the identity within tolerance")
     bx, ba = np.unravel_index(np.argmax(bad), bad.shape)  # the first non-Hermitian element
     require(hermiticity_defect(ops), TOL_ALG, f"POVM element ({bx},{ba}) is not Hermitian")
     t = np.zeros((dx, da, dh, dx, da, dh), dtype=complex)

@@ -173,6 +173,17 @@ def test_from_povms_hermiticity_gate_rejects_nan(monkeypatch):
         from_povms([[np.array([[1.0]])]])
 
 
+def test_overflowing_residuals_and_gates_fail_without_warning():
+    # RuntimeWarning is an error under pytest, so a gate that warns fails this test
+    assert linalg.hermiticity_defect(np.array([[0, 1e308], [-1e308, 0]])) == np.inf
+    assert linalg.state_defect(np.diag([8e307] * 3)) == np.inf  # the trace overflows
+    with pytest.raises(CheckError, match="does not sum to the identity"):
+        from_povms([[np.array([[np.inf]]), np.array([[-np.inf]])]])  # inf - inf in the sum
+    pair = np.array([[0.5, 1e308], [-1e308, 0.5]])  # sums to I, but m - m* overflows
+    with pytest.raises(CheckError, match=r"POVM element \(0,0\) is not Hermitian"):
+        from_povms([[pair, pair.T]])
+
+
 def test_tracial_algebra_rejects_nan_weight():
     with pytest.raises(ValueError, match="weights"):
         TracialAlgebra((1,), (np.nan,))

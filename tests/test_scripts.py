@@ -36,7 +36,7 @@ def test_script_runs(argv):
      r"commuting gate lift \(2, 2, 2\) .*  'pass'", 1),
     (["theta", "--repeat", "1", "--paley", "37"], ROUND, 1),
     (["theta", "--repeat", "1", "--paley", "--cycles", "--gnp", "12:0.5", "9:0.2"], ROUND, 1),
-    (["psd", "--repeat", "1"], r"psd .*(full pass|-> up-shift|-> eigensolve) .*", 6)])
+    (["psd", "--repeat", "1"], r"psd .*(passes|-> eigensolve) .*", 8)])
 def test_cost_section_prints(argv, line, count):
     """Each section of scripts/cost.py runs and prints ``count`` lines matching ``line``."""
     stdout = run_script("cost.py", *argv)
